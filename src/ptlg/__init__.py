@@ -12,13 +12,16 @@ from .errors import (
     UsageError,
 )
 from .lgexpr import (
+    ContextTable,
     CorrelatorSet,
     LGReport,
     correlator,
     correlator_set,
+    expression,
     l123_and_beta,
     l13,
     lg_report,
+    table,
     v123_and_delta,
     variant_v,
 )
@@ -26,26 +29,13 @@ from .macrodiag import (
     DegreeReport,
     DiagnosticsReport,
     ViolationReport,
-    aot_degree_1_23,
-    aot_degree_12_3,
     decomposition_residual_standard,
     decomposition_residual_variant,
     degree_report,
     diagnostics,
-    nsit_degree_1_2_3,
-    nsit_degree_123,
     violation_classifier,
 )
-from .matcore import (
-    QubitDensity,
-    Projector,
-    adjoint,
-    mul,
-    partial_trace_first,
-    projector,
-    tensor,
-    trace,
-)
+from .matcore import QubitDensity, Projector, partial_trace_first, projector, tensor
 from .nosignal import BipartiteState, bell_state, bob_reduced, signaling_deviation
 from .protocol import (
     MeasurementContext,

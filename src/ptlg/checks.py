@@ -21,7 +21,7 @@ from .closedform import (
     uu_dagger_reference,
 )
 from .errors import UsageError
-from .lgexpr import correlator, l123_and_beta, l13, v123_and_delta, variant_v
+from .lgexpr import CONTEXTS, correlator, l123_and_beta, l13, table, v123_and_delta, variant_v
 from .macrodiag import (
     decomposition_residual_standard,
     decomposition_residual_variant,
@@ -30,7 +30,6 @@ from .macrodiag import (
 from .nosignal import bob_reduced, signaling_deviation
 from .protocol import (
     MeasurementContext,
-    distribution,
     pt_standard,
     pt_variant,
     unitary_standard,
@@ -87,24 +86,24 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = max(_biorthogonal_reconstruction_residual(PTParams(a, t)) for a, t in pts)
     results.append(CheckResult("eigensystem-reconstruction", res, 1e-9))
 
-    presets = []
-    for i, (a, t) in enumerate(pts):
-        theta, phi = 0.3 + 0.1 * i, 0.2 + 0.35 * i
-        presets.append(pt_standard(a, t))
-        presets.append(pt_variant(a, t, theta, phi))
-        presets.append(unitary_standard(t))
-        presets.append(unitary_variant(t, theta, phi))
+    # One context table per sample preset, shared by every check below:
+    # (pt standard, pt variant, unitary standard, unitary variant) per point.
+    angles = [(0.3 + 0.1 * i, 0.2 + 0.35 * i) for i in range(len(pts))]
+    groups = [(table(pt_standard(a, t)), table(pt_variant(a, t, theta, phi)),
+               table(unitary_standard(t)), table(unitary_variant(t, theta, phi)))
+              for (a, t), (theta, phi) in zip(pts, angles)]
+    tables = [tab for group in groups for tab in group]
 
-    res = max(abs(l123_and_beta(pr)[0] - (1 - 4 * l123_and_beta(pr)[1])) for pr in presets)
+    res = max(abs(l123 - (1 - 4 * beta)) for l123, beta in map(l123_and_beta, tables))
     results.append(CheckResult("three-time-beta-identity", res, 1e-12))
 
-    res = max(abs(v123_and_delta(pr)[0] - (1 - 4 * v123_and_delta(pr)[1])) for pr in presets)
+    res = max(abs(v123 - (1 - 4 * delta)) for v123, delta in map(v123_and_delta, tables))
     results.append(CheckResult("three-time-delta-identity", res, 1e-12))
 
-    res = max(decomposition_residual_standard(pr) for pr in presets)
+    res = max(map(decomposition_residual_standard, tables))
     results.append(CheckResult("decomposition-standard", res, 1e-10))
 
-    res = max(decomposition_residual_variant(pr) for pr in presets)
+    res = max(map(decomposition_residual_variant, tables))
     results.append(CheckResult("decomposition-variant", res, 1e-10))
 
     res = 0.0
@@ -134,20 +133,17 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
         res = max(res, 1.0)
     results.append(CheckResult("signaling-iff-trivial", res, 1e-12))
 
-    res = max(abs(l13(unitary_standard(t)) - unitary_l13(t)) for _, t in pts)
+    res = max(abs(l13(ustd) - unitary_l13(t)) for (_, t), (_, _, ustd, _) in zip(pts, groups))
     results.append(CheckResult("unitary-standard-closed-form", res, 1e-10))
 
-    res = 0.0
-    for i, (_, t) in enumerate(pts):
-        theta, phi = 0.3 + 0.1 * i, 0.2 + 0.35 * i
-        res = max(res, abs(variant_v(3, unitary_variant(t, theta, phi))
-                           - unitary_v3(t, theta, phi)))
+    res = max(abs(variant_v(3, uvar) - unitary_v3(t, theta, phi))
+              for (_, t), (theta, phi), (*_, uvar) in zip(pts, angles, groups))
     results.append(CheckResult("unitary-variant-closed-form", res, 1e-10))
 
     res = 0.0
-    for pr in presets:
-        for times in [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]:
-            d = distribution(MeasurementContext(preset=pr, measured_times=times))
+    for tab in tables:
+        for times in CONTEXTS:
+            d = tab[times]
             total = sum(d.probs.values())
             res = max(res, abs(total - 1.0))
             res = max(res, max(max(-p, p - 1.0, 0.0) for p in d.probs.values()))
@@ -155,13 +151,11 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
 
     if include_pair_forms:
         res = 0.0
-        for a, t in pts:
-            preset = pt_standard(a, t)
+        for (a, t), (pstd, *_) in zip(pts, groups):
             for pair in ((1, 2), (2, 3), (1, 3)):
-                d = distribution(MeasurementContext(preset=preset, measured_times=pair))
-                c = correlator(d, pair)
+                c = correlator(pstd[pair], pair)
                 res = max(res, abs(c - pair_correlator_reference(a, t, pair)))
-                ctx = MeasurementContext(preset=preset, measured_times=pair)
+                ctx = MeasurementContext(preset=pstd.preset, measured_times=pair)
                 raw = sum(unnormalized_chain(ctx, oc) for oc in product((+1, -1), repeat=2))
                 res = max(res, abs(raw - pair_normalization_reference(a, t, pair)))
         results.append(CheckResult("pair-closed-forms", res, 1e-9))

@@ -1,6 +1,6 @@
 """Command-line front end: figure data, optimization, identity checks, and the
 entangled-pair demo.  Emits CSV or JSON; exit codes are stable: 0 success,
-1 check failure, 2 usage error, 3 I/O error.
+1 check or numerical failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -61,10 +61,15 @@ def _write_table(path: str, columns, rows, fmt: str, config: dict, summary: dict
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _merge_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Overlay --config JSON values onto parsed args; explicit flags win."""
+def _merge_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                       argv: list[str]) -> argparse.Namespace:
+    """Re-parse with the --config JSON values as options of the same subcommand.
+
+    Each value goes through its flag's own type and choices.  The values are
+    placed before the command line's options, so an explicit flag wins.
+    """
     if getattr(args, "config", None) is None:
-        return
+        return args
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -74,21 +79,26 @@ def _merge_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         raise UsageError(f"config {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    known = vars(args)
-    unknown = set(data) - set(known)
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest: a for a in commands[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(data) - set(options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    explicit = {token[2:].split("=")[0].replace("-", "_")
-                for token in argv if token.startswith("--")}
+    tokens = []
     for key, value in data.items():
-        if key not in explicit:
-            setattr(args, key, value)
-
-
-def _parse_pre_evolution(text: str) -> bool:
-    if text not in ("on", "off"):
-        raise UsageError(f"--pre-evolution must be 'on' or 'off', got {text!r}")
-    return text == "on"
+        flag = options[key].option_strings[-1]
+        if options[key].nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise UsageError(f"config key {key!r} takes a string or a number, got {value!r}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,14 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
-        p.add_argument("--s", type=float, default=1.0, help="Hamiltonian scale")
         p.add_argument("--alpha", type=float, default=None, help="non-Hermiticity angle (rad)")
         p.add_argument("--t-min", type=float, default=0.0)
         p.add_argument("--t-max", type=float, default=float(np.pi))
         p.add_argument("--t-steps", type=int, default=512)
         p.add_argument("--theta", type=float, default=DEFAULT_THETA)
         p.add_argument("--phi", type=float, default=DEFAULT_PHI)
-        p.add_argument("--pre-evolution", default="on", metavar="on|off")
+        p.add_argument("--pre-evolution", choices=("on", "off"), default="on")
 
     p_fig = sub.add_parser("figure", help="emit curve data for one of the four figures")
     p_fig.add_argument("n", type=int, choices=(1, 2, 3, 4))
@@ -134,23 +143,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_figure(args) -> int:
+def _alpha_t_grid(args) -> tuple[tuple[float, ...], dict]:
+    """The alphas of a figure or nosignal table, and the grid part of its config."""
     alphas = DEFAULT_ALPHAS if args.alpha is None else (args.alpha,)
+    return alphas, {"alphas": list(alphas), "t_min": args.t_min, "t_max": args.t_max,
+                    "t_steps": args.t_steps}
+
+
+def _emit_table(args, default_out: str, columns, rows, config: dict, max_key: str) -> int:
+    """Write a table whose third column is summarized by its finite maximum."""
+    out = args.out or default_out
+    finite = [row[2] for row in rows if np.isfinite(row[2])]
+    summary = {"rows": len(rows), max_key: _round12(max(finite)) if finite else float("nan")}
+    _write_table(out, columns, rows, args.format, config, summary)
+    print(f"wrote {out} ({len(rows)} rows)")
+    return EXIT_OK
+
+
+def cmd_figure(args) -> int:
+    alphas, grid = _alpha_t_grid(args)
     data: FigureData = figure_data(
         args.n, t_steps=args.t_steps, alphas=alphas, theta=args.theta, phi=args.phi,
-        s=args.s, pre_evolution=_parse_pre_evolution(args.pre_evolution),
-        t_min=args.t_min, t_max=args.t_max,
+        pre_evolution=args.pre_evolution == "on", t_min=args.t_min, t_max=args.t_max,
     )
-    out = args.out or f"ptlg_figure{args.n}.{args.format}"
-    config = {"figure": args.n, "alphas": list(alphas), "t_min": args.t_min,
-              "t_max": args.t_max, "t_steps": args.t_steps, "theta": args.theta,
-              "phi": args.phi, "s": args.s, "pre_evolution": args.pre_evolution}
-    finite = [v for row in data.rows for v in row[2:3] if np.isfinite(v)]
-    summary = {"rows": len(data.rows),
-               "max_value": _round12(max(finite)) if finite else float("nan")}
-    _write_table(out, data.columns, data.rows, args.format, config, summary)
-    print(f"wrote {out} ({len(data.rows)} rows)")
-    return EXIT_OK
+    config = {"figure": args.n} | grid | {"theta": args.theta, "phi": args.phi,
+                                          "pre_evolution": args.pre_evolution}
+    return _emit_table(args, f"ptlg_figure{args.n}.{args.format}", data.columns, data.rows,
+                       config, "max_value")
 
 
 def cmd_optimize(args) -> int:
@@ -166,8 +185,7 @@ def cmd_optimize(args) -> int:
         kind=args.kind,
         grids={"t": GridSpec(args.t_min, args.t_max, args.t_steps)},
         fixed=fixed,
-        s=args.s,
-        pre_evolution=_parse_pre_evolution(args.pre_evolution),
+        pre_evolution=args.pre_evolution == "on",
         refine=True,
     )
     result = scan(cfg)
@@ -214,25 +232,18 @@ def cmd_check(args) -> int:
 def cmd_nosignal(args) -> int:
     if args.t_steps < 1:
         raise UsageError(f"--t-steps must be >= 1, got {args.t_steps}")
-    alphas = DEFAULT_ALPHAS if args.alpha is None else (args.alpha,)
+    alphas, grid = _alpha_t_grid(args)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rows = []
     for alpha in alphas:
         for t in ts:
             try:
-                dev = signaling_deviation(PTParams(alpha, t, s=args.s))
+                dev = signaling_deviation(PTParams(alpha, t))
             except (DomainError, DegenerateWeightError):
                 dev = float("nan")
             rows.append((alpha, t, dev))
-    out = args.out or f"ptlg_nosignal.{args.format}"
-    config = {"alphas": list(alphas), "t_min": args.t_min, "t_max": args.t_max,
-              "t_steps": args.t_steps, "s": args.s}
-    finite = [r[2] for r in rows if np.isfinite(r[2])]
-    summary = {"rows": len(rows),
-               "max_deviation": _round12(max(finite)) if finite else float("nan")}
-    _write_table(out, ("alpha", "t", "deviation"), rows, args.format, config, summary)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return EXIT_OK
+    return _emit_table(args, f"ptlg_nosignal.{args.format}", ("alpha", "t", "deviation"),
+                       rows, grid, "max_deviation")
 
 
 def main(argv=None) -> int:
@@ -240,10 +251,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _merge_config_file(parser, parser.parse_args(argv), argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        _merge_config_file(args, argv)
         if args.command == "figure":
             return cmd_figure(args)
         if args.command == "optimize":
@@ -257,6 +267,9 @@ def main(argv=None) -> int:
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (DomainError, DegenerateWeightError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ contexts, the triple product from the full context).  The *_123 variants
 recompute every ingredient from the full three-measurement context instead;
 the gap between the two families is what the macrorealism diagnostics
 decompose.
+
+Every reduction here and in `macrodiag` reads the seven context distributions
+of one parameter point from a `ContextTable`, which computes each on first use.
+The reductions accept a preset or a table; callers that need several of them
+at one point build the table once and pass it to each.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from dataclasses import dataclass
 from .errors import UsageError
 from .protocol import MeasurementContext, OutcomeDistribution, ScenarioPreset, distribution
 
+CONTEXTS = ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3))
+EXPRESSIONS = ("L13", "V1", "V2", "V3")
 VARIANT_PAIR = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
 
@@ -58,72 +65,102 @@ def correlator(dist: OutcomeDistribution, which: tuple[int, ...]) -> float:
     return total
 
 
-def _dist(preset: ScenarioPreset, *times: int) -> OutcomeDistribution:
-    return distribution(MeasurementContext(preset=preset, measured_times=times))
+class ContextTable:
+    """The seven context distributions of one preset, each computed on first use.
+
+    Index with the measured times: ``tab[1, 2, 3]``, ``tab[2, 3]``, ``tab[1]``.
+    The table belongs to its caller; nothing caches it on the preset.
+    """
+
+    def __init__(self, preset: ScenarioPreset):
+        self.preset = preset
+        self._dists: dict[tuple[int, ...], OutcomeDistribution] = {}
+
+    def __getitem__(self, times) -> OutcomeDistribution:
+        times = times if isinstance(times, tuple) else (times,)
+        dist = self._dists.get(times)
+        if dist is None:
+            dist = distribution(MeasurementContext(preset=self.preset, measured_times=times))
+            self._dists[times] = dist
+        return dist
+
+    def correlator(self, *times: int) -> float:
+        """Correlator of `times` in its own minimal context."""
+        return correlator(self[times], times)
 
 
-def correlator_set(preset: ScenarioPreset) -> CorrelatorSet:
+def table(x: ScenarioPreset | ContextTable) -> ContextTable:
+    """The table of a preset, or `x` itself when it already is one."""
+    return x if isinstance(x, ContextTable) else ContextTable(x)
+
+
+def correlator_set(x: ScenarioPreset | ContextTable) -> CorrelatorSet:
+    tab = table(x)
     return CorrelatorSet(
-        c12=correlator(_dist(preset, 1, 2), (1, 2)),
-        c23=correlator(_dist(preset, 2, 3), (2, 3)),
-        c13=correlator(_dist(preset, 1, 3), (1, 3)),
-        c123=correlator(_dist(preset, 1, 2, 3), (1, 2, 3)),
-        c1=correlator(_dist(preset, 1), (1,)),
-        c2=correlator(_dist(preset, 2), (2,)),
-        c3=correlator(_dist(preset, 3), (3,)),
+        c12=tab.correlator(1, 2),
+        c23=tab.correlator(2, 3),
+        c13=tab.correlator(1, 3),
+        c123=tab.correlator(1, 2, 3),
+        c1=tab.correlator(1),
+        c2=tab.correlator(2),
+        c3=tab.correlator(3),
     )
 
 
-def l13(preset: ScenarioPreset) -> float:
+def l13(x: ScenarioPreset | ContextTable) -> float:
     """c12 + c23 - c13 from pairwise contexts; macrorealism bounds this by 1."""
-    return (correlator(_dist(preset, 1, 2), (1, 2))
-            + correlator(_dist(preset, 2, 3), (2, 3))
-            - correlator(_dist(preset, 1, 3), (1, 3)))
+    tab = table(x)
+    return tab.correlator(1, 2) + tab.correlator(2, 3) - tab.correlator(1, 3)
 
 
-def variant_v(k: int, preset: ScenarioPreset) -> float:
+def variant_v(k: int, x: ScenarioPreset | ContextTable) -> float:
     """-<M1 M2 M3> + <Mi Mj> + <Mk> with (i, j) the pair complementary to k."""
     if k not in VARIANT_PAIR:
         raise UsageError(f"k must be 1, 2 or 3, got {k}")
-    i, j = VARIANT_PAIR[k]
-    triple = correlator(_dist(preset, 1, 2, 3), (1, 2, 3))
-    pair = correlator(_dist(preset, i, j), (i, j))
-    single = correlator(_dist(preset, k), (k,))
-    return -triple + pair + single
+    tab = table(x)
+    return -tab.correlator(1, 2, 3) + tab.correlator(*VARIANT_PAIR[k]) + tab.correlator(k)
 
 
-def l123_and_beta(preset: ScenarioPreset) -> tuple[float, float]:
+def expression(name: str, x: ScenarioPreset | ContextTable) -> float:
+    """The LG expression called `name`, one of EXPRESSIONS."""
+    if name not in EXPRESSIONS:
+        raise UsageError(f"expression must be one of {EXPRESSIONS}, got {name!r}")
+    return l13(x) if name == "L13" else variant_v(int(name[1]), x)
+
+
+def l123_and_beta(x: ScenarioPreset | ContextTable) -> tuple[float, float]:
     """Full-context analogue of l13 and beta = P(+,-,+) + P(-,+,-).
 
     The identity l123 = 1 - 4 beta holds exactly for any normalized
     distribution, because m1 m2 + m2 m3 - m1 m3 equals 1 on every outcome
     except the two beta outcomes, where it equals -3.
     """
-    d = _dist(preset, 1, 2, 3)
+    d = table(x)[1, 2, 3]
     l123 = correlator(d, (1, 2)) + correlator(d, (2, 3)) - correlator(d, (1, 3))
     beta = d.probs[(+1, -1, +1)] + d.probs[(-1, +1, -1)]
     return l123, beta
 
 
-def v123_and_delta(preset: ScenarioPreset) -> tuple[float, float]:
+def v123_and_delta(x: ScenarioPreset | ContextTable) -> tuple[float, float]:
     """Full-context analogue of variant_v(1) and delta = P(-,+,-) + P(-,-,+).
 
     v123 = 1 - 4 delta exactly, by the same per-outcome argument.
     """
-    d = _dist(preset, 1, 2, 3)
+    d = table(x)[1, 2, 3]
     v123 = -correlator(d, (1, 2, 3)) + correlator(d, (2, 3)) + correlator(d, (1,))
     delta = d.probs[(-1, +1, -1)] + d.probs[(-1, -1, +1)]
     return v123, delta
 
 
-def lg_report(preset: ScenarioPreset) -> LGReport:
-    l123, beta = l123_and_beta(preset)
-    v123, delta = v123_and_delta(preset)
+def lg_report(x: ScenarioPreset | ContextTable) -> LGReport:
+    tab = table(x)
+    l123, beta = l123_and_beta(tab)
+    v123, delta = v123_and_delta(tab)
     return LGReport(
-        l13=l13(preset),
-        v1=variant_v(1, preset),
-        v2=variant_v(2, preset),
-        v3=variant_v(3, preset),
+        l13=l13(tab),
+        v1=variant_v(1, tab),
+        v2=variant_v(2, tab),
+        v3=variant_v(3, tab),
         l123=l123,
         v123=v123,
         beta=beta,

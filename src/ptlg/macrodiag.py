@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .lgexpr import CorrelatorSet, correlator_set, l123_and_beta, l13, v123_and_delta, variant_v
-from .protocol import MeasurementContext, ScenarioPreset, distribution
+from .lgexpr import (EXPRESSIONS, ContextTable, CorrelatorSet, correlator_set, expression,
+                     l123_and_beta, l13, table, v123_and_delta, variant_v)
+from .protocol import ScenarioPreset
 
 PM = (+1, -1)
+VIOLATION_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,53 +43,28 @@ class DegreeReport:
                    max(abs(v) for v in self.r_1_23.values()))
 
 
-def _dist(preset: ScenarioPreset, *times: int):
-    return distribution(MeasurementContext(preset=preset, measured_times=times))
+def _context_gap(tab: ContextTable, times: tuple[int, ...]) -> dict[tuple[int, ...], float]:
+    """P(times) minus the matching marginal of the full context, per outcome tuple."""
+    coarse = tab[times].probs
+    fine = tab[1, 2, 3].marginal(times)
+    return {oc: coarse[oc] - fine[oc] for oc in product(PM, repeat=len(times))}
 
 
-def degree_report(preset: ScenarioPreset) -> DegreeReport:
-    full = _dist(preset, 1, 2, 3)
-    p23 = _dist(preset, 2, 3)
-    p13 = _dist(preset, 1, 3)
-    p12 = _dist(preset, 1, 2)
-    p1 = _dist(preset, 1)
-    m23 = full.marginal((2, 3))
-    m13 = full.marginal((1, 3))
-    m12 = full.marginal((1, 2))
-    m1 = full.marginal((1,))
+def degree_report(x: ScenarioPreset | ContextTable) -> DegreeReport:
+    tab = table(x)
     return DegreeReport(
-        d_123={oc: p23.probs[oc] - m23[oc] for oc in product(PM, repeat=2)},
-        d_1_2_3={oc: p13.probs[oc] - m13[oc] for oc in product(PM, repeat=2)},
-        r_12_3={oc: p12.probs[oc] - m12[oc] for oc in product(PM, repeat=2)},
-        r_1_23={m: p1.probs[(m,)] - m1[(m,)] for m in PM},
+        d_123=_context_gap(tab, (2, 3)),
+        d_1_2_3=_context_gap(tab, (1, 3)),
+        r_12_3=_context_gap(tab, (1, 2)),
+        r_1_23={m: v for (m,), v in _context_gap(tab, (1,)).items()},
     )
 
 
-def nsit_degree_123(preset: ScenarioPreset, m2: int, m3: int) -> float:
-    """Disturbance of the (m2, m3) statistics by the first measurement."""
-    return degree_report(preset).d_123[(m2, m3)]
+def _signed_sum(degrees: dict[tuple[int, int], float], equal: bool) -> float:
+    return sum(v for (a, b), v in degrees.items() if (a == b) == equal)
 
 
-def nsit_degree_1_2_3(preset: ScenarioPreset, m1: int, m3: int) -> float:
-    """Disturbance of the (m1, m3) statistics by the middle measurement."""
-    return degree_report(preset).d_1_2_3[(m1, m3)]
-
-
-def aot_degree_12_3(preset: ScenarioPreset, m1: int, m2: int) -> float:
-    """Change of the (m1, m2) statistics caused by the later measurement."""
-    return degree_report(preset).r_12_3[(m1, m2)]
-
-
-def aot_degree_1_23(preset: ScenarioPreset, m1: int) -> float:
-    """Change of the first-time statistics caused by both later measurements."""
-    return degree_report(preset).r_1_23[m1]
-
-
-def _signed_sum(table: dict[tuple[int, int], float], equal: bool) -> float:
-    return sum(v for (a, b), v in table.items() if (a == b) == equal)
-
-
-def decomposition_residual_standard(preset: ScenarioPreset) -> float:
+def decomposition_residual_standard(x: ScenarioPreset | ContextTable) -> float:
     """|{l13 - l123} - {signed degree sums}|; an exact identity up to roundoff.
 
     l13 - l123 telescopes into per-correlator context differences, each of
@@ -96,9 +73,10 @@ def decomposition_residual_standard(preset: ScenarioPreset) -> float:
         <M1 M2> gap -> r_12_3 (equal minus unequal)
         <M1 M3> gap -> d_1_2_3 (unequal minus equal, from the minus sign)
     """
-    rep = degree_report(preset)
-    l13_val = l13(preset)
-    l123, _ = l123_and_beta(preset)
+    tab = table(x)
+    rep = degree_report(tab)
+    l13_val = l13(tab)
+    l123, _ = l123_and_beta(tab)
     decomposition = (
         _signed_sum(rep.d_123, True) - _signed_sum(rep.d_123, False)
         + _signed_sum(rep.r_12_3, True) - _signed_sum(rep.r_12_3, False)
@@ -107,7 +85,7 @@ def decomposition_residual_standard(preset: ScenarioPreset) -> float:
     return abs((l13_val - l123) - decomposition)
 
 
-def decomposition_residual_variant(preset: ScenarioPreset) -> float:
+def decomposition_residual_variant(x: ScenarioPreset | ContextTable) -> float:
     """|{v1 - v123} - {2 * equal-outcome d_123 sum + r_1_23(+1) - r_1_23(-1)}|.
 
     The triple correlator is common to both expressions, so the gap reduces to
@@ -115,9 +93,10 @@ def decomposition_residual_variant(preset: ScenarioPreset) -> float:
     minus the equal-outcome sum because the table sums to zero) plus the <M1>
     context difference written outcome-by-outcome.
     """
-    rep = degree_report(preset)
-    v1 = variant_v(1, preset)
-    v123, _ = v123_and_delta(preset)
+    tab = table(x)
+    rep = degree_report(tab)
+    v1 = variant_v(1, tab)
+    v123, _ = v123_and_delta(tab)
     decomposition = (2.0 * _signed_sum(rep.d_123, True)
                      + rep.r_1_23[+1] - rep.r_1_23[-1])
     return abs((v1 - v123) - decomposition)
@@ -133,24 +112,21 @@ class ViolationReport:
     max_aot_degree: float
 
 
-def violation_classifier(preset: ScenarioPreset, threshold: float = 1e-8) -> ViolationReport:
+def violation_classifier(x: ScenarioPreset | ContextTable) -> ViolationReport:
     """Classify which macrorealism conditions fail at this parameter point.
 
-    A degree counts as violated above `threshold`; an LG expression counts as
-    violated above 1 + `threshold`.  The default separates double-precision
-    residuals of exact identities (below 1e-10) from structural effects.
+    A degree counts as violated above VIOLATION_THRESHOLD; an LG expression
+    counts as violated above 1 + VIOLATION_THRESHOLD.  The threshold separates
+    double-precision residuals of exact identities (below 1e-10) from
+    structural effects.
     """
-    rep = degree_report(preset)
-    values = {
-        "L13": l13(preset),
-        "V1": variant_v(1, preset),
-        "V2": variant_v(2, preset),
-        "V3": variant_v(3, preset),
-    }
+    tab = table(x)
+    rep = degree_report(tab)
+    values = {name: expression(name, tab) for name in EXPRESSIONS}
     return ViolationReport(
-        lg_violated={k: v > 1.0 + threshold for k, v in values.items()},
-        nsit_violated=rep.max_nsit() > threshold,
-        aot_violated=rep.max_aot() > threshold,
+        lg_violated={k: v > 1.0 + VIOLATION_THRESHOLD for k, v in values.items()},
+        nsit_violated=rep.max_nsit() > VIOLATION_THRESHOLD,
+        aot_violated=rep.max_aot() > VIOLATION_THRESHOLD,
         lg_values=values,
         max_nsit_degree=rep.max_nsit(),
         max_aot_degree=rep.max_aot(),
@@ -170,24 +146,17 @@ class DiagnosticsReport:
     residual_variant: float
 
 
-def diagnostics(preset: ScenarioPreset) -> DiagnosticsReport:
-    rep = degree_report(preset)
-    l123, beta = l123_and_beta(preset)
-    v123, delta = v123_and_delta(preset)
-    values = {
-        "L13": l13(preset),
-        "V1": variant_v(1, preset),
-        "V2": variant_v(2, preset),
-        "V3": variant_v(3, preset),
-        "L123": l123,
-        "V123": v123,
-    }
+def diagnostics(x: ScenarioPreset | ContextTable) -> DiagnosticsReport:
+    tab = table(x)
+    l123, beta = l123_and_beta(tab)
+    v123, delta = v123_and_delta(tab)
+    values = {name: expression(name, tab) for name in EXPRESSIONS}
     return DiagnosticsReport(
-        correlators=correlator_set(preset),
-        lg_values=values,
+        correlators=correlator_set(tab),
+        lg_values=values | {"L123": l123, "V123": v123},
         beta=beta,
         delta=delta,
-        degrees=rep,
-        residual_standard=decomposition_residual_standard(preset),
-        residual_variant=decomposition_residual_variant(preset),
+        degrees=degree_report(tab),
+        residual_standard=decomposition_residual_standard(tab),
+        residual_variant=decomposition_residual_variant(tab),
     )

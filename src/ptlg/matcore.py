@@ -36,27 +36,6 @@ def as_cmat(a) -> np.ndarray:
     return m
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise UsageError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T.copy()
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise UsageError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 matrices."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)

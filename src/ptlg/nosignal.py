@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError, DomainError, UsageError
-from .matcore import I2, QubitDensity, as_cmat, hermitian_defect, partial_trace_first, tensor
+from .matcore import (I2, WEIGHT_FLOOR, QubitDensity, as_cmat, hermitian_defect,
+                      partial_trace_first, tensor)
 from .ptdyn import PTParams, propagator
-
-WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateContextError, DegenerateWeightError, UsageError
-from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QubitDensity, projector
+from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, projector
 from .ptdyn import PTParams, propagator, with_t
-
-WEIGHT_FLOOR = 1e-14
 
 MAXIMALLY_MIXED = "maximally_mixed"
 PURE = "pure"
@@ -65,18 +63,14 @@ def pure_state(theta: float, phi: float) -> InitialState:
 
 @dataclass(frozen=True)
 class UnitaryEvolution:
-    """Unitary stepping with Heisenberg generator exp(+i t sigma_x) by default.
-
-    ``generator_sign`` is the sign in the conjugator exp(+i s t sigma_x) that
-    advances observables; the Schroedinger step applied to states is its
-    adjoint, exp(-i s t sigma_x).
+    """Unitary stepping: observables advance with the conjugator exp(+i t sigma_x),
+    states with its adjoint exp(-i t sigma_x).
     """
 
     t: float
-    generator_sign: int = +1
 
     def step(self, n_segments: int) -> np.ndarray:
-        angle = self.generator_sign * n_segments * self.t
+        angle = n_segments * self.t
         return np.cos(angle) * I2 - 1j * np.sin(angle) * SIGMA_X
 
 
@@ -94,7 +88,6 @@ UNITARY_STANDARD = "UNITARY_STANDARD"
 UNITARY_VARIANT = "UNITARY_VARIANT"
 PT_STANDARD = "PT_STANDARD"
 PT_VARIANT = "PT_VARIANT"
-CUSTOM = "CUSTOM"
 
 
 @dataclass(frozen=True)
@@ -128,26 +121,25 @@ def unitary_variant(t: float, theta: float, phi: float) -> ScenarioPreset:
     )
 
 
-def pt_standard(alpha: float, t: float, s: float = 1.0,
-                pre_evolution: bool = True) -> ScenarioPreset:
+def pt_standard(alpha: float, t: float, pre_evolution: bool = True) -> ScenarioPreset:
     """sigma_y measurements on the evolved maximally mixed state."""
     return ScenarioPreset(
         label=PT_STANDARD,
         initial_state=maximally_mixed(),
         observable=SIGMA_Y,
-        evolution=PTEvolution(PTParams(alpha=float(alpha), t=float(t), s=float(s))),
+        evolution=PTEvolution(PTParams(alpha=float(alpha), t=float(t))),
         pre_evolution=pre_evolution,
     )
 
 
-def pt_variant(alpha: float, t: float, theta: float, phi: float, s: float = 1.0,
+def pt_variant(alpha: float, t: float, theta: float, phi: float,
                pre_evolution: bool = True) -> ScenarioPreset:
     """sigma_y measurements on a pure state under non-unitary steps."""
     return ScenarioPreset(
         label=PT_VARIANT,
         initial_state=pure_state(theta, phi),
         observable=SIGMA_Y,
-        evolution=PTEvolution(PTParams(alpha=float(alpha), t=float(t), s=float(s))),
+        evolution=PTEvolution(PTParams(alpha=float(alpha), t=float(t))),
         pre_evolution=pre_evolution,
     )
 
@@ -249,10 +241,6 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
             f"context {times} carries total weight {total:.3e}; cannot normalize"
         )
     return OutcomeDistribution(context=ctx, probs={k: v / total for k, v in raw.items()})
-
-
-def context(preset: ScenarioPreset, *times: int) -> MeasurementContext:
-    return MeasurementContext(preset=preset, measured_times=tuple(times))
 
 
 def one_time_probability(preset: ScenarioPreset, j: int) -> tuple[float, float]:

@@ -8,23 +8,22 @@ grids still produce complete figures.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateWeightError, DomainError, UsageError
-from .lgexpr import l13, variant_v
+from .lgexpr import EXPRESSIONS, expression, table
 from .macrodiag import degree_report
 from .protocol import ScenarioPreset, pt_standard, pt_variant, unitary_standard, unitary_variant
 
 PARAM_ORDER = ("t", "alpha", "theta", "phi")
-EXPRESSIONS = ("L13", "V1", "V2", "V3")
 DEFAULT_ALPHAS = (0.0, np.pi / 3, 2 * np.pi / 5, np.pi / 2.05)
 DEFAULT_THETA = 5 * np.pi / 6
 DEFAULT_PHI = np.pi / 2
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+REFINE_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,15 @@ class SweepConfig:
     kind: str  # "unitary" | "pt"
     grids: dict[str, GridSpec] = field(default_factory=dict)
     fixed: dict[str, float] = field(default_factory=dict)
-    s: float = 1.0
-    pre_evolution: bool | None = None
+    pre_evolution: bool = True
     refine: bool = False
-    refine_tolerance: float = 1e-7
-    workers: int = 1
 
     def __post_init__(self):
         if self.expression not in EXPRESSIONS:
             raise UsageError(f"expression must be one of {EXPRESSIONS}")
         if self.kind not in ("unitary", "pt"):
             raise UsageError("kind must be 'unitary' or 'pt'")
-        unknown = set(self.grids) | set(self.fixed) - set(PARAM_ORDER)
-        unknown -= set(PARAM_ORDER)
+        unknown = (set(self.grids) | set(self.fixed)) - set(PARAM_ORDER)
         if unknown:
             raise UsageError(f"unknown parameters {sorted(unknown)}")
         if "t" not in self.grids and "t" not in self.fixed:
@@ -99,26 +94,27 @@ class SweepResult:
     argmax_value: float
 
 
+def _pt_preset(expr: str, alpha: float, t: float, theta: float, phi: float,
+               pre_evolution: bool) -> ScenarioPreset:
+    """The standard preset for L13, the pure-state variant for V1..V3."""
+    if expr == "L13":
+        return pt_standard(alpha, t, pre_evolution=pre_evolution)
+    return pt_variant(alpha, t, theta, phi, pre_evolution=pre_evolution)
+
+
 def build_preset(cfg: SweepConfig, params: dict[str, float]) -> ScenarioPreset:
     t = params["t"]
     theta = params.get("theta", DEFAULT_THETA)
     phi = params.get("phi", DEFAULT_PHI)
-    if cfg.kind == "unitary":
-        if cfg.expression == "L13":
-            return unitary_standard(t)
-        return unitary_variant(t, theta, phi)
-    alpha = params["alpha"]
-    pre = True if cfg.pre_evolution is None else cfg.pre_evolution
+    if cfg.kind == "pt":
+        return _pt_preset(cfg.expression, params["alpha"], t, theta, phi, cfg.pre_evolution)
     if cfg.expression == "L13":
-        return pt_standard(alpha, t, s=cfg.s, pre_evolution=pre)
-    return pt_variant(alpha, t, theta, phi, s=cfg.s, pre_evolution=pre)
+        return unitary_standard(t)
+    return unitary_variant(t, theta, phi)
 
 
 def evaluate_expression(cfg: SweepConfig, params: dict[str, float]) -> float:
-    preset = build_preset(cfg, params)
-    if cfg.expression == "L13":
-        return l13(preset)
-    return variant_v(int(cfg.expression[1]), preset)
+    return expression(cfg.expression, build_preset(cfg, params))
 
 
 def _param_axes(cfg: SweepConfig) -> list[tuple[str, np.ndarray]]:
@@ -142,12 +138,7 @@ def scan(cfg: SweepConfig) -> SweepResult:
         except (DomainError, DegenerateWeightError) as exc:
             return SweepRow(params=params, value=float("nan"), error=str(exc))
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(p) for p in points]
-
+    rows = [one(p) for p in points]
     valid = [r for r in rows if r.error is None]
     if not valid:
         raise DomainError("every grid point failed; nothing to maximize")
@@ -207,11 +198,11 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
             hi = min(grid.hi, params[name] + radius)
             if hi <= lo:
                 continue
-            x, fx = _golden_max(f, lo, hi, cfg.refine_tolerance)
+            x, fx = _golden_max(f, lo, hi, REFINE_TOLERANCE)
             if fx > best:
                 moved = max(moved, abs(x - params[name]))
                 params[name], best = x, fx
-        if moved < cfg.refine_tolerance:
+        if moved < REFINE_TOLERANCE:
             break
     return params, best
 
@@ -222,15 +213,26 @@ class FigureData:
     rows: list[tuple[float, ...]]
 
 
-_D123_COLS = ("D123_pp", "D123_pm", "D123_mp", "D123_mm")
-_D1_2_3_COLS = ("D1_2_3_pp", "D1_2_3_pm", "D1_2_3_mp", "D1_2_3_mm")
-_R12_3_COLS = ("R12_3_pp", "R12_3_pm", "R12_3_mp", "R12_3_mm")
-_OUTCOME_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+_PAIRS = (((+1, +1), "pp"), ((+1, -1), "pm"), ((-1, +1), "mp"), ((-1, -1), "mm"))
+# DegreeReport field -> (column prefix, (outcome key, column suffix) in column order)
+_DEGREE_COLUMNS = {
+    "d_123": ("D123", _PAIRS),
+    "d_1_2_3": ("D1_2_3", _PAIRS),
+    "r_12_3": ("R12_3", _PAIRS),
+    "r_1_23": ("R1_23", ((+1, "p"), (-1, "m"))),
+}
+# figure -> (plotted expression, degree tables, constant trailing columns)
+_FIGURES = {
+    1: ("L13", (), ()),
+    2: ("V3", (), ("theta", "phi")),
+    3: ("L13", ("d_123", "d_1_2_3", "r_12_3"), ()),
+    4: ("V1", ("d_123", "r_1_23"), ()),
+}
 
 
 def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
                 theta: float = DEFAULT_THETA, phi: float = DEFAULT_PHI,
-                s: float = 1.0, pre_evolution: bool = True,
+                pre_evolution: bool = True,
                 t_min: float = 0.0, t_max: float = np.pi) -> FigureData:
     """Plot-ready curve data for the four diagnostic figures.
 
@@ -238,63 +240,32 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
     2: variant V3 vs t per alpha (pure-state preset).
     3: standard LG value plus all NSIT/AOT degree curves per alpha.
     4: variant V1 plus its NSIT and AOT degree curves per alpha.
+
+    A point outside the domain, or with a degenerate context, gives a row of
+    NaNs after its (alpha, t).
     """
-    if fig not in (1, 2, 3, 4):
+    if fig not in _FIGURES:
         raise UsageError(f"figure index must be 1..4, got {fig}")
     if t_steps < 1:
         raise UsageError(f"t_steps must be >= 1, got {t_steps}")
+    expr, tables, trailing = _FIGURES[fig]
+    degree_cols = []  # (DegreeReport field, outcome key, column name)
+    for name in tables:
+        prefix, keys = _DEGREE_COLUMNS[name]
+        degree_cols += [(name, key, f"{prefix}_{suffix}") for key, suffix in keys]
+    columns = ("alpha", "t", expr) + tuple(c for _, _, c in degree_cols) + trailing
+    constants = tuple({"theta": theta, "phi": phi}[c] for c in trailing)
     ts = np.linspace(t_min, t_max, t_steps)
     rows: list[tuple[float, ...]] = []
-
-    if fig == 1:
-        columns = ("alpha", "t", "L13")
-        for alpha in alphas:
-            for t in ts:
-                try:
-                    val = l13(pt_standard(alpha, t, s=s, pre_evolution=pre_evolution))
-                except (DomainError, DegenerateWeightError):
-                    val = float("nan")
-                rows.append((alpha, t, val))
-        return FigureData(columns, rows)
-
-    if fig == 2:
-        columns = ("alpha", "t", "V3", "theta", "phi")
-        for alpha in alphas:
-            for t in ts:
-                try:
-                    val = variant_v(3, pt_variant(alpha, t, theta, phi, s=s,
-                                                  pre_evolution=pre_evolution))
-                except (DomainError, DegenerateWeightError):
-                    val = float("nan")
-                rows.append((alpha, t, val, theta, phi))
-        return FigureData(columns, rows)
-
-    if fig == 3:
-        columns = ("alpha", "t", "L13") + _D123_COLS + _D1_2_3_COLS + _R12_3_COLS
-        for alpha in alphas:
-            for t in ts:
-                try:
-                    preset = pt_standard(alpha, t, s=s, pre_evolution=pre_evolution)
-                    rep = degree_report(preset)
-                    row = (alpha, t, l13(preset))
-                    row += tuple(rep.d_123[oc] for oc in _OUTCOME_ORDER)
-                    row += tuple(rep.d_1_2_3[oc] for oc in _OUTCOME_ORDER)
-                    row += tuple(rep.r_12_3[oc] for oc in _OUTCOME_ORDER)
-                except (DomainError, DegenerateWeightError):
-                    row = (alpha, t) + (float("nan"),) * (len(columns) - 2)
-                rows.append(row)
-        return FigureData(columns, rows)
-
-    columns = ("alpha", "t", "V1") + _D123_COLS + ("R1_23_p", "R1_23_m")
     for alpha in alphas:
         for t in ts:
             try:
-                preset = pt_variant(alpha, t, theta, phi, s=s, pre_evolution=pre_evolution)
-                rep = degree_report(preset)
-                row = (alpha, t, variant_v(1, preset))
-                row += tuple(rep.d_123[oc] for oc in _OUTCOME_ORDER)
-                row += (rep.r_1_23[+1], rep.r_1_23[-1])
+                tab = table(_pt_preset(expr, alpha, t, theta, phi, pre_evolution))
+                values = (expression(expr, tab),)
+                if degree_cols:
+                    rep = degree_report(tab)
+                    values += tuple(getattr(rep, name)[key] for name, key, _ in degree_cols)
             except (DomainError, DegenerateWeightError):
-                row = (alpha, t) + (float("nan"),) * (len(columns) - 2)
-            rows.append(row)
+                values = (float("nan"),) * (1 + len(degree_cols))
+            rows.append((alpha, t) + values + constants)
     return FigureData(columns, rows)

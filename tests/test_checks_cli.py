@@ -150,6 +150,26 @@ class TestConfigFile:
     def test_missing_config_is_io_error(self):
         assert main(["figure", "1", "--config", "/nonexistent/cfg.json"]) == 3
 
+    def test_string_value_parsed_like_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_steps": "64", "alpha": 0.0}))
+        out = tmp_path / "f.csv"
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 64
+
+    def test_positional_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cmd.json"
+        cfg.write_text(json.dumps({"command": "check"}))
+        assert main(["figure", "1", "--config", str(cfg)]) == 2
+
+    def test_bad_choice_rejected(self, tmp_path):
+        cfg = tmp_path / "fmt.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        out = tmp_path / "f.out"
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestUsageEdges:
     def test_zero_t_steps_rejected(self, tmp_path):
@@ -160,3 +180,15 @@ class TestUsageEdges:
 
     def test_unknown_command_rejected(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestDomainFailures:
+    def test_alpha_past_exceptional_point_exits_one(self, capsys):
+        assert main(["optimize", "L13", "--alpha", "1.6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_nan_grid_bound_exits_one(self, capsys):
+        assert main(["optimize", "L13", "--alpha", "0.5", "--t-max", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from ptlg import lgexpr
 from ptlg.lgexpr import l123_and_beta, l13, v123_and_delta, variant_v
 from ptlg.macrodiag import (
-    aot_degree_1_23,
-    aot_degree_12_3,
     decomposition_residual_standard,
     decomposition_residual_variant,
     degree_report,
     diagnostics,
-    nsit_degree_1_2_3,
-    nsit_degree_123,
     violation_classifier,
 )
 from ptlg.protocol import (
@@ -33,27 +30,28 @@ def brute_force_d123(preset, m2, m3):
 
 class TestNSITDegrees:
     def test_unitary_pure_state_violates_nsit(self):
-        preset = unitary_variant(np.pi / 6, 1.1, 0.7)
-        degs = [abs(nsit_degree_123(preset, m2, m3)) for m2 in PM for m3 in PM]
+        rep = degree_report(unitary_variant(np.pi / 6, 1.1, 0.7))
+        degs = [abs(rep.d_123[(m2, m3)]) for m2 in PM for m3 in PM]
         assert max(degs) > 1e-6
 
     def test_middle_measurement_disturbance(self):
-        preset = unitary_standard(np.pi / 6)
-        degs = [abs(nsit_degree_1_2_3(preset, m1, m3)) for m1 in PM for m3 in PM]
+        rep = degree_report(unitary_standard(np.pi / 6))
+        degs = [abs(rep.d_1_2_3[(m1, m3)]) for m1 in PM for m3 in PM]
         assert max(degs) > 1e-6
 
     def test_no_dynamics_no_disturbance(self):
-        preset = pt_standard(0.0, 0.0)
+        rep = degree_report(pt_standard(0.0, 0.0))
         for m2 in PM:
             for m3 in PM:
-                assert abs(nsit_degree_123(preset, m2, m3)) < 1e-14
-                assert abs(nsit_degree_1_2_3(preset, m2, m3)) < 1e-14
+                assert abs(rep.d_123[(m2, m3)]) < 1e-14
+                assert abs(rep.d_1_2_3[(m2, m3)]) < 1e-14
 
     def test_matches_brute_force_context_difference(self):
         preset = pt_standard(np.pi / 3, 0.7)
+        rep = degree_report(preset)
         for m2 in PM:
             for m3 in PM:
-                assert nsit_degree_123(preset, m2, m3) == pytest.approx(
+                assert rep.d_123[(m2, m3)] == pytest.approx(
                     brute_force_d123(preset, m2, m3), abs=1e-12)
 
     def test_signed_degrees_sum_to_zero(self):
@@ -74,9 +72,9 @@ class TestAOTDegrees:
             assert rep.max_aot() < 1e-12
 
     def test_nonunitary_violation(self):
-        preset = pt_standard(np.pi / 3, 0.7)
-        r12 = [abs(aot_degree_12_3(preset, m1, m2)) for m1 in PM for m2 in PM]
-        r1 = [abs(aot_degree_1_23(preset, m1)) for m1 in PM]
+        rep = degree_report(pt_standard(np.pi / 3, 0.7))
+        r12 = [abs(rep.r_12_3[(m1, m2)]) for m1 in PM for m2 in PM]
+        r1 = [abs(rep.r_1_23[m1]) for m1 in PM]
         assert max(r12) > 1e-6
         assert max(r1) > 1e-6
 
@@ -168,3 +166,9 @@ def test_diagnostics_bundle():
     cs = diag.correlators
     assert diag.lg_values["L13"] == pytest.approx(cs.c12 + cs.c23 - cs.c13, abs=1e-12)
     assert diag.lg_values["V1"] == pytest.approx(-cs.c123 + cs.c23 + cs.c1, abs=1e-12)
+
+
+def test_diagnostics_computes_each_context_once(distribution_calls):
+    diagnostics(pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2))
+    assert len(distribution_calls) == 7
+    assert sorted(distribution_calls) == sorted(lgexpr.CONTEXTS)

@@ -9,13 +9,10 @@ from ptlg.matcore import (
     SIGMA_Y,
     SIGMA_Z,
     QubitDensity,
-    adjoint,
     hermitian_eigvals_2x2,
-    mul,
     partial_trace_first,
     projector,
     tensor,
-    trace,
 )
 
 
@@ -28,60 +25,6 @@ def random_dichotomic(rng):
     n = rng.standard_normal(3)
     n /= np.linalg.norm(n)
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-
-
-def mul_oracle(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMul:
-    def test_identity(self):
-        np.testing.assert_array_equal(mul(I2, I2), I2)
-
-    def test_pauli_involution(self):
-        np.testing.assert_allclose(mul(SIGMA_Y, SIGMA_Y), I2, atol=1e-15)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b = random_cmat(rng), random_cmat(rng)
-            np.testing.assert_allclose(mul(a, b), mul_oracle(a, b), atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            mul(I2, I4)
-
-
-class TestAdjoint:
-    def test_identity(self):
-        np.testing.assert_array_equal(adjoint(I2), I2)
-
-    def test_sigma_y_hermitian(self):
-        np.testing.assert_allclose(adjoint(SIGMA_Y), SIGMA_Y, atol=0)
-
-    def test_involution(self):
-        rng = np.random.default_rng(12)
-        a = random_cmat(rng)
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(I2) == 2
-
-    def test_sigma_y(self):
-        assert trace(SIGMA_Y) == 0
-
-    def test_cyclic(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            a, b = random_cmat(rng), random_cmat(rng)
-            assert abs(trace(mul(a, b)) - trace(mul(b, a))) < 1e-12
 
 
 class TestProjector:
@@ -135,12 +78,12 @@ class TestTensorAndPartialTrace:
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(16)
         a, b = random_cmat(rng), random_cmat(rng)
-        assert abs(trace(tensor(a, b)) - trace(a) * trace(b)) < 1e-12
+        assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
     def test_partial_trace_preserves_trace(self):
         rng = np.random.default_rng(17)
         x = random_cmat(rng, 4)
-        assert abs(trace(partial_trace_first(x)) - trace(x)) < 1e-12
+        assert abs(np.trace(partial_trace_first(x)) - np.trace(x)) < 1e-12
 
 
 class TestQubitDensity:

@@ -178,3 +178,16 @@ def test_with_t_replaces_duration():
     p = PTParams(0.5, 1.0, s=2.0)
     q = with_t(p, 0.25)
     assert q.t == 0.25 and q.alpha == p.alpha and q.s == p.s
+
+
+def test_propagator_independent_of_scale():
+    # s cancels in U = cos(t) I - i sin(t) H / (s cos alpha); the bound covers
+    # three roundings: s times an entry of H, s cos(alpha), and their quotient
+    rng = np.random.default_rng(27)
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        alpha, t = rng.uniform(-1.5, 1.5), rng.uniform(0, 3)
+        u = propagator(PTParams(alpha, t))
+        for s in (0.3, 1.0, 7.0, 100.0):
+            gap = np.max(np.abs(propagator(PTParams(alpha, t, s)) - u))
+            assert gap <= 4 * eps * np.max(np.abs(u))

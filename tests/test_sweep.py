@@ -47,14 +47,6 @@ class TestScan:
         a, b = scan(cfg), scan(cfg)
         assert [r.value for r in a.rows] == [r.value for r in b.rows]
 
-    def test_workers_match_serial(self):
-        base = SweepConfig(expression="L13", kind="pt",
-                           grids={"t": GridSpec(0.1, 2.8, 31)}, fixed={"alpha": 0.7})
-        par = SweepConfig(expression="L13", kind="pt",
-                          grids={"t": GridSpec(0.1, 2.8, 31)}, fixed={"alpha": 0.7},
-                          workers=4)
-        assert [r.value for r in scan(base).rows] == [r.value for r in scan(par).rows]
-
     def test_all_points_failing_raises(self):
         cfg = SweepConfig(expression="L13", kind="pt",
                           grids={"t": GridSpec(0.1, 1.0, 5)}, fixed={"alpha": 1.6})
@@ -137,3 +129,9 @@ class TestFigureData:
     def test_row_count(self):
         data: FigureData = figure_data(1, t_steps=16, alphas=(0.0, 0.5))
         assert len(data.rows) == 32
+
+    def test_each_row_computes_each_context_once(self, distribution_calls):
+        # figure 3 needs five contexts per row: three pairs for L13, plus {1}
+        # and the full context for the degree tables
+        figure_data(3, t_steps=4, alphas=(0.5,))
+        assert len(distribution_calls) == 20
