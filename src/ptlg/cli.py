@@ -26,6 +26,7 @@ from .sweep import (
     build_preset,
     figure_data,
     scan,
+    t_grid_columns,
 )
 
 EXIT_OK = 0
@@ -144,8 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _alpha_t_grid(args) -> tuple[tuple[float, ...], dict]:
-    """The alphas of a figure or nosignal table, and the grid part of its config."""
+    """The alphas of a figure or nosignal table, and the grid part of its config.
+
+    Each alpha and both window ends must lie in the model's domain.
+    """
     alphas = DEFAULT_ALPHAS if args.alpha is None else (args.alpha,)
+    for alpha in alphas:
+        PTParams(alpha, (args.t_min, args.t_max))
     return alphas, {"alphas": list(alphas), "t_min": args.t_min, "t_max": args.t_max,
                     "t_steps": args.t_steps}
 
@@ -236,12 +242,8 @@ def cmd_nosignal(args) -> int:
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rows = []
     for alpha in alphas:
-        for t in ts:
-            try:
-                dev = signaling_deviation(PTParams(alpha, t))
-            except (DomainError, DegenerateWeightError):
-                dev = float("nan")
-            rows.append((alpha, t, dev))
+        (devs,) = t_grid_columns(lambda t: (signaling_deviation(PTParams(alpha, t)),), ts, 1)
+        rows += [(alpha, t, dev) for t, dev in zip(ts, devs)]
     return _emit_table(args, f"ptlg_nosignal.{args.format}", ("alpha", "t", "deviation"),
                        rows, grid, "max_deviation")
 

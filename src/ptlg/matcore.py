@@ -4,6 +4,10 @@ Everything here is a pure function over immutable values; matrices are
 numpy arrays that are never mutated in place.  Positive semidefiniteness
 of 2x2 states is decided with the closed-form eigenvalue formula
 (trace/determinant), not an iterative solver.
+
+A state may also be a stack of shape (..., 2, 2), one matrix per point of a
+t-grid.  The checks then apply to every point with the same tolerances, and
+fail, with the same typed error, when any point fails.
 """
 
 from __future__ import annotations
@@ -27,77 +31,103 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def as_cmat(a) -> np.ndarray:
-    """Coerce to a square 2x2 or 4x4 complex array with finite entries."""
+    """Coerce to a 2x2 or 4x4 complex matrix, or a stack of them, with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
+    if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise UsageError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.view(float)).all():
         raise UsageError("matrix has non-finite entries")
     return m
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def weights(m: np.ndarray):
+    """Real part of the trace of a 2x2 matrix, or an array of them for a stack.
+
+    Equal to ``np.trace(m).real`` bit for bit: its sum starts from 0.0, which
+    the trailing ``+ 0.0`` reproduces (it turns -0.0 into 0.0).
+    """
+    return (m[..., 0, 0] + m[..., 1, 1]).real + 0.0
+
+
+def lowest(x):
+    """The smallest value of a stack of values; a single value itself."""
+    return x.min() if isinstance(x, np.ndarray) else x
+
+
+def per_matrix(w):
+    """Values of a stack shaped (..., 1, 1) to scale its matrices; a single value as is."""
+    return w[..., None, None] if isinstance(w, np.ndarray) else w
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices."""
+    """Kronecker product of a 2x2 matrix, or each of a stack, with a 2x2 matrix."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
+    if a.shape[-2:] != (2, 2) or b.shape != (2, 2):
         raise UsageError("tensor expects two 2x2 matrices")
     return np.kron(a, b)
 
 
 def partial_trace_first(m: np.ndarray) -> np.ndarray:
-    """Trace a 4x4 matrix over its first tensor factor, leaving a 2x2 block."""
+    """Trace a 4x4 matrix (or each of a stack) over its first tensor factor."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise UsageError("partial_trace_first expects a 4x4 matrix")
-    return m[:2, :2] + m[2:, 2:]
+    return m[..., :2, :2] + m[..., 2:, 2:]
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """Max-entry distance from the adjoint; zero for Hermitian matrices."""
+    """Max-entry distance from the adjoint, over a whole stack; zero for Hermitian matrices."""
     a = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.abs(a - dagger(a)).max())
 
 
-def hermitian_eigvals_2x2(a: np.ndarray) -> tuple[float, float]:
-    """Closed-form eigenvalues of a Hermitian 2x2 matrix, ascending."""
-    t = np.trace(a).real
-    d = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
-    disc = max(0.25 * t * t - d, 0.0)
-    r = np.sqrt(disc)
+def hermitian_eigvals_2x2(a: np.ndarray):
+    """Closed-form eigenvalues of a Hermitian 2x2 matrix (or per matrix of a stack), ascending."""
+    t = weights(a)
+    d = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]).real
+    r = np.sqrt(np.maximum(0.25 * t * t - d, 0.0))
     return (0.5 * t - r, 0.5 * t + r)
 
 
 @dataclass(frozen=True)
 class QubitDensity:
-    """A 2x2 density matrix that may carry an unnormalized weight (trace >= 0).
+    """A 2x2 density matrix, or a stack (..., 2, 2) of them, that may carry an
+    unnormalized weight (trace >= 0).
 
     Hermiticity and positive semidefiniteness are enforced at construction,
-    both to ``1e-12`` tolerances.
+    both to ``1e-12`` tolerances, at every point of a stack.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
         m = as_cmat(self.mat)
-        if m.shape != (2, 2):
+        if m.shape[-2:] != (2, 2):
             raise UsageError("QubitDensity is 2x2")
         if hermitian_defect(m) > HERMITICITY_TOL:
             raise DomainError(f"density not Hermitian: defect {hermitian_defect(m):.2e}")
-        lo, _ = hermitian_eigvals_2x2(m)
+        lo = lowest(hermitian_eigvals_2x2(m)[0])
         if lo < -PSD_TOL:
             raise DomainError(f"density not PSD: lowest eigenvalue {lo:.2e}")
         object.__setattr__(self, "mat", m)
 
     @property
-    def weight(self) -> float:
-        return float(np.trace(self.mat).real)
+    def weight(self):
+        """The trace: a float, or an array with one value per point of a stack."""
+        w = weights(self.mat)
+        return w if isinstance(w, np.ndarray) else float(w)
 
     def normalize(self) -> "QubitDensity":
         """Rescale to unit trace; degenerate weight cannot be renormalized."""
-        w = self.weight
-        if w < WEIGHT_FLOOR:
-            raise DegenerateWeightError(f"weight {w:.3e} below renormalization floor")
-        return QubitDensity(self.mat / w)
+        w = weights(self.mat)
+        if lowest(w) < WEIGHT_FLOOR:
+            raise DegenerateWeightError(f"weight {lowest(w):.3e} below renormalization floor")
+        return QubitDensity(self.mat / per_matrix(w))
 
     def expectation(self, observable: np.ndarray) -> float:
         return float(np.trace(self.mat @ observable).real)

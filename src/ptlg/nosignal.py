@@ -3,7 +3,8 @@
 One party applies the non-unitary propagator to their qubit; the partner's
 reduced state then generally deviates from the maximally mixed state, which
 is quantified here as a trace distance.  The deviation vanishes exactly when
-the evolution is Hermitian (alpha = 0) or trivial (sin t = 0).
+the evolution is Hermitian (alpha = 0) or trivial (sin t = 0).  A t-grid in
+`PTParams` gives one stacked evaluation with one value per grid point.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError, DomainError, UsageError
-from .matcore import (I2, WEIGHT_FLOOR, QubitDensity, as_cmat, hermitian_defect,
-                      partial_trace_first, tensor)
+from .matcore import (I2, WEIGHT_FLOOR, QubitDensity, as_cmat, dagger, hermitian_defect,
+                      lowest, partial_trace_first, per_matrix, tensor, weights)
 from .ptdyn import PTParams, propagator
 
 
@@ -50,16 +51,18 @@ def bob_reduced(p: PTParams) -> QubitDensity:
     """Partner's reduced state after the local non-unitary step, renormalized."""
     u = propagator(p)
     local = tensor(u, I2)
-    evolved = local @ bell_state().mat @ local.conj().T
+    evolved = local @ bell_state().mat @ dagger(local)
     reduced = partial_trace_first(evolved)
-    w = float(np.trace(reduced).real)
-    if w < WEIGHT_FLOOR:
-        raise DegenerateWeightError(f"reduced weight {w:.3e} cannot be renormalized")
-    return QubitDensity(reduced / w)
+    w = weights(reduced)
+    if lowest(w) < WEIGHT_FLOOR:
+        raise DegenerateWeightError(f"reduced weight {lowest(w):.3e} cannot be renormalized")
+    return QubitDensity(reduced / per_matrix(w))
 
 
-def signaling_deviation(p: PTParams) -> float:
-    """Trace distance between the partner's reduced state and I/2."""
+def signaling_deviation(p: PTParams):
+    """Trace distance between the partner's reduced state and I/2; an (N,)
+    array for a t-grid."""
     diff = bob_reduced(p).mat - I2 / 2.0
     eigs = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    dev = 0.5 * np.sum(np.abs(eigs), axis=-1)
+    return dev if isinstance(dev, np.ndarray) else float(dev)

@@ -27,6 +27,12 @@ of n steps with U((n+1) t) U(t)^dagger.  The rule is inferred from those
 forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
 the mixed state; for alpha != 0 the published gap is not U(n t).
 
+A PT preset may carry a t-grid in place of one duration (see `PTParams`).
+Its propagators, chain states and outcome probabilities are then stacks with
+one entry per grid point, computed by the same code and the same order of
+operations as a single point, so each entry equals that point evaluated
+alone.  Every check applies per point; a failure at any point raises.
+
 Basis labeling: the computational ket |0> used by PURE(theta, phi) is the
 sigma_z eigenvector with eigenvalue -1.  Unitary scenarios conjugate
 observables forward with exp(+i t sigma_x) per step, so states evolve with
@@ -41,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateContextError, DegenerateWeightError, UsageError
-from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, projector
+from .matcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
+                      lowest, per_matrix, projector, weights)
 from .ptdyn import PTParams, propagator, with_t
 
 MAXIMALLY_MIXED = "maximally_mixed"
@@ -95,7 +102,10 @@ class PTEvolution:
     published: bool = False
 
     def step(self, n_segments: int) -> np.ndarray:
-        return propagator(with_t(self.params, n_segments * self.params.t))
+        t = self.params.t
+        if isinstance(t, tuple):  # n * tuple would repeat the grid
+            t = np.array(t)
+        return propagator(with_t(self.params, n_segments * t))
 
 
 UNITARY_STANDARD = "UNITARY_STANDARD"
@@ -135,15 +145,15 @@ def unitary_variant(t: float, theta: float, phi: float) -> ScenarioPreset:
     )
 
 
-def _pt_evolution(alpha: float, t: float, pre_evolution: bool, published: bool) -> PTEvolution:
+def _pt_evolution(alpha: float, t, pre_evolution: bool, published: bool) -> PTEvolution:
     if published and not pre_evolution:
         raise UsageError("the published chain fixes its own start; it needs pre_evolution=True")
-    return PTEvolution(PTParams(alpha=float(alpha), t=float(t)), published=published)
+    return PTEvolution(PTParams(alpha=float(alpha), t=t), published=published)
 
 
-def pt_standard(alpha: float, t: float, pre_evolution: bool = True,
+def pt_standard(alpha: float, t, pre_evolution: bool = True,
                 published: bool = False) -> ScenarioPreset:
-    """sigma_y measurements on the evolved maximally mixed state."""
+    """sigma_y measurements on the evolved maximally mixed state; t may be a t-grid."""
     return ScenarioPreset(
         label=PT_STANDARD,
         initial_state=maximally_mixed(),
@@ -153,9 +163,9 @@ def pt_standard(alpha: float, t: float, pre_evolution: bool = True,
     )
 
 
-def pt_variant(alpha: float, t: float, theta: float, phi: float,
+def pt_variant(alpha: float, t, theta: float, phi: float,
                pre_evolution: bool = True, published: bool = False) -> ScenarioPreset:
-    """sigma_y measurements on a pure state under non-unitary steps."""
+    """sigma_y measurements on a pure state under non-unitary steps; t may be a t-grid."""
     return ScenarioPreset(
         label=PT_VARIANT,
         initial_state=pure_state(theta, phi),
@@ -181,6 +191,8 @@ class MeasurementContext:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
+    """Normalized probability of each outcome tuple; an (N,) array per tuple for a t-grid."""
+
     context: MeasurementContext
     probs: dict[tuple[int, ...], float]
 
@@ -210,11 +222,12 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     if not preset.pre_evolution:
         return rho
     u = preset.evolution.step(1)
-    evolved = u @ rho.mat @ u.conj().T
-    w = float(np.trace(evolved).real)
-    if w < WEIGHT_FLOOR:
-        raise DegenerateWeightError(f"pre-evolution weight {w:.3e} cannot be renormalized")
-    return QubitDensity(evolved / w)
+    evolved = u @ rho.mat @ dagger(u)
+    w = weights(evolved)
+    if lowest(w) < WEIGHT_FLOOR:
+        raise DegenerateWeightError(
+            f"pre-evolution weight {lowest(w):.3e} cannot be renormalized")
+    return QubitDensity(evolved / per_matrix(w))
 
 
 def _chain_legs(preset: ScenarioPreset,
@@ -230,7 +243,7 @@ def _chain_legs(preset: ScenarioPreset,
     if isinstance(evo, PTEvolution) and evo.published:
         return (preset.initial_state.density().normalize().mat,
                 [evo.step(times[0] + 1)]
-                + [evo.step(n + 1) @ evo.step(1).conj().T for n in gaps])
+                + [evo.step(n + 1) @ dagger(evo.step(1)) for n in gaps])
     return (initial_state_at_t1(preset).mat,
             [evo.step(times[0] - 1) if times[0] > 1 else None] + [evo.step(n) for n in gaps])
 
@@ -250,11 +263,20 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]) -> fl
     return max(value, 0.0)
 
 
+def _clamped_weight(rho: np.ndarray):
+    """max(weight, 0.0): a float for one point, elementwise for a stack."""
+    w = weights(rho)
+    if isinstance(w, np.ndarray):
+        return np.where(w < 0.0, 0.0, w)  # max() per point, signed zeros included
+    return max(float(w), 0.0)
+
+
 def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     """Per-context normalized outcome table over +-1 tuples.
 
     Equivalent to normalizing `unnormalized_chain` over all outcome tuples;
-    partial chain states are shared across tuples via branching.
+    partial chain states are shared across tuples via branching.  For a
+    t-grid preset each branch is a stack and each probability an (N,) array.
     """
     times = ctx.measured_times
     pi = {m: projector(ctx.preset.observable, m).mat for m in (+1, -1)}
@@ -264,15 +286,15 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
         grown: dict[tuple[int, ...], np.ndarray] = {}
         for oc, rho in branches.items():
             if u is not None:
-                rho = u @ rho @ u.conj().T
+                rho = u @ rho @ dagger(u)
             for m in (+1, -1):
                 grown[oc + (m,)] = pi[m] @ rho @ pi[m]
         branches = grown
-    raw = {oc: max(float(np.trace(rho).real), 0.0) for oc, rho in branches.items()}
+    raw = {oc: _clamped_weight(rho) for oc, rho in branches.items()}
     total = sum(raw.values())
-    if total < WEIGHT_FLOOR:
+    if lowest(total) < WEIGHT_FLOOR:
         raise DegenerateContextError(
-            f"context {times} carries total weight {total:.3e}; cannot normalize"
+            f"context {times} carries total weight {lowest(total):.3e}; cannot normalize"
         )
     return OutcomeDistribution(context=ctx, probs={k: v / total for k, v in raw.items()})
 

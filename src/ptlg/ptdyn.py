@@ -28,10 +28,15 @@ ALPHA_LIMIT = np.pi / 2
 
 @dataclass(frozen=True)
 class PTParams:
-    """Hamiltonian scale s, non-Hermiticity angle alpha, dimensionless duration t."""
+    """Hamiltonian scale s, non-Hermiticity angle alpha, dimensionless duration t.
+
+    t may also be a t-grid, given as a tuple or array of durations and held
+    as a tuple of floats so that the value stays hashable; its propagator is
+    then a stack.
+    """
 
     alpha: float
-    t: float
+    t: float | tuple[float, ...]
     s: float = 1.0
 
     def __post_init__(self):
@@ -41,8 +46,16 @@ class PTParams:
             )
         if not np.isfinite(self.s) or self.s <= 0:
             raise DomainError(f"scale s must be positive, got {self.s!r}")
-        if not np.isfinite(self.t) or self.t < 0:
+        if isinstance(self.t, (tuple, np.ndarray)):
+            ts = np.asarray(self.t, dtype=float)
+            bad = ts[~(np.isfinite(ts) & (ts >= 0))]
+            if bad.size:
+                raise DomainError(f"duration t must be >= 0, got {float(bad[0])!r}")
+            object.__setattr__(self, "t", tuple(ts.tolist()))
+        elif not np.isfinite(self.t) or self.t < 0:
             raise DomainError(f"duration t must be >= 0, got {self.t!r}")
+        else:
+            object.__setattr__(self, "t", float(self.t))
 
 
 def with_t(p: PTParams, t: float) -> PTParams:
@@ -76,9 +89,14 @@ def eigensystem(p: PTParams) -> EigenSystem:
 
 
 def propagator(p: PTParams) -> np.ndarray:
-    """exp(-i H tau) via the H^2 = (s cos alpha)^2 I identity."""
+    """exp(-i H tau) via the H^2 = (s cos alpha)^2 I identity.
+
+    A t-grid of N durations gives the (N, 2, 2) stack of their propagators,
+    each entry computed exactly as for a single duration.
+    """
     h_unit = hamiltonian(p) / (p.s * np.cos(p.alpha))
-    return np.cos(p.t) * I2 - 1j * np.sin(p.t) * h_unit
+    t = np.array(p.t)[:, None, None] if isinstance(p.t, tuple) else p.t
+    return np.cos(t) * I2 - 1j * np.sin(t) * h_unit
 
 
 def uu_dagger(p: PTParams) -> np.ndarray:

@@ -4,6 +4,10 @@ Grids are evaluated in deterministic lexicographic order over the parameter
 axes (t, alpha, theta, phi).  Domain errors at individual grid points are
 recorded per row instead of aborting the scan, so near-exceptional-point
 grids still produce complete figures.
+
+Figure data evaluates each alpha's t-grid as one stacked preset (see
+`protocol`); `scan` and `refine_max` evaluate one point at a time, because
+golden-section probes depend on each other.
 """
 
 from __future__ import annotations
@@ -210,6 +214,27 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
     return params, best
 
 
+def t_grid_columns(f, ts: np.ndarray, width: int) -> list:
+    """The `width` columns of `f` over the t-grid `ts`, from one stacked call.
+
+    `f(t)` returns a tuple of `width` values for one duration t, or of
+    `width` arrays when t is the grid as a tuple.  If the stacked call fails
+    with a domain or degenerate-weight error, the grid is re-run point by
+    point: the failing points give NaN and every other point keeps its value.
+    """
+    try:
+        return [np.asarray(c).tolist() for c in f(tuple(ts.tolist()))]
+    except (DomainError, DegenerateWeightError):
+        pass
+    rows = []
+    for t in ts:
+        try:
+            rows.append(f(t))
+        except (DomainError, DegenerateWeightError):
+            rows.append((float("nan"),) * width)
+    return [list(c) for c in zip(*rows)]
+
+
 @dataclass(frozen=True)
 class FigureData:
     columns: tuple[str, ...]
@@ -244,8 +269,9 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
     3: standard LG value plus all NSIT/AOT degree curves per alpha.
     4: variant V1 plus its NSIT and AOT degree curves per alpha.
 
-    A point outside the domain, or with a degenerate context, gives a row of
-    NaNs after its (alpha, t).
+    Each alpha's t-grid is one stacked preset and one context table.  A point
+    outside the domain, or with a degenerate context, gives a row of NaNs
+    after its (alpha, t).
     """
     if fig not in _FIGURES:
         raise UsageError(f"figure index must be 1..4, got {fig}")
@@ -261,14 +287,12 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
     ts = np.linspace(t_min, t_max, t_steps)
     rows: list[tuple[float, ...]] = []
     for alpha in alphas:
-        for t in ts:
-            try:
-                tab = table(_pt_preset(expr, alpha, t, theta, phi, pre_evolution))
-                values = (expression(expr, tab),)
-                if degree_cols:
-                    rep = degree_report(tab)
-                    values += tuple(getattr(rep, name)[key] for name, key, _ in degree_cols)
-            except (DomainError, DegenerateWeightError):
-                values = (float("nan"),) * (1 + len(degree_cols))
-            rows.append((alpha, t) + values + constants)
+        def values(t):
+            tab = table(_pt_preset(expr, alpha, t, theta, phi, pre_evolution))
+            rep = degree_report(tab) if degree_cols else None
+            return ((expression(expr, tab),)
+                    + tuple(getattr(rep, name)[key] for name, key, _ in degree_cols))
+
+        cols = t_grid_columns(values, ts, 1 + len(degree_cols))
+        rows += [(alpha, t) + tuple(v) + constants for t, *v in zip(ts, *cols)]
     return FigureData(columns, rows)

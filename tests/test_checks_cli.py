@@ -192,3 +192,13 @@ class TestDomainFailures:
         assert main(["optimize", "L13", "--alpha", "0.5", "--t-max", "nan"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["figure", "2", "--alpha", "2"],
+                                      ["figure", "1", "--t-max", "nan"],
+                                      ["nosignal", "--t-min", "-0.5"]])
+    def test_table_outside_domain_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from ptlg.closedform import unitary_l13
-from ptlg.errors import DomainError, UsageError
-from ptlg.lgexpr import l13
-from ptlg.protocol import pt_standard
-from ptlg.sweep import FigureData, GridSpec, SweepConfig, figure_data, refine_max, scan
+from ptlg.errors import DegenerateWeightError, DomainError, UsageError
+from ptlg.lgexpr import expression, l13, table
+from ptlg.macrodiag import degree_report
+from ptlg.nosignal import signaling_deviation
+from ptlg.protocol import pt_standard, pt_variant
+from ptlg.ptdyn import PTParams
+from ptlg.sweep import (DEFAULT_ALPHAS, FigureData, GridSpec, SweepConfig, figure_data,
+                        refine_max, scan, t_grid_columns)
 
 
 def unitary_l13_cfg(count=201, refine=False):
@@ -144,6 +148,90 @@ class TestFigureData:
 
     def test_each_row_computes_each_context_once(self, distribution_calls):
         # figure 3 needs five contexts per row: three pairs for L13, plus {1}
-        # and the full context for the degree tables
+        # and the full context for the degree tables; each context is
+        # computed once, as one stack over all 4 rows of the alpha's t-grid
         figure_data(3, t_steps=4, alphas=(0.5,))
-        assert len(distribution_calls) == 20
+        assert len(distribution_calls) == 5
+
+
+_DEGREE_TABLES = {"D123": "d_123", "D1_2_3": "d_1_2_3", "R12_3": "r_12_3", "R1_23": "r_1_23"}
+_SIGN = {"p": +1, "m": -1}
+
+
+def _row_alone(columns, alpha, t, theta, phi, pre_evolution):
+    """One figure row from a single-duration preset: the scalar engine."""
+    expr = columns[2]
+    preset = (pt_standard(alpha, t, pre_evolution) if expr == "L13"
+              else pt_variant(alpha, t, theta, phi, pre_evolution))
+    tab = table(preset)
+    rep = degree_report(tab)
+    row = [alpha, t, expression(expr, tab)]
+    for c in columns[3:]:
+        if c in ("theta", "phi"):
+            row.append({"theta": theta, "phi": phi}[c])
+            continue
+        prefix, suffix = c.rsplit("_", 1)
+        key = tuple(_SIGN[ch] for ch in suffix)
+        row.append(getattr(rep, _DEGREE_TABLES[prefix])[key if len(key) == 2 else key[0]])
+    return tuple(row)
+
+
+def _assert_rows_equal_points(data, theta, phi, pre_evolution):
+    """Each row equals its point alone; a point that fails alone is a NaN row.
+
+    Returns the number of NaN rows.
+    """
+    nan_rows = 0
+    for row in data.rows:
+        alpha, t = row[:2]
+        try:
+            want = _row_alone(data.columns, alpha, t, theta, phi, pre_evolution)
+        except (DomainError, DegenerateWeightError):
+            computed = [v for c, v in zip(data.columns, row)
+                        if c not in ("alpha", "t", "theta", "phi")]
+            assert np.isnan(computed).all(), (alpha, t)
+            nan_rows += 1
+            continue
+        assert row == want, (alpha, t)
+    return nan_rows
+
+
+class TestStackedGrid:
+    """An alpha's t-grid is evaluated as one stack; each row must equal (==,
+    not approximately) the same point evaluated alone."""
+
+    @pytest.mark.parametrize("fig", (1, 2, 3, 4))
+    @pytest.mark.parametrize("pre_evolution", (True, False))
+    def test_figure_rows_equal_points(self, fig, pre_evolution):
+        theta, phi = 1.1, 0.4
+        data = figure_data(fig, t_steps=16, alphas=DEFAULT_ALPHAS, theta=theta, phi=phi,
+                           pre_evolution=pre_evolution)
+        assert len(data.rows) == 16 * len(DEFAULT_ALPHAS)
+        assert _assert_rows_equal_points(data, theta, phi, pre_evolution) == 0
+
+    def test_nosignal_equals_points(self):
+        ts = np.linspace(0.0, np.pi, 16)
+        for alpha in DEFAULT_ALPHAS:
+            stacked = signaling_deviation(PTParams(alpha, tuple(ts)))
+            assert stacked.shape == ts.shape
+            assert stacked.tolist() == [signaling_deviation(PTParams(alpha, t)) for t in ts]
+
+    def test_grid_whose_first_point_fails(self):
+        # near the EP this pure state's pre-evolved density fails the
+        # Hermiticity check at t = 1.2912 only
+        theta, phi = 2.3701, 3 * np.pi / 2
+        with pytest.raises(DomainError, match="density not Hermitian"):
+            _row_alone(("alpha", "t", "V3"), 1.488, 1.2912, theta, phi, True)
+        data = figure_data(2, t_steps=6, alphas=(1.488,), theta=theta, phi=phi,
+                           t_min=1.2912, t_max=1.6)
+        assert np.isnan(data.rows[0][2])
+        assert _assert_rows_equal_points(data, theta, phi, True) == 1
+
+    def test_grid_with_negative_durations(self):
+        data = figure_data(3, t_steps=6, alphas=(0.5,), t_min=-0.3, t_max=1.0)
+        assert _assert_rows_equal_points(data, 0.0, 0.0, True) == 2
+        assert [np.isnan(row[2]) for row in data.rows] == [True, True] + [False] * 4
+        ts = np.linspace(-0.3, 1.0, 6)
+        (devs,) = t_grid_columns(lambda t: (signaling_deviation(PTParams(0.5, t)),), ts, 1)
+        assert np.isnan(devs[:2]).all()
+        assert devs[2:] == [signaling_deviation(PTParams(0.5, t)) for t in ts[2:]]
