@@ -42,7 +42,6 @@ from .protocol import (
     OutcomeDistribution,
     PTEvolution,
     ScenarioPreset,
-    UnitaryEvolution,
     distribution,
     initial_state_at_t1,
     maximally_mixed,

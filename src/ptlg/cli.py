@@ -186,6 +186,7 @@ def cmd_optimize(args) -> int:
         if args.alpha is None:
             raise UsageError("optimize over the non-unitary family needs --alpha")
         fixed["alpha"] = args.alpha
+    PTParams(fixed.get("alpha", 0.0), (args.t_min, args.t_max))  # window inside the domain
     cfg = SweepConfig(
         expression=args.expression,
         kind=args.kind,

@@ -6,15 +6,20 @@ measurement time.  Measurements may happen at any non-empty subset of the
 three equally spaced times; an unmeasured intermediate time contributes a
 single composed propagator over the doubled duration.
 
-Joint probabilities follow the projective chain
+Joint probabilities follow the projective (Lueders) chain, normalized once per
+context by N = sum of p~ over all outcome tuples.  Both observables are Pauli
+matrices, so each projector |m><m| is rank one and `distribution` evaluates the
+chain as a weight at the first measured time (state rho_1) times one transfer
+table per later gap G_i (Emary, Lambert & Nori, Rep. Prog. Phys. 77, 016001):
 
-    p~(m_1, ..., m_k) = Tr[ Pi_k U ... Pi_1 rho(t1) Pi_1 ... U^dagger Pi_k ],
+    p~(m_1, ..., m_k) = w(m_1) T_2(m_2|m_1) ... T_k(m_k|m_(k-1)),
+    w(m) = <m|rho_1|m>,    T_i(m'|m) = |<m'|G_i|m>|^2.
 
-normalized once per context by N = sum of p~ over all outcome tuples.  Under
-non-unitary evolution N differs from context to context, which is exactly what
-lets the marginal of a finer context disagree with a coarser context's
-distribution (the macrorealism diagnostics in `macrodiag` quantify this).
-Per-step renormalization is deliberately not used: it would force every
+`unnormalized_chain` and `one_time_probability` keep the branch states as
+independent oracles.  Under non-unitary evolution N differs from context to
+context, which is exactly what lets the marginal of a finer context disagree
+with a coarser context's distribution (`macrodiag` quantifies this).  Per-step
+renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
 Two chains reach the measured times (`_chain_legs` holds the rule).  The
@@ -27,17 +32,16 @@ of n steps with U((n+1) t) U(t)^dagger.  The rule is inferred from those
 forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
 the mixed state; for alpha != 0 the published gap is not U(n t).
 
-A PT preset may carry a t-grid in place of one duration (see `PTParams`).
-Its propagators, chain states and outcome probabilities are then stacks with
+A preset may carry a t-grid in place of one duration (see `PTParams`).  Its
+propagators, weights, transfer tables and probabilities are then stacks with
 one entry per grid point, computed by the same code and the same order of
 operations as a single point, so each entry equals that point evaluated
 alone.  Every check applies per point; a failure at any point raises.
 
-Basis labeling: the computational ket |0> used by PURE(theta, phi) is the
-sigma_z eigenvector with eigenvalue -1.  Unitary scenarios conjugate
-observables forward with exp(+i t sigma_x) per step, so states evolve with
-its adjoint exp(-i t sigma_x).  Both pins are what make the variant
-expression's quoted optimum land at its stated parameters.
+Unitary = alpha = 0 PT step: the unitary presets evolve states with
+exp(-i t sigma_x), probe sigma_z and skip pre-evolution; the ket |0> of
+PURE(theta, phi) is the lower sigma_z eigenvector.  These pins put the
+variant expression's quoted optimum at its stated parameters.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateContextError, DegenerateWeightError, UsageError
-from .matcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
+from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
+from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
                       lowest, per_matrix, projector, weights)
 from .ptdyn import PTParams, propagator, with_t
 
@@ -61,12 +65,15 @@ class InitialState:
     theta: float = 0.0
     phi: float = 0.0
 
+    def ket(self) -> np.ndarray:
+        """cos(theta)|0> + e^{i phi} sin(theta)|1> as the column (e^{i phi} sin(theta),
+        cos(theta)): |0> is the lower sigma_z eigenvector."""
+        return np.array([np.exp(1j * self.phi) * np.sin(self.theta), np.cos(self.theta)])
+
     def density(self) -> QubitDensity:
         if self.kind == MAXIMALLY_MIXED:
             return QubitDensity(I2 / 2.0)
-        # |0> is the lower sigma_z eigenvector, so cos(theta)|0> + e^{i phi} sin(theta)|1>
-        # is the column vector (e^{i phi} sin(theta), cos(theta)).
-        psi = np.array([np.exp(1j * self.phi) * np.sin(self.theta), np.cos(self.theta)])
+        psi = self.ket()
         return QubitDensity(np.outer(psi, psi.conj()))
 
 
@@ -79,21 +86,8 @@ def pure_state(theta: float, phi: float) -> InitialState:
 
 
 @dataclass(frozen=True)
-class UnitaryEvolution:
-    """Unitary stepping: observables advance with the conjugator exp(+i t sigma_x),
-    states with its adjoint exp(-i t sigma_x).
-    """
-
-    t: float
-
-    def step(self, n_segments: int) -> np.ndarray:
-        angle = n_segments * self.t
-        return np.cos(angle) * I2 - 1j * np.sin(angle) * SIGMA_X
-
-
-@dataclass(frozen=True)
 class PTEvolution:
-    """Non-unitary stepping exp(-i H tau) with the closed-form propagator.
+    """Stepping exp(-i H tau) with the closed-form propagator; unitary at alpha = 0.
 
     `published` selects the published chain (see the module docstring).
     """
@@ -119,17 +113,17 @@ class ScenarioPreset:
     label: str
     initial_state: InitialState
     observable: np.ndarray
-    evolution: UnitaryEvolution | PTEvolution
+    evolution: PTEvolution
     pre_evolution: bool
 
 
 def unitary_standard(t: float, initial_state: InitialState | None = None) -> ScenarioPreset:
-    """sigma_z measurements, unitary steps; mixed initial state unless overridden."""
+    """sigma_z measurements, alpha = 0 steps; mixed initial state unless overridden."""
     return ScenarioPreset(
         label=UNITARY_STANDARD,
         initial_state=initial_state if initial_state is not None else maximally_mixed(),
         observable=SIGMA_Z,
-        evolution=UnitaryEvolution(t=float(t)),
+        evolution=PTEvolution(PTParams(0.0, t)),
         pre_evolution=False,
     )
 
@@ -140,7 +134,7 @@ def unitary_variant(t: float, theta: float, phi: float) -> ScenarioPreset:
         label=UNITARY_VARIANT,
         initial_state=pure_state(theta, phi),
         observable=SIGMA_Z,
-        evolution=UnitaryEvolution(t=float(t)),
+        evolution=PTEvolution(PTParams(0.0, t)),
         pre_evolution=False,
     )
 
@@ -218,11 +212,15 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     With pre-evolution the bare state is propagated for one step duration and
     renormalized; otherwise it is used as given (normalized).
     """
-    rho = preset.initial_state.density().normalize()
+    state = preset.initial_state
     if not preset.pre_evolution:
-        return rho
+        return state.density().normalize()
     u = preset.evolution.step(1)
-    evolved = u @ rho.mat @ dagger(u)
+    if state.kind == PURE:  # v v^dagger is Hermitian entry for entry; U rho U^dagger is not
+        v = u @ state.ket()
+        evolved = v[..., :, None] * v[..., None, :].conj()
+    else:
+        evolved = u @ state.density().normalize().mat @ dagger(u)
     w = weights(evolved)
     if lowest(w) < WEIGHT_FLOOR:
         raise DegenerateWeightError(
@@ -231,21 +229,21 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
 
 
 def _chain_legs(preset: ScenarioPreset,
-                times: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray | None]]:
+                times: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Chain state before the first measured time, and the propagator into each one.
 
     Sequential chain: the state at t1, U((k-1) t) into the first measured time
-    k (None for k = 1), then U(n t) across a gap of n steps.  Published chain:
+    k (U(0) = I for k = 1), then U(n t) across a gap of n steps.  Published chain:
     the bare state, U((k+1) t) into time k, then U((n+1) t) U(t)^dagger.
     """
     evo = preset.evolution
     gaps = [b - a for a, b in zip(times, times[1:])]
-    if isinstance(evo, PTEvolution) and evo.published:
+    if evo.published:
         return (preset.initial_state.density().normalize().mat,
                 [evo.step(times[0] + 1)]
                 + [evo.step(n + 1) @ dagger(evo.step(1)) for n in gaps])
     return (initial_state_at_t1(preset).mat,
-            [evo.step(times[0] - 1) if times[0] > 1 else None] + [evo.step(n) for n in gaps])
+            [evo.step(times[0] - 1)] + [evo.step(n) for n in gaps])
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]) -> float:
@@ -255,48 +253,53 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]) -> fl
         raise UsageError(f"{len(times)} measured times but {len(outcomes)} outcomes")
     rho, legs = _chain_legs(ctx.preset, times)
     for u, m in zip(legs, outcomes):
-        if u is not None:
-            rho = u @ rho @ u.conj().T
+        rho = u @ rho @ u.conj().T
         pi = projector(ctx.preset.observable, m).mat
         rho = pi @ rho @ pi
     value = float(np.trace(rho).real)
     return max(value, 0.0)
 
 
-def _clamped_weight(rho: np.ndarray):
-    """max(weight, 0.0): a float for one point, elementwise for a stack."""
-    w = weights(rho)
-    if isinstance(w, np.ndarray):
-        return np.where(w < 0.0, 0.0, w)  # max() per point, signed zeros included
-    return max(float(w), 0.0)
+def _entries(a: np.ndarray) -> list:
+    """Rows of a 2x2 matrix as Python complex numbers, or of a stack as (N,) arrays."""
+    return a.tolist() if a.ndim == 2 else [[a[..., i, j] for j in (0, 1)] for i in (0, 1)]
+
+
+def _mul(a: list, b: list) -> list:
+    """Product of two matrices held as `_entries`; on a stack `@` calls BLAS per matrix."""
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
 
 
 def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
-    """Per-context normalized outcome table over +-1 tuples.
+    """Per-context normalized outcome table over +-1 tuples, in the transfer form.
 
-    Equivalent to normalizing `unnormalized_chain` over all outcome tuples;
-    partial chain states are shared across tuples via branching.  For a
-    t-grid preset each branch is a stack and each probability an (N,) array.
+    Equivalent to normalizing `unnormalized_chain` over all outcome tuples.  For
+    a t-grid preset each probability is an (N,) array; for one point, a float.
     """
     times = ctx.measured_times
-    pi = {m: projector(ctx.preset.observable, m).mat for m in (+1, -1)}
-    start, legs = _chain_legs(ctx.preset, times)
-    branches: dict[tuple[int, ...], np.ndarray] = {(): start}
-    for u in legs:
-        grown: dict[tuple[int, ...], np.ndarray] = {}
-        for oc, rho in branches.items():
-            if u is not None:
-                rho = u @ rho @ dagger(u)
-            for m in (+1, -1):
-                grown[oc + (m,)] = pi[m] @ rho @ pi[m]
-        branches = grown
-    raw = {oc: _clamped_weight(rho) for oc, rho in branches.items()}
+    bras = []  # <m| up to a phase: row j of the validated projector |m><m| is <j|m> <m|
+    for m in (+1, -1):
+        proj = projector(ctx.preset.observable, m).mat
+        if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
+            raise DomainError("observable needs the eigenvalues +1 and -1")
+        j = int(proj[1, 1].real > proj[0, 0].real)
+        bras.append(proj[j] / np.sqrt(proj[j, j].real))
+    vh = np.array(bras)
+    vh, v = _entries(vh), _entries(dagger(vh))
+    start, (u, *gaps) = _chain_legs(ctx.preset, times)
+    rho = _mul(_mul(_entries(u), _entries(start)), _entries(dagger(u)))  # at the first time
+    w = _mul(_mul(vh, rho), v)  # the diagonal holds w(m) = <m|rho|m>
+    raw = {(+1,): w[0][0].real, (-1,): w[1][1].real}
+    for g in gaps:  # tr[m'][m] = T(m'|m) = |<m'|g|m>|^2
+        tr = [[abs(x) ** 2 for x in row] for row in _mul(_mul(vh, _entries(g)), v)]
+        raw = {oc + (m,): p * tr[(1 - m) // 2][(1 - oc[-1]) // 2]
+               for oc, p in raw.items() for m in (+1, -1)}
     total = sum(raw.values())
     if lowest(total) < WEIGHT_FLOOR:
         raise DegenerateContextError(
             f"context {times} carries total weight {lowest(total):.3e}; cannot normalize"
         )
-    return OutcomeDistribution(context=ctx, probs={k: v / total for k, v in raw.items()})
+    return OutcomeDistribution(context=ctx, probs={oc: p / total for oc, p in raw.items()})
 
 
 def one_time_probability(preset: ScenarioPreset, j: int) -> tuple[float, float]:
@@ -309,12 +312,11 @@ def one_time_probability(preset: ScenarioPreset, j: int) -> tuple[float, float]:
     if j not in (1, 2, 3):
         raise UsageError(f"time index must be 1, 2 or 3, got {j}")
     rho, (u,) = _chain_legs(preset, (j,))
-    if u is not None:
-        evolved = u @ rho @ u.conj().T
-        w = float(np.trace(evolved).real)
-        if w < WEIGHT_FLOOR:
-            raise DegenerateWeightError(f"weight {w:.3e} at time {j} cannot be renormalized")
-        rho = QubitDensity(evolved / w).mat
+    evolved = u @ rho @ u.conj().T
+    w = float(np.trace(evolved).real)
+    if w < WEIGHT_FLOOR:
+        raise DegenerateWeightError(f"weight {w:.3e} at time {j} cannot be renormalized")
+    rho = QubitDensity(evolved / w).mat
     p_plus = float(np.trace(rho @ projector(preset.observable, +1).mat).real)
     p_plus = min(max(p_plus, 0.0), 1.0)
     return p_plus, 1.0 - p_plus

@@ -193,6 +193,16 @@ class TestDomainFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["optimize", "L13", "--alpha", "0.5", "--t-min", "-0.5",
+                                       "--t-steps", "8"],
+                                      ["optimize", "L13", "--kind", "unitary", "--t-min", "-0.5",
+                                       "--t-steps", "8"]])
+    def test_optimize_window_outside_domain_exits_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [["figure", "2", "--alpha", "2"],
                                       ["figure", "1", "--t-max", "nan"],
                                       ["nosignal", "--t-min", "-0.5"]])

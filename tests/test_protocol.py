@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from ptlg.errors import UsageError
-from ptlg.matcore import I2, SIGMA_Y, projector
+from ptlg.errors import DomainError, UsageError
+from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, projector
 from ptlg.protocol import (
     MeasurementContext,
     ScenarioPreset,
-    UnitaryEvolution,
     distribution,
     initial_state_at_t1,
-    maximally_mixed,
     one_time_probability,
     pt_standard,
     pt_variant,
@@ -117,19 +115,24 @@ class TestDistributions:
                 for oc, p in coarse.probs.items():
                     assert p == pytest.approx(marg[oc], abs=1e-12)
 
-    def test_pt_alpha_zero_equals_unitary_default(self):
-        # exp(-i H tau) at alpha = 0 is exp(-i t sigma_x), the same Schroedinger
-        # step the default unitary evolution applies.
-        t = 0.9
-        pt = pt_standard(0.0, t)
-        un = ScenarioPreset(label="CUSTOM", initial_state=maximally_mixed(),
-                            observable=SIGMA_Y, evolution=UnitaryEvolution(t=t),
-                            pre_evolution=True)
-        for times in ALL_CONTEXTS:
-            dp = distribution(ctx(pt, *times))
-            du = distribution(ctx(un, *times))
-            for oc in dp.probs:
-                assert dp.probs[oc] == pytest.approx(du.probs[oc], abs=1e-12)
+    def test_unitary_presets_step_is_the_sigma_x_rotation(self):
+        # the unitary presets take the alpha = 0 PT step, which is the Schroedinger
+        # step exp(-i n t sigma_x) bit for bit
+        for t in np.linspace(0.0, 7.0, 2001):
+            for preset in (unitary_standard(t), unitary_variant(t, 1.1, 0.4)):
+                for n in (1, 2, 3):
+                    want = np.cos(n * t) * I2 - 1j * np.sin(n * t) * SIGMA_X
+                    assert np.array_equal(preset.evolution.step(n), want), (t, n)
+
+    def test_observable_needs_rank_one_projectors(self):
+        # +-I is dichotomic, but its projectors are I and 0: no transfer form
+        base = unitary_standard(0.5)
+        for obs in (I2, -I2):
+            preset = ScenarioPreset(label="CUSTOM", initial_state=base.initial_state,
+                                    observable=obs, evolution=base.evolution,
+                                    pre_evolution=False)
+            with pytest.raises(DomainError, match="eigenvalues"):
+                distribution(ctx(preset, 1, 2))
 
     def test_probabilities_in_range_random(self):
         rng = np.random.default_rng(32)

@@ -216,16 +216,13 @@ class TestStackedGrid:
             assert stacked.shape == ts.shape
             assert stacked.tolist() == [signaling_deviation(PTParams(alpha, t)) for t in ts]
 
-    def test_grid_whose_first_point_fails(self):
-        # near the EP this pure state's pre-evolved density fails the
-        # Hermiticity check at t = 1.2912 only
+    def test_near_ep_grid_has_no_failing_point(self):
+        # near the EP this pure state's pre-evolved density once failed the
+        # Hermiticity check at t = 1.2912; built from the evolved ket it passes
         theta, phi = 2.3701, 3 * np.pi / 2
-        with pytest.raises(DomainError, match="density not Hermitian"):
-            _row_alone(("alpha", "t", "V3"), 1.488, 1.2912, theta, phi, True)
         data = figure_data(2, t_steps=6, alphas=(1.488,), theta=theta, phi=phi,
                            t_min=1.2912, t_max=1.6)
-        assert np.isnan(data.rows[0][2])
-        assert _assert_rows_equal_points(data, theta, phi, True) == 1
+        assert _assert_rows_equal_points(data, theta, phi, True) == 0
 
     def test_grid_with_negative_durations(self):
         data = figure_data(3, t_steps=6, alphas=(0.5,), t_min=-0.3, t_max=1.0)
