@@ -35,8 +35,8 @@ from .macrodiag import (
     diagnostics,
     violation_classifier,
 )
-from .matcore import QubitDensity, Projector, partial_trace_first, projector, tensor
-from .nosignal import BipartiteState, bell_state, bob_reduced, signaling_deviation
+from .matcore import QubitDensity, projector
+from .nosignal import bob_reduced, signaling_deviation
 from .protocol import (
     MeasurementContext,
     OutcomeDistribution,

@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_grid(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
@@ -118,18 +118,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-min", type=float, default=0.0)
         p.add_argument("--t-max", type=float, default=float(np.pi))
         p.add_argument("--t-steps", type=int, default=512)
+
+    def add_state(p):
         p.add_argument("--theta", type=float, default=DEFAULT_THETA)
         p.add_argument("--phi", type=float, default=DEFAULT_PHI)
         p.add_argument("--pre-evolution", choices=("on", "off"), default="on")
 
     p_fig = sub.add_parser("figure", help="emit curve data for one of the four figures")
     p_fig.add_argument("n", type=int, choices=(1, 2, 3, 4))
-    add_common(p_fig)
+    add_grid(p_fig)
+    add_state(p_fig)
 
     p_opt = sub.add_parser("optimize", help="grid + golden-section maximization")
     p_opt.add_argument("expression", choices=("L13", "V1", "V2", "V3"))
     p_opt.add_argument("--kind", choices=("pt", "unitary"), default="pt")
-    add_common(p_opt)
+    add_grid(p_opt)
+    add_state(p_opt)
 
     p_chk = sub.add_parser("check", help="run the identity suite")
     p_chk.add_argument("--sample-size", type=int, default=16)
@@ -140,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--config", default=None)
 
     p_ns = sub.add_parser("nosignal", help="partner-state deviation over a grid")
-    add_common(p_ns)
+    add_grid(p_ns)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Dense 2x2 / 4x4 complex matrix algebra and qubit-state primitives.
+"""Dense 2x2 complex matrix algebra and qubit-state primitives.
 
 Everything here is a pure function over immutable values; matrices are
 numpy arrays that are never mutated in place.  Positive semidefiniteness
@@ -24,18 +24,17 @@ DICHOTOMY_TOL = 1e-12
 WEIGHT_FLOOR = 1e-14
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def as_cmat(a) -> np.ndarray:
-    """Coerce to a 2x2 or 4x4 complex matrix, or a stack of them, with finite entries."""
+    """Coerce to a 2x2 complex matrix, or a stack of them, with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.shape[-2:] not in ((2, 2), (4, 4)):
-        raise UsageError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m.view(float)).all():
+    if m.shape[-2:] != (2, 2):
+        raise UsageError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise UsageError("matrix has non-finite entries")
     return m
 
@@ -62,22 +61,6 @@ def lowest(x):
 def per_matrix(w):
     """Values of a stack shaped (..., 1, 1) to scale its matrices; a single value as is."""
     return w[..., None, None] if isinstance(w, np.ndarray) else w
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of a 2x2 matrix, or each of a stack, with a 2x2 matrix."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape[-2:] != (2, 2) or b.shape != (2, 2):
-        raise UsageError("tensor expects two 2x2 matrices")
-    return np.kron(a, b)
-
-
-def partial_trace_first(m: np.ndarray) -> np.ndarray:
-    """Trace a 4x4 matrix (or each of a stack) over its first tensor factor."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise UsageError("partial_trace_first expects a 4x4 matrix")
-    return m[..., :2, :2] + m[..., 2:, 2:]
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -107,8 +90,6 @@ class QubitDensity:
 
     def __post_init__(self):
         m = as_cmat(self.mat)
-        if m.shape[-2:] != (2, 2):
-            raise UsageError("QubitDensity is 2x2")
         if hermitian_defect(m) > HERMITICITY_TOL:
             raise DomainError(f"density not Hermitian: defect {hermitian_defect(m):.2e}")
         lo = lowest(hermitian_eigvals_2x2(m)[0])
@@ -133,17 +114,8 @@ class QubitDensity:
         return float(np.trace(self.mat @ observable).real)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Eigenprojector (I + outcome * M) / 2 of a dichotomic observable M."""
-
-    observable: np.ndarray
-    outcome: int
-    mat: np.ndarray
-
-
-def projector(observable: np.ndarray, outcome: int) -> Projector:
-    """Build the +-1 outcome projector of a Hermitian observable with M^2 = I."""
+def projector(observable: np.ndarray, outcome: int) -> np.ndarray:
+    """The +-1 outcome projector (I + outcome * M) / 2 of a Hermitian observable with M^2 = I."""
     m = as_cmat(observable)
     if m.shape != (2, 2):
         raise UsageError("projector expects a 2x2 observable")
@@ -153,4 +125,4 @@ def projector(observable: np.ndarray, outcome: int) -> Projector:
         raise DomainError("observable is not Hermitian")
     if float(np.max(np.abs(m @ m - I2))) > DICHOTOMY_TOL:
         raise DomainError("observable is not dichotomic (M^2 != I)")
-    return Projector(observable=m, outcome=outcome, mat=(I2 + outcome * m) / 2.0)
+    return (I2 + outcome * m) / 2.0

@@ -5,54 +5,25 @@ reduced state then generally deviates from the maximally mixed state, which
 is quantified here as a trace distance.  The deviation vanishes exactly when
 the evolution is Hermitian (alpha = 0) or trivial (sin t = 0).  A t-grid in
 `PTParams` gives one stacked evaluation with one value per grid point.
+
+No two-qubit state is built.  For the pair (|00> + |11>) / sqrt(2), tracing
+(U x I) |pair><pair| (U^dag x I) over the first qubit leaves (U^dag U)^T / 2,
+so the renormalized partner state is (U^T U^*) / tr(U^dag U), a 2x2 product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateWeightError, DomainError, UsageError
-from .matcore import (I2, WEIGHT_FLOOR, QubitDensity, as_cmat, dagger, hermitian_defect,
-                      lowest, partial_trace_first, per_matrix, tensor, weights)
+from .errors import DegenerateWeightError
+from .matcore import I2, WEIGHT_FLOOR, QubitDensity, lowest, per_matrix, weights
 from .ptdyn import PTParams, propagator
-
-
-@dataclass(frozen=True)
-class BipartiteState:
-    """4x4 two-qubit density matrix, possibly carrying an unnormalized weight."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = as_cmat(self.mat)
-        if m.shape != (4, 4):
-            raise UsageError("BipartiteState is 4x4")
-        if hermitian_defect(m) > 1e-12:
-            raise DomainError("bipartite state not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(m))) < -1e-12:
-            raise DomainError("bipartite state not PSD")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def weight(self) -> float:
-        return float(np.trace(self.mat).real)
-
-
-def bell_state() -> BipartiteState:
-    """Density matrix of (|00> + |11>) / sqrt(2)."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
-    return BipartiteState(np.outer(psi, psi.conj()))
 
 
 def bob_reduced(p: PTParams) -> QubitDensity:
     """Partner's reduced state after the local non-unitary step, renormalized."""
     u = propagator(p)
-    local = tensor(u, I2)
-    evolved = local @ bell_state().mat @ dagger(local)
-    reduced = partial_trace_first(evolved)
+    reduced = u.swapaxes(-1, -2) @ u.conj()  # (U^dag U)^T = U^T U^*
     w = weights(reduced)
     if lowest(w) < WEIGHT_FLOOR:
         raise DegenerateWeightError(f"reduced weight {lowest(w):.3e} cannot be renormalized")

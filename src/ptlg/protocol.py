@@ -117,11 +117,11 @@ class ScenarioPreset:
     pre_evolution: bool
 
 
-def unitary_standard(t: float, initial_state: InitialState | None = None) -> ScenarioPreset:
-    """sigma_z measurements, alpha = 0 steps; mixed initial state unless overridden."""
+def unitary_standard(t: float) -> ScenarioPreset:
+    """sigma_z measurements on the maximally mixed state, alpha = 0 steps."""
     return ScenarioPreset(
         label=UNITARY_STANDARD,
-        initial_state=initial_state if initial_state is not None else maximally_mixed(),
+        initial_state=maximally_mixed(),
         observable=SIGMA_Z,
         evolution=PTEvolution(PTParams(0.0, t)),
         pre_evolution=False,
@@ -190,9 +190,6 @@ class OutcomeDistribution:
     context: MeasurementContext
     probs: dict[tuple[int, ...], float]
 
-    def probability(self, outcomes: tuple[int, ...]) -> float:
-        return self.probs[tuple(outcomes)]
-
     def marginal(self, times: tuple[int, ...]) -> dict[tuple[int, ...], float]:
         """Sum out all measured times not listed in `times` (which must be measured)."""
         mine = self.context.measured_times
@@ -254,7 +251,7 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]) -> fl
     rho, legs = _chain_legs(ctx.preset, times)
     for u, m in zip(legs, outcomes):
         rho = u @ rho @ u.conj().T
-        pi = projector(ctx.preset.observable, m).mat
+        pi = projector(ctx.preset.observable, m)
         rho = pi @ rho @ pi
     value = float(np.trace(rho).real)
     return max(value, 0.0)
@@ -279,7 +276,7 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     times = ctx.measured_times
     bras = []  # <m| up to a phase: row j of the validated projector |m><m| is <j|m> <m|
     for m in (+1, -1):
-        proj = projector(ctx.preset.observable, m).mat
+        proj = projector(ctx.preset.observable, m)
         if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
             raise DomainError("observable needs the eigenvalues +1 and -1")
         j = int(proj[1, 1].real > proj[0, 0].real)
@@ -317,6 +314,6 @@ def one_time_probability(preset: ScenarioPreset, j: int) -> tuple[float, float]:
     if w < WEIGHT_FLOOR:
         raise DegenerateWeightError(f"weight {w:.3e} at time {j} cannot be renormalized")
     rho = QubitDensity(evolved / w).mat
-    p_plus = float(np.trace(rho @ projector(preset.observable, +1).mat).real)
+    p_plus = float(np.trace(rho @ projector(preset.observable, +1)).real)
     p_plus = min(max(p_plus, 0.0), 1.0)
     return p_plus, 1.0 - p_plus

@@ -126,6 +126,30 @@ class TestNosignalCommand:
             (row,) = list(csv.DictReader(fh))
         assert float(row["deviation"]) > 1e-3
 
+    @pytest.mark.parametrize("option", [["--theta", "1"], ["--phi", "1"],
+                                        ["--pre-evolution", "off"]])
+    def test_state_options_rejected(self, tmp_path, option):
+        # the partner state depends on alpha and t only
+        out = tmp_path / "ns.csv"
+        assert main(["nosignal", "--t-steps", "4", "--out", str(out)] + option) == 2
+        assert not out.exists()
+
+    def test_state_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 1}))
+        out = tmp_path / "ns.csv"
+        assert main(["nosignal", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_figure_and_optimize_keep_state_options(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        assert main(["figure", "2", "--theta", "1", "--t-steps", "4", "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert {float(r["theta"]) for r in csv.DictReader(fh)} == {1.0}
+        capsys.readouterr()
+        assert main(["optimize", "V3", "--alpha", "1.2", "--t-steps", "8", "--phi", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["phi"] == 1.0
+
 
 class TestConfigFile:
     def test_config_applies_and_flags_override(self, tmp_path, capsys):

@@ -4,20 +4,18 @@ import pytest
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.matcore import (
     I2,
-    I4,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     QubitDensity,
+    as_cmat,
     hermitian_eigvals_2x2,
-    partial_trace_first,
     projector,
-    tensor,
 )
 
 
-def random_cmat(rng, n=2):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_cmat(rng):
+    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 
 
 def random_dichotomic(rng):
@@ -30,22 +28,22 @@ def random_dichotomic(rng):
 class TestProjector:
     def test_sigma_z_plus(self):
         p = projector(SIGMA_Z, +1)
-        np.testing.assert_allclose(p.mat, np.diag([1.0, 0.0]), atol=0)
+        np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=0)
 
     def test_sigma_y_plus_by_hand(self):
         p = projector(SIGMA_Y, +1)
         expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-        np.testing.assert_allclose(p.mat, expected, atol=1e-15)
+        np.testing.assert_allclose(p, expected, atol=1e-15)
 
     def test_completeness(self):
-        total = projector(SIGMA_Z, +1).mat + projector(SIGMA_Z, -1).mat
+        total = projector(SIGMA_Z, +1) + projector(SIGMA_Z, -1)
         np.testing.assert_array_equal(total, I2)
 
     def test_idempotent_and_orthogonal(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
             m = random_dichotomic(rng)
-            plus, minus = projector(m, +1).mat, projector(m, -1).mat
+            plus, minus = projector(m, +1), projector(m, -1)
             np.testing.assert_allclose(plus @ plus, plus, atol=1e-12)
             np.testing.assert_allclose(plus @ minus, np.zeros((2, 2)), atol=1e-12)
 
@@ -58,32 +56,6 @@ class TestProjector:
     def test_rejects_bad_outcome(self):
         with pytest.raises(UsageError):
             projector(SIGMA_Z, 0)
-
-
-class TestTensorAndPartialTrace:
-    def test_identity_tensor(self):
-        np.testing.assert_array_equal(tensor(I2, I2), I4)
-
-    def test_product_state_reduction(self):
-        rng = np.random.default_rng(15)
-        a, b = random_cmat(rng), random_cmat(rng)
-        np.testing.assert_allclose(partial_trace_first(tensor(a, b)),
-                                   np.trace(a) * b, atol=1e-12)
-
-    def test_bell_marginal_maximally_mixed(self):
-        psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = np.outer(psi, psi.conj())
-        np.testing.assert_allclose(partial_trace_first(rho), I2 / 2, atol=1e-15)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(16)
-        a, b = random_cmat(rng), random_cmat(rng)
-        assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-    def test_partial_trace_preserves_trace(self):
-        rng = np.random.default_rng(17)
-        x = random_cmat(rng, 4)
-        assert abs(np.trace(partial_trace_first(x)) - np.trace(x)) < 1e-12
 
 
 class TestQubitDensity:
@@ -111,3 +83,23 @@ class TestQubitDensity:
             lo, hi = hermitian_eigvals_2x2(h)
             ref = np.linalg.eigvalsh(h)
             np.testing.assert_allclose([lo, hi], ref, atol=1e-12)
+
+
+class TestNonContiguousInput:
+    def test_transposed_input_accepted(self):
+        rng = np.random.default_rng(19)
+        a = random_cmat(rng)
+        r = (a @ a.conj().T) / np.trace(a @ a.conj().T).real
+        np.testing.assert_array_equal(QubitDensity(r.T).mat, QubitDensity(r.T.copy()).mat)
+        np.testing.assert_array_equal(projector(SIGMA_Y.T, +1),
+                                      projector(SIGMA_Y.T.copy(), +1))
+        stack = np.stack([a, a.T])
+        np.testing.assert_array_equal(as_cmat(stack.swapaxes(-1, -2)),
+                                      stack.swapaxes(-1, -2).copy())
+
+    def test_transposed_nan_rejected(self):
+        m = np.array([[0.5, np.nan], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(UsageError):
+            QubitDensity(m.T)
+        with pytest.raises(UsageError):
+            projector(m.T, +1)

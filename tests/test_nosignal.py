@@ -1,24 +1,44 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlg.closedform import bob_reduced_entries
 from ptlg.errors import ExceptionalPointError
-from ptlg.matcore import I2, partial_trace_first
-from ptlg.nosignal import bell_state, bob_reduced, signaling_deviation
-from ptlg.ptdyn import PTParams
+from ptlg.matcore import I2, hermitian_defect, weights
+from ptlg.nosignal import bob_reduced, signaling_deviation
+from ptlg.ptdyn import PTParams, propagator
+
+EPS = np.finfo(float).eps
+ALPHAS = st.floats(-1.5703, 1.5703)
+TIMES = st.floats(0.0, np.pi)
+BELL_PAIR = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex) / 2  # (|00> + |11>) / sqrt(2)
+
+
+def trace_first(m: np.ndarray) -> np.ndarray:
+    """Trace a 4x4 two-qubit matrix over its first qubit."""
+    return m[:2, :2] + m[2:, 2:]
+
+
+def bell_pair_reference(alpha: float, t: float) -> np.ndarray:
+    """The partner state by the two-qubit route: U x I on the Bell pair, then the
+    trace over the first qubit, renormalized."""
+    local = np.kron(propagator(PTParams(alpha, t)), I2)
+    reduced = trace_first(local @ BELL_PAIR @ local.conj().T)
+    return reduced / np.trace(reduced).real
 
 
 class TestBellState:
+    """The reference pair itself."""
+
     def test_unit_trace(self):
-        assert bell_state().weight == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(BELL_PAIR).real == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_entangled_marginal(self):
-        np.testing.assert_allclose(partial_trace_first(bell_state().mat), I2 / 2,
-                                   atol=1e-14)
+        np.testing.assert_allclose(trace_first(BELL_PAIR), I2 / 2, atol=1e-14)
 
     def test_pure(self):
-        rho = bell_state().mat
-        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(BELL_PAIR @ BELL_PAIR).real == pytest.approx(1.0, abs=1e-14)
 
 
 class TestBobReduced:
@@ -48,6 +68,23 @@ class TestBobReduced:
             assert rho[1, 1].real == pytest.approx(b2 / tot, abs=1e-9)
             assert abs(rho[0, 1]) == pytest.approx(abs(b3) / tot, abs=1e-9)
             assert abs(rho[1, 0]) == pytest.approx(abs(b4) / tot, abs=1e-9)
+
+
+class TestBellPairProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(alpha=ALPHAS, t=TIMES)
+    def test_matches_bell_pair_reference(self, alpha, t):
+        rho = bob_reduced(PTParams(alpha, t)).mat
+        assert np.abs(rho - bell_pair_reference(alpha, t)).max() <= 4 * EPS
+        assert abs(weights(rho) - 1.0) <= 2 * EPS
+        assert hermitian_defect(rho) <= 2 * EPS
+
+    @settings(derandomize=True, deadline=None)
+    @given(alpha=ALPHAS, t=TIMES)
+    def test_no_signal_when_hermitian_or_trivial(self, alpha, t):
+        assert signaling_deviation(PTParams(0.0, t)) < 1e-12
+        assert signaling_deviation(PTParams(alpha, 0.0)) < 1e-12
+        assert signaling_deviation(PTParams(alpha, np.pi)) < 1e-12
 
 
 class TestSignalingDeviation:

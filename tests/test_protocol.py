@@ -192,10 +192,10 @@ class TestPublishedChain:
         for m1 in (+1, -1):
             for m3 in (+1, -1):
                 rho = u[2] @ preset.initial_state.density().mat @ u[2].conj().T
-                p1 = projector(SIGMA_Y, m1).mat
+                p1 = projector(SIGMA_Y, m1)
                 rho = p1 @ rho @ p1
                 gap = u[3] @ u[1].conj().T
-                p3 = projector(SIGMA_Y, m3).mat
+                p3 = projector(SIGMA_Y, m3)
                 rho = p3 @ gap @ rho @ gap.conj().T @ p3
                 assert unnormalized_chain(ctx(preset, 1, 3), (m1, m3)) == pytest.approx(
                     float(np.trace(rho).real), rel=1e-12)
