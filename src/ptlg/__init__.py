@@ -13,26 +13,20 @@ from .errors import (
 )
 from .lgexpr import (
     ContextTable,
-    CorrelatorSet,
-    LGReport,
     correlator,
-    correlator_set,
     expression,
     l123_and_beta,
     l13,
-    lg_report,
     table,
     v123_and_delta,
     variant_v,
 )
 from .macrodiag import (
     DegreeReport,
-    DiagnosticsReport,
     ViolationReport,
     decomposition_residual_standard,
     decomposition_residual_variant,
     degree_report,
-    diagnostics,
     violation_classifier,
 )
 from .matcore import QubitDensity, projector

@@ -114,13 +114,14 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
 
     res = 0.0
     for a, t in pts:
-        b1, b2, b3, _, n1 = bob_reduced_entries(a, t)
+        b1, b2, b3, b4, n1 = bob_reduced_entries(a, t)
         rho = bob_reduced(PTParams(a, t)).mat
         tot = b1 + b2
         res = max(res,
                   abs(rho[0, 0].real - b1 / tot),
                   abs(rho[1, 1].real - b2 / tot),
-                  abs(abs(rho[0, 1]) - abs(b3) / tot),
+                  abs(rho[0, 1] - b4 / tot),
+                  abs(rho[1, 0] - b3 / tot),
                   abs(tot - 2 * n1))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 

@@ -8,14 +8,13 @@ the gap between the two families is what the macrorealism diagnostics
 decompose.
 
 Every reduction here and in `macrodiag` reads the seven context distributions
-of one parameter point from a `ContextTable`, which computes each on first use.
-The reductions accept a preset or a table; callers that need several of them
-at one point build the table once and pass it to each.
+of one parameter point from a `ContextTable`, which computes each on first use
+as a product of the preset's one chain (see `protocol`).  The reductions
+accept a preset or a table; callers that need several of them at one point
+build the table once and pass it to each.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import UsageError
 from .protocol import MeasurementContext, OutcomeDistribution, ScenarioPreset, distribution
@@ -23,31 +22,6 @@ from .protocol import MeasurementContext, OutcomeDistribution, ScenarioPreset, d
 CONTEXTS = ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3))
 EXPRESSIONS = ("L13", "V1", "V2", "V3")
 VARIANT_PAIR = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-
-
-@dataclass(frozen=True)
-class CorrelatorSet:
-    """Minimal-context correlators for one scenario."""
-
-    c12: float
-    c23: float
-    c13: float
-    c123: float
-    c1: float
-    c2: float
-    c3: float
-
-
-@dataclass(frozen=True)
-class LGReport:
-    l13: float
-    v1: float
-    v2: float
-    v3: float
-    l123: float
-    v123: float
-    beta: float
-    delta: float
 
 
 def correlator(dist: OutcomeDistribution, which: tuple[int, ...]) -> float:
@@ -69,7 +43,8 @@ class ContextTable:
     """The seven context distributions of one preset, each computed on first use.
 
     Index with the measured times: ``tab[1, 2, 3]``, ``tab[2, 3]``, ``tab[1]``.
-    The table belongs to its caller; nothing caches it on the preset.
+    The table belongs to its caller: the preset caches its chain's weights and
+    transfer tables, never a distribution.
     """
 
     def __init__(self, preset: ScenarioPreset):
@@ -92,19 +67,6 @@ class ContextTable:
 def table(x: ScenarioPreset | ContextTable) -> ContextTable:
     """The table of a preset, or `x` itself when it already is one."""
     return x if isinstance(x, ContextTable) else ContextTable(x)
-
-
-def correlator_set(x: ScenarioPreset | ContextTable) -> CorrelatorSet:
-    tab = table(x)
-    return CorrelatorSet(
-        c12=tab.correlator(1, 2),
-        c23=tab.correlator(2, 3),
-        c13=tab.correlator(1, 3),
-        c123=tab.correlator(1, 2, 3),
-        c1=tab.correlator(1),
-        c2=tab.correlator(2),
-        c3=tab.correlator(3),
-    )
 
 
 def l13(x: ScenarioPreset | ContextTable) -> float:
@@ -150,19 +112,3 @@ def v123_and_delta(x: ScenarioPreset | ContextTable) -> tuple[float, float]:
     v123 = -correlator(d, (1, 2, 3)) + correlator(d, (2, 3)) + correlator(d, (1,))
     delta = d.probs[(-1, +1, -1)] + d.probs[(-1, -1, +1)]
     return v123, delta
-
-
-def lg_report(x: ScenarioPreset | ContextTable) -> LGReport:
-    tab = table(x)
-    l123, beta = l123_and_beta(tab)
-    v123, delta = v123_and_delta(tab)
-    return LGReport(
-        l13=l13(tab),
-        v1=variant_v(1, tab),
-        v2=variant_v(2, tab),
-        v3=variant_v(3, tab),
-        l123=l123,
-        v123=v123,
-        beta=beta,
-        delta=delta,
-    )

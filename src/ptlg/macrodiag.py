@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .lgexpr import (EXPRESSIONS, ContextTable, CorrelatorSet, correlator_set, expression,
-                     l123_and_beta, l13, table, v123_and_delta, variant_v)
+from .lgexpr import (EXPRESSIONS, ContextTable, expression, l123_and_beta, l13, table,
+                     v123_and_delta, variant_v)
 from .protocol import ScenarioPreset
 
 PM = (+1, -1)
@@ -130,33 +130,4 @@ def violation_classifier(x: ScenarioPreset | ContextTable) -> ViolationReport:
         lg_values=values,
         max_nsit_degree=rep.max_nsit(),
         max_aot_degree=rep.max_aot(),
-    )
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Everything the figure pipelines and the classifier need at one point."""
-
-    correlators: CorrelatorSet
-    lg_values: dict[str, float]
-    beta: float
-    delta: float
-    degrees: DegreeReport
-    residual_standard: float
-    residual_variant: float
-
-
-def diagnostics(x: ScenarioPreset | ContextTable) -> DiagnosticsReport:
-    tab = table(x)
-    l123, beta = l123_and_beta(tab)
-    v123, delta = v123_and_delta(tab)
-    values = {name: expression(name, tab) for name in EXPRESSIONS}
-    return DiagnosticsReport(
-        correlators=correlator_set(tab),
-        lg_values=values | {"L123": l123, "V123": v123},
-        beta=beta,
-        delta=delta,
-        degrees=degree_report(tab),
-        residual_standard=decomposition_residual_standard(tab),
-        residual_variant=decomposition_residual_variant(tab),
     )

@@ -32,8 +32,11 @@ def bob_reduced(p: PTParams) -> QubitDensity:
 
 def signaling_deviation(p: PTParams):
     """Trace distance between the partner's reduced state and I/2; an (N,)
-    array for a t-grid."""
-    diff = bob_reduced(p).mat - I2 / 2.0
-    eigs = np.linalg.eigvalsh(diff)
-    dev = 0.5 * np.sum(np.abs(eigs), axis=-1)
+    array for a t-grid.
+
+    The difference d is traceless and Hermitian, so its eigenvalues are
+    +-sqrt(d00^2 + |d01|^2) and the trace distance is that root.
+    """
+    d = bob_reduced(p).mat - I2 / 2.0
+    dev = np.hypot(d[..., 0, 0].real, np.abs(d[..., 0, 1]))
     return dev if isinstance(dev, np.ndarray) else float(dev)

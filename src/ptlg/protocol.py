@@ -8,21 +8,24 @@ single composed propagator over the doubled duration.
 
 Joint probabilities follow the projective (Lueders) chain, normalized once per
 context by N = sum of p~ over all outcome tuples.  Both observables are Pauli
-matrices, so each projector |m><m| is rank one and `distribution` evaluates the
-chain as a weight at the first measured time (state rho_1) times one transfer
-table per later gap G_i (Emary, Lambert & Nori, Rep. Prog. Phys. 77, 016001):
+matrices, so each projector |m><m| is rank one, and all seven contexts of a
+preset run along one chain (Emary, Lambert & Nori, Rep. Prog. Phys. 77,
+016001): a weight at each time k and one transfer table per gap of n steps,
 
-    p~(m_1, ..., m_k) = w(m_1) T_2(m_2|m_1) ... T_k(m_k|m_(k-1)),
-    w(m) = <m|rho_1|m>,    T_i(m'|m) = |<m'|G_i|m>|^2.
+    p~(m_1, ..., m_k) = w_1(m_1) T(m_2|m_1) ... T(m_k|m_(k-1)),
+    w_k(m) = <m|rho_k|m>,    T_n(m'|m) = |<m'|G_n|m>|^2,
 
-`unnormalized_chain` and `one_time_probability` keep the branch states as
+with rho_k the chain state at time k and G_n the leg across the gap.  Each
+preset forms these tables once, on first use (`ScenarioPreset.transfer`), and
+`distribution` multiplies them out per context.  `unnormalized_chain` and
+`one_time_probability` evolve branch states along the same legs instead, as
 independent oracles.  Under non-unitary evolution N differs from context to
 context, which is exactly what lets the marginal of a finer context disagree
 with a coarser context's distribution (`macrodiag` quantifies this).  Per-step
 renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
-Two chains reach the measured times (`_chain_legs` holds the rule).  The
+Two chains reach the measured times (`_chain` holds the rule).  The
 sequential chain (the default) starts from `initial_state_at_t1` and crosses
 a gap of n steps with U(n t).  The published chain, opted into with
 `published=True` on the PT presets, is the one that the pair forms in
@@ -47,6 +50,7 @@ variant expression's quoted optimum at its stated parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +119,35 @@ class ScenarioPreset:
     observable: np.ndarray
     evolution: PTEvolution
     pre_evolution: bool
+
+    @cached_property
+    def transfer(self) -> tuple[dict[int, tuple], dict[int, list]]:
+        """The chain every context multiplies out, formed on first use: the
+        weights (w(+1), w(-1)) at each time k = 1..3, and the table
+        T[m'][m] = T(m'|m) across each gap of n = 1, 2 steps.
+
+        The observable is validated and its two bras read once; the legs come
+        from one `_chain`.  A failure raises here, at the first context read.
+        """
+        bras = []  # <m| up to a phase: row j of the validated projector |m><m| is <j|m> <m|
+        for m in (+1, -1):
+            proj = projector(self.observable, m)
+            if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
+                raise DomainError("observable needs the eigenvalues +1 and -1")
+            j = int(proj[1, 1].real > proj[0, 0].real)
+            bras.append(proj[j] / np.sqrt(proj[j, j].real))
+        vh = np.array(bras)
+        vh, v = _entries(vh), _entries(dagger(vh))
+        start, into, gaps = _chain(self)
+        start = _entries(start)
+        weights_at = {}
+        for k, u in enumerate(into, 1):
+            rho = _mul(_mul(_entries(u), start), _entries(dagger(u)))  # the state at time k
+            w = _mul(_mul(vh, rho), v)  # the diagonal holds w(m) = <m|rho|m>
+            weights_at[k] = (w[0][0].real, w[1][1].real)
+        tables = {n: [[abs(x) ** 2 for x in row] for row in _mul(_mul(vh, _entries(g)), v)]
+                  for n, g in enumerate(gaps, 1)}  # T[m'][m] = |<m'|g|m>|^2
+        return weights_at, tables
 
 
 def unitary_standard(t: float) -> ScenarioPreset:
@@ -225,30 +258,31 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     return QubitDensity(evolved / per_matrix(w))
 
 
-def _chain_legs(preset: ScenarioPreset,
-                times: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Chain state before the first measured time, and the propagator into each one.
+def _chain(preset: ScenarioPreset) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Chain state at the start, the legs into times k = 1..3, and across gaps n = 1, 2.
 
-    Sequential chain: the state at t1, U((k-1) t) into the first measured time
-    k (U(0) = I for k = 1), then U(n t) across a gap of n steps.  Published chain:
-    the bare state, U((k+1) t) into time k, then U((n+1) t) U(t)^dagger.
+    Sequential chain: the state at t1, U((k-1) t) into time k (U(0) = I for
+    k = 1), then U(n t) across a gap of n steps.  Published chain: the bare
+    state, U((k+1) t) into time k, then U((n+1) t) U(t)^dagger.
     """
     evo = preset.evolution
-    gaps = [b - a for a, b in zip(times, times[1:])]
     if evo.published:
-        return (preset.initial_state.density().normalize().mat,
-                [evo.step(times[0] + 1)]
-                + [evo.step(n + 1) @ dagger(evo.step(1)) for n in gaps])
-    return (initial_state_at_t1(preset).mat,
-            [evo.step(times[0] - 1)] + [evo.step(n) for n in gaps])
+        start = preset.initial_state.density().normalize().mat
+        into = [evo.step(k + 1) for k in (1, 2, 3)]
+        back = dagger(evo.step(1))
+        return start, into, [into[n - 1] @ back for n in (1, 2)]
+    start = initial_state_at_t1(preset).mat
+    into = [evo.step(k - 1) for k in (1, 2, 3)]
+    return start, into, into[1:]
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]) -> float:
-    """Chain value p~ for one outcome tuple; nonnegative up to roundoff."""
+    """Chain value p~ for one outcome tuple, from branch states; nonnegative up to roundoff."""
     times = ctx.measured_times
     if len(outcomes) != len(times):
         raise UsageError(f"{len(times)} measured times but {len(outcomes)} outcomes")
-    rho, legs = _chain_legs(ctx.preset, times)
+    rho, into, gaps = _chain(ctx.preset)
+    legs = [into[times[0] - 1]] + [gaps[b - a - 1] for a, b in zip(times, times[1:])]
     for u, m in zip(legs, outcomes):
         rho = u @ rho @ u.conj().T
         pi = projector(ctx.preset.observable, m)
@@ -270,25 +304,17 @@ def _mul(a: list, b: list) -> list:
 def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     """Per-context normalized outcome table over +-1 tuples, in the transfer form.
 
-    Equivalent to normalizing `unnormalized_chain` over all outcome tuples.  For
-    a t-grid preset each probability is an (N,) array; for one point, a float.
+    The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, normalized
+    once; equivalent to normalizing `unnormalized_chain` over all outcome
+    tuples.  For a t-grid preset each probability is an (N,) array; for one
+    point, a float.
     """
     times = ctx.measured_times
-    bras = []  # <m| up to a phase: row j of the validated projector |m><m| is <j|m> <m|
-    for m in (+1, -1):
-        proj = projector(ctx.preset.observable, m)
-        if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
-            raise DomainError("observable needs the eigenvalues +1 and -1")
-        j = int(proj[1, 1].real > proj[0, 0].real)
-        bras.append(proj[j] / np.sqrt(proj[j, j].real))
-    vh = np.array(bras)
-    vh, v = _entries(vh), _entries(dagger(vh))
-    start, (u, *gaps) = _chain_legs(ctx.preset, times)
-    rho = _mul(_mul(_entries(u), _entries(start)), _entries(dagger(u)))  # at the first time
-    w = _mul(_mul(vh, rho), v)  # the diagonal holds w(m) = <m|rho|m>
-    raw = {(+1,): w[0][0].real, (-1,): w[1][1].real}
-    for g in gaps:  # tr[m'][m] = T(m'|m) = |<m'|g|m>|^2
-        tr = [[abs(x) ** 2 for x in row] for row in _mul(_mul(vh, _entries(g)), v)]
+    weights_at, tables = ctx.preset.transfer
+    w = weights_at[times[0]]
+    raw = {(+1,): w[0], (-1,): w[1]}
+    for a, b in zip(times, times[1:]):
+        tr = tables[b - a]
         raw = {oc + (m,): p * tr[(1 - m) // 2][(1 - oc[-1]) // 2]
                for oc, p in raw.items() for m in (+1, -1)}
     total = sum(raw.values())
@@ -308,8 +334,8 @@ def one_time_probability(preset: ScenarioPreset, j: int) -> tuple[float, float]:
     """
     if j not in (1, 2, 3):
         raise UsageError(f"time index must be 1, 2 or 3, got {j}")
-    rho, (u,) = _chain_legs(preset, (j,))
-    evolved = u @ rho @ u.conj().T
+    rho, into, _ = _chain(preset)
+    evolved = into[j - 1] @ rho @ into[j - 1].conj().T
     w = float(np.trace(evolved).real)
     if w < WEIGHT_FLOOR:
         raise DegenerateWeightError(f"weight {w:.3e} at time {j} cannot be renormalized")

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from ptlg import checks
 from ptlg.checks import run_identity_suite
 from ptlg.cli import main
 from ptlg.errors import UsageError
+from ptlg.matcore import QubitDensity
 
 
 class TestIdentitySuite:
@@ -23,6 +25,14 @@ class TestIdentitySuite:
     def test_zero_sample_size_rejected(self):
         with pytest.raises(UsageError):
             run_identity_suite(sample_size=0)
+
+    def test_untransposed_partner_state_detected(self, monkeypatch):
+        # U^dag U has the right diagonal and |off-diagonal|, but conjugated phases
+        original = checks.bob_reduced
+        monkeypatch.setattr(checks, "bob_reduced", lambda p: QubitDensity(original(p).mat.T))
+        results = run_identity_suite(sample_size=4)
+        failed = {r.name for r in results if not r.passed}
+        assert failed == {"partner-state-closed-form"}
 
 
 class TestCheckCommand:

@@ -4,11 +4,13 @@ import pytest
 from ptlg.closedform import unitary_l13, unitary_v3
 from ptlg.errors import UsageError
 from ptlg.lgexpr import (
+    CONTEXTS,
+    EXPRESSIONS,
     correlator,
-    correlator_set,
+    expression,
     l123_and_beta,
     l13,
-    lg_report,
+    table,
     v123_and_delta,
     variant_v,
 )
@@ -91,10 +93,10 @@ class TestVariantV:
     def test_pairings(self):
         # V1 pairs <M2 M3>, V2 pairs <M1 M3>, V3 pairs <M1 M2>
         preset = pt_variant(0.9, 0.6, 1.0, 0.5)
-        cs = correlator_set(preset)
-        assert variant_v(1, preset) == pytest.approx(-cs.c123 + cs.c23 + cs.c1, abs=1e-12)
-        assert variant_v(2, preset) == pytest.approx(-cs.c123 + cs.c13 + cs.c2, abs=1e-12)
-        assert variant_v(3, preset) == pytest.approx(-cs.c123 + cs.c12 + cs.c3, abs=1e-12)
+        c = table(preset).correlator
+        assert variant_v(1, preset) == pytest.approx(-c(1, 2, 3) + c(2, 3) + c(1), abs=1e-12)
+        assert variant_v(2, preset) == pytest.approx(-c(1, 2, 3) + c(1, 3) + c(2), abs=1e-12)
+        assert variant_v(3, preset) == pytest.approx(-c(1, 2, 3) + c(1, 2) + c(3), abs=1e-12)
 
 
 def _random_presets(n, seed):
@@ -149,25 +151,25 @@ class TestFullContextIdentities:
 class TestBoundsAndSymmetry:
     def test_correlators_bounded(self):
         for preset in _random_presets(8, 45):
-            cs = correlator_set(preset)
-            for val in (cs.c12, cs.c23, cs.c13, cs.c123, cs.c1, cs.c2, cs.c3):
-                assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
+            tab = table(preset)
+            for times in CONTEXTS:
+                assert -1.0 - 1e-12 <= tab.correlator(*times) <= 1.0 + 1e-12
 
     def test_lg_values_below_algebraic_maximum(self):
         for preset in _random_presets(8, 46):
-            rep = lg_report(preset)
-            for val in (rep.l13, rep.v1, rep.v2, rep.v3):
-                assert val <= 3.0 + 1e-9
+            tab = table(preset)
+            for name in EXPRESSIONS:
+                assert expression(name, tab) <= 3.0 + 1e-9
 
     def test_observable_relabeling_flips_odd_correlators(self):
         base = pt_standard(np.pi / 3, 0.7)
         flipped = ScenarioPreset(label="CUSTOM", initial_state=base.initial_state,
                                  observable=-SIGMA_Y, evolution=base.evolution,
                                  pre_evolution=base.pre_evolution)
-        a, b = correlator_set(base), correlator_set(flipped)
-        assert b.c1 == pytest.approx(-a.c1, abs=1e-12)
-        assert b.c123 == pytest.approx(-a.c123, abs=1e-12)
-        assert b.c12 == pytest.approx(a.c12, abs=1e-12)
-        assert b.c13 == pytest.approx(a.c13, abs=1e-12)
+        a, b = table(base).correlator, table(flipped).correlator
+        assert b(1) == pytest.approx(-a(1), abs=1e-12)
+        assert b(1, 2, 3) == pytest.approx(-a(1, 2, 3), abs=1e-12)
+        assert b(1, 2) == pytest.approx(a(1, 2), abs=1e-12)
+        assert b(1, 3) == pytest.approx(a(1, 3), abs=1e-12)
         assert l13(flipped) == pytest.approx(l13(base), abs=1e-12)
         assert l13(flipped) <= 3.0 + 1e-9

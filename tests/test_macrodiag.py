@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ptlg import lgexpr
-from ptlg.lgexpr import l123_and_beta, l13, v123_and_delta, variant_v
+from ptlg.lgexpr import (EXPRESSIONS, expression, l123_and_beta, l13, table, v123_and_delta,
+                         variant_v)
 from ptlg.macrodiag import (
     decomposition_residual_standard,
     decomposition_residual_variant,
     degree_report,
-    diagnostics,
     violation_classifier,
 )
 from ptlg.protocol import (
@@ -156,19 +156,21 @@ class TestClassifier:
 
 
 def test_diagnostics_bundle():
-    preset = pt_standard(np.pi / 3, 0.785)
-    diag = diagnostics(preset)
-    assert set(diag.lg_values) == {"L13", "V1", "V2", "V3", "L123", "V123"}
-    assert diag.residual_standard < 1e-10
-    assert diag.residual_variant < 1e-10
-    assert abs(diag.lg_values["L123"] - (1 - 4 * diag.beta)) < 1e-12
-    assert abs(diag.lg_values["V123"] - (1 - 4 * diag.delta)) < 1e-12
-    cs = diag.correlators
-    assert diag.lg_values["L13"] == pytest.approx(cs.c12 + cs.c23 - cs.c13, abs=1e-12)
-    assert diag.lg_values["V1"] == pytest.approx(-cs.c123 + cs.c23 + cs.c1, abs=1e-12)
+    tab = table(pt_standard(np.pi / 3, 0.785))
+    l123, beta = l123_and_beta(tab)
+    v123, delta = v123_and_delta(tab)
+    values = {name: expression(name, tab) for name in EXPRESSIONS} | {"L123": l123, "V123": v123}
+    assert set(values) == {"L13", "V1", "V2", "V3", "L123", "V123"}
+    assert decomposition_residual_standard(tab) < 1e-10
+    assert decomposition_residual_variant(tab) < 1e-10
+    assert abs(values["L123"] - (1 - 4 * beta)) < 1e-12
+    assert abs(values["V123"] - (1 - 4 * delta)) < 1e-12
+    c = tab.correlator
+    assert values["L13"] == pytest.approx(c(1, 2) + c(2, 3) - c(1, 3), abs=1e-12)
+    assert values["V1"] == pytest.approx(-c(1, 2, 3) + c(2, 3) + c(1), abs=1e-12)
 
 
 def test_diagnostics_computes_each_context_once(distribution_calls):
-    diagnostics(pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2))
+    violation_classifier(pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2))
     assert len(distribution_calls) == 7
     assert sorted(distribution_calls) == sorted(lgexpr.CONTEXTS)

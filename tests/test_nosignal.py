@@ -66,8 +66,8 @@ class TestBobReduced:
             rho = bob_reduced(PTParams(alpha, t)).mat
             assert rho[0, 0].real == pytest.approx(b1 / tot, abs=1e-9)
             assert rho[1, 1].real == pytest.approx(b2 / tot, abs=1e-9)
-            assert abs(rho[0, 1]) == pytest.approx(abs(b3) / tot, abs=1e-9)
-            assert abs(rho[1, 0]) == pytest.approx(abs(b4) / tot, abs=1e-9)
+            assert rho[0, 1] == pytest.approx(b4 / tot, abs=1e-9)
+            assert rho[1, 0] == pytest.approx(b3 / tot, abs=1e-9)
 
 
 class TestBellPairProperties:

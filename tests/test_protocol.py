@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ptlg.errors import DomainError, UsageError
+from ptlg import protocol
+from ptlg.errors import DegenerateWeightError, DomainError, UsageError
+from ptlg.lgexpr import ContextTable
 from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, projector
 from ptlg.protocol import (
     MeasurementContext,
@@ -131,8 +133,9 @@ class TestDistributions:
             preset = ScenarioPreset(label="CUSTOM", initial_state=base.initial_state,
                                     observable=obs, evolution=base.evolution,
                                     pre_evolution=False)
-            with pytest.raises(DomainError, match="eigenvalues"):
-                distribution(ctx(preset, 1, 2))
+            for times in ((1, 2), (3,)):  # raised at each read, not when the preset is built
+                with pytest.raises(DomainError, match="eigenvalues"):
+                    distribution(ctx(preset, *times))
 
     def test_probabilities_in_range_random(self):
         rng = np.random.default_rng(32)
@@ -210,6 +213,44 @@ class TestPublishedChain:
             pt_standard(0.5, 0.7, pre_evolution=False, published=True)
         with pytest.raises(UsageError):
             pt_variant(0.5, 0.7, 1.0, 0.2, pre_evolution=False, published=True)
+
+
+class TestOneChainPerPreset:
+    """The seven contexts of a preset multiply one set of tables, formed on first use."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("initial_state_at_t1", "projector", "propagator"):
+            def counting(*args, _f=getattr(protocol, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _f(*args)
+            monkeypatch.setattr(protocol, name, counting)
+        return counts
+
+    def test_sequential_chain_is_formed_once(self, calls):
+        preset = pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2)
+        for _ in range(2):  # a second table of the same preset forms nothing new
+            tab = ContextTable(preset)
+            for times in ALL_CONTEXTS:
+                tab[times]
+        assert calls["initial_state_at_t1"] <= 1
+        assert calls["projector"] <= 2
+        assert calls["propagator"] <= 6
+
+    def test_published_chain_is_formed_once(self, calls):
+        tab = ContextTable(pt_standard(np.pi / 3, 0.7, published=True))
+        for times in ALL_CONTEXTS:
+            tab[times]
+        assert calls["propagator"] <= 6
+        assert "initial_state_at_t1" not in calls
+
+    def test_degenerate_pre_evolution_raises_at_first_use(self, monkeypatch):
+        monkeypatch.setattr(protocol, "propagator", lambda p: np.zeros((2, 2), dtype=complex))
+        preset = pt_standard(0.5, 0.7)
+        for _ in range(2):  # a failed chain is not cached
+            with pytest.raises(DegenerateWeightError, match="pre-evolution"):
+                distribution(ctx(preset, 2))
 
 
 class TestContextValidation:
