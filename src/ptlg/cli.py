@@ -25,8 +25,8 @@ from .sweep import (
     SweepConfig,
     build_preset,
     figure_data,
+    grid_columns,
     scan,
-    t_grid_columns,
 )
 
 EXIT_OK = 0
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_grid(p_fig)
     add_state(p_fig)
 
-    p_opt = sub.add_parser("optimize", help="grid + golden-section maximization")
+    p_opt = sub.add_parser("optimize", help="grid scan + stacked k-section maximization")
     p_opt.add_argument("expression", choices=("L13", "V1", "V2", "V3"))
     p_opt.add_argument("--kind", choices=("pt", "unitary"), default="pt")
     add_grid(p_opt)
@@ -206,6 +206,7 @@ def cmd_optimize(args) -> int:
         "kind": args.kind,
         "params": {k: _round12(v) for k, v in sorted(result.argmax_params.items())},
         "value": _round12(result.argmax_value),
+        "converged": result.converged,
         "classifier": {
             "lg_violated": classifier.lg_violated,
             "nsit_violated": classifier.nsit_violated,
@@ -247,7 +248,8 @@ def cmd_nosignal(args) -> int:
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rows = []
     for alpha in alphas:
-        (devs,) = t_grid_columns(lambda t: (signaling_deviation(PTParams(alpha, t)),), ts, 1)
+        (devs,), _ = grid_columns(lambda t: (signaling_deviation(PTParams(alpha, t)),),
+                                  {"t": ts}, 1)
         rows += [(alpha, t, dev) for t, dev in zip(ts, devs)]
     return _emit_table(args, f"ptlg_nosignal.{args.format}", ("alpha", "t", "deviation"),
                        rows, grid, "max_deviation")

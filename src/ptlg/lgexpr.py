@@ -44,12 +44,13 @@ class ContextTable:
 
     Index with the measured times: ``tab[1, 2, 3]``, ``tab[2, 3]``, ``tab[1]``.
     The table belongs to its caller: the preset caches its chain's weights and
-    transfer tables, never a distribution.
+    transfer tables, never a distribution.  `cached` keeps a reduction with it.
     """
 
     def __init__(self, preset: ScenarioPreset):
         self.preset = preset
         self._dists: dict[tuple[int, ...], OutcomeDistribution] = {}
+        self._reductions: dict = {}
 
     def __getitem__(self, times) -> OutcomeDistribution:
         times = times if isinstance(times, tuple) else (times,)
@@ -58,6 +59,12 @@ class ContextTable:
             dist = distribution(MeasurementContext(preset=self.preset, measured_times=times))
             self._dists[times] = dist
         return dist
+
+    def cached(self, reduction):
+        """`reduction(self)`, computed on first use and kept with the table."""
+        if reduction not in self._reductions:
+            self._reductions[reduction] = reduction(self)
+        return self._reductions[reduction]
 
     def correlator(self, *times: int) -> float:
         """Correlator of `times` in its own minimal context."""

@@ -74,7 +74,7 @@ def decomposition_residual_standard(x: ScenarioPreset | ContextTable) -> float:
         <M1 M3> gap -> d_1_2_3 (unequal minus equal, from the minus sign)
     """
     tab = table(x)
-    rep = degree_report(tab)
+    rep = tab.cached(degree_report)
     l13_val = l13(tab)
     l123, _ = l123_and_beta(tab)
     decomposition = (
@@ -94,7 +94,7 @@ def decomposition_residual_variant(x: ScenarioPreset | ContextTable) -> float:
     context difference written outcome-by-outcome.
     """
     tab = table(x)
-    rep = degree_report(tab)
+    rep = tab.cached(degree_report)
     v1 = variant_v(1, tab)
     v123, _ = v123_and_delta(tab)
     decomposition = (2.0 * _signed_sum(rep.d_123, True)
@@ -121,7 +121,7 @@ def violation_classifier(x: ScenarioPreset | ContextTable) -> ViolationReport:
     structural effects.
     """
     tab = table(x)
-    rep = degree_report(tab)
+    rep = tab.cached(degree_report)
     values = {name: expression(name, tab) for name in EXPRESSIONS}
     return ViolationReport(
         lg_violated={k: v > 1.0 + VIOLATION_THRESHOLD for k, v in values.items()},

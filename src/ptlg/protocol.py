@@ -35,11 +35,13 @@ of n steps with U((n+1) t) U(t)^dagger.  The rule is inferred from those
 forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
 the mixed state; for alpha != 0 the published gap is not U(n t).
 
-A preset may carry a t-grid in place of one duration (see `PTParams`).  Its
-propagators, weights, transfer tables and probabilities are then stacks with
-one entry per grid point, computed by the same code and the same order of
-operations as a single point, so each entry equals that point evaluated
-alone.  Every check applies per point; a failure at any point raises.
+Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values
+in place of one, aligned point by point with the other stacks (see
+`PTParams` and `InitialState`).  Its propagators, weights, transfer tables
+and probabilities are then stacks with one entry per point, computed by the
+same code and the same order of operations as a single point.  An entry of
+a t-stack equals that point evaluated alone, bit for bit.  Every check
+applies per point; a failure at any point raises.
 
 Unitary = alpha = 0 PT step: the unitary presets evolve states with
 exp(-i t sigma_x), probe sigma_z and skip pre-evolution; the ket |0> of
@@ -57,7 +59,7 @@ import numpy as np
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
 from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
                       lowest, per_matrix, projector, weights)
-from .ptdyn import PTParams, propagator, with_t
+from .ptdyn import PTParams, point_or_stack, propagator, with_t
 
 MAXIMALLY_MIXED = "maximally_mixed"
 PURE = "pure"
@@ -66,27 +68,31 @@ PURE = "pure"
 @dataclass(frozen=True)
 class InitialState:
     kind: str
-    theta: float = 0.0
-    phi: float = 0.0
+    theta: float | tuple[float, ...] = 0.0  # a stack of N angles is held as a tuple
+    phi: float | tuple[float, ...] = 0.0
 
     def ket(self) -> np.ndarray:
         """cos(theta)|0> + e^{i phi} sin(theta)|1> as the column (e^{i phi} sin(theta),
-        cos(theta)): |0> is the lower sigma_z eigenvector."""
-        return np.array([np.exp(1j * self.phi) * np.sin(self.theta), np.cos(self.theta)])
+        cos(theta)): |0> is the lower sigma_z eigenvector.  (N, 2) for a stack."""
+        theta, phi = self.theta, self.phi
+        if isinstance(theta, tuple) or isinstance(phi, tuple):
+            theta, phi = np.broadcast_arrays(theta, phi)
+            return np.stack([np.exp(1j * phi) * np.sin(theta), np.cos(theta)], axis=-1)
+        return np.array([np.exp(1j * phi) * np.sin(theta), np.cos(theta)])
 
     def density(self) -> QubitDensity:
         if self.kind == MAXIMALLY_MIXED:
             return QubitDensity(I2 / 2.0)
         psi = self.ket()
-        return QubitDensity(np.outer(psi, psi.conj()))
+        return QubitDensity(psi[..., :, None] * psi[..., None, :].conj())
 
 
 def maximally_mixed() -> InitialState:
     return InitialState(kind=MAXIMALLY_MIXED)
 
 
-def pure_state(theta: float, phi: float) -> InitialState:
-    return InitialState(kind=PURE, theta=float(theta), phi=float(phi))
+def pure_state(theta, phi) -> InitialState:
+    return InitialState(kind=PURE, theta=point_or_stack(theta), phi=point_or_stack(phi))
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,7 @@ def unitary_variant(t: float, theta: float, phi: float) -> ScenarioPreset:
 def _pt_evolution(alpha: float, t, pre_evolution: bool, published: bool) -> PTEvolution:
     if published and not pre_evolution:
         raise UsageError("the published chain fixes its own start; it needs pre_evolution=True")
-    return PTEvolution(PTParams(alpha=float(alpha), t=t), published=published)
+    return PTEvolution(PTParams(alpha=alpha, t=t), published=published)
 
 
 def pt_standard(alpha: float, t, pre_evolution: bool = True,
@@ -247,7 +253,7 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
         return state.density().normalize()
     u = preset.evolution.step(1)
     if state.kind == PURE:  # v v^dagger is Hermitian entry for entry; U rho U^dagger is not
-        v = u @ state.ket()
+        v = (u @ state.ket()[..., None])[..., 0]
         evolved = v[..., :, None] * v[..., None, :].conj()
     else:
         evolved = u @ state.density().normalize().mat @ dagger(u)

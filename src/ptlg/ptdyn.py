@@ -21,41 +21,48 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ExceptionalPointError
-from .matcore import I2
+from .matcore import I2, dagger
 
 ALPHA_LIMIT = np.pi / 2
+
+
+def point_or_stack(x, ok=None, error=None):
+    """A parameter as a float, or as a tuple of floats for a stack (given as a
+    tuple or an array), so that it stays hashable.  `ok` is checked per point;
+    the first point where it fails raises `error(value)`."""
+    stack = isinstance(x, (tuple, np.ndarray))
+    xs = np.asarray(x, dtype=float) if stack else x
+    if ok is not None:
+        good = ok(xs)
+        if not (good.all() if stack else good):
+            raise error(float(xs[~good][0]) if stack else x)
+    return tuple(xs.tolist()) if stack else float(x)
 
 
 @dataclass(frozen=True)
 class PTParams:
     """Hamiltonian scale s, non-Hermiticity angle alpha, dimensionless duration t.
 
-    t may also be a t-grid, given as a tuple or array of durations and held
-    as a tuple of floats so that the value stays hashable; its propagator is
-    then a stack.
+    alpha and t may each be a stack of N values, given as a tuple or an array
+    and held as a tuple of floats so that the value stays hashable; its
+    propagator is then an (N, 2, 2) stack.  Two stacks are aligned point by
+    point, and every check applies per point.
     """
 
-    alpha: float
+    alpha: float | tuple[float, ...]
     t: float | tuple[float, ...]
     s: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or abs(self.alpha) >= ALPHA_LIMIT:
-            raise ExceptionalPointError(
-                f"alpha={self.alpha!r} outside the real-spectrum regime |alpha| < pi/2"
-            )
+        alpha = point_or_stack(self.alpha, lambda a: abs(a) < ALPHA_LIMIT, lambda a:
+                               ExceptionalPointError(f"alpha={a!r} outside the real-spectrum "
+                                                     "regime |alpha| < pi/2"))
         if not np.isfinite(self.s) or self.s <= 0:
             raise DomainError(f"scale s must be positive, got {self.s!r}")
-        if isinstance(self.t, (tuple, np.ndarray)):
-            ts = np.asarray(self.t, dtype=float)
-            bad = ts[~(np.isfinite(ts) & (ts >= 0))]
-            if bad.size:
-                raise DomainError(f"duration t must be >= 0, got {float(bad[0])!r}")
-            object.__setattr__(self, "t", tuple(ts.tolist()))
-        elif not np.isfinite(self.t) or self.t < 0:
-            raise DomainError(f"duration t must be >= 0, got {self.t!r}")
-        else:
-            object.__setattr__(self, "t", float(self.t))
+        t = point_or_stack(self.t, lambda t: (t >= 0) & (t < np.inf),
+                           lambda t: DomainError(f"duration t must be >= 0, got {t!r}"))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "t", t)
 
 
 def with_t(p: PTParams, t: float) -> PTParams:
@@ -73,9 +80,17 @@ class EigenSystem:
     v_minus: np.ndarray
 
 
+def _per_matrix(x):
+    """A stack's values shaped (N, 1, 1) to scale its matrices; a point's value as is."""
+    return np.array(x)[:, None, None] if isinstance(x, tuple) else x
+
+
 def hamiltonian(p: PTParams) -> np.ndarray:
-    """s [[i sin alpha, 1], [1, -i sin alpha]]; traceless by construction."""
+    """s [[i sin alpha, 1], [1, -i sin alpha]]; traceless; (N, 2, 2) for an alpha stack."""
     sa = np.sin(p.alpha)
+    if isinstance(p.alpha, tuple):
+        one = np.ones_like(sa)
+        return p.s * np.array([[1j * sa, one], [one, -1j * sa]]).transpose(2, 0, 1)
     return p.s * np.array([[1j * sa, 1.0], [1.0, -1j * sa]], dtype=complex)
 
 
@@ -91,18 +106,18 @@ def eigensystem(p: PTParams) -> EigenSystem:
 def propagator(p: PTParams) -> np.ndarray:
     """exp(-i H tau) via the H^2 = (s cos alpha)^2 I identity.
 
-    A t-grid of N durations gives the (N, 2, 2) stack of their propagators,
-    each entry computed exactly as for a single duration.
+    A stack of N durations, angles or both gives the (N, 2, 2) stack; each
+    entry of a t-stack is computed exactly as for a single duration.
     """
-    h_unit = hamiltonian(p) / (p.s * np.cos(p.alpha))
-    t = np.array(p.t)[:, None, None] if isinstance(p.t, tuple) else p.t
+    h_unit = hamiltonian(p) / (p.s * np.cos(_per_matrix(p.alpha)))
+    t = _per_matrix(p.t)
     return np.cos(t) * I2 - 1j * np.sin(t) * h_unit
 
 
 def uu_dagger(p: PTParams) -> np.ndarray:
-    """U U^dagger; the identity iff alpha = 0 or sin t = 0."""
+    """U U^dagger, or a stack of them; the identity iff alpha = 0 or sin t = 0."""
     u = propagator(p)
-    return u @ u.conj().T
+    return u @ dagger(u)
 
 
 def composition_check(p: PTParams, t1: float, t2: float) -> float:

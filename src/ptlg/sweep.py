@@ -5,9 +5,10 @@ axes (t, alpha, theta, phi).  Domain errors at individual grid points are
 recorded per row instead of aborting the scan, so near-exceptional-point
 grids still produce complete figures.
 
-Figure data evaluates each alpha's t-grid as one stacked preset (see
-`protocol`); `scan` and `refine_max` evaluate one point at a time, because
-golden-section probes depend on each other.
+Every grid is evaluated as one stacked preset (see `protocol`): each alpha's
+t-grid of a figure, a `scan`'s whole Cartesian grid, and each round of
+`refine_max`'s k-section (K probes of its bracket).  `grid_columns` runs the
+stack and falls back to one point at a time if any point fails.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ PARAM_ORDER = ("t", "alpha", "theta", "phi")
 DEFAULT_ALPHAS = (0.0, np.pi / 3, 2 * np.pi / 5, np.pi / 2.05)
 DEFAULT_THETA = 5 * np.pi / 6
 DEFAULT_PHI = np.pi / 2
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOLERANCE = 1e-7
+REFINE_CYCLES = 60  # cap on the cyclic coordinate passes of `refine_max`
+K = 16  # interior probes per k-section round, evaluated as one stack
 KINDS = ("unitary", "pt", "pt-published")
 
 
@@ -44,8 +46,6 @@ class GridSpec:
             raise UsageError(f"grid bounds reversed: [{self.lo}, {self.hi}]")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.lo])
         return np.linspace(self.lo, self.hi, self.count)
 
     def spacing(self) -> float:
@@ -98,9 +98,10 @@ class SweepResult:
     rows: list[SweepRow]
     argmax_params: dict[str, float]
     argmax_value: float
+    converged: bool | None = None  # whether refinement converged; None without refinement
 
 
-def _pt_preset(expr: str, alpha: float, t: float, theta: float, phi: float,
+def _pt_preset(expr: str, alpha, t, theta, phi,
                pre_evolution: bool, published: bool = False) -> ScenarioPreset:
     """The standard preset for L13, the pure-state variant for V1..V3."""
     if expr == "L13":
@@ -108,7 +109,8 @@ def _pt_preset(expr: str, alpha: float, t: float, theta: float, phi: float,
     return pt_variant(alpha, t, theta, phi, pre_evolution=pre_evolution, published=published)
 
 
-def build_preset(cfg: SweepConfig, params: dict[str, float]) -> ScenarioPreset:
+def build_preset(cfg: SweepConfig, params: dict) -> ScenarioPreset:
+    """The preset at `params`; any parameter may be a stack, aligned with the others."""
     t = params["t"]
     theta = params.get("theta", DEFAULT_THETA)
     phi = params.get("phi", DEFAULT_PHI)
@@ -120,119 +122,107 @@ def build_preset(cfg: SweepConfig, params: dict[str, float]) -> ScenarioPreset:
     return unitary_variant(t, theta, phi)
 
 
-def evaluate_expression(cfg: SweepConfig, params: dict[str, float]) -> float:
+def evaluate_expression(cfg: SweepConfig, params: dict):
+    """The expression at `params`; an array if a stacked parameter moves it."""
     return expression(cfg.expression, build_preset(cfg, params))
 
 
-def _param_axes(cfg: SweepConfig) -> list[tuple[str, np.ndarray]]:
-    axes = []
-    for name in PARAM_ORDER:
-        if name in cfg.grids:
-            axes.append((name, cfg.grids[name].values()))
-    return axes
+def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list]:
+    """The `width` columns of `f` over N aligned points, from one stacked call,
+    and each point's failure reason (None where it succeeded).
+
+    `axes` maps each varying parameter to its N values; `f(**params)` returns
+    `width` values, or arrays (or constants) for tuples.  If the stacked call fails
+    with a domain or degenerate-weight error, the points are re-run one at a
+    time: a failing point gives NaN, and every other point keeps its value.
+    """
+    n = max(map(len, axes.values()), default=1)
+    try:
+        cols = f(**{name: tuple(v) for name, v in axes.items()})
+        return [c.tolist() if np.ndim(c) else [float(c)] * n for c in cols], [None] * n
+    except (DomainError, DegenerateWeightError):
+        pass
+    rows, errors = [], []
+    for i in range(n):
+        try:
+            rows.append(f(**{name: v[i] for name, v in axes.items()}))
+            errors.append(None)
+        except (DomainError, DegenerateWeightError) as exc:
+            rows.append((float("nan"),) * width)
+            errors.append(str(exc))
+    return [list(c) for c in zip(*rows)], errors
 
 
 def scan(cfg: SweepConfig) -> SweepResult:
-    """Dense evaluation over the Cartesian grid, then optional local refinement."""
-    axes = _param_axes(cfg)
-    names = [n for n, _ in axes]
-    points = [dict(cfg.fixed) | dict(zip(names, combo))
-              for combo in product(*(vals for _, vals in axes))]
-
-    def one(params: dict[str, float]) -> SweepRow:
-        try:
-            return SweepRow(params=params, value=evaluate_expression(cfg, params))
-        except (DomainError, DegenerateWeightError) as exc:
-            return SweepRow(params=params, value=float("nan"), error=str(exc))
-
-    rows = [one(p) for p in points]
+    """Dense evaluation over the Cartesian grid as one stack, then optional
+    local refinement."""
+    names = [n for n in PARAM_ORDER if n in cfg.grids]
+    points = list(product(*(cfg.grids[n].values() for n in names)))
+    axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
+    (values,), errors = grid_columns(
+        lambda **point: (evaluate_expression(cfg, cfg.fixed | point),), axes, 1)
+    rows = [SweepRow(params=dict(cfg.fixed) | dict(zip(names, p)), value=v, error=e)
+            for p, v, e in zip(points, values, errors)]
     valid = [r for r in rows if r.error is None]
     if not valid:
         raise DomainError("every grid point failed; nothing to maximize")
     best = max(valid, key=lambda r: r.value)
-    argmax_params, argmax_value = dict(best.params), best.value
+    argmax_params, argmax_value, converged = dict(best.params), best.value, None
     if cfg.refine:
-        argmax_params, argmax_value = refine_max(cfg, argmax_params)
+        argmax_params, argmax_value, converged = refine_max(cfg, argmax_params)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
-                       argmax_value=argmax_value)
+                       argmax_value=argmax_value, converged=converged)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _ksection_max(cfg: SweepConfig, params: dict, name: str, lo: float, hi: float):
+    """The best probe of `name` in [lo, hi], the other parameters held at `params`.
+
+    Each round evaluates K evenly spaced interior probes as one stack (a failing
+    probe counts as -inf) and keeps the two spacings around the best probe so
+    far, until the bracket is at most REFINE_TOLERANCE wide."""
+    x, fx = None, -np.inf
+    while True:
+        xs = np.linspace(lo, hi, K + 2)
+        (values,), _ = grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
+                                    {name: xs[1:-1].tolist()}, 1)
+        values = np.fmax(values, -np.inf)  # NaN -> -inf
+        i = int(np.argmax(values))
+        if x is None or values[i] > fx:
+            x, fx = float(xs[i + 1]), float(values[i])
+        lo, hi = max(lo, x - (xs[1] - xs[0])), min(hi, x + (xs[1] - xs[0]))
+        if hi - lo <= REFINE_TOLERANCE:
+            return x, fx
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float]:
-    """Cyclic per-coordinate golden-section ascent from a seed point.
+def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
+    """Cyclic per-coordinate k-section ascent from a seed point.
 
     Each swept coordinate is refined inside a bracket of one grid spacing
     around the current point (clipped to the grid bounds), cycling until a
-    full pass improves no coordinate by more than the tolerance.  The result
-    never falls below the seed's value.
+    full pass improves no coordinate by more than the tolerance, or for at
+    most REFINE_CYCLES passes.  The result never falls below the seed's value.
+    Returns the point, its value, and whether the passes converged before the cap.
     """
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
-    for _ in range(60):
+    for _ in range(REFINE_CYCLES):
         moved = 0.0
         for name, grid in sweepable:
             radius = grid.spacing()
-
-            def f(x, _name=name):
-                trial = dict(params)
-                trial[_name] = x
-                try:
-                    return evaluate_expression(cfg, trial)
-                except (DomainError, DegenerateWeightError):
-                    return -np.inf
-
             lo = max(grid.lo, params[name] - radius)
             hi = min(grid.hi, params[name] + radius)
             if hi <= lo:
                 continue
-            x, fx = _golden_max(f, lo, hi, REFINE_TOLERANCE)
+            x, fx = _ksection_max(cfg, params, name, lo, hi)
             if fx > best:
                 moved = max(moved, abs(x - params[name]))
                 params[name], best = x, fx
         if moved < REFINE_TOLERANCE:
-            break
-    return params, best
-
-
-def t_grid_columns(f, ts: np.ndarray, width: int) -> list:
-    """The `width` columns of `f` over the t-grid `ts`, from one stacked call.
-
-    `f(t)` returns a tuple of `width` values for one duration t, or of
-    `width` arrays when t is the grid as a tuple.  If the stacked call fails
-    with a domain or degenerate-weight error, the grid is re-run point by
-    point: the failing points give NaN and every other point keeps its value.
-    """
-    try:
-        return [np.asarray(c).tolist() for c in f(tuple(ts.tolist()))]
-    except (DomainError, DegenerateWeightError):
-        pass
-    rows = []
-    for t in ts:
-        try:
-            rows.append(f(t))
-        except (DomainError, DegenerateWeightError):
-            rows.append((float("nan"),) * width)
-    return [list(c) for c in zip(*rows)]
+            return params, best, True
+    return params, best, False
 
 
 @dataclass(frozen=True)
@@ -271,7 +261,7 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
 
     Each alpha's t-grid is one stacked preset and one context table.  A point
     outside the domain, or with a degenerate context, gives a row of NaNs
-    after its (alpha, t).
+    after its (alpha, t) (see `grid_columns`).
     """
     if fig not in _FIGURES:
         raise UsageError(f"figure index must be 1..4, got {fig}")
@@ -293,6 +283,6 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
             return ((expression(expr, tab),)
                     + tuple(getattr(rep, name)[key] for name, key, _ in degree_cols))
 
-        cols = t_grid_columns(values, ts, 1 + len(degree_cols))
+        cols, _ = grid_columns(values, {"t": ts}, 1 + len(degree_cols))
         rows += [(alpha, t) + tuple(v) + constants for t, *v in zip(ts, *cols)]
     return FigureData(columns, rows)

@@ -5,6 +5,8 @@ criterion is asserted at its stated tolerance; failures carry the measured
 values in the assertion message.
 """
 
+from itertools import product
+
 import numpy as np
 
 from ptlg.closedform import (
@@ -175,23 +177,23 @@ def test_criterion_08_headline_phenomenon():
     phis = np.linspace(0.0, 2 * np.pi, 7)[:-1]
     t_grid = np.concatenate([np.linspace(0.02, np.pi - 0.02, 96),
                              np.pi / 2 + np.linspace(-0.02, 0.02, 24)])
+    # the whole (theta, phi, t) grid as one stack per chain, t running fastest
+    theta, phi, t = np.array(list(product(thetas, phis, t_grid))).T
     found, details = None, []
     for chain, published in (("sequential", False), ("published", True)):
-        best_d = np.inf        # smallest NSIT degree among V1-violating points
-        best_v1 = -np.inf      # largest V1 among NSIT-silent points
-        for theta in thetas:
-            for phi in phis:
-                for t in t_grid:
-                    tab = table(pt_variant(alpha, t, theta, phi, published=published))
-                    rep = degree_report(tab)
-                    v1 = variant_v(1, tab)
-                    live_aot = rep.max_aot() > 1e-6
-                    if rep.max_nsit() <= 1e-8 and live_aot:
-                        best_v1 = max(best_v1, v1)
-                    if v1 > 1.0 and live_aot:
-                        best_d = min(best_d, rep.max_nsit())
-                        if rep.max_nsit() <= 1e-8:
-                            found = (chain, t, theta, phi, v1)
+        tab = table(pt_variant(alpha, t, theta, phi, published=published))
+        rep = degree_report(tab)
+        v1 = variant_v(1, tab)
+        nsit = np.max(np.abs([*rep.d_123.values(), *rep.d_1_2_3.values()]), axis=0)
+        live_aot = np.max(np.abs([*rep.r_12_3.values(), *rep.r_1_23.values()]), axis=0) > 1e-6
+        # smallest NSIT degree among V1-violating points
+        best_d = nsit[(v1 > 1.0) & live_aot].min(initial=np.inf)
+        # largest V1 among NSIT-silent points
+        best_v1 = v1[(nsit <= 1e-8) & live_aot].max(initial=-np.inf)
+        hits = np.flatnonzero((v1 > 1.0) & live_aot & (nsit <= 1e-8))
+        if hits.size:
+            i = hits[-1]
+            found = (chain, t[i], theta[i], phi[i], v1[i])
         details.append(f"{chain}: smallest max|D| among V1-violating points={best_d:.3e}; "
                        f"largest V1 among NSIT-silent points={best_v1:.6f}")
     ok = found is not None

@@ -103,6 +103,7 @@ class TestOptimizeCommand:
         t_star = report["params"]["t"]
         assert min(abs(t_star - np.pi / 6), abs(t_star - 5 * np.pi / 6)) < 1e-4
         assert report["classifier"]["lg_violated"]["L13"] is True
+        assert report["converged"] is True
 
     def test_unitary_variant_quoted_value(self, capsys):
         rc = main(["optimize", "V3", "--kind", "unitary", "--theta", "2.66",

@@ -174,3 +174,36 @@ def test_diagnostics_computes_each_context_once(distribution_calls):
     violation_classifier(pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2))
     assert len(distribution_calls) == 7
     assert sorted(distribution_calls) == sorted(lgexpr.CONTEXTS)
+
+
+def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
+    # the suite shares 4 tables per sample point among both residuals, and
+    # forms one extra unitary-variant preset per point for the AOT check
+    from ptlg import checks, macrodiag
+
+    tables = []
+    original = macrodiag.degree_report
+
+    def counting(x):
+        tables.append(x)
+        return original(x)
+
+    monkeypatch.setattr(macrodiag, "degree_report", counting)
+    monkeypatch.setattr(checks, "degree_report", counting)
+    checks.run_identity_suite(sample_size=16)
+    assert len(tables) == 5 * 16
+    assert len({id(x) for x in tables}) == len(tables)
+
+
+def test_reductions_of_one_table_share_its_degree_report(monkeypatch):
+    from ptlg import macrodiag
+
+    calls = []
+    original = macrodiag.degree_report
+    monkeypatch.setattr(macrodiag, "degree_report", lambda x: calls.append(x) or original(x))
+    tab = table(pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2))
+    decomposition_residual_standard(tab)
+    decomposition_residual_variant(tab)
+    report = violation_classifier(tab)
+    assert calls == [tab]
+    assert report.max_aot_degree == degree_report(tab).max_aot()

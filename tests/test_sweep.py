@@ -1,15 +1,19 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from test_reference import err_bound
 
+from ptlg import sweep
 from ptlg.closedform import unitary_l13
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
-from ptlg.lgexpr import expression, l13, table
+from ptlg.lgexpr import EXPRESSIONS, expression, l13, table
 from ptlg.macrodiag import degree_report
 from ptlg.nosignal import signaling_deviation
 from ptlg.protocol import pt_standard, pt_variant
 from ptlg.ptdyn import PTParams
-from ptlg.sweep import (DEFAULT_ALPHAS, FigureData, GridSpec, SweepConfig, figure_data,
-                        refine_max, scan, t_grid_columns)
+from ptlg.sweep import (DEFAULT_ALPHAS, FigureData, GridSpec, SweepConfig, evaluate_expression,
+                        figure_data, grid_columns, refine_max, scan)
 
 
 def unitary_l13_cfg(count=201, refine=False):
@@ -82,7 +86,7 @@ class TestRefine:
     def test_never_below_seed(self):
         cfg = unitary_l13_cfg(count=31)
         seed = {"t": 1.2}
-        params, value = refine_max(cfg, seed)
+        params, value, _ = refine_max(cfg, seed)
         assert value >= l13_from_cfg(cfg, seed) - 1e-15
 
     def test_variant_optimum(self):
@@ -90,20 +94,170 @@ class TestRefine:
                           grids={"t": GridSpec(0.05, 1.5, 64),
                                  "theta": GridSpec(0.05, np.pi, 64)},
                           fixed={"phi": np.pi / 2})
-        params, value = refine_max(cfg, {"t": 0.4, "theta": 2.7})
+        params, value, _ = refine_max(cfg, {"t": 0.4, "theta": 2.7})
         assert value == pytest.approx(1.93, abs=0.005)
         assert params["t"] == pytest.approx(0.398, abs=0.01)
 
     def test_constant_objective_returns_seed(self):
         cfg = SweepConfig(expression="L13", kind="unitary", grids={},
                           fixed={"t": 0.6})
-        params, value = refine_max(cfg, {"t": 0.6})
+        params, value, converged = refine_max(cfg, {"t": 0.6})
         assert params["t"] == 0.6
+        assert converged
+
+    def test_each_cycle_is_a_few_stacked_rounds(self, monkeypatch):
+        # from a bracket of one grid spacing (0.031) each side of the seed, a
+        # 16-probe k-section reaches 1e-7 in 6 rounds, one stacked call each;
+        # golden section needs about 30 calls of one point each
+        calls = []
+        original = sweep.evaluate_expression
+
+        def counting(cfg, params):
+            calls.append(params["t"])
+            return original(cfg, params)
+
+        monkeypatch.setattr(sweep, "evaluate_expression", counting)
+        cfg = unitary_l13_cfg(count=101)
+        params, value, converged = refine_max(cfg, {"t": 0.5})
+        assert converged
+        assert value == pytest.approx(1.5, abs=1e-12)
+        assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
+        rounds = calls[1:]  # after the seed
+        assert all(isinstance(t, tuple) and len(t) == sweep.K for t in rounds)
+        # a cycle starts with a full bracket, wider than one grid spacing
+        cycles = sum(1 for t in rounds if max(t) - min(t) > cfg.grids["t"].spacing())
+        assert cycles >= 1
+        assert len(rounds) <= 8 * cycles
+
+    def test_scan_reports_convergence(self):
+        assert scan(unitary_l13_cfg(count=31, refine=True)).converged is True
+        assert scan(unitary_l13_cfg(count=31)).converged is None
+
+    def test_capped_refinement_is_reported(self):
+        # a recorded near-EP scan whose coordinate ascent creeps along a
+        # ridge in (t, theta) and is still gaining when the cycle cap stops it
+        cfg = SweepConfig(expression="V3", kind="pt",
+                          grids={"t": GridSpec(0.535380872854154, 1.8613102114012474, 6),
+                                 "theta": GridSpec(0.7755416825702021, 2.6386637072318164, 4),
+                                 "phi": GridSpec(5.384665640433963, 10.097054620818653, 4)},
+                          fixed={"alpha": 1.426860673717}, refine=True)
+        res = scan(cfg)
+        assert res.converged is False
+        assert res.argmax_value >= max(r.value for r in res.rows)
+        assert res.argmax_value == pytest.approx(evaluate_expression(cfg, res.argmax_params),
+                                                 abs=err_bound(1.426860673717))
 
 
 def l13_from_cfg(cfg, params):
-    from ptlg.sweep import evaluate_expression
     return evaluate_expression(cfg, dict(cfg.fixed) | params)
+
+
+def _rows_alone(res):
+    """Each scan row's point evaluated alone; NaN where that raises."""
+    values = []
+    for row in res.rows:
+        try:
+            values.append(evaluate_expression(res.config, row.params))
+        except (DomainError, DegenerateWeightError):
+            values.append(float("nan"))
+    return values
+
+
+class TestStackedScan:
+    """A scan evaluates its whole grid as one stack.  Rows equal each point
+    alone: bit for bit when only t varies, within `err_bound(alpha)` when an
+    angle varies."""
+
+    @pytest.mark.parametrize("expr", EXPRESSIONS)
+    def test_t_grid_rows_equal_points(self, expr):
+        cfg = SweepConfig(expression=expr, kind="pt", grids={"t": GridSpec(0.0, np.pi, 24)},
+                          fixed={"alpha": 2 * np.pi / 5, "theta": 1.1, "phi": 0.4})
+        res = scan(cfg)
+        assert [r.value for r in res.rows] == _rows_alone(res)
+
+    @pytest.mark.parametrize("expr", EXPRESSIONS)
+    @pytest.mark.parametrize("kind", ("pt", "pt-published", "unitary"))
+    def test_angle_grid_rows_match_points(self, expr, kind):
+        alpha = 1.45
+        cfg = SweepConfig(expression=expr, kind=kind,
+                          grids={"t": GridSpec(0.05, 3.0, 5), "theta": GridSpec(0.1, 3.0, 4),
+                                 "phi": GridSpec(0.0, 6.0, 5)},
+                          fixed={"alpha": alpha} if kind != "unitary" else {})
+        res = scan(cfg)
+        assert len(res.rows) == 5 * 4 * 5
+        assert [tuple(r.params[n] for n in ("t", "theta", "phi")) for r in res.rows] == list(
+            product(*(cfg.grids[n].values() for n in ("t", "theta", "phi"))))
+        assert all(r.error is None for r in res.rows)
+        np.testing.assert_allclose([r.value for r in res.rows], _rows_alone(res),
+                                   rtol=0, atol=err_bound(alpha))
+
+    def test_alpha_grid(self):
+        cfg = SweepConfig(expression="V1", kind="pt",
+                          grids={"t": GridSpec(0.1, 2.0, 6), "alpha": GridSpec(-1.5, 1.5, 7)},
+                          fixed={"theta": 0.9, "phi": 2.2})
+        res = scan(cfg)
+        assert [(r.params["t"], r.params["alpha"]) for r in res.rows] == list(
+            product(cfg.grids["t"].values(), cfg.grids["alpha"].values()))
+        np.testing.assert_allclose([r.value for r in res.rows], _rows_alone(res),
+                                   rtol=0, atol=err_bound(1.5))
+        # the same values as one fixed-alpha scan per angle
+        for alpha in cfg.grids["alpha"].values():
+            fixed = scan(SweepConfig(expression="V1", kind="pt", grids={"t": cfg.grids["t"]},
+                                     fixed={"alpha": alpha, "theta": 0.9, "phi": 2.2}))
+            mine = [r.value for r in res.rows if r.params["alpha"] == alpha]
+            np.testing.assert_allclose(mine, [r.value for r in fixed.rows],
+                                       rtol=0, atol=err_bound(alpha))
+
+    def test_alpha_grid_with_refinement(self):
+        cfg = SweepConfig(expression="L13", kind="pt",
+                          grids={"t": GridSpec(0.01, np.pi / 2, 41), "alpha": GridSpec(0.0, 1.2, 5)},
+                          refine=True)
+        res = scan(cfg)
+        assert res.converged
+        assert res.argmax_value >= max(r.value for r in res.rows)
+        assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
+
+    def test_failing_points_keep_their_reason(self):
+        # alpha = 1.6 lies past the exceptional point; every other row keeps
+        # the value of its point alone
+        cfg = SweepConfig(expression="L13", kind="pt",
+                          grids={"t": GridSpec(0.2, 1.2, 3), "alpha": GridSpec(1.2, 1.6, 3)})
+        res = scan(cfg)
+        failed = [r for r in res.rows if r.error is not None]
+        assert [r.params["alpha"] for r in failed] == [1.6] * 3
+        assert all("outside the real-spectrum regime" in r.error and np.isnan(r.value)
+                   for r in failed)
+        kept = [r for r in res.rows if r.error is None]
+        assert len(kept) == 6
+        assert [r.value for r in kept] == [evaluate_expression(cfg, r.params) for r in kept]
+        assert res.argmax_value == max(r.value for r in kept)
+
+    def test_failing_duration_in_stack(self):
+        cfg = SweepConfig(expression="V2", kind="pt",
+                          grids={"t": GridSpec(-0.2, 1.0, 4), "theta": GridSpec(0.5, 2.5, 3)},
+                          fixed={"alpha": 0.8})
+        res = scan(cfg)
+        assert [r.error is not None for r in res.rows] == [True] * 3 + [False] * 9
+        assert all("duration t must be >= 0" in r.error for r in res.rows[:3])
+        np.testing.assert_allclose([r.value for r in res.rows[3:]], _rows_alone(res)[3:],
+                                   rtol=0, atol=err_bound(0.8))
+
+    def test_grid_columns_falls_back_per_point(self):
+        def f(t, theta):
+            if isinstance(t, tuple):
+                if min(t) < 0:
+                    raise DomainError("stack has a negative duration")
+                return np.array(t) * np.array(theta), 7.0
+            if t < 0:
+                raise DomainError(f"negative duration {t}")
+            return t * theta, 7.0
+
+        cols, errors = grid_columns(f, {"t": [-1.0, 2.0, 3.0], "theta": [1.0, 2.0, 0.5]}, 2)
+        assert errors == ["negative duration -1.0", None, None]
+        assert np.isnan(cols[0][0]) and cols[0][1:] == [4.0, 1.5]
+        assert np.isnan(cols[1][0]) and cols[1][1:] == [7.0, 7.0]
+        cols, errors = grid_columns(f, {"t": [1.0, 2.0], "theta": [3.0, 4.0]}, 2)
+        assert cols == [[3.0, 8.0], [7.0, 7.0]] and errors == [None, None]
 
 
 class TestFigureData:
@@ -229,6 +383,7 @@ class TestStackedGrid:
         assert _assert_rows_equal_points(data, 0.0, 0.0, True) == 2
         assert [np.isnan(row[2]) for row in data.rows] == [True, True] + [False] * 4
         ts = np.linspace(-0.3, 1.0, 6)
-        (devs,) = t_grid_columns(lambda t: (signaling_deviation(PTParams(0.5, t)),), ts, 1)
+        (devs,), _ = grid_columns(lambda t: (signaling_deviation(PTParams(0.5, t)),),
+                                  {"t": ts.tolist()}, 1)
         assert np.isnan(devs[:2]).all()
         assert devs[2:] == [signaling_deviation(PTParams(0.5, t)) for t in ts[2:]]
