@@ -39,7 +39,6 @@ from .protocol import (
     distribution,
     initial_state_at_t1,
     maximally_mixed,
-    one_time_probability,
     pt_standard,
     pt_variant,
     pure_state,
@@ -48,13 +47,10 @@ from .protocol import (
     unnormalized_chain,
 )
 from .ptdyn import (
-    EigenSystem,
     PTParams,
     composition_check,
     eigensystem,
-    hamiltonian,
     propagator,
-    uu_dagger,
     with_t,
 )
 from .sweep import FigureData, GridSpec, SweepConfig, SweepResult, figure_data, refine_max, scan

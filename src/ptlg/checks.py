@@ -27,6 +27,7 @@ from .macrodiag import (
     decomposition_residual_variant,
     degree_report,
 )
+from .matcore import dagger
 from .nosignal import bob_reduced, signaling_deviation
 from .protocol import (
     MeasurementContext,
@@ -54,7 +55,7 @@ def _sample(n: int, alpha_max: float, seed: int = 20240917):
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(-alpha_max, alpha_max, n)
     ts = rng.uniform(0.05, np.pi - 0.05, n)
-    return list(zip(alphas, ts))
+    return alphas, ts
 
 
 def _biorthogonal_reconstruction_residual(p: PTParams) -> float:
@@ -67,98 +68,88 @@ def _biorthogonal_reconstruction_residual(p: PTParams) -> float:
     return float(np.max(np.abs(u_spec - propagator(p))))
 
 
+def _max(x) -> float:
+    return float(np.max(x))
+
+
 def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
                        include_pair_forms: bool = False) -> list[CheckResult]:
+    """Every check over the same sample, each evaluated as one stack of its points."""
     if sample_size < 1:
         raise UsageError(f"sample size must be >= 1, got {sample_size}")
-    pts = _sample(sample_size, 2 * np.pi / 5)
+    alphas, ts = _sample(sample_size, 2 * np.pi / 5)
     results: list[CheckResult] = []
 
-    res = max(composition_check(PTParams(a, 0.1), abs(t) / 2, abs(t) / 3) for a, t in pts)
+    res = composition_check(PTParams(alphas, 0.1), np.abs(ts) / 2, np.abs(ts) / 3)
     results.append(CheckResult("propagator-composition", res, 1e-12))
 
-    res = 0.0
-    for a, t in pts:
-        u = propagator(PTParams(a, t)) + fault * np.array([[1.0, 0.0], [0.0, 0.0]])
-        res = max(res, float(np.max(np.abs(u @ u.conj().T - uu_dagger_reference(a, t)))))
+    u = propagator(PTParams(alphas, ts)) + fault * np.array([[1.0, 0.0], [0.0, 0.0]])
+    res = _max(np.abs(u @ dagger(u) - uu_dagger_reference(alphas, ts)))
     results.append(CheckResult("uu-dagger-closed-form", res, 1e-10))
 
-    res = max(_biorthogonal_reconstruction_residual(PTParams(a, t)) for a, t in pts)
+    res = max(_biorthogonal_reconstruction_residual(PTParams(a, t)) for a, t in zip(alphas, ts))
     results.append(CheckResult("eigensystem-reconstruction", res, 1e-9))
 
-    # One context table per sample preset, shared by every check below:
-    # (pt standard, pt variant, unitary standard, unitary variant) per point.
-    angles = [(0.3 + 0.1 * i, 0.2 + 0.35 * i) for i in range(len(pts))]
-    groups = [(table(pt_standard(a, t)), table(pt_variant(a, t, theta, phi)),
-               table(unitary_standard(t)), table(unitary_variant(t, theta, phi)))
-              for (a, t), (theta, phi) in zip(pts, angles)]
-    tables = [tab for group in groups for tab in group]
+    # One stacked context table per preset family, shared by every check below:
+    # pt standard, pt variant, unitary standard, unitary variant.
+    thetas = 0.3 + 0.1 * np.arange(sample_size)
+    phis = 0.2 + 0.35 * np.arange(sample_size)
+    tables = [table(pt_standard(alphas, ts)), table(pt_variant(alphas, ts, thetas, phis)),
+              table(unitary_standard(ts)), table(unitary_variant(ts, thetas, phis))]
 
-    res = max(abs(l123 - (1 - 4 * beta)) for l123, beta in map(l123_and_beta, tables))
+    res = max(_max(abs(l123 - (1 - 4 * beta))) for l123, beta in map(l123_and_beta, tables))
     results.append(CheckResult("three-time-beta-identity", res, 1e-12))
 
-    res = max(abs(v123 - (1 - 4 * delta)) for v123, delta in map(v123_and_delta, tables))
+    res = max(_max(abs(v123 - (1 - 4 * delta))) for v123, delta in map(v123_and_delta, tables))
     results.append(CheckResult("three-time-delta-identity", res, 1e-12))
 
-    res = max(map(decomposition_residual_standard, tables))
+    res = max(map(_max, map(decomposition_residual_standard, tables)))
     results.append(CheckResult("decomposition-standard", res, 1e-10))
 
-    res = max(map(decomposition_residual_variant, tables))
+    res = max(map(_max, map(decomposition_residual_variant, tables)))
     results.append(CheckResult("decomposition-variant", res, 1e-10))
 
-    res = 0.0
-    for _, t in pts:
-        rep = degree_report(unitary_variant(t, 1.1, 0.7))
-        res = max(res, rep.max_aot())
+    res = _max(degree_report(unitary_variant(ts, 1.1, 0.7)).max_aot())
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
-    res = 0.0
-    for a, t in pts:
-        b1, b2, b3, b4, n1 = bob_reduced_entries(a, t)
-        rho = bob_reduced(PTParams(a, t)).mat
-        tot = b1 + b2
-        res = max(res,
-                  abs(rho[0, 0].real - b1 / tot),
-                  abs(rho[1, 1].real - b2 / tot),
-                  abs(rho[0, 1] - b4 / tot),
-                  abs(rho[1, 0] - b3 / tot),
-                  abs(tot - 2 * n1))
+    # the engine's state point by point, so that a substitute for `bob_reduced`
+    # may handle one 2x2 matrix at a time
+    b1, b2, b3, b4, n1 = bob_reduced_entries(alphas, ts)
+    rho = np.array([bob_reduced(PTParams(a, t)).mat for a, t in zip(alphas, ts)])
+    tot = b1 + b2
+    res = _max([abs(rho[:, 0, 0].real - b1 / tot), abs(rho[:, 1, 1].real - b2 / tot),
+                abs(rho[:, 0, 1] - b4 / tot), abs(rho[:, 1, 0] - b3 / tot), abs(tot - 2 * n1)])
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
-    res = 0.0
-    for a, t in pts:
-        res = max(res, signaling_deviation(PTParams(0.0, abs(t))))
-        res = max(res, signaling_deviation(PTParams(a, np.pi)))
-    interior = min(signaling_deviation(PTParams(a, t)) for a, t in pts if abs(a) > 0.3)
+    res = _max([signaling_deviation(PTParams(0.0, np.abs(ts))),
+                signaling_deviation(PTParams(alphas, np.pi))])
+    interior = signaling_deviation(PTParams(alphas, ts))[np.abs(alphas) > 0.3].min()
     if interior <= 1e-6:
         res = max(res, 1.0)
     results.append(CheckResult("signaling-iff-trivial", res, 1e-12))
 
-    res = max(abs(l13(ustd) - unitary_l13(t)) for (_, t), (_, _, ustd, _) in zip(pts, groups))
+    res = _max(abs(l13(tables[2]) - unitary_l13(ts)))
     results.append(CheckResult("unitary-standard-closed-form", res, 1e-10))
 
-    res = max(abs(variant_v(3, uvar) - unitary_v3(t, theta, phi))
-              for (_, t), (theta, phi), (*_, uvar) in zip(pts, angles, groups))
+    res = _max(abs(variant_v(3, tables[3]) - unitary_v3(ts, thetas, phis)))
     results.append(CheckResult("unitary-variant-closed-form", res, 1e-10))
 
     res = 0.0
     for tab in tables:
         for times in CONTEXTS:
-            d = tab[times]
-            total = sum(d.probs.values())
-            res = max(res, abs(total - 1.0))
-            res = max(res, max(max(-p, p - 1.0, 0.0) for p in d.probs.values()))
+            probs = tab[times].probs.values()
+            res = max(res, _max(abs(sum(probs) - 1.0)),
+                      _max([np.maximum(-p, p - 1.0) for p in probs]))
     results.append(CheckResult("probability-sanity", res, 1e-12))
 
     if include_pair_forms:
         res = 0.0
-        for (a, t), (pstd, *_) in zip(pts, groups):
-            for pair in ((1, 2), (2, 3), (1, 3)):
-                c = correlator(pstd[pair], pair)
-                res = max(res, abs(c - pair_correlator_reference(a, t, pair)))
-                ctx = MeasurementContext(preset=pstd.preset, measured_times=pair)
-                raw = sum(unnormalized_chain(ctx, oc) for oc in product((+1, -1), repeat=2))
-                res = max(res, abs(raw - pair_normalization_reference(a, t, pair)))
+        for pair in ((1, 2), (2, 3), (1, 3)):
+            c = correlator(tables[0][pair], pair)
+            ctx = MeasurementContext(preset=tables[0].preset, measured_times=pair)
+            raw = sum(unnormalized_chain(ctx, oc) for oc in product((+1, -1), repeat=2))
+            res = max(res, _max(abs(c - pair_correlator_reference(alphas, ts, pair))),
+                      _max(abs(raw - pair_normalization_reference(alphas, ts, pair))))
         results.append(CheckResult("pair-closed-forms", res, 1e-9))
 
     return results

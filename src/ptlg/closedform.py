@@ -20,9 +20,11 @@ def uu_dagger_coefficients(alpha: float, t: float) -> tuple[float, float, float]
     return d1, d2, d3
 
 
-def uu_dagger_reference(alpha: float, t: float) -> np.ndarray:
+def uu_dagger_reference(alpha, t) -> np.ndarray:
+    """[[d1, i d2], [-i d2, d3]]; an (N, 2, 2) stack for arrays alpha and t."""
     d1, d2, d3 = uu_dagger_coefficients(alpha, t)
-    return np.array([[d1, 1j * d2], [-1j * d2, d3]], dtype=complex)
+    m = np.array([[d1, 1j * d2], [-1j * d2, d3]], dtype=complex)
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def bob_reduced_entries(alpha: float, t: float):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .lgexpr import (EXPRESSIONS, ContextTable, expression, l123_and_beta, l13, table,
                      v123_and_delta, variant_v)
 from .protocol import ScenarioPreset
@@ -34,13 +36,18 @@ class DegreeReport:
     r_12_3: dict[tuple[int, int], float]
     r_1_23: dict[int, float]
 
-    def max_nsit(self) -> float:
-        return max(max(abs(v) for v in self.d_123.values()),
-                   max(abs(v) for v in self.d_1_2_3.values()))
+    def max_nsit(self):
+        """The largest |NSIT degree|: a float, or one per point of a stack."""
+        return _max_abs(self.d_123, self.d_1_2_3)
 
-    def max_aot(self) -> float:
-        return max(max(abs(v) for v in self.r_12_3.values()),
-                   max(abs(v) for v in self.r_1_23.values()))
+    def max_aot(self):
+        """The largest |AOT degree|: a float, or one per point of a stack."""
+        return _max_abs(self.r_12_3, self.r_1_23)
+
+
+def _max_abs(*tables: dict):
+    m = np.max(np.abs([v for tab in tables for v in tab.values()]), axis=0)
+    return m if m.ndim else float(m)
 
 
 def _context_gap(tab: ContextTable, times: tuple[int, ...]) -> dict[tuple[int, ...], float]:

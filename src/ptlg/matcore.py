@@ -6,8 +6,10 @@ of 2x2 states is decided with the closed-form eigenvalue formula
 (trace/determinant), not an iterative solver.
 
 A state may also be a stack of shape (..., 2, 2), one matrix per point of a
-t-grid.  The checks then apply to every point with the same tolerances, and
-fail, with the same typed error, when any point fails.
+grid.  The checks then apply to every point with the same tolerances.  A
+failing point raises the typed error it raises alone, and on a stack that
+error names every failing point (`raise_where`), so that a caller can drop
+them and evaluate the rest as one stack.
 """
 
 from __future__ import annotations
@@ -53,9 +55,21 @@ def weights(m: np.ndarray):
     return (m[..., 0, 0] + m[..., 1, 1]).real + 0.0
 
 
-def lowest(x):
-    """The smallest value of a stack of values; a single value itself."""
-    return x.min() if isinstance(x, np.ndarray) else x
+def raise_where(bad, values, error):
+    """Raise `error(value)` for the first point where `bad` holds, if any does.
+
+    `bad` and `values` are one point's flag and value, or arrays with one per
+    point of a stack.  On a stack the error also carries `failures`: each
+    failing index mapped to the message that point raises alone.
+    """
+    if not np.count_nonzero(bad):
+        return
+    if not isinstance(bad, np.ndarray):
+        raise error(values)
+    errors = {int(i): error(float(values[i])) for i in np.flatnonzero(bad)}
+    first = next(iter(errors.values()))
+    first.failures = {i: str(e) for i, e in errors.items()}
+    raise first
 
 
 def per_matrix(w):
@@ -63,10 +77,15 @@ def per_matrix(w):
     return w[..., None, None] if isinstance(w, np.ndarray) else w
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Max-entry distance from the adjoint, over a whole stack; zero for Hermitian matrices."""
+def hermitian_defect(a: np.ndarray):
+    """Max-entry distance from the adjoint, per matrix of a stack; zero for Hermitian matrices.
+
+    Entry by entry: a diagonal entry is off by twice its imaginary part, and
+    both off-diagonal entries are off by |a01 - a10^*|.
+    """
     a = np.asarray(a, dtype=complex)
-    return float(np.abs(a - dagger(a)).max())
+    diagonal = 2 * np.maximum(abs(a[..., 0, 0].imag), abs(a[..., 1, 1].imag))
+    return np.maximum(abs(a[..., 0, 1] - a[..., 1, 0].conj()), diagonal)
 
 
 def hermitian_eigvals_2x2(a: np.ndarray):
@@ -90,28 +109,20 @@ class QubitDensity:
 
     def __post_init__(self):
         m = as_cmat(self.mat)
-        if hermitian_defect(m) > HERMITICITY_TOL:
-            raise DomainError(f"density not Hermitian: defect {hermitian_defect(m):.2e}")
-        lo = lowest(hermitian_eigvals_2x2(m)[0])
-        if lo < -PSD_TOL:
-            raise DomainError(f"density not PSD: lowest eigenvalue {lo:.2e}")
+        defect = hermitian_defect(m)
+        raise_where(defect > HERMITICITY_TOL, defect,
+                    lambda d: DomainError(f"density not Hermitian: defect {d:.2e}"))
+        lo = hermitian_eigvals_2x2(m)[0]
+        raise_where(lo < -PSD_TOL, lo,
+                    lambda lo: DomainError(f"density not PSD: lowest eigenvalue {lo:.2e}"))
         object.__setattr__(self, "mat", m)
-
-    @property
-    def weight(self):
-        """The trace: a float, or an array with one value per point of a stack."""
-        w = weights(self.mat)
-        return w if isinstance(w, np.ndarray) else float(w)
 
     def normalize(self) -> "QubitDensity":
         """Rescale to unit trace; degenerate weight cannot be renormalized."""
         w = weights(self.mat)
-        if lowest(w) < WEIGHT_FLOOR:
-            raise DegenerateWeightError(f"weight {lowest(w):.3e} below renormalization floor")
+        raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
+            f"weight {w:.3e} below renormalization floor"))
         return QubitDensity(self.mat / per_matrix(w))
-
-    def expectation(self, observable: np.ndarray) -> float:
-        return float(np.trace(self.mat @ observable).real)
 
 
 def projector(observable: np.ndarray, outcome: int) -> np.ndarray:

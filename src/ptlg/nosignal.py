@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .matcore import I2, WEIGHT_FLOOR, QubitDensity, lowest, per_matrix, weights
+from .matcore import I2, WEIGHT_FLOOR, QubitDensity, per_matrix, raise_where, weights
 from .ptdyn import PTParams, propagator
 
 
@@ -25,8 +25,8 @@ def bob_reduced(p: PTParams) -> QubitDensity:
     u = propagator(p)
     reduced = u.swapaxes(-1, -2) @ u.conj()  # (U^dag U)^T = U^T U^*
     w = weights(reduced)
-    if lowest(w) < WEIGHT_FLOOR:
-        raise DegenerateWeightError(f"reduced weight {lowest(w):.3e} cannot be renormalized")
+    raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
+        f"reduced weight {w:.3e} cannot be renormalized"))
     return QubitDensity(reduced / per_matrix(w))
 
 

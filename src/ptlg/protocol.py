@@ -17,11 +17,11 @@ preset run along one chain (Emary, Lambert & Nori, Rep. Prog. Phys. 77,
 
 with rho_k the chain state at time k and G_n the leg across the gap.  Each
 preset forms these tables once, on first use (`ScenarioPreset.transfer`), and
-`distribution` multiplies them out per context.  `unnormalized_chain` and
-`one_time_probability` evolve branch states along the same legs instead, as
-independent oracles.  Under non-unitary evolution N differs from context to
-context, which is exactly what lets the marginal of a finer context disagree
-with a coarser context's distribution (`macrodiag` quantifies this).  Per-step
+`distribution` multiplies them out per context.  `unnormalized_chain`
+evolves branch states along the same legs instead, as an independent oracle.
+Under non-unitary evolution N differs from context to context, which is
+exactly what lets the marginal of a finer context disagree with a coarser
+context's distribution (`macrodiag` quantifies this).  Per-step
 renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
@@ -40,8 +40,10 @@ in place of one, aligned point by point with the other stacks (see
 `PTParams` and `InitialState`).  Its propagators, weights, transfer tables
 and probabilities are then stacks with one entry per point, computed by the
 same code and the same order of operations as a single point.  An entry of
-a t-stack equals that point evaluated alone, bit for bit.  Every check
-applies per point; a failure at any point raises.
+a t-stack equals that point evaluated alone, bit for bit.  Stacks must have
+the same length.  Every check applies per point: a failing point raises the
+error it raises alone, and on a stack the error names every failing point
+(see `matcore.raise_where`).
 
 Unitary = alpha = 0 PT step: the unitary presets evolve states with
 exp(-i t sigma_x), probe sigma_z and skip pre-evolution; the ket |0> of
@@ -58,8 +60,8 @@ import numpy as np
 
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
 from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
-                      lowest, per_matrix, projector, weights)
-from .ptdyn import PTParams, point_or_stack, propagator, with_t
+                      per_matrix, projector, raise_where, weights)
+from .ptdyn import PTParams, check_aligned, point_or_stack, propagator, with_t
 
 MAXIMALLY_MIXED = "maximally_mixed"
 PURE = "pure"
@@ -126,6 +128,10 @@ class ScenarioPreset:
     evolution: PTEvolution
     pre_evolution: bool
 
+    def __post_init__(self):
+        p, state = self.evolution.params, self.initial_state
+        check_aligned(p.alpha, p.t, state.theta, state.phi)
+
     @cached_property
     def transfer(self) -> tuple[dict[int, tuple], dict[int, list]]:
         """The chain every context multiplies out, formed on first use: the
@@ -151,8 +157,10 @@ class ScenarioPreset:
             rho = _mul(_mul(_entries(u), start), _entries(dagger(u)))  # the state at time k
             w = _mul(_mul(vh, rho), v)  # the diagonal holds w(m) = <m|rho|m>
             weights_at[k] = (w[0][0].real, w[1][1].real)
-        tables = {n: [[abs(x) ** 2 for x in row] for row in _mul(_mul(vh, _entries(g)), v)]
-                  for n, g in enumerate(gaps, 1)}  # T[m'][m] = |<m'|g|m>|^2
+        # T[m'][m] = |<m'|g|m>|^2, squared as a product: a float's ** 2 calls pow,
+        # which can round differently from a stack's ** 2
+        tables = {n: [[a * a for a in map(abs, row)] for row in _mul(_mul(vh, _entries(g)), v)]
+                  for n, g in enumerate(gaps, 1)}
         return weights_at, tables
 
 
@@ -258,9 +266,8 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     else:
         evolved = u @ state.density().normalize().mat @ dagger(u)
     w = weights(evolved)
-    if lowest(w) < WEIGHT_FLOOR:
-        raise DegenerateWeightError(
-            f"pre-evolution weight {lowest(w):.3e} cannot be renormalized")
+    raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
+        f"pre-evolution weight {w:.3e} cannot be renormalized"))
     return QubitDensity(evolved / per_matrix(w))
 
 
@@ -282,19 +289,20 @@ def _chain(preset: ScenarioPreset) -> tuple[np.ndarray, list[np.ndarray], list[n
     return start, into, into[1:]
 
 
-def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]) -> float:
-    """Chain value p~ for one outcome tuple, from branch states; nonnegative up to roundoff."""
+def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
+    """Chain value p~ for one outcome tuple, from branch states; nonnegative up to
+    roundoff.  An (N,) array for a stacked preset."""
     times = ctx.measured_times
     if len(outcomes) != len(times):
         raise UsageError(f"{len(times)} measured times but {len(outcomes)} outcomes")
     rho, into, gaps = _chain(ctx.preset)
     legs = [into[times[0] - 1]] + [gaps[b - a - 1] for a, b in zip(times, times[1:])]
     for u, m in zip(legs, outcomes):
-        rho = u @ rho @ u.conj().T
+        rho = u @ rho @ dagger(u)
         pi = projector(ctx.preset.observable, m)
         rho = pi @ rho @ pi
-    value = float(np.trace(rho).real)
-    return max(value, 0.0)
+    value = np.maximum(weights(rho), 0.0)
+    return value if value.ndim else float(value)
 
 
 def _entries(a: np.ndarray) -> list:
@@ -324,28 +332,6 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
         raw = {oc + (m,): p * tr[(1 - m) // 2][(1 - oc[-1]) // 2]
                for oc, p in raw.items() for m in (+1, -1)}
     total = sum(raw.values())
-    if lowest(total) < WEIGHT_FLOOR:
-        raise DegenerateContextError(
-            f"context {times} carries total weight {lowest(total):.3e}; cannot normalize"
-        )
+    raise_where(total < WEIGHT_FLOOR, total, lambda w: DegenerateContextError(
+        f"context {times} carries total weight {w:.3e}; cannot normalize"))
     return OutcomeDistribution(context=ctx, probs={oc: p / total for oc, p in raw.items()})
-
-
-def one_time_probability(preset: ScenarioPreset, j: int) -> tuple[float, float]:
-    """(P(+1), P(-1)) at time j from the renormalized evolved state.
-
-    This is an independent route from `distribution`: the state is propagated
-    to t_j along the preset's chain, renormalized, and read out with the Born
-    rule.
-    """
-    if j not in (1, 2, 3):
-        raise UsageError(f"time index must be 1, 2 or 3, got {j}")
-    rho, into, _ = _chain(preset)
-    evolved = into[j - 1] @ rho @ into[j - 1].conj().T
-    w = float(np.trace(evolved).real)
-    if w < WEIGHT_FLOOR:
-        raise DegenerateWeightError(f"weight {w:.3e} at time {j} cannot be renormalized")
-    rho = QubitDensity(evolved / w).mat
-    p_plus = float(np.trace(rho @ projector(preset.observable, +1)).real)
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    return p_plus, 1.0 - p_plus

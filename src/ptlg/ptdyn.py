@@ -20,23 +20,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ExceptionalPointError
-from .matcore import I2, dagger
+from .errors import DomainError, ExceptionalPointError, UsageError
+from .matcore import I2, raise_where
 
 ALPHA_LIMIT = np.pi / 2
 
 
 def point_or_stack(x, ok=None, error=None):
     """A parameter as a float, or as a tuple of floats for a stack (given as a
-    tuple or an array), so that it stays hashable.  `ok` is checked per point;
-    the first point where it fails raises `error(value)`."""
+    tuple or an array), so that it stays hashable.  `ok` is checked per point,
+    and the points where it fails raise `error(value)` (see `raise_where`)."""
     stack = isinstance(x, (tuple, np.ndarray))
     xs = np.asarray(x, dtype=float) if stack else x
     if ok is not None:
-        good = ok(xs)
-        if not (good.all() if stack else good):
-            raise error(float(xs[~good][0]) if stack else x)
+        raise_where(~ok(xs) if stack else not ok(x), xs, error)
     return tuple(xs.tolist()) if stack else float(x)
+
+
+def check_aligned(*xs):
+    """Raise UsageError unless the stacks among `xs` all have the same length."""
+    lengths = {len(x) for x in xs if isinstance(x, tuple)}
+    if len(lengths) > 1:
+        raise UsageError(f"stacks must be aligned point by point, got lengths {sorted(lengths)}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class PTParams:
     alpha and t may each be a stack of N values, given as a tuple or an array
     and held as a tuple of floats so that the value stays hashable; its
     propagator is then an (N, 2, 2) stack.  Two stacks are aligned point by
-    point, and every check applies per point.
+    point, so they must have the same length, and every check applies per point.
     """
 
     alpha: float | tuple[float, ...]
@@ -61,6 +66,7 @@ class PTParams:
             raise DomainError(f"scale s must be positive, got {self.s!r}")
         t = point_or_stack(self.t, lambda t: (t >= 0) & (t < np.inf),
                            lambda t: DomainError(f"duration t must be >= 0, got {t!r}"))
+        check_aligned(alpha, t)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "t", t)
 
@@ -114,14 +120,9 @@ def propagator(p: PTParams) -> np.ndarray:
     return np.cos(t) * I2 - 1j * np.sin(t) * h_unit
 
 
-def uu_dagger(p: PTParams) -> np.ndarray:
-    """U U^dagger, or a stack of them; the identity iff alpha = 0 or sin t = 0."""
-    u = propagator(p)
-    return u @ dagger(u)
-
-
-def composition_check(p: PTParams, t1: float, t2: float) -> float:
-    """Max-entry norm of U(t1) U(t2) - U(t1 + t2); roundoff-small by the group law."""
+def composition_check(p: PTParams, t1, t2) -> float:
+    """Max-entry norm of U(t1) U(t2) - U(t1 + t2), over a whole stack; roundoff-small
+    by the group law."""
     u1 = propagator(with_t(p, t1))
     u2 = propagator(with_t(p, t2))
     u12 = propagator(with_t(p, t1 + t2))

@@ -8,7 +8,8 @@ grids still produce complete figures.
 Every grid is evaluated as one stacked preset (see `protocol`): each alpha's
 t-grid of a figure, a `scan`'s whole Cartesian grid, and each round of
 `refine_max`'s k-section (K probes of its bracket).  `grid_columns` runs the
-stack and falls back to one point at a time if any point fails.
+stack; the points that a check names as failing drop out of it, and the rest
+run again as one stack.
 """
 
 from __future__ import annotations
@@ -128,29 +129,32 @@ def evaluate_expression(cfg: SweepConfig, params: dict):
 
 
 def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list]:
-    """The `width` columns of `f` over N aligned points, from one stacked call,
+    """The `width` columns of `f` over N aligned points, evaluated as stacks,
     and each point's failure reason (None where it succeeded).
 
-    `axes` maps each varying parameter to its N values; `f(**params)` returns
-    `width` values, or arrays (or constants) for tuples.  If the stacked call fails
-    with a domain or degenerate-weight error, the points are re-run one at a
-    time: a failing point gives NaN, and every other point keeps its value.
+    `axes` maps each varying parameter to its N values; `f(**params)` takes
+    them as tuples and returns `width` arrays (or constants).  A domain or
+    degenerate-weight error names its failing points (`matcore.raise_where`):
+    they give NaN and their reason, and the rest run again as one stack.  An
+    error that names no points fails every point still running.
     """
     n = max(map(len, axes.values()), default=1)
-    try:
-        cols = f(**{name: tuple(v) for name, v in axes.items()})
-        return [c.tolist() if np.ndim(c) else [float(c)] * n for c in cols], [None] * n
-    except (DomainError, DegenerateWeightError):
-        pass
-    rows, errors = [], []
-    for i in range(n):
+    axes = {name: np.asarray(v, dtype=float) for name, v in axes.items()}
+    live, errors = np.arange(n), [None] * n
+    cols = np.full((width, n), np.nan)
+    while live.size:
         try:
-            rows.append(f(**{name: v[i] for name, v in axes.items()}))
-            errors.append(None)
+            values = f(**{name: tuple(v[live].tolist()) for name, v in axes.items()})
         except (DomainError, DegenerateWeightError) as exc:
-            rows.append((float("nan"),) * width)
-            errors.append(str(exc))
-    return [list(c) for c in zip(*rows)], errors
+            failures = getattr(exc, "failures", dict.fromkeys(range(live.size), str(exc)))
+            for j, reason in failures.items():
+                errors[live[j]] = reason
+            live = np.delete(live, list(failures))
+            continue
+        for col, v in zip(cols, values):
+            col[live] = v
+        break
+    return cols.tolist(), errors
 
 
 def scan(cfg: SweepConfig) -> SweepResult:

@@ -154,6 +154,21 @@ class TestClassifier:
         report = violation_classifier(pt_standard(np.pi / 3, 0.7))
         assert report.aot_violated
 
+    @pytest.mark.parametrize("preset", (pt_standard, lambda a, t: pt_variant(a, t, 1.1, 0.4)))
+    def test_t_stack_equals_points_alone(self, preset):
+        ts = (0.0, 0.3, 0.7, 1.2, 2.9)
+        rep, report = degree_report(preset(1.2, ts)), violation_classifier(preset(1.2, ts))
+        for i, t in enumerate(ts):
+            alone = degree_report(preset(1.2, t))
+            alone_report = violation_classifier(preset(1.2, t))
+            assert rep.max_nsit()[i] == alone.max_nsit()
+            assert rep.max_aot()[i] == alone.max_aot()
+            for field in ("lg_violated", "lg_values"):
+                mine = {k: v[i] for k, v in getattr(report, field).items()}
+                assert mine == getattr(alone_report, field)
+            for field in ("nsit_violated", "aot_violated", "max_nsit_degree", "max_aot_degree"):
+                assert getattr(report, field)[i] == getattr(alone_report, field)
+
 
 def test_diagnostics_bundle():
     tab = table(pt_standard(np.pi / 3, 0.785))
@@ -177,8 +192,8 @@ def test_diagnostics_computes_each_context_once(distribution_calls):
 
 
 def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
-    # the suite shares 4 tables per sample point among both residuals, and
-    # forms one extra unitary-variant preset per point for the AOT check
+    # the suite shares 4 stacked tables among both residuals, and forms one
+    # extra stacked unitary-variant preset for the AOT check
     from ptlg import checks, macrodiag
 
     tables = []
@@ -191,7 +206,7 @@ def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
     monkeypatch.setattr(macrodiag, "degree_report", counting)
     monkeypatch.setattr(checks, "degree_report", counting)
     checks.run_identity_suite(sample_size=16)
-    assert len(tables) == 5 * 16
+    assert len(tables) == 5
     assert len({id(x) for x in tables}) == len(tables)
 
 

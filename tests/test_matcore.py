@@ -11,6 +11,7 @@ from ptlg.matcore import (
     as_cmat,
     hermitian_eigvals_2x2,
     projector,
+    weights,
 )
 
 
@@ -61,7 +62,7 @@ class TestProjector:
 class TestQubitDensity:
     def test_normalize(self):
         rho = QubitDensity(3.0 * I2 / 2).normalize()
-        assert abs(rho.weight - 1.0) < 1e-12
+        assert abs(weights(rho.mat) - 1.0) < 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
@@ -70,6 +71,21 @@ class TestQubitDensity:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             QubitDensity(np.diag([1.0, -0.5]).astype(complex))
+
+    def test_stack_names_every_failing_point(self):
+        mats = [I2 / 2, np.diag([1.0, -0.5]), I2 / 2, np.diag([1.0, -0.25])]
+        with pytest.raises(DomainError) as stacked:
+            QubitDensity(np.array(mats, dtype=complex))
+        alone = {}
+        for i in (1, 3):
+            with pytest.raises(DomainError) as exc:
+                QubitDensity(mats[i].astype(complex))
+            alone[i] = str(exc.value)
+        assert str(stacked.value) == alone[1]
+        assert stacked.value.failures == alone
+        with pytest.raises(DegenerateWeightError) as stacked:
+            QubitDensity(np.array([I2, 0 * I2, I2])).normalize()
+        assert stacked.value.failures == {1: "weight 0.000e+00 below renormalization floor"}
 
     def test_degenerate_weight(self):
         with pytest.raises(DegenerateWeightError):

@@ -52,7 +52,7 @@ class TestBobReduced:
 
     def test_deformed_state(self):
         rho = bob_reduced(PTParams(np.pi / 3, 0.7))
-        assert rho.weight == pytest.approx(1.0, abs=1e-12)
+        assert weights(rho.mat) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
         assert signaling_deviation(PTParams(np.pi / 3, 0.7)) > 1e-3
 

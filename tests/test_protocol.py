@@ -1,16 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ptlg import protocol
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable
-from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, projector
+from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, projector, weights
 from ptlg.protocol import (
     MeasurementContext,
     ScenarioPreset,
     distribution,
     initial_state_at_t1,
-    one_time_probability,
     pt_standard,
     pt_variant,
     pure_state,
@@ -27,6 +28,12 @@ def ctx(preset, *times):
     return MeasurementContext(preset=preset, measured_times=times)
 
 
+def one_time_probability(preset, j):
+    """(P(+1), P(-1)) at time j: the branch-state chain of context (j,), normalized."""
+    p_plus, p_minus = (unnormalized_chain(ctx(preset, j), (m,)) for m in (+1, -1))
+    return p_plus / (p_plus + p_minus), p_minus / (p_plus + p_minus)
+
+
 class TestInitialState:
     def test_mixed_is_invariant_under_unitary_pre_evolution(self):
         preset = pt_standard(0.0, 0.9)
@@ -34,7 +41,7 @@ class TestInitialState:
 
     def test_nonunitary_pre_evolution_deforms_mixed_state(self):
         rho = initial_state_at_t1(pt_standard(np.pi / 3, 0.7))
-        assert abs(rho.weight - 1.0) < 1e-12
+        assert abs(weights(rho.mat) - 1.0) < 1e-12
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
         assert np.max(np.abs(rho.mat - I2 / 2)) > 1e-3
 
@@ -42,14 +49,14 @@ class TestInitialState:
         theta, phi = 5 * np.pi / 6, np.pi / 2
         rho = initial_state_at_t1(unitary_variant(0.3, theta, phi))
         np.testing.assert_allclose(rho.mat @ rho.mat, rho.mat, atol=1e-12)
-        assert abs(rho.weight - 1.0) < 1e-12
+        assert abs(weights(rho.mat) - 1.0) < 1e-12
         # basis labeling: <sigma_z> = -cos(2 theta), <sigma_y> = -sin(2 theta) sin(phi)
         assert rho.mat[0, 0].real - rho.mat[1, 1].real == pytest.approx(-np.cos(2 * theta))
 
     def test_pure_state_sigma_y_expectation(self):
         theta, phi = 0.8, 0.6
         rho = initial_state_at_t1(unitary_variant(0.3, theta, phi))
-        assert rho.expectation(SIGMA_Y) == pytest.approx(-np.sin(2 * theta) * np.sin(phi))
+        assert weights(rho.mat @ SIGMA_Y) == pytest.approx(-np.sin(2 * theta) * np.sin(phi))
 
 
 class TestChains:
@@ -63,9 +70,20 @@ class TestChains:
         preset = pt_standard(np.pi / 3, 0.7)
         rho = initial_state_at_t1(preset)
         for m in (+1, -1):
-            want = rho.expectation((I2 + m * SIGMA_Y) / 2)
+            want = weights(rho.mat @ (I2 + m * SIGMA_Y) / 2)
             assert unnormalized_chain(ctx(preset, 1), (m,)) == pytest.approx(want, abs=1e-12)
             assert unnormalized_chain(ctx(preset, 1), (m,)) >= 0
+
+    @pytest.mark.parametrize("preset", (lambda t: pt_standard(1.2, t),
+                                        lambda t: pt_variant(1.2, t, 1.1, 0.4, published=True),
+                                        lambda t: unitary_variant(t, 1.1, 0.4)))
+    def test_t_stack_equals_points_alone(self, preset):
+        ts = (0.0, 0.3, 0.7, 1.2, 2.9)
+        for times in ALL_CONTEXTS:
+            for oc in product((+1, -1), repeat=len(times)):
+                stacked = unnormalized_chain(ctx(preset(ts), *times), oc)
+                assert stacked.tolist() == [unnormalized_chain(ctx(preset(t), *times), oc)
+                                            for t in ts]
 
     def test_chain_outcome_length_checked(self):
         preset = unitary_standard(0.5)
@@ -174,7 +192,7 @@ class TestOneTimeProbability:
 
     def test_bad_time_index(self):
         with pytest.raises(UsageError):
-            one_time_probability(unitary_standard(0.5), 4)
+            ctx(unitary_standard(0.5), 4)
 
 
 class TestPublishedChain:
@@ -268,6 +286,12 @@ class TestContextValidation:
         with pytest.raises(UsageError):
             MeasurementContext(preset=unitary_standard(0.5), measured_times=(0, 1))
 
+    def test_rejects_unaligned_stacks(self):
+        with pytest.raises(UsageError, match="aligned"):
+            pt_variant(0.5, (0.1, 0.2, 0.3), (1.0, 2.0), 0.0)
+        with pytest.raises(UsageError, match="aligned"):
+            unitary_variant((0.1, 0.2), 1.0, (0.5, 0.6, 0.7))
+
     def test_marginal_requires_measured_times(self):
         d = distribution(ctx(unitary_standard(0.5), 1, 2))
         with pytest.raises(UsageError):
@@ -278,4 +302,4 @@ def test_pure_state_norm():
     rng = np.random.default_rng(33)
     for _ in range(10):
         st = pure_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        assert st.density().weight == pytest.approx(1.0, abs=1e-12)
+        assert weights(st.density().mat) == pytest.approx(1.0, abs=1e-12)

@@ -3,17 +3,21 @@ import pytest
 from scipy.linalg import expm
 
 from ptlg.closedform import uu_dagger_coefficients, uu_dagger_reference
-from ptlg.errors import DomainError, ExceptionalPointError
-from ptlg.matcore import I2, SIGMA_X
+from ptlg.errors import DomainError, ExceptionalPointError, UsageError
+from ptlg.matcore import I2, SIGMA_X, dagger
 from ptlg.ptdyn import (
     PTParams,
     composition_check,
     eigensystem,
     hamiltonian,
     propagator,
-    uu_dagger,
     with_t,
 )
+
+
+def uu_dagger(p):
+    u = propagator(p)
+    return u @ dagger(u)
 
 
 class TestParams:
@@ -31,6 +35,22 @@ class TestParams:
             PTParams(alpha=0.3, t=0.5, s=0.0)
         with pytest.raises(DomainError):
             PTParams(alpha=0.3, t=-0.1)
+
+    def test_rejects_unaligned_stacks(self):
+        with pytest.raises(UsageError, match="aligned"):
+            PTParams((0.1, 0.2), (0.5, 0.6, 0.7))
+
+    def test_stack_names_every_failing_point(self):
+        with pytest.raises(DomainError) as stacked:
+            PTParams(0.3, (0.5, -0.1, 1.0, -2.0))
+        assert str(stacked.value) == "duration t must be >= 0, got -0.1"
+        assert stacked.value.failures == {1: "duration t must be >= 0, got -0.1",
+                                          3: "duration t must be >= 0, got -2.0"}
+        with pytest.raises(ExceptionalPointError) as stacked:
+            PTParams((0.3, 1.6), 0.5)
+        with pytest.raises(ExceptionalPointError) as alone:
+            PTParams(1.6, 0.5)
+        assert stacked.value.failures == {1: str(alone.value)}
 
 
 class TestHamiltonian:

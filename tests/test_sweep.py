@@ -1,7 +1,10 @@
+import re
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_reference import err_bound
 
 from ptlg import sweep
@@ -9,6 +12,7 @@ from ptlg.closedform import unitary_l13
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import EXPRESSIONS, expression, l13, table
 from ptlg.macrodiag import degree_report
+from ptlg.matcore import raise_where
 from ptlg.nosignal import signaling_deviation
 from ptlg.protocol import pt_standard, pt_variant
 from ptlg.ptdyn import PTParams
@@ -242,22 +246,85 @@ class TestStackedScan:
         np.testing.assert_allclose([r.value for r in res.rows[3:]], _rows_alone(res)[3:],
                                    rtol=0, atol=err_bound(0.8))
 
-    def test_grid_columns_falls_back_per_point(self):
-        def f(t, theta):
-            if isinstance(t, tuple):
-                if min(t) < 0:
-                    raise DomainError("stack has a negative duration")
-                return np.array(t) * np.array(theta), 7.0
-            if t < 0:
-                raise DomainError(f"negative duration {t}")
-            return t * theta, 7.0
+    def test_grid_columns_drops_named_points(self):
+        calls = []
 
-        cols, errors = grid_columns(f, {"t": [-1.0, 2.0, 3.0], "theta": [1.0, 2.0, 0.5]}, 2)
-        assert errors == ["negative duration -1.0", None, None]
-        assert np.isnan(cols[0][0]) and cols[0][1:] == [4.0, 1.5]
-        assert np.isnan(cols[1][0]) and cols[1][1:] == [7.0, 7.0]
+        def f(t, theta):
+            calls.append(t)
+            t = np.array(t)
+            raise_where(t < 0, t, lambda t: DomainError(f"negative duration {t}"))
+            return t * np.array(theta), 7.0
+
+        cols, errors = grid_columns(f, {"t": [-1.0, 2.0, -3.0], "theta": [1.0, 2.0, 0.5]}, 2)
+        assert errors == ["negative duration -1.0", None, "negative duration -3.0"]
+        assert calls == [(-1.0, 2.0, -3.0), (2.0,)]
+        assert np.isnan(cols[0][0]) and cols[0][1] == 4.0 and np.isnan(cols[0][2])
+        assert np.isnan(cols[1][0]) and cols[1][1] == 7.0 and np.isnan(cols[1][2])
         cols, errors = grid_columns(f, {"t": [1.0, 2.0], "theta": [3.0, 4.0]}, 2)
         assert cols == [[3.0, 8.0], [7.0, 7.0]] and errors == [None, None]
+
+    def test_grid_columns_error_naming_no_point_fails_all(self):
+        def f(t):
+            raise DomainError("the whole stack fails")
+
+        cols, errors = grid_columns(f, {"t": [1.0, 2.0, 3.0]}, 1)
+        assert errors == ["the whole stack fails"] * 3
+        assert np.isnan(cols).all()
+
+
+_T = st.one_of(st.floats(0.0, 3.0), st.floats(-1.0, -1e-9))
+_ALPHA = st.one_of(st.floats(-1.5, 1.5), st.floats(np.pi / 2, 2.0), st.floats(-2.0, -np.pi / 2))
+
+
+def _check_against_points_alone(expr, axes, fixed, exact):
+    """Run `axes` through `grid_columns` and compare each point with its
+    evaluation alone: the same value (== if `exact`, else within the error
+    bound), or NaN with the identical reason.  The stacked calls number at
+    most one plus the distinct failing checks."""
+    cfg = SweepConfig(expression=expr, kind="pt", fixed=fixed)
+    calls = []
+
+    def f(**point):
+        calls.append(point)
+        return (evaluate_expression(cfg, cfg.fixed | point),)
+
+    (values,), errors = grid_columns(f, axes, 1)
+    failing_checks = set()
+    for i, (value, error) in enumerate(zip(values, errors)):
+        point = cfg.fixed | {name: v[i] for name, v in axes.items()}
+        try:
+            want = evaluate_expression(cfg, point)
+        except (DomainError, DegenerateWeightError) as exc:
+            assert error == str(exc) and np.isnan(value), point
+            failing_checks.add(re.sub(r"-?\d+\.\d*(e[-+]?\d+)?|nan|inf", "", str(exc)))
+            continue
+        assert error is None, point
+        if exact:
+            assert value == want, point
+        else:
+            assert abs(value - want) <= err_bound(point["alpha"]), point
+    assert len(calls) <= 1 + len(failing_checks)
+
+
+class TestFailingPointsDropOut:
+    """A stack with failing points gives each point its own value or reason."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(expr=st.sampled_from(EXPRESSIONS), alpha=_ALPHA,
+           ts=st.lists(_T, min_size=1, max_size=12))
+    def test_t_stack(self, expr, alpha, ts):
+        _check_against_points_alone(expr, {"t": ts},
+                                    {"alpha": alpha, "t": 0.0, "theta": 0.7, "phi": 2.1},
+                                    exact=True)
+
+    @settings(derandomize=True, deadline=None)
+    @given(expr=st.sampled_from(EXPRESSIONS),
+           points=st.lists(st.tuples(_T, _ALPHA), min_size=1, max_size=12))
+    def test_t_alpha_stack(self, expr, points):
+        ts, alphas = map(list, zip(*points))
+        _check_against_points_alone(expr, {"t": ts, "alpha": alphas},
+                                    {"alpha": 0.0, "t": 0.0, "theta": 0.7, "phi": 2.1},
+                                    exact=False)
 
 
 class TestFigureData:
