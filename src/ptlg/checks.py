@@ -112,10 +112,8 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = _max(degree_report(unitary_variant(ts, 1.1, 0.7)).max_aot())
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
-    # the engine's state point by point, so that a substitute for `bob_reduced`
-    # may handle one 2x2 matrix at a time
     b1, b2, b3, b4, n1 = bob_reduced_entries(alphas, ts)
-    rho = np.array([bob_reduced(PTParams(a, t)).mat for a, t in zip(alphas, ts)])
+    rho = bob_reduced(PTParams(alphas, ts)).mat
     tot = b1 + b2
     res = _max([abs(rho[:, 0, 0].real - b1 / tot), abs(rho[:, 1, 1].real - b2 / tot),
                 abs(rho[:, 0, 1] - b4 / tot), abs(rho[:, 1, 0] - b3 / tot), abs(tot - 2 * n1)])

@@ -35,29 +35,50 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def _round12(v: float) -> float:
-    return float(_fmt(v))
+    return float("%.12g" % v)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(s: str) -> str:
+    """json's text for float(s): its repr, or NaN/Infinity/-Infinity."""
+    r = repr(float(s))
+    return _JSON_NONFINITE.get(r, r)
 
 
 def _write_table(path: str, columns, rows, fmt: str, config: dict, summary: dict):
+    """Write the rows as CSV, or as the text `json.dump(..., indent=1)` gives for
+    {"config", "rows", "summary"} with every value read back as `_round12(v)`.
+
+    Each row is formatted with one `%` template and written on its own.  The
+    JSON rows are spliced in where the dumped payload holds `"rows": []`.
+    """
+    values = ",".join(["%.12g"] * len(columns))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             if fmt == "csv":
                 fh.write(",".join(columns) + "\n")
+                line = values + "\n"
                 for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
-            else:
-                payload = {
-                    "config": config,
-                    "rows": [dict(zip(columns, (_round12(v) for v in row))) for row in rows],
-                    "summary": summary,
-                }
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
+                    fh.write(line % row)
+                return
+            text = json.dumps({"config": config, "rows": [], "summary": summary}, indent=1)
+            if not rows:
+                fh.write(text + "\n")
+                return
+            head, _, tail = text.partition('\n "rows": []')
+            obj = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %s" for c in columns) + "\n  }"
+            fh.write(head + '\n "rows": [\n')
+            sep = ""
+            for row in rows:
+                # A decimal of at most 12 significant digits in the normal range
+                # is its own shortest repr: a "." and no exponent marks one.
+                fh.write(sep + obj % tuple([s if "." in s and "e" not in s else _json_float(s)
+                                            for s in (values % row).split(",")]))
+                sep = ",\n"
+            fh.write("\n ]" + tail + "\n")
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 

@@ -61,7 +61,7 @@ import numpy as np
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
 from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
                       per_matrix, projector, raise_where, weights)
-from .ptdyn import PTParams, check_aligned, point_or_stack, propagator, with_t
+from .ptdyn import PTParams, check_aligned, point_or_stack, propagator, scaled
 
 MAXIMALLY_MIXED = "maximally_mixed"
 PURE = "pure"
@@ -108,10 +108,7 @@ class PTEvolution:
     published: bool = False
 
     def step(self, n_segments: int) -> np.ndarray:
-        t = self.params.t
-        if isinstance(t, tuple):  # n * tuple would repeat the grid
-            t = np.array(t)
-        return propagator(with_t(self.params, n_segments * t))
+        return propagator(scaled(self.params, n_segments))
 
 
 UNITARY_STANDARD = "UNITARY_STANDARD"

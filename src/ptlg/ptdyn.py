@@ -64,16 +64,37 @@ class PTParams:
                                                      "regime |alpha| < pi/2"))
         if not np.isfinite(self.s) or self.s <= 0:
             raise DomainError(f"scale s must be positive, got {self.s!r}")
-        t = point_or_stack(self.t, lambda t: (t >= 0) & (t < np.inf),
-                           lambda t: DomainError(f"duration t must be >= 0, got {t!r}"))
+        t = point_or_stack(self.t, lambda t: (t >= 0) & (t < np.inf), _duration_error)
         check_aligned(alpha, t)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "t", t)
 
 
+def _duration_error(t) -> DomainError:
+    return DomainError(f"duration t must be >= 0, got {t!r}")
+
+
 def with_t(p: PTParams, t: float) -> PTParams:
     """Same Hamiltonian, different duration."""
     return replace(p, t=t)
+
+
+def scaled(p: PTParams, n: int) -> PTParams:
+    """Same Hamiltonian, n times the duration, without re-running p's checks.
+
+    Every check of p holds for n t but one: a product that overflows raises
+    the DomainError an infinite t raises.
+    """
+    stack = isinstance(p.t, tuple)
+    t = np.array(p.t) if stack else p.t  # n * tuple would repeat the grid
+    with np.errstate(over="ignore"):  # an overflow is reported per point below
+        t = n * t
+    raise_where(t == np.inf, t, _duration_error)
+    q = object.__new__(PTParams)
+    for name, value in (("alpha", p.alpha), ("t", tuple(t.tolist()) if stack else t),
+                        ("s", p.s)):
+        object.__setattr__(q, name, value)
+    return q
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlg import checks
 from ptlg.checks import run_identity_suite
-from ptlg.cli import main
+from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
 from ptlg.matcore import QubitDensity
+from ptlg.sweep import figure_data
 
 
 class TestIdentitySuite:
@@ -29,7 +34,8 @@ class TestIdentitySuite:
     def test_untransposed_partner_state_detected(self, monkeypatch):
         # U^dag U has the right diagonal and |off-diagonal|, but conjugated phases
         original = checks.bob_reduced
-        monkeypatch.setattr(checks, "bob_reduced", lambda p: QubitDensity(original(p).mat.T))
+        monkeypatch.setattr(checks, "bob_reduced",
+                            lambda p: QubitDensity(original(p).mat.swapaxes(-1, -2)))
         results = run_identity_suite(sample_size=4)
         failed = {r.name for r in results if not r.passed}
         assert failed == {"partner-state-closed-form"}
@@ -90,6 +96,65 @@ class TestFigureCommand:
         rc = main(["figure", "1", "--t-steps", "4",
                    "--out", str(tmp_path / "missing" / "f.csv")])
         assert rc == 3
+
+
+def _reference_table(path, columns, rows, fmt, config, summary):
+    """The table as formatted value by value: f"{v:.12g}" in CSV, and
+    json.dump(indent=1) over float(f"{v:.12g}") in JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if fmt == "csv":
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        else:
+            payload = {
+                "config": config,
+                "rows": [dict(zip(columns, (float(f"{v:.12g}") for v in row))) for row in rows],
+                "summary": summary,
+            }
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+
+
+def _assert_same_bytes(columns, rows, fmt, config, summary, tmp: Path):
+    _write_table(str(tmp / "got"), columns, rows, fmt, config, summary)
+    _reference_table(tmp / "want", columns, rows, fmt, config, summary)
+    assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+
+
+# NaN, +-inf, +-0.0 and subnormals come from st.floats(); [1e12, 1e16) is where
+# 12 digits print in exponent form but the shortest repr does not
+_VALUES = st.one_of(st.floats(), st.floats(1e12, 1e16, exclude_max=True),
+                    st.floats(-1e16, -1e12, exclude_min=True),
+                    st.floats(-1e-300, 1e-300))
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+class TestTableWriter:
+    def test_figure_table_with_nan_rows(self, fmt, tmp_path):
+        data = figure_data(3, alphas=(2 * np.pi / 5,), t_min=-0.005)
+        assert any(np.isnan(row[2]) for row in data.rows)
+        config = {"figure": 3, "alphas": [2 * np.pi / 5], "t_min": -0.005, "t_max": np.pi,
+                  "t_steps": 512, "pre_evolution": "on"}
+        summary = {"rows": len(data.rows), "max_value": 1.25}
+        _assert_same_bytes(data.columns, data.rows, fmt, config, summary, tmp_path)
+
+    def test_empty_rows(self, fmt, tmp_path):
+        _assert_same_bytes(("alpha", "t", "L13"), [], fmt, {"figure": 1},
+                           {"rows": 0, "max_value": float("nan")}, tmp_path)
+
+    def test_config_with_lists_strings_and_bools(self, fmt, tmp_path):
+        config = {"alphas": [0.0, 1.2, -0.5], "label": 'say "rows": [] \u00e9',
+                  "flags": [True, False], "nested": {"rows": [], "x": None}, "on": True}
+        rows = [(0.5, 1.0, -2.5e-7), (np.float64(1e-5), np.float64(3.0), float("inf"))]
+        _assert_same_bytes(("a", "b", "c"), rows, fmt, config, {"rows": 2}, tmp_path)
+
+    @settings(derandomize=True, deadline=None)
+    @given(rows=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), max_size=6))
+    def test_any_float(self, fmt, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_same_bytes(("x", "y", "z"), rows, fmt, {"k": [1.5]},
+                               {"rows": len(rows)}, Path(tmp))
 
 
 class TestOptimizeCommand:

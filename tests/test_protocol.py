@@ -85,6 +85,29 @@ class TestChains:
                 assert stacked.tolist() == [unnormalized_chain(ctx(preset(t), *times), oc)
                                             for t in ts]
 
+    def test_steps_scale_the_checked_duration(self, monkeypatch):
+        # U(n t) is the propagator of n t, bit for bit, and no step builds PTParams
+        alphas, ts = (0.2, 0.9, 1.4), (0.3, 1.1, 2.5)
+        preset = pt_variant(alphas, ts, 1.1, 0.4)
+        want = [propagator(PTParams(alphas, n * np.array(ts))) for n in range(5)]
+        built = []
+        original = PTParams.__post_init__
+        monkeypatch.setattr(PTParams, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        for n in range(5):
+            assert np.array_equal(preset.evolution.step(n), want[n])
+        assert built == []
+
+    def test_step_multiple_that_overflows_is_a_domain_error(self):
+        # each t is finite, but the legs take 2 t (sequential) and up to 4 t (published)
+        with pytest.raises(DomainError, match="^duration t must be >= 0, got inf$"):
+            distribution(ctx(pt_standard(0.5, 1e308), 1, 2, 3))
+        for published in (False, True):
+            with pytest.raises(DomainError) as stacked:
+                distribution(ctx(pt_standard(0.5, (0.3, 1e308, 7e307), published=published),
+                                 1, 2, 3))
+            assert stacked.value.failures == {1: "duration t must be >= 0, got inf"}
+
     def test_chain_outcome_length_checked(self):
         preset = unitary_standard(0.5)
         with pytest.raises(UsageError):
