@@ -51,7 +51,6 @@ from .ptdyn import (
     composition_check,
     eigensystem,
     propagator,
-    with_t,
 )
 from .sweep import FigureData, GridSpec, SweepConfig, SweepResult, figure_data, refine_max, scan
 

@@ -2,6 +2,8 @@
 
 These are evaluated directly from trigonometric formulas, never through the
 matrix engine, so tests and the `check` command can compare the two routes.
+Since U^T = U (see `ptdyn`), the entangled-pair partner state (U^dag U)^T / tr
+equals U U^dagger / tr, so `uu_dagger_reference` is the closed form of both.
 """
 
 from __future__ import annotations
@@ -11,35 +13,14 @@ import numpy as np
 from .errors import UsageError
 
 
-def uu_dagger_coefficients(alpha: float, t: float) -> tuple[float, float, float]:
-    """(d1, d2, d3) with U U^dagger = [[d1, i d2], [-i d2, d3]]."""
+def uu_dagger_reference(alpha, t) -> np.ndarray:
+    """U U^dagger = [[d1, i d2], [-i d2, d3]]; an (N, 2, 2) stack for arrays alpha and t."""
     sec = 1.0 / np.cos(alpha)
     d1 = sec**2 * (np.cos(t - alpha) ** 2 + np.sin(t) ** 2)
     d2 = 2.0 * sec * np.sin(t) ** 2 * np.tan(alpha)
     d3 = sec**2 * (np.cos(t + alpha) ** 2 + np.sin(t) ** 2)
-    return d1, d2, d3
-
-
-def uu_dagger_reference(alpha, t) -> np.ndarray:
-    """[[d1, i d2], [-i d2, d3]]; an (N, 2, 2) stack for arrays alpha and t."""
-    d1, d2, d3 = uu_dagger_coefficients(alpha, t)
     m = np.array([[d1, 1j * d2], [-1j * d2, d3]], dtype=complex)
     return np.moveaxis(m, (0, 1), (-2, -1))
-
-
-def bob_reduced_entries(alpha: float, t: float):
-    """Closed-form entries (b1, b2, b3, b4) and constant n1 of the partner state.
-
-    The normalized 2x2 state is [[b1, b4], [b3, b2]] / (b1 + b2); note that
-    b1 + b2 = 2 * n1 identically, so n1 is half the closed form's trace.
-    """
-    sec = 1.0 / np.cos(alpha)
-    b1 = 0.5 * sec**2 * (np.cos(2 * (alpha - t)) - np.cos(2 * t) + 2.0)
-    b2 = 0.5 * sec**2 * (np.cos(2 * (alpha + t)) - np.cos(2 * t) + 2.0)
-    b3 = -2j * np.tan(alpha) * sec * np.sin(t) ** 2
-    b4 = 2j * np.tan(alpha) * sec * np.sin(t) ** 2
-    n1 = 2.0 * sec**2 * np.sin(t) ** 2 + np.cos(2 * t)
-    return b1, b2, b3, b4, n1
 
 
 def unitary_l13(t: float) -> float:

@@ -9,6 +9,7 @@ the evolution is Hermitian (alpha = 0) or trivial (sin t = 0).  A t-grid in
 No two-qubit state is built.  For the pair (|00> + |11>) / sqrt(2), tracing
 (U x I) |pair><pair| (U^dag x I) over the first qubit leaves (U^dag U)^T / 2,
 so the renormalized partner state is (U^T U^*) / tr(U^dag U), a 2x2 product.
+U is complex symmetric (U^T = U, see `ptdyn`), so that product is U U^dag.
 """
 
 from __future__ import annotations

@@ -192,8 +192,7 @@ def test_diagnostics_computes_each_context_once(distribution_calls):
 
 
 def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
-    # the suite shares 4 stacked tables among both residuals, and forms one
-    # extra stacked unitary-variant preset for the AOT check
+    # the suite shares 4 stacked tables among both residuals and the AOT check
     from ptlg import checks, macrodiag
 
     tables = []
@@ -206,7 +205,7 @@ def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
     monkeypatch.setattr(macrodiag, "degree_report", counting)
     monkeypatch.setattr(checks, "degree_report", counting)
     checks.run_identity_suite(sample_size=16)
-    assert len(tables) == 5
+    assert len(tables) == 4
     assert len({id(x) for x in tables}) == len(tables)
 
 

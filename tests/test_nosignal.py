@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptlg.closedform import bob_reduced_entries
+from ptlg.closedform import uu_dagger_reference
 from ptlg.errors import ExceptionalPointError
 from ptlg.matcore import I2, hermitian_defect, weights
 from ptlg.nosignal import bob_reduced, signaling_deviation
@@ -57,17 +57,14 @@ class TestBobReduced:
         assert signaling_deviation(PTParams(np.pi / 3, 0.7)) > 1e-3
 
     def test_closed_form_entries(self):
+        # U^T = U makes the partner state U U^dag / tr(U U^dag); every entry,
+        # the complex off-diagonals included
         rng = np.random.default_rng(61)
         for _ in range(25):
             alpha, t = rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)
-            b1, b2, b3, b4, n1 = bob_reduced_entries(alpha, t)
-            tot = b1 + b2
-            assert tot == pytest.approx(2 * n1, abs=1e-9)
+            ref = uu_dagger_reference(alpha, t)
             rho = bob_reduced(PTParams(alpha, t)).mat
-            assert rho[0, 0].real == pytest.approx(b1 / tot, abs=1e-9)
-            assert rho[1, 1].real == pytest.approx(b2 / tot, abs=1e-9)
-            assert rho[0, 1] == pytest.approx(b4 / tot, abs=1e-9)
-            assert rho[1, 0] == pytest.approx(b3 / tot, abs=1e-9)
+            assert np.abs(rho - ref / np.trace(ref).real).max() <= 1e-9
 
 
 class TestBellPairProperties:
@@ -102,10 +99,10 @@ class TestSignalingDeviation:
         assert signaling_deviation(PTParams(2 * np.pi / 5, 0.8)) > 1e-3
 
     def test_closed_form_zero_set(self):
-        # deviation vanishes exactly where the closed-form entries say it does
+        # deviation vanishes exactly where the closed form says it does
         alpha = 2 * np.pi / 5
-        b1, b2, b3, _, _ = bob_reduced_entries(alpha, np.pi)
-        assert abs(b3) < 1e-12 and b1 == pytest.approx(b2, abs=1e-12)
+        ref = uu_dagger_reference(alpha, np.pi)
+        assert np.abs(ref / np.trace(ref).real - I2 / 2).max() < 1e-12
         assert signaling_deviation(PTParams(alpha, np.pi)) < 1e-12
 
     def test_exceptional_point_rejected(self):

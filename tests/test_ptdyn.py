@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ptlg.closedform import uu_dagger_coefficients, uu_dagger_reference
+from ptlg.closedform import uu_dagger_reference
 from ptlg.errors import DomainError, ExceptionalPointError, UsageError
 from ptlg.matcore import I2, SIGMA_X, dagger
 from ptlg.ptdyn import (
@@ -11,7 +11,6 @@ from ptlg.ptdyn import (
     eigensystem,
     hamiltonian,
     propagator,
-    with_t,
 )
 
 
@@ -30,9 +29,7 @@ class TestParams:
     def test_near_exceptional_point_accepted(self):
         PTParams(alpha=np.pi / 2.05, t=0.5)
 
-    def test_rejects_bad_scale_and_duration(self):
-        with pytest.raises(DomainError):
-            PTParams(alpha=0.3, t=0.5, s=0.0)
+    def test_rejects_negative_duration(self):
         with pytest.raises(DomainError):
             PTParams(alpha=0.3, t=-0.1)
 
@@ -65,35 +62,45 @@ class TestHamiltonian:
     def test_traceless(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            p = PTParams(rng.uniform(-1.5, 1.5), rng.uniform(0, 3), s=rng.uniform(0.5, 2))
+            p = PTParams(rng.uniform(-1.5, 1.5), rng.uniform(0, 3))
             assert abs(np.trace(hamiltonian(p))) < 1e-15
 
 
 class TestEigensystem:
     def test_hermitian_limit(self):
-        es = eigensystem(PTParams(0.0, 1.0))
-        assert es.e_plus == pytest.approx(1.0)
-        assert es.e_minus == pytest.approx(-1.0)
-        assert abs(np.vdot(es.v_plus, es.v_minus)) < 1e-12
+        e, v = eigensystem(PTParams(0.0, 1.0))
+        assert e == pytest.approx(1.0)
+        assert abs(np.vdot(v[:, 0], v[:, 1])) < 1e-12
 
     def test_energies_at_pi_over_3(self):
-        es = eigensystem(PTParams(np.pi / 3, 1.0))
-        assert es.e_plus == pytest.approx(0.5)
-        assert es.e_minus == pytest.approx(-0.5)
+        e, _ = eigensystem(PTParams(np.pi / 3, 1.0))
+        assert e == pytest.approx(0.5)
 
     def test_nonorthogonal_eigenvectors(self):
-        es = eigensystem(PTParams(np.pi / 3, 1.0))
-        overlap = abs(np.vdot(es.v_plus / np.linalg.norm(es.v_plus),
-                              es.v_minus / np.linalg.norm(es.v_minus)))
+        _, v = eigensystem(PTParams(np.pi / 3, 1.0))
+        overlap = abs(np.vdot(v[:, 0] / np.linalg.norm(v[:, 0]),
+                              v[:, 1] / np.linalg.norm(v[:, 1])))
         assert overlap > 0.1
 
     def test_eigenvalue_equation(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             p = PTParams(rng.uniform(-1.4, 1.4), rng.uniform(0, 3))
-            h, es = hamiltonian(p), eigensystem(p)
-            assert np.linalg.norm(h @ es.v_plus - es.e_plus * es.v_plus) < 1e-10
-            assert np.linalg.norm(h @ es.v_minus - es.e_minus * es.v_minus) < 1e-10
+            h, (e, v) = hamiltonian(p), eigensystem(p)
+            assert np.linalg.norm(h @ v[:, 0] - e * v[:, 0]) < 1e-10
+            assert np.linalg.norm(h @ v[:, 1] + e * v[:, 1]) < 1e-10
+
+    def test_stack_matches_points(self):
+        rng = np.random.default_rng(28)
+        alphas = np.append(rng.uniform(-1.55, 1.55, 31), 0.0)
+        e, v = eigensystem(PTParams(alphas, 0.5))
+        assert e.shape == (32,) and v.shape == (32, 2, 2)
+        for i, a in enumerate(alphas):
+            e_i, v_i = eigensystem(PTParams(a, 0.5))
+            assert e[i].tobytes() == e_i.tobytes() and v[i].tobytes() == v_i.tobytes()
+        h = hamiltonian(PTParams(alphas, 0.5))
+        eigen_values = v * np.stack([e, -e], axis=-1)[:, None, :]  # column k scaled by +-e
+        np.testing.assert_allclose(h @ v, eigen_values, rtol=0, atol=1e-10)
 
 
 class TestPropagator:
@@ -109,15 +116,15 @@ class TestPropagator:
 
     def test_matches_matrix_exponential_oracle(self):
         p = PTParams(np.pi / 3, 0.7)
-        tau = p.t / (p.s * np.cos(p.alpha))
+        tau = p.t / np.cos(p.alpha)
         np.testing.assert_allclose(propagator(p), expm(-1j * hamiltonian(p) * tau),
                                    atol=1e-10)
 
     def test_matches_expm_random(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
-            p = PTParams(rng.uniform(-1.5, 1.5), rng.uniform(0, 3), s=rng.uniform(0.5, 2))
-            tau = p.t / (p.s * np.cos(p.alpha))
+            p = PTParams(rng.uniform(-1.5, 1.5), rng.uniform(0, 3))
+            tau = p.t / np.cos(p.alpha)
             np.testing.assert_allclose(propagator(p), expm(-1j * hamiltonian(p) * tau),
                                        atol=1e-10)
 
@@ -140,12 +147,11 @@ class TestPropagator:
         rng = np.random.default_rng(25)
         for _ in range(20):
             p = PTParams(rng.uniform(-2 * np.pi / 5, 2 * np.pi / 5), rng.uniform(0, 3))
-            es = eigensystem(p)
-            v = np.column_stack([es.v_plus, es.v_minus])
+            e, v = eigensystem(p)
             w = np.linalg.inv(v)
-            tau = p.t / (p.s * np.cos(p.alpha))
-            u_spec = (np.exp(-1j * es.e_plus * tau) * np.outer(v[:, 0], w[0, :])
-                      + np.exp(-1j * es.e_minus * tau) * np.outer(v[:, 1], w[1, :]))
+            tau = p.t / np.cos(p.alpha)
+            u_spec = (np.exp(-1j * e * tau) * np.outer(v[:, 0], w[0, :])
+                      + np.exp(1j * e * tau) * np.outer(v[:, 1], w[1, :]))
             np.testing.assert_allclose(propagator(p), u_spec, atol=1e-9)
 
 
@@ -187,27 +193,9 @@ class TestUUDagger:
                 assert dev > 1e-6
 
     def test_coefficient_sign_convention(self):
-        # the (0, 1) entry is +i d2 under the pinned exponentiation convention
+        # the (0, 1) entry is +i d2, d2 = 2 sec(alpha) sin^2(t) tan(alpha), under
+        # the pinned exponentiation convention, in the engine and the closed form
         alpha, t = 0.9, 1.1
-        _, d2, _ = uu_dagger_coefficients(alpha, t)
-        m = uu_dagger(PTParams(alpha, t))
-        assert abs(m[0, 1] - 1j * d2) < 1e-12
-
-
-def test_with_t_replaces_duration():
-    p = PTParams(0.5, 1.0, s=2.0)
-    q = with_t(p, 0.25)
-    assert q.t == 0.25 and q.alpha == p.alpha and q.s == p.s
-
-
-def test_propagator_independent_of_scale():
-    # s cancels in U = cos(t) I - i sin(t) H / (s cos alpha); the bound covers
-    # three roundings: s times an entry of H, s cos(alpha), and their quotient
-    rng = np.random.default_rng(27)
-    eps = np.finfo(float).eps
-    for _ in range(500):
-        alpha, t = rng.uniform(-1.5, 1.5), rng.uniform(0, 3)
-        u = propagator(PTParams(alpha, t))
-        for s in (0.3, 1.0, 7.0, 100.0):
-            gap = np.max(np.abs(propagator(PTParams(alpha, t, s)) - u))
-            assert gap <= 4 * eps * np.max(np.abs(u))
+        d2 = 2.0 / np.cos(alpha) * np.sin(t) ** 2 * np.tan(alpha)
+        for m in (uu_dagger(PTParams(alpha, t)), uu_dagger_reference(alpha, t)):
+            assert abs(m[0, 1] - 1j * d2) < 1e-12
