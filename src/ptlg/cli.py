@@ -20,6 +20,7 @@ from .sweep import (
     DEFAULT_ALPHAS,
     DEFAULT_PHI,
     DEFAULT_THETA,
+    KINDS,
     FigureData,
     GridSpec,
     SweepConfig,
@@ -150,9 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_grid(p_fig)
     add_state(p_fig)
 
-    p_opt = sub.add_parser("optimize", help="grid scan + stacked k-section maximization")
+    p_opt = sub.add_parser("optimize", help="grid scan, then k-section and Newton maximization")
     p_opt.add_argument("expression", choices=("L13", "V1", "V2", "V3"))
-    p_opt.add_argument("--kind", choices=("pt", "unitary"), default="pt")
+    p_opt.add_argument("--kind", choices=KINDS, default="pt")
     add_grid(p_opt)
     add_state(p_opt)
 
@@ -207,7 +208,7 @@ def cmd_optimize(args) -> int:
     if args.t_steps < 2:
         raise UsageError("--t-steps must be >= 2 for optimization")
     fixed: dict[str, float] = {"theta": args.theta, "phi": args.phi}
-    if args.kind == "pt":
+    if args.kind != "unitary":
         if args.alpha is None:
             raise UsageError("optimize over the non-unitary family needs --alpha")
         fixed["alpha"] = args.alpha

@@ -7,9 +7,9 @@ grids still produce complete figures.
 
 Every grid is evaluated as one stacked preset (see `protocol`): each alpha's
 t-grid of a figure, a `scan`'s whole Cartesian grid, and each round of
-`refine_max`'s k-section (K probes of its bracket).  `grid_columns` runs the
-stack; the points that a check names as failing drop out of it, and the rest
-run again as one stack.
+`refine_max` (K probes of a k-section bracket, or a Newton stencil).
+`grid_columns` runs the stack; the points that a check names as failing drop
+out of it, and the rest run again as one stack.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ DEFAULT_ALPHAS = (0.0, np.pi / 3, 2 * np.pi / 5, np.pi / 2.05)
 DEFAULT_THETA = 5 * np.pi / 6
 DEFAULT_PHI = np.pi / 2
 REFINE_TOLERANCE = 1e-7
-REFINE_CYCLES = 60  # cap on the cyclic coordinate passes of `refine_max`
+START_CYCLES = 6  # cap on the k-section passes that start `refine_max`
+NEWTON_ITERATIONS = 150  # cap on the trust-region iterations that finish it
+H = 1e-5  # central-difference step of the Newton phase
 K = 16  # interior probes per k-section round, evaluated as one stack
 KINDS = ("unitary", "pt", "pt-published")
 
@@ -199,20 +201,24 @@ def _ksection_max(cfg: SweepConfig, params: dict, name: str, lo: float, hi: floa
 
 
 def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
-    """Cyclic per-coordinate k-section ascent from a seed point.
+    """Local maximization from a seed point: the point, its value (never below
+    the seed's) and whether the Newton stopping test was met.
 
-    Each swept coordinate is refined inside a bracket of one grid spacing
-    around the current point (clipped to the grid bounds), cycling until a
-    full pass improves no coordinate by more than the tolerance, or for at
-    most REFINE_CYCLES passes.  The result never falls below the seed's value.
-    Returns the point, its value, and whether the passes converged before the cap.
+    A cyclic per-coordinate k-section (bracket: one grid spacing, clipped to
+    the grid; at most START_CYCLES passes, one for a lone coordinate) starts
+    it.  Trust-region Newton steps finish it, each iteration one stacked
+    central-difference stencil (step H) at the trial point.  The test: an
+    unshifted Newton step below REFINE_TOLERANCE on a negative-definite Hessian
+    over the coordinates not pinned at a grid bound by an outward gradient.
     """
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
-    for _ in range(REFINE_CYCLES):
+    if not sweepable:
+        return params, best, True
+    for _ in range(START_CYCLES if len(sweepable) > 1 else 1):
         moved = 0.0
         for name, grid in sweepable:
             radius = grid.spacing()
@@ -225,7 +231,44 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
                 moved = max(moved, abs(x - params[name]))
                 params[name], best = x, fx
         if moved < REFINE_TOLERANCE:
-            return params, best, True
+            break
+    names, lo, hi = zip(*[(name, g.lo, g.hi) for name, g in sweepable])
+    n, eye, (i, j) = len(names), np.eye(len(names)), np.triu_indices(len(names), 1)
+    offsets = H * np.vstack([np.zeros(n), eye, -eye] + [
+        s * eye[a] + u * eye[b] for a, b in zip(i, j) for s, u in product((1, -1), repeat=2)])
+
+    def stencil(x):  # (f, gradient, Hessian) at x, or None if a probe fails
+        f = np.asarray(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
+                                    dict(zip(names, (x + offsets).T.tolist())), 1)[0][0])
+        fp, fm = f[1:n + 1], f[n + 1:2 * n + 1]
+        hess = np.diag((fp - 2 * f[0] + fm) / H**2)
+        hess[i, j] = hess[j, i] = f[2 * n + 1:].reshape(-1, 4) @ (1, -1, -1, 1) / (4 * H**2)
+        return (f[0], (fp - fm) / (2 * H), hess) if np.isfinite(f).all() else None
+
+    x = np.array([params[name] for name in names])
+    at_x, radius = stencil(x), min(g.spacing() for _, g in sweepable)
+    for _ in range(NEWTON_ITERATIONS):
+        if at_x is None or radius < REFINE_TOLERANCE:
+            break
+        fx, grad, hess = at_x
+        free = ~((x <= lo) & (grad < 0) | (x >= hi) & (grad > 0))  # all pinned: w, gv empty, converged
+        w, v = np.linalg.eigh(hess[np.ix_(free, free)])
+        gv = v.T @ grad[free]
+        newton = np.linalg.norm(gv / w) if np.all(w < 0) else np.inf
+        if newton < REFINE_TOLERANCE or not gv.any():  # a zero gradient off a maximum ends it
+            return params, best, bool(newton < REFINE_TOLERANCE)
+        shift = 0.0 if newton <= radius else max(w.max(), 0.0) + np.linalg.norm(gv) / radius
+        step = np.zeros(n)
+        step[free] = v @ (gv / (shift - w))
+        trial = np.clip(x + step, lo, hi)
+        step, at_trial = trial - x, stencil(trial)
+        if at_trial is None or at_trial[0] <= max(fx, best):  # refused
+            radius = np.linalg.norm(step) / 4
+            continue
+        if at_trial[0] - fx >= 0.75 * (grad @ step + step @ hess @ step / 2):
+            radius *= 2  # the model predicted the gain well
+        x, at_x = trial, at_trial
+        params, best = params | dict(zip(names, x.tolist())), float(at_x[0])
     return params, best, False
 
 

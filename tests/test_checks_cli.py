@@ -13,7 +13,7 @@ from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
 from ptlg.matcore import QubitDensity
-from ptlg.sweep import figure_data
+from ptlg.sweep import DEFAULT_PHI, DEFAULT_THETA, GridSpec, SweepConfig, figure_data, scan
 
 
 class TestIdentitySuite:
@@ -180,6 +180,25 @@ class TestOptimizeCommand:
 
     def test_pt_requires_alpha(self):
         assert main(["optimize", "L13", "--kind", "pt"]) == 2
+
+    def test_published_requires_alpha(self):
+        assert main(["optimize", "V3", "--kind", "pt-published"]) == 2
+
+    def test_published_equals_scan_of_published_chain(self, capsys):
+        argv = ["optimize", "V3", "--kind", "pt-published", "--alpha", "1.45",
+                "--t-min", "0.3", "--t-max", "1.9", "--t-steps", "32"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        res = scan(SweepConfig(expression="V3", kind="pt-published",
+                               grids={"t": GridSpec(0.3, 1.9, 32)},
+                               fixed={"alpha": 1.45, "theta": DEFAULT_THETA, "phi": DEFAULT_PHI},
+                               refine=True))
+        assert report["kind"] == "pt-published"
+        assert report["value"] == float(f"{res.argmax_value:.12g}")
+        assert report["params"]["t"] == float(f"{res.argmax_params['t']:.12g}")
+        assert report["converged"] is res.converged
+        # the published chain reaches far above the sequential one here
+        assert report["value"] > 2.9
 
 
 class TestNosignalCommand:

@@ -9,7 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptlg.lgexpr import CONTEXTS, l123_and_beta, table, v123_and_delta
+from test_reference import err_bound
+
+from ptlg.lgexpr import CONTEXTS, expression, l123_and_beta, table, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
                             degree_report)
 from ptlg.protocol import pt_standard, pt_variant, unitary_variant
@@ -81,3 +83,25 @@ def test_propagator_is_antiperiodic(alpha, t):
     # scale as sec(alpha), and t + pi carries the roundoff of its sum and of pi.
     u, shifted = propagator(PTParams(alpha, t)), propagator(PTParams(alpha, t + np.pi))
     assert np.abs(shifted + u).max() <= 8 * EPS / np.cos(alpha)
+
+
+@settings(derandomize=True, deadline=None)
+@given(alpha=st.floats(-1.5, 1.5), t=ANGLES, theta=ANGLES, phi=st.floats(0.0, 2 * np.pi),
+       published=st.booleans())
+def test_phi_reflection_leaves_every_distribution_unchanged(alpha, t, theta, phi, published):
+    # The ket (e^{i phi} sin theta, cos theta) goes under phi -> pi - phi to
+    # sigma_z K of itself (K: complex conjugation), up to a global sign.
+    # H = [[i sin alpha, 1], [1, -i sin alpha]] has sigma_z H* sigma_z = -H, so
+    # sigma_z U* sigma_z = U for U = exp(-i H t); sigma_z sigma_y* sigma_z =
+    # sigma_y, so each projector (I + m sigma_y) / 2 maps to itself.  Every
+    # chain amplitude therefore maps to its complex conjugate, and all seven
+    # distributions are equal.  Hence phi = pi / 2 is stationary in phi.
+    tabs = [table(pt_variant(alpha, t, theta, p, published=published))
+            for p in (phi, np.pi - phi)]
+    tol = err_bound(alpha)
+    for name in ("V1", "V2", "V3"):
+        assert abs(expression(name, tabs[0]) - expression(name, tabs[1])) <= tol
+    reports = [degree_report(tab) for tab in tabs]
+    for field in ("d_123", "d_1_2_3", "r_12_3", "r_1_23"):
+        mine, mirrored = (getattr(rep, field) for rep in reports)
+        assert max(abs(mine[k] - mirrored[k]) for k in mine) <= tol, field
