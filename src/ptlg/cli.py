@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -170,6 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(_build_parser)  # the one parser `main` reuses in a process
+
+
 def _alpha_t_grid(args) -> tuple[tuple[float, ...], dict]:
     """The alphas of a figure or nosignal table, and the grid part of its config.
 
@@ -208,11 +212,12 @@ def cmd_optimize(args) -> int:
     if args.t_steps < 2:
         raise UsageError("--t-steps must be >= 2 for optimization")
     fixed: dict[str, float] = {"theta": args.theta, "phi": args.phi}
-    if args.kind != "unitary":
-        if args.alpha is None:
-            raise UsageError("optimize over the non-unitary family needs --alpha")
-        fixed["alpha"] = args.alpha
-    PTParams(fixed.get("alpha", 0.0), (args.t_min, args.t_max))  # window inside the domain
+    if args.alpha is not None:
+        fixed["alpha"] = args.alpha  # which SweepConfig refuses for the unitary kind
+    elif args.kind != "unitary":
+        raise UsageError("optimize over the non-unitary family needs --alpha")
+    alpha = 0.0 if args.kind == "unitary" else args.alpha
+    PTParams(alpha, (args.t_min, args.t_max))  # the window lies inside the domain
     cfg = SweepConfig(
         expression=args.expression,
         kind=args.kind,
@@ -278,7 +283,7 @@ def cmd_nosignal(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         try:

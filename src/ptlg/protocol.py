@@ -16,9 +16,10 @@ preset run along one chain (Emary, Lambert & Nori, Rep. Prog. Phys. 77,
     w_k(m) = <m|rho_k|m>,    T_n(m'|m) = |<m'|G_n|m>|^2,
 
 with rho_k the chain state at time k and G_n the leg across the gap.  Each
-preset forms these tables once, on first use (`ScenarioPreset.transfer`), and
-`distribution` multiplies them out per context.  `unnormalized_chain`
-evolves branch states along the same legs instead, as an independent oracle.
+preset forms these tables once, on first use (`ScenarioPreset.transfer`), with
+all its distinct legs in one array (`_product`), and `distribution` multiplies
+them out per context over an outcome axis.  `unnormalized_chain` evolves
+branch states along the same legs with `@` instead, as an independent oracle.
 Under non-unitary evolution N differs from context to context, which is
 exactly what lets the marginal of a finer context disagree with a coarser
 context's distribution (`macrodiag` quantifies this).  Per-step
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -130,35 +132,26 @@ class ScenarioPreset:
         check_aligned(p.alpha, p.t, state.theta, state.phi)
 
     @cached_property
-    def transfer(self) -> tuple[dict[int, tuple], dict[int, list]]:
-        """The chain every context multiplies out, formed on first use: the
-        weights (w(+1), w(-1)) at each time k = 1..3, and the table
-        T[m'][m] = T(m'|m) across each gap of n = 1, 2 steps.
-
-        The observable is validated and its two bras read once; the legs come
-        from one `_chain`.  A failure raises here, at the first context read.
+    def transfer(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables
+        T[n - 1, i, j] = T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1,
+        m_1 = -1), each with a trailing axis of N points for a stack; formed on
+        first use, so that a failure raises at the first context read.
         """
-        bras = []  # <m| up to a phase: row j of the validated projector |m><m| is <j|m> <m|
-        for m in (+1, -1):
-            proj = projector(self.observable, m)
-            if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
-                raise DomainError("observable needs the eigenvalues +1 and -1")
-            j = int(proj[1, 1].real > proj[0, 0].real)
-            bras.append(proj[j] / np.sqrt(proj[j, j].real))
-        vh = np.array(bras)
-        vh, v = _entries(vh), _entries(dagger(vh))
-        start, into, gaps = _chain(self)
-        start = _entries(start)
-        weights_at = {}
-        for k, u in enumerate(into, 1):
-            rho = _mul(_mul(_entries(u), start), _entries(dagger(u)))  # the state at time k
-            w = _mul(_mul(vh, rho), v)  # the diagonal holds w(m) = <m|rho|m>
-            weights_at[k] = (w[0][0].real, w[1][1].real)
-        # T[m'][m] = |<m'|g|m>|^2, squared as a product: a float's ** 2 calls pow,
-        # which can round differently from a stack's ** 2
-        tables = {n: [[a * a for a in map(abs, row)] for row in _mul(_mul(vh, _entries(g)), v)]
-                  for n, g in enumerate(gaps, 1)}
-        return weights_at, tables
+        vh = next((bras for obs, bras in _MODULE_BRAS if obs is self.observable), None)
+        mats = [_bras(self.observable) if vh is None else vh, *_chain(self)]
+        n = max((x.shape[0] for x in mats if x.ndim == 3), default=None)
+        at = np.empty((len(mats), 2, 2) + (() if n is None else (n,)), dtype=complex)
+        for k, x in enumerate(mats):  # one contiguous copy, the stack axis innermost
+            at[k] = x.transpose(1, 2, 0) if x.ndim == 3 else x if n is None else x[..., None]
+        del mats  # the chain's own arrays go before the products
+        vh, start, into, gaps = at[:1], at[1:2], at[2:5], at[-2:]
+        v = vh.conj().swapaxes(1, 2)
+        rho = _product(_product(into, start), into.conj().swapaxes(1, 2))
+        t = _product(vh, rho)  # the state at time k, then its diagonal in the eigenbasis:
+        w = (t[:, :, 0] * v[:, 0] + t[:, :, 1] * v[:, 1]).real  # w(m) = <m|rho|m>
+        a = abs(_product(_product(vh, gaps), v))  # |<m'|g|m>|, row m'
+        return w, (a * a).swapaxes(1, 2)
 
 
 def unitary_standard(t: float) -> ScenarioPreset:
@@ -247,18 +240,20 @@ class OutcomeDistribution:
         return out
 
 
-def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
+def initial_state_at_t1(preset: ScenarioPreset, u=None) -> QubitDensity:
     """Normalized state at the first measurement time of the sequential chain.
 
-    With pre-evolution the bare state is propagated for one step duration and
-    renormalized; otherwise it is used as given (normalized).
+    With pre-evolution the bare state is propagated for one step duration,
+    through U(t) (`u` when the caller already has it), and renormalized;
+    otherwise it is used as given (normalized).
     """
     state = preset.initial_state
     if not preset.pre_evolution:
         return state.density().normalize()
-    u = preset.evolution.step(1)
+    u = preset.evolution.step(1) if u is None else u
     if state.kind == PURE:  # v v^dagger is Hermitian entry for entry; U rho U^dagger is not
-        v = (u @ state.ket()[..., None])[..., 0]
+        psi = state.ket()
+        v = u[..., :, 0] * psi[..., :1] + u[..., :, 1] * psi[..., 1:]  # U psi, entry by entry
         evolved = v[..., :, None] * v[..., None, :].conj()
     else:
         evolved = u @ state.density().normalize().mat @ dagger(u)
@@ -268,22 +263,21 @@ def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     return QubitDensity(evolved / per_matrix(w))
 
 
-def _chain(preset: ScenarioPreset) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Chain state at the start, the legs into times k = 1..3, and across gaps n = 1, 2.
+def _chain(preset: ScenarioPreset) -> list[np.ndarray]:
+    """The chain state at the start, then the chain's distinct legs: the first
+    three lead into times k = 1..3, the last two cross gaps of n = 1, 2 steps.
 
-    Sequential chain: the state at t1, U((k-1) t) into time k (U(0) = I for
-    k = 1), then U(n t) across a gap of n steps.  Published chain: the bare
-    state, U((k+1) t) into time k, then U((n+1) t) U(t)^dagger.
+    Sequential chain: the state at t1, then I, U(t), U(2 t), where I leads into
+    time 1 and U(n t) both into time n + 1 and across a gap of n.  Published
+    chain: the bare state, U((k+1) t) into time k, then U((n+1) t) U(t)^dagger.
     """
     evo = preset.evolution
+    u = evo.step(1)
     if evo.published:
-        start = preset.initial_state.density().normalize().mat
         into = [evo.step(k + 1) for k in (1, 2, 3)]
-        back = dagger(evo.step(1))
-        return start, into, [into[n - 1] @ back for n in (1, 2)]
-    start = initial_state_at_t1(preset).mat
-    into = [evo.step(k - 1) for k in (1, 2, 3)]
-    return start, into, into[1:]
+        return [preset.initial_state.density().normalize().mat, *into,
+                *(into[n - 1] @ dagger(u) for n in (1, 2))]
+    return [initial_state_at_t1(preset, u).mat, np.broadcast_to(I2, u.shape), u, evo.step(2)]
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
@@ -292,8 +286,8 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
     times = ctx.measured_times
     if len(outcomes) != len(times):
         raise UsageError(f"{len(times)} measured times but {len(outcomes)} outcomes")
-    rho, into, gaps = _chain(ctx.preset)
-    legs = [into[times[0] - 1]] + [gaps[b - a - 1] for a, b in zip(times, times[1:])]
+    rho, *legs = _chain(ctx.preset)
+    legs = [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]
     for u, m in zip(legs, outcomes):
         rho = u @ rho @ dagger(u)
         pi = projector(ctx.preset.observable, m)
@@ -302,33 +296,50 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
     return value if value.ndim else float(value)
 
 
-def _entries(a: np.ndarray) -> list:
-    """Rows of a 2x2 matrix as Python complex numbers, or of a stack as (N,) arrays."""
-    return a.tolist() if a.ndim == 2 else [[a[..., i, j] for j in (0, 1)] for i in (0, 1)]
-
-
-def _mul(a: list, b: list) -> list:
-    """Product of two matrices held as `_entries`; on a stack `@` calls BLAS per matrix."""
-    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of 2x2 matrices laid out (L, 2, 2), plus a trailing axis of N points for
+    a stack: each entry a_i0 b_0j + a_i1 b_1j, for all L legs and N points at once.  `@`
+    (BLAS, which rounds its sums differently) stays in the mixed-state pre-evolution
+    U rho U^dagger and the published gap U((n+1) t) U(t)^dagger."""
+    c = a[:, :, :1] * b[:, :1]
+    c += a[:, :, 1:] * b[:, 1:]  # in place: one (L, 2, 2, N) temporary fewer
+    return c
 
 
 def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     """Per-context normalized outcome table over +-1 tuples, in the transfer form.
 
-    The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, normalized
-    once; equivalent to normalizing `unnormalized_chain` over all outcome
-    tuples.  For a t-grid preset each probability is an (N,) array; for one
-    point, a float.
+    The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, formed over
+    an outcome axis (+1 first) and normalized once; equivalent to normalizing
+    `unnormalized_chain` over all outcome tuples.  For a t-grid preset each
+    probability is an (N,) array; for one point, a float.
     """
     times = ctx.measured_times
-    weights_at, tables = ctx.preset.transfer
-    w = weights_at[times[0]]
-    raw = {(+1,): w[0], (-1,): w[1]}
-    for a, b in zip(times, times[1:]):
-        tr = tables[b - a]
-        raw = {oc + (m,): p * tr[(1 - m) // 2][(1 - oc[-1]) // 2]
-               for oc, p in raw.items() for m in (+1, -1)}
-    total = sum(raw.values())
+    w, tables = ctx.preset.transfer
+    raw = w[times[0] - 1]
+    trail = raw.shape[1:]
+    for a, b in zip(times, times[1:]):  # p(..., m, m') = p(..., m) T(m'|m)
+        raw = (raw.reshape((-1, 2, 1) + trail) * tables[b - a - 1]).reshape((-1,) + trail)
+    total = sum(raw)  # in outcome order, one tuple at a time
     raise_where(total < WEIGHT_FLOOR, total, lambda w: DegenerateContextError(
         f"context {times} carries total weight {w:.3e}; cannot normalize"))
-    return OutcomeDistribution(context=ctx, probs={oc: p / total for oc, p in raw.items()})
+    probs = raw / total
+    return OutcomeDistribution(context=ctx, probs=dict(zip(
+        product((+1, -1), repeat=len(times)), probs if trail else probs.tolist())))
+
+
+def _bras(observable: np.ndarray) -> np.ndarray:
+    """<+1| and <-1| of a validated observable, up to phases, as the rows of a
+    matrix: row j of the projector |m><m| is <j|m> <m|."""
+    bras = []
+    for m in (+1, -1):
+        proj = projector(observable, m)
+        if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
+            raise DomainError("observable needs the eigenvalues +1 and -1")
+        j = int(proj[1, 1].real > proj[0, 0].real)
+        bras.append(proj[j] / np.sqrt(proj[j, j].real))
+    return np.array(bras)
+
+
+# the module observables, validated once at import; any other is validated per preset
+_MODULE_BRAS = tuple((obs, _bras(obs)) for obs in (SIGMA_Y, SIGMA_Z))

@@ -62,9 +62,9 @@ class SweepConfig:
     """What to evaluate and where.
 
     `grids` lists the swept parameters; anything else comes from `fixed` or
-    the defaults (theta = 5 pi / 6, phi = pi / 2, alpha required only for the
-    non-unitary kinds).  Kind "pt" runs the sequential chain and
-    "pt-published" the published chain (see `protocol`).
+    the defaults (theta = 5 pi / 6, phi = pi / 2; alpha is required by the
+    non-unitary kinds and refused by the unitary one).  Kind "pt" runs the
+    sequential chain and "pt-published" the published chain (see `protocol`).
     """
 
     expression: str
@@ -84,8 +84,9 @@ class SweepConfig:
             raise UsageError(f"unknown parameters {sorted(unknown)}")
         if "t" not in self.grids and "t" not in self.fixed:
             raise UsageError("parameter 't' must be gridded or fixed")
-        if self.kind != "unitary" and "alpha" not in self.grids and "alpha" not in self.fixed:
-            raise UsageError("non-unitary sweeps need 'alpha' gridded or fixed")
+        if (self.kind == "unitary") == ("alpha" in self.grids or "alpha" in self.fixed):
+            raise UsageError("non-unitary sweeps need 'alpha' gridded or fixed; the unitary "
+                             "kind evolves at alpha = 0 and takes none")
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,14 @@ class TestOptimizeCommand:
     def test_published_requires_alpha(self):
         assert main(["optimize", "V3", "--kind", "pt-published"]) == 2
 
+    @pytest.mark.parametrize("alpha", ("1.2", "2.0"))
+    def test_unitary_refuses_alpha(self, capsys, alpha):
+        # the unitary kind evolves at alpha = 0, so an --alpha would be dropped
+        assert main(["optimize", "V3", "--kind", "unitary", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     def test_published_equals_scan_of_published_chain(self, capsys):
         argv = ["optimize", "V3", "--kind", "pt-published", "--alpha", "1.45",
                 "--t-min", "0.3", "--t-max", "1.9", "--t-steps", "32"]

@@ -77,6 +77,15 @@ class TestScan:
         with pytest.raises(UsageError):
             SweepConfig(expression="L13", kind="published", fixed={"t": 0.5, "alpha": 0.3})
 
+    @pytest.mark.parametrize("grids,fixed", [
+        ({"t": GridSpec(0, 1, 5)}, {"alpha": 1.2}),
+        ({"t": GridSpec(0, 1, 5), "alpha": GridSpec(0.0, 1.2, 3)}, {}),
+    ], ids=("fixed-alpha", "gridded-alpha"))
+    def test_unitary_kind_refuses_alpha(self, grids, fixed):
+        # the unitary presets take no alpha: a (t, alpha) grid would repeat each t's value
+        with pytest.raises(UsageError, match="unitary"):
+            SweepConfig(expression="V3", kind="unitary", grids=grids, fixed=fixed)
+
     def test_published_kind_scans_the_published_chain(self):
         cfg = SweepConfig(expression="L13", kind="pt-published",
                           grids={"t": GridSpec(0.2, 1.2, 3)}, fixed={"alpha": 0.9})
