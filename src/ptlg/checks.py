@@ -8,7 +8,6 @@ fixed parameter sample, so the suite is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -135,9 +134,8 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = 0.0
     for tab in tables:
         for times in CONTEXTS:
-            probs = tab[times].probs.values()
-            res = max(res, _max(abs(sum(probs) - 1.0)),
-                      _max([np.maximum(-p, p - 1.0) for p in probs]))
+            rows = tab[times].rows  # summed one outcome row after another, as normalized
+            res = max(res, _max(abs(sum(rows) - 1.0)), _max(np.maximum(-rows, rows - 1.0)))
     results.append(CheckResult("probability-sanity", res, 1e-12))
 
     if include_pair_forms:
@@ -145,7 +143,7 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
         for pair in ((1, 2), (2, 3), (1, 3)):
             c = correlator(tables[0][pair], pair)
             ctx = MeasurementContext(preset=tables[0].preset, measured_times=pair)
-            raw = sum(unnormalized_chain(ctx, oc) for oc in product((+1, -1), repeat=2))
+            raw = sum(unnormalized_chain(ctx, (a, b)) for a in (+1, -1) for b in (+1, -1))
             res = max(res, _max(abs(c - pair_correlator_reference(alphas, ts, pair))),
                       _max(abs(raw - pair_normalization_reference(alphas, ts, pair))))
         results.append(CheckResult("pair-closed-forms", res, 1e-9))

@@ -16,6 +16,7 @@ from .checks import run_identity_suite
 from .errors import DegenerateWeightError, DomainError, UsageError
 from .macrodiag import violation_classifier
 from .nosignal import signaling_deviation
+from .protocol import pure_state
 from .ptdyn import PTParams
 from .sweep import (
     DEFAULT_ALPHAS,
@@ -174,16 +175,16 @@ def _build_parser() -> argparse.ArgumentParser:
 _parser = cache(_build_parser)  # the one parser `main` reuses in a process
 
 
-def _alpha_t_grid(args) -> tuple[tuple[float, ...], dict]:
-    """The alphas of a figure or nosignal table, and the grid part of its config.
-
-    Each alpha and both window ends must lie in the model's domain.
-    """
+def _alpha_t_grid(args) -> tuple[tuple[float, ...], GridSpec, dict]:
+    """The alphas and the t-window of a figure or nosignal table, and the grid part
+    of its config.  The window must be ordered, with at least one step, and each
+    alpha and both window ends must lie in the model's domain."""
+    window = GridSpec(args.t_min, args.t_max, args.t_steps)
     alphas = DEFAULT_ALPHAS if args.alpha is None else (args.alpha,)
     for alpha in alphas:
         PTParams(alpha, (args.t_min, args.t_max))
-    return alphas, {"alphas": list(alphas), "t_min": args.t_min, "t_max": args.t_max,
-                    "t_steps": args.t_steps}
+    return alphas, window, {"alphas": list(alphas), "t_min": args.t_min, "t_max": args.t_max,
+                            "t_steps": args.t_steps}
 
 
 def _emit_table(args, default_out: str, columns, rows, config: dict, max_key: str) -> int:
@@ -197,7 +198,9 @@ def _emit_table(args, default_out: str, columns, rows, config: dict, max_key: st
 
 
 def cmd_figure(args) -> int:
-    alphas, grid = _alpha_t_grid(args)
+    alphas, _, grid = _alpha_t_grid(args)
+    if args.n in (2, 4):
+        pure_state(args.theta, args.phi)  # the figure's state: finite angles
     data: FigureData = figure_data(
         args.n, t_steps=args.t_steps, alphas=alphas, theta=args.theta, phi=args.phi,
         pre_evolution=args.pre_evolution == "on", t_min=args.t_min, t_max=args.t_max,
@@ -218,6 +221,8 @@ def cmd_optimize(args) -> int:
         raise UsageError("optimize over the non-unitary family needs --alpha")
     alpha = 0.0 if args.kind == "unitary" else args.alpha
     PTParams(alpha, (args.t_min, args.t_max))  # the window lies inside the domain
+    if args.expression != "L13":
+        pure_state(args.theta, args.phi)  # the variant's state: finite angles
     cfg = SweepConfig(
         expression=args.expression,
         kind=args.kind,
@@ -269,10 +274,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_nosignal(args) -> int:
-    if args.t_steps < 1:
-        raise UsageError(f"--t-steps must be >= 1, got {args.t_steps}")
-    alphas, grid = _alpha_t_grid(args)
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+    alphas, window, grid = _alpha_t_grid(args)
+    ts = window.values()
     rows = []
     for alpha in alphas:
         (devs,), _ = grid_columns(lambda t: (signaling_deviation(PTParams(alpha, t)),),
@@ -290,13 +293,8 @@ def main(argv=None) -> int:
             args = _merge_config_file(parser, parser.parse_args(argv), argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        if args.command == "figure":
-            return cmd_figure(args)
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_nosignal(args)
+        return {"figure": cmd_figure, "optimize": cmd_optimize, "check": cmd_check,
+                "nosignal": cmd_nosignal}[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

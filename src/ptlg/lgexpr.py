@@ -16,6 +16,10 @@ build the table once and pass it to each.
 
 from __future__ import annotations
 
+from functools import cache, reduce
+
+import numpy as np
+
 from .errors import UsageError
 from .protocol import MeasurementContext, OutcomeDistribution, ScenarioPreset, distribution
 
@@ -26,17 +30,21 @@ VARIANT_PAIR = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
 def correlator(dist: OutcomeDistribution, which: tuple[int, ...]) -> float:
     """Expectation of the product of outcomes at the selected measured times."""
-    measured = dist.context.measured_times
+    signs = _signs(dist.context.measured_times, tuple(which), dist.probs.ndim)
+    total = sum(signs * dist.rows)  # one outcome row after another, in order
+    return total if total.ndim else float(total)
+
+
+@cache
+def _signs(measured: tuple[int, ...], which: tuple[int, ...], ndim: int) -> np.ndarray:
+    """The product of the outcomes at `which` on each outcome row of `measured`, shaped
+    to multiply rows with ndim - len(measured) stack axes; read-only, as it is shared."""
     if any(j not in measured for j in which):
         raise UsageError(f"times {which} not all measured in context {measured}")
-    pos = [measured.index(j) for j in which]
-    total = 0.0
-    for oc, p in dist.probs.items():
-        sign = 1
-        for i in pos:
-            sign *= oc[i]
-        total += sign * p
-    return total
+    outcomes = ((1.0, -1.0) if j in which else (1.0, 1.0) for j in measured)  # +1 first
+    signs = reduce(np.multiply.outer, outcomes, 1.0).reshape((-1,) + (1,) * (ndim - len(measured)))
+    signs.flags.writeable = False
+    return signs
 
 
 class ContextTable:
@@ -106,7 +114,7 @@ def l123_and_beta(x: ScenarioPreset | ContextTable) -> tuple[float, float]:
     """
     d = table(x)[1, 2, 3]
     l123 = correlator(d, (1, 2)) + correlator(d, (2, 3)) - correlator(d, (1, 3))
-    beta = d.probs[(+1, -1, +1)] + d.probs[(-1, +1, -1)]
+    beta = d[+1, -1, +1] + d[-1, +1, -1]
     return l123, beta
 
 
@@ -117,5 +125,5 @@ def v123_and_delta(x: ScenarioPreset | ContextTable) -> tuple[float, float]:
     """
     d = table(x)[1, 2, 3]
     v123 = -correlator(d, (1, 2, 3)) + correlator(d, (2, 3)) + correlator(d, (1,))
-    delta = d.probs[(-1, +1, -1)] + d.probs[(-1, -1, +1)]
+    delta = d[-1, +1, -1] + d[-1, -1, +1]
     return v123, delta

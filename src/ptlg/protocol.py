@@ -18,8 +18,9 @@ preset run along one chain (Emary, Lambert & Nori, Rep. Prog. Phys. 77,
 with rho_k the chain state at time k and G_n the leg across the gap.  Each
 preset forms these tables once, on first use (`ScenarioPreset.transfer`), with
 all its distinct legs in one array (`_product`), and `distribution` multiplies
-them out per context over an outcome axis.  `unnormalized_chain` evolves
-branch states along the same legs with `@` instead, as an independent oracle.
+them out per context into one array (`OutcomeDistribution`).
+`unnormalized_chain` evolves branch states along the same legs with `@`
+instead, as an independent oracle.
 Under non-unitary evolution N differs from context to context, which is
 exactly what lets the marginal of a finer context disagree with a coarser
 context's distribution (`macrodiag` quantifies this).  Per-step
@@ -39,7 +40,7 @@ the mixed state; for alpha != 0 the published gap is not U(n t).
 Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values
 in place of one, aligned point by point with the other stacks (see
 `PTParams` and `InitialState`).  Its propagators, weights, transfer tables
-and probabilities are then stacks with one entry per point, computed by the
+and probabilities then carry an axis of N points, computed by the
 same code and the same order of operations as a single point.  An entry of
 a t-stack equals that point evaluated alone, bit for bit.  Stacks must have
 the same length.  Every check applies per point: a failing point raises the
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -78,11 +78,8 @@ class InitialState:
     def ket(self) -> np.ndarray:
         """cos(theta)|0> + e^{i phi} sin(theta)|1> as the column (e^{i phi} sin(theta),
         cos(theta)): |0> is the lower sigma_z eigenvector.  (N, 2) for a stack."""
-        theta, phi = self.theta, self.phi
-        if isinstance(theta, tuple) or isinstance(phi, tuple):
-            theta, phi = np.broadcast_arrays(theta, phi)
-            return np.stack([np.exp(1j * phi) * np.sin(theta), np.cos(theta)], axis=-1)
-        return np.array([np.exp(1j * phi) * np.sin(theta), np.cos(theta)])
+        theta, phi = np.broadcast_arrays(self.theta, self.phi)
+        return np.stack([np.exp(1j * phi) * np.sin(theta), np.cos(theta)], axis=-1)
 
     def density(self) -> QubitDensity:
         if self.kind == MAXIMALLY_MIXED:
@@ -96,7 +93,13 @@ def maximally_mixed() -> InitialState:
 
 
 def pure_state(theta, phi) -> InitialState:
-    return InitialState(kind=PURE, theta=point_or_stack(theta), phi=point_or_stack(phi))
+    """PURE(theta, phi); each angle must be finite at every point."""
+    return InitialState(kind=PURE, theta=point_or_stack(theta, np.isfinite, _angle_error("theta")),
+                        phi=point_or_stack(phi, np.isfinite, _angle_error("phi")))
+
+
+def _angle_error(name: str):
+    return lambda x: DomainError(f"{name} must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -222,22 +225,41 @@ class MeasurementContext:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Normalized probability of each outcome tuple; an (N,) array per tuple for a t-grid."""
+    """The normalized probabilities of one context as one float array.
+
+    `probs` has one length-2 axis per measured time, in time order, index 0
+    for the outcome +1 and 1 for -1, then the stack axis of N points for a
+    stack: probs[0, 1] is P(+1, -1) of a two-time context, and so is
+    `dist[+1, -1]` (a float for one point).  `rows` flattens the outcome axes
+    into one, the last time fastest; a sum over outcomes adds these rows one
+    after another, in order, as `distribution`'s normalization does.
+    """
 
     context: MeasurementContext
-    probs: dict[tuple[int, ...], float]
+    probs: np.ndarray
 
-    def marginal(self, times: tuple[int, ...]) -> dict[tuple[int, ...], float]:
-        """Sum out all measured times not listed in `times` (which must be measured)."""
+    def __getitem__(self, outcomes: tuple[int, ...]):
+        outcomes = outcomes if isinstance(outcomes, tuple) else (outcomes,)
+        if len(outcomes) != len(self.context.measured_times) or not set(outcomes) <= {1, -1}:
+            raise UsageError(f"need one +-1 outcome per measured time, got {outcomes}")
+        p = self.probs[tuple((1 - m) // 2 for m in outcomes)]
+        return p if p.ndim else float(p)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """`probs` as (2^k,) rows in outcome order, or (2^k, N) for a stack."""
+        return self.probs.reshape((-1,) + self.probs.shape[len(self.context.measured_times):])
+
+    def marginal(self, times: tuple[int, ...]) -> np.ndarray:
+        """Sum out all measured times not listed in `times`, which are distinct and
+        measured; the result has their axes, in their order."""
         mine = self.context.measured_times
-        if any(j not in mine for j in times):
-            raise UsageError(f"{times} not all measured in context {mine}")
-        pos = [mine.index(j) for j in times]
-        out: dict[tuple[int, ...], float] = {}
-        for oc, p in self.probs.items():
-            key = tuple(oc[i] for i in pos)
-            out[key] = out.get(key, 0.0) + p
-        return out
+        if len(set(times)) != len(times) or any(j not in mine for j in times):
+            raise UsageError(f"{times} not distinct times measured in context {mine}")
+        kept = [mine.index(j) for j in times]
+        summed = [i for i in range(len(mine)) if i not in kept]
+        p = np.moveaxis(self.probs, summed + kept, range(len(mine)))
+        return sum(p.reshape((-1,) + p.shape[len(summed):]))
 
 
 def initial_state_at_t1(preset: ScenarioPreset, u=None) -> QubitDensity:
@@ -307,12 +329,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
-    """Per-context normalized outcome table over +-1 tuples, in the transfer form.
+    """Per-context normalized outcome table, in the transfer form.
 
     The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, formed over
     an outcome axis (+1 first) and normalized once; equivalent to normalizing
-    `unnormalized_chain` over all outcome tuples.  For a t-grid preset each
-    probability is an (N,) array; for one point, a float.
+    `unnormalized_chain` over all outcome tuples.  The layout is
+    `OutcomeDistribution`'s.
     """
     times = ctx.measured_times
     w, tables = ctx.preset.transfer
@@ -320,12 +342,10 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     trail = raw.shape[1:]
     for a, b in zip(times, times[1:]):  # p(..., m, m') = p(..., m) T(m'|m)
         raw = (raw.reshape((-1, 2, 1) + trail) * tables[b - a - 1]).reshape((-1,) + trail)
-    total = sum(raw)  # in outcome order, one tuple at a time
+    total = sum(raw)  # in outcome order, one row at a time
     raise_where(total < WEIGHT_FLOOR, total, lambda w: DegenerateContextError(
         f"context {times} carries total weight {w:.3e}; cannot normalize"))
-    probs = raw / total
-    return OutcomeDistribution(context=ctx, probs=dict(zip(
-        product((+1, -1), repeat=len(times)), probs if trail else probs.tolist())))
+    return OutcomeDistribution(context=ctx, probs=(raw / total).reshape((2,) * len(times) + trail))
 
 
 def _bras(observable: np.ndarray) -> np.ndarray:

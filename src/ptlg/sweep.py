@@ -279,13 +279,12 @@ class FigureData:
     rows: list[tuple[float, ...]]
 
 
-_PAIRS = (((+1, +1), "pp"), ((+1, -1), "pm"), ((-1, +1), "mp"), ((-1, -1), "mm"))
-# DegreeReport field -> (column prefix, (outcome key, column suffix) in column order)
+# DegreeReport field -> its columns, one per outcome row in the field's order (+1 first)
 _DEGREE_COLUMNS = {
-    "d_123": ("D123", _PAIRS),
-    "d_1_2_3": ("D1_2_3", _PAIRS),
-    "r_12_3": ("R12_3", _PAIRS),
-    "r_1_23": ("R1_23", ((+1, "p"), (-1, "m"))),
+    "d_123": ("D123_pp", "D123_pm", "D123_mp", "D123_mm"),
+    "d_1_2_3": ("D1_2_3_pp", "D1_2_3_pm", "D1_2_3_mp", "D1_2_3_mm"),
+    "r_12_3": ("R12_3_pp", "R12_3_pm", "R12_3_mp", "R12_3_mm"),
+    "r_1_23": ("R1_23_p", "R1_23_m"),
 }
 # figure -> (plotted expression, degree tables, constant trailing columns)
 _FIGURES = {
@@ -313,23 +312,18 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
     """
     if fig not in _FIGURES:
         raise UsageError(f"figure index must be 1..4, got {fig}")
-    if t_steps < 1:
-        raise UsageError(f"t_steps must be >= 1, got {t_steps}")
+    ts = GridSpec(t_min, t_max, t_steps).values()
     expr, tables, trailing = _FIGURES[fig]
-    degree_cols = []  # (DegreeReport field, outcome key, column name)
-    for name in tables:
-        prefix, keys = _DEGREE_COLUMNS[name]
-        degree_cols += [(name, key, f"{prefix}_{suffix}") for key, suffix in keys]
-    columns = ("alpha", "t", expr) + tuple(c for _, _, c in degree_cols) + trailing
+    degree_cols = tuple(c for name in tables for c in _DEGREE_COLUMNS[name])
+    columns = ("alpha", "t", expr) + degree_cols + trailing
     constants = tuple({"theta": theta, "phi": phi}[c] for c in trailing)
-    ts = np.linspace(t_min, t_max, t_steps)
     rows: list[tuple[float, ...]] = []
     for alpha in alphas:
         def values(t):
             tab = table(_pt_preset(expr, alpha, t, theta, phi, pre_evolution))
-            rep = degree_report(tab) if degree_cols else None
-            return ((expression(expr, tab),)
-                    + tuple(getattr(rep, name)[key] for name, key, _ in degree_cols))
+            rep = degree_report(tab) if tables else None
+            return [expression(expr, tab), *(row for name in tables
+                                             for row in getattr(rep, name).reshape(-1, len(t)))]
 
         cols, _ = grid_columns(values, {"t": ts}, 1 + len(degree_cols))
         rows += [(alpha, t) + tuple(v) + constants for t, *v in zip(ts, *cols)]

@@ -183,8 +183,8 @@ def test_criterion_08_headline_phenomenon():
         tab = table(pt_variant(alpha, t, theta, phi, published=published))
         rep = degree_report(tab)
         v1 = variant_v(1, tab)
-        nsit = np.max(np.abs([*rep.d_123.values(), *rep.d_1_2_3.values()]), axis=0)
-        live_aot = np.max(np.abs([*rep.r_12_3.values(), *rep.r_1_23.values()]), axis=0) > 1e-6
+        nsit = rep.max_nsit()
+        live_aot = rep.max_aot() > 1e-6
         # smallest NSIT degree among V1-violating points
         best_d = nsit[(v1 > 1.0) & live_aot].min(initial=np.inf)
         # largest V1 among NSIT-silent points
@@ -240,8 +240,8 @@ def test_criterion_10_probability_sanity():
                   unitary_standard(t), unitary_variant(t, theta, phi)][i % 4]
         for times in [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]:
             d = distribution(MeasurementContext(preset=preset, measured_times=times))
-            worst_sum = max(worst_sum, abs(sum(d.probs.values()) - 1.0))
-            for p in d.probs.values():
+            worst_sum = max(worst_sum, abs(sum(d.rows) - 1.0))
+            for p in d.rows:
                 worst_range = max(worst_range, -p, p - 1.0)
     ok = worst_sum <= 1e-12 and worst_range <= 1e-12
     line = report(10, "probability-sanity", ok,

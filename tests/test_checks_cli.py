@@ -305,6 +305,15 @@ class TestUsageEdges:
         assert main(["nosignal", "--t-steps", "-3",
                      "--out", str(tmp_path / "y.csv")]) == 2
 
+    @pytest.mark.parametrize("command", [["figure", "1"], ["figure", "4"], ["nosignal"]])
+    def test_reversed_t_window_rejected(self, tmp_path, capsys, command):
+        # as optimize refuses it: no table with t descending
+        out = tmp_path / "table.csv"
+        assert main(command + ["--t-min", "2", "--t-max", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: grid bounds reversed: [2.0, 1.0]\n"
+        assert not out.exists()
+
     def test_unknown_command_rejected(self):
         assert main(["frobnicate"]) == 2
 
@@ -316,9 +325,13 @@ class TestDomainFailures:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_nan_grid_bound_exits_one(self, capsys):
-        assert main(["optimize", "L13", "--alpha", "0.5", "--t-max", "nan"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        for argv in (["optimize", "L13", "--alpha", "0.5", "--t-max", "nan"],
+                     ["optimize", "V1", "--alpha", "0.5", "--phi", "inf", "--t-steps", "8"],
+                     ["optimize", "V3", "--kind", "unitary", "--theta", "nan"]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+            assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["optimize", "L13", "--alpha", "0.5", "--t-min", "-0.5",
                                        "--t-steps", "8"],
@@ -332,7 +345,9 @@ class TestDomainFailures:
 
     @pytest.mark.parametrize("argv", [["figure", "2", "--alpha", "2"],
                                       ["figure", "1", "--t-max", "nan"],
-                                      ["nosignal", "--t-min", "-0.5"]])
+                                      ["nosignal", "--t-min", "-0.5"],
+                                      ["figure", "2", "--alpha", "0.5", "--theta", "nan"],
+                                      ["figure", "4", "--phi=-inf"]])
     def test_table_outside_domain_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "table.csv"
         assert main(argv + ["--out", str(out)]) == 1

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -35,12 +37,12 @@ def make_dist(preset, times, probs):
 class TestCorrelator:
     def test_uniform_vanishes(self):
         preset = unitary_standard(0.5)
-        probs = {oc: 0.25 for oc in [(1, 1), (1, -1), (-1, 1), (-1, -1)]}
+        probs = np.full((2, 2), 0.25)
         assert correlator(make_dist(preset, (1, 2), probs), (1, 2)) == 0.0
 
     def test_perfect_correlation(self):
         preset = unitary_standard(0.5)
-        probs = {(1, 1): 0.5, (-1, -1): 0.5, (1, -1): 0.0, (-1, 1): 0.0}
+        probs = np.array([[0.5, 0.0], [0.0, 0.5]])  # row m1, column m2; +1 first
         assert correlator(make_dist(preset, (1, 2), probs), (1, 2)) == 1.0
 
     def test_unmeasured_index_rejected(self):
@@ -48,6 +50,26 @@ class TestCorrelator:
                                             measured_times=(1, 2)))
         with pytest.raises(UsageError):
             correlator(d, (1, 3))
+
+    def test_equals_the_loop_over_outcome_tuples(self):
+        # the contraction adds sign * p one outcome tuple after another from 0.0, as a
+        # loop does; on one point and on a stack, for every subset of every context
+        presets = _random_presets(2, 47) + [pt_variant(1.2, (0.3, 0.9, 2.2), 1.1, 0.4)]
+        for preset in presets:
+            tab = table(preset)
+            for times in CONTEXTS:
+                d = tab[times]
+                for which in product(*[((), (j,)) for j in times]):
+                    which = sum(which, ())
+                    want = 0.0
+                    for oc in product((+1, -1), repeat=len(times)):
+                        sign = 1
+                        for j in which:
+                            sign *= oc[times.index(j)]
+                        want = want + sign * d[oc]
+                    got = correlator(d, which)
+                    assert np.array_equal(got, want), (times, which)
+                    assert type(got) is type(want)
 
     def test_unitary_pair_correlator_is_cos_2t(self):
         t = np.pi / 6
@@ -139,10 +161,9 @@ class TestFullContextIdentities:
 
     def test_uniform_eight_outcomes_direct_sum(self):
         preset = unitary_standard(0.5)
-        probs = {(a, b, c): 0.125 for a in (1, -1) for b in (1, -1) for c in (1, -1)}
-        d = make_dist(preset, (1, 2, 3), probs)
+        d = make_dist(preset, (1, 2, 3), np.full((2, 2, 2), 0.125))
         v123 = -correlator(d, (1, 2, 3)) + correlator(d, (2, 3)) + correlator(d, (1,))
-        delta = probs[(-1, 1, -1)] + probs[(-1, -1, 1)]
+        delta = d[-1, 1, -1] + d[-1, -1, 1]
         assert v123 == 0.0
         assert delta == 0.25
         assert v123 == pytest.approx(1 - 4 * delta)

@@ -20,38 +20,37 @@ from ptlg.protocol import (
 )
 
 PM = (+1, -1)
+INDEX = {+1: 0, -1: 1}  # an outcome's index on its axis of a probability or degree array
 
 
 def brute_force_d123(preset, m2, m3):
     p23 = distribution(MeasurementContext(preset=preset, measured_times=(2, 3)))
     full = distribution(MeasurementContext(preset=preset, measured_times=(1, 2, 3)))
-    return p23.probs[(m2, m3)] - sum(full.probs[(m1, m2, m3)] for m1 in PM)
+    return p23[m2, m3] - sum(full[m1, m2, m3] for m1 in PM)
 
 
 class TestNSITDegrees:
     def test_unitary_pure_state_violates_nsit(self):
         rep = degree_report(unitary_variant(np.pi / 6, 1.1, 0.7))
-        degs = [abs(rep.d_123[(m2, m3)]) for m2 in PM for m3 in PM]
+        degs = np.abs(rep.d_123).ravel().tolist()
         assert max(degs) > 1e-6
 
     def test_middle_measurement_disturbance(self):
         rep = degree_report(unitary_standard(np.pi / 6))
-        degs = [abs(rep.d_1_2_3[(m1, m3)]) for m1 in PM for m3 in PM]
+        degs = np.abs(rep.d_1_2_3).ravel().tolist()
         assert max(degs) > 1e-6
 
     def test_no_dynamics_no_disturbance(self):
         rep = degree_report(pt_standard(0.0, 0.0))
-        for m2 in PM:
-            for m3 in PM:
-                assert abs(rep.d_123[(m2, m3)]) < 1e-14
-                assert abs(rep.d_1_2_3[(m2, m3)]) < 1e-14
+        assert np.abs(rep.d_123).max() < 1e-14
+        assert np.abs(rep.d_1_2_3).max() < 1e-14
 
     def test_matches_brute_force_context_difference(self):
         preset = pt_standard(np.pi / 3, 0.7)
         rep = degree_report(preset)
         for m2 in PM:
             for m3 in PM:
-                assert rep.d_123[(m2, m3)] == pytest.approx(
+                assert rep.d_123[INDEX[m2], INDEX[m3]] == pytest.approx(
                     brute_force_d123(preset, m2, m3), abs=1e-12)
 
     def test_signed_degrees_sum_to_zero(self):
@@ -60,9 +59,8 @@ class TestNSITDegrees:
             preset = pt_variant(rng.uniform(-1.5, 1.5), rng.uniform(0.01, np.pi),
                                 rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             rep = degree_report(preset)
-            for table in (rep.d_123, rep.d_1_2_3, rep.r_12_3):
-                assert abs(sum(table.values())) < 1e-12
-            assert abs(sum(rep.r_1_23.values())) < 1e-12
+            for table in (rep.d_123, rep.d_1_2_3, rep.r_12_3, rep.r_1_23):
+                assert abs(sum(table.ravel())) < 1e-12
 
 
 class TestAOTDegrees:
@@ -73,8 +71,8 @@ class TestAOTDegrees:
 
     def test_nonunitary_violation(self):
         rep = degree_report(pt_standard(np.pi / 3, 0.7))
-        r12 = [abs(rep.r_12_3[(m1, m2)]) for m1 in PM for m2 in PM]
-        r1 = [abs(rep.r_1_23[m1]) for m1 in PM]
+        r12 = np.abs(rep.r_12_3).ravel().tolist()
+        r1 = np.abs(rep.r_1_23).tolist()
         assert max(r12) > 1e-6
         assert max(r1) > 1e-6
 
@@ -95,6 +93,26 @@ class TestDecompositions:
         assert decomposition_residual_standard(preset) < 1e-10
         assert decomposition_residual_variant(preset) < 1e-10
 
+    def test_residuals_equal_the_outcome_tuple_sums(self):
+        # the equal- and unequal-outcome sums, each from 0.0 in outcome order, as a
+        # loop over the outcome tuples of each degree table gives them
+        for preset in (pt_variant(2 * np.pi / 5, 0.9, 5 * np.pi / 6, np.pi / 2),
+                       pt_standard(1.3, (0.2, 0.7, 2.5))):
+            tab = table(preset)
+            rep = degree_report(tab)
+
+            def pair_sum(d, equal):
+                return sum(d[INDEX[a], INDEX[b]] for a in PM for b in PM if (a == b) == equal)
+
+            standard = (pair_sum(rep.d_123, True) - pair_sum(rep.d_123, False)
+                        + pair_sum(rep.r_12_3, True) - pair_sum(rep.r_12_3, False)
+                        + pair_sum(rep.d_1_2_3, False) - pair_sum(rep.d_1_2_3, True))
+            variant = 2.0 * pair_sum(rep.d_123, True) + rep.r_1_23[0] - rep.r_1_23[1]
+            assert np.array_equal(decomposition_residual_standard(tab),
+                                  abs((l13(tab) - l123_and_beta(tab)[0]) - standard))
+            assert np.array_equal(decomposition_residual_variant(tab),
+                                  abs((variant_v(1, tab) - v123_and_delta(tab)[0]) - variant))
+
     def test_unitary_variant_has_zero_aot_terms(self):
         preset = unitary_variant(0.8, 0.9, 0.3)
         rep = degree_report(preset)
@@ -113,9 +131,8 @@ class TestDecompositions:
             seen += 1
             rep = degree_report(preset)
             _, beta = l123_and_beta(preset)
-            lhs = (sum(v for (a, b), v in rep.d_123.items() if a == b)
-                   - sum(v for (a, b), v in rep.d_1_2_3.items() if a == b)
-                   + sum(v for (a, b), v in rep.r_12_3.items() if a == b))
+            lhs = (np.trace(rep.d_123) - np.trace(rep.d_1_2_3)  # equal-outcome sums
+                   + np.trace(rep.r_12_3))
             assert lhs > 2 * beta - 1e-8
         assert seen > 0
 
@@ -131,8 +148,8 @@ class TestDecompositions:
             seen += 1
             rep = degree_report(preset)
             _, delta = v123_and_delta(preset)
-            lhs = (2 * sum(v for (a, b), v in rep.d_123.items() if a == b)
-                   + rep.r_1_23[+1] - rep.r_1_23[-1])
+            lhs = (2 * np.trace(rep.d_123)  # the equal-outcome sum
+                   + rep.r_1_23[INDEX[+1]] - rep.r_1_23[INDEX[-1]])
             assert lhs >= 4 * delta - 1e-8
         assert seen > 0
 

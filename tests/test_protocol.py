@@ -5,7 +5,9 @@ import pytest
 
 from ptlg import protocol
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
-from ptlg.lgexpr import ContextTable
+from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
+from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
+                            degree_report)
 from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, projector, weights
 from ptlg.protocol import (
     MeasurementContext,
@@ -117,29 +119,29 @@ class TestChains:
         preset = pt_variant(2 * np.pi / 5, 0.9, 0.7, 1.3)
         for times in ALL_CONTEXTS:
             d = distribution(ctx(preset, *times))
-            raw = {oc: unnormalized_chain(ctx(preset, *times), oc) for oc in d.probs}
+            raw = {oc: unnormalized_chain(ctx(preset, *times), oc)
+                   for oc in product((+1, -1), repeat=len(times))}
             total = sum(raw.values())
-            for oc, p in d.probs.items():
-                assert p == pytest.approx(raw[oc] / total, abs=1e-13)
+            for oc in raw:
+                assert d[oc] == pytest.approx(raw[oc] / total, abs=1e-13)
 
 
 class TestDistributions:
     def test_full_context_normalized(self):
         d = distribution(ctx(unitary_standard(np.pi / 6), 1, 2, 3))
-        assert len(d.probs) == 8
-        assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(p >= -1e-12 for p in d.probs.values())
+        assert d.probs.shape == (2, 2, 2)
+        assert sum(d.rows) == pytest.approx(1.0, abs=1e-12)
+        assert all(p >= -1e-12 for p in d.rows)
 
     def test_hermitian_limit_marginals_are_half(self):
         d = distribution(ctx(pt_standard(0.0, 0.8), 1, 2))
-        for m in (+1, -1):
-            assert d.marginal((1,))[(m,)] == pytest.approx(0.5, abs=1e-12)
+        assert d.marginal((1,)) == pytest.approx(np.array([0.5, 0.5]), abs=1e-12)
 
     def test_future_marginal_mismatch_under_nonunitary_steps(self):
         preset = pt_standard(np.pi / 3, 0.7)
         d12 = distribution(ctx(preset, 1, 2))
         d1 = distribution(ctx(preset, 1))
-        gap = max(abs(d12.marginal((1,))[(m,)] - d1.probs[(m,)]) for m in (+1, -1))
+        gap = np.abs(d12.marginal((1,)) - d1.probs).max()
         assert gap > 1e-6
 
     def test_unitary_future_marginals_exact(self):
@@ -155,8 +157,7 @@ class TestDistributions:
             for prefix, fine in pairs:
                 coarse = distribution(ctx(preset, *prefix))
                 marg = distribution(ctx(preset, *fine)).marginal(prefix)
-                for oc, p in coarse.probs.items():
-                    assert p == pytest.approx(marg[oc], abs=1e-12)
+                assert coarse.probs == pytest.approx(marg, abs=1e-12)
 
     def test_unitary_presets_step_is_the_sigma_x_rotation(self):
         # the unitary presets take the alpha = 0 PT step, which is the Schroedinger
@@ -185,8 +186,8 @@ class TestDistributions:
                                 rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             for times in ALL_CONTEXTS:
                 d = distribution(ctx(preset, *times))
-                assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-12)
-                for p in d.probs.values():
+                assert sum(d.rows) == pytest.approx(1.0, abs=1e-12)
+                for p in d.rows:
                     assert -1e-12 <= p <= 1.0 + 1e-12
 
 
@@ -209,12 +210,29 @@ class TestStackedTransfer:
     def test_t_stack_equals_points_alone(self, preset):
         ts = tuple(np.linspace(0.0, 3.0, 13).tolist())
         stacked, alone = ContextTable(preset(ts)), [ContextTable(preset(t)) for t in ts]
+
+        def same(f, what):  # a stack entry equals its point alone, which is a float
+            values = [f(tab) for tab in alone]
+            assert all(type(v) is float for v in values), what
+            assert f(stacked).tolist() == values, what
+
         for times in ALL_CONTEXTS:
-            probs = stacked[times].probs
-            assert list(probs) == list(product((+1, -1), repeat=len(times)))
-            for oc, p in probs.items():
-                assert p.tolist() == [tab[times].probs[oc] for tab in alone], (times, oc)
-                assert all(type(tab[times].probs[oc]) is float for tab in alone)
+            assert stacked[times].probs.shape == (2,) * len(times) + (len(ts),)
+            for oc in product((+1, -1), repeat=len(times)):
+                same(lambda tab: tab[times][oc], (times, oc))
+            same(lambda tab: tab.correlator(*times), ("correlator", times))
+        for f in (l123_and_beta, v123_and_delta):
+            for i in (0, 1):
+                same(lambda tab: f(tab)[i], (f.__name__, i))
+        reports = degree_report(stacked), [degree_report(tab) for tab in alone]
+        for name in ("d_123", "d_1_2_3", "r_12_3", "r_1_23"):
+            table = getattr(reports[0], name)
+            assert np.moveaxis(table, -1, 0).tolist() == [
+                getattr(rep, name).tolist() for rep in reports[1]], name
+        same(lambda tab: degree_report(tab).max_nsit(), "max_nsit")
+        same(lambda tab: degree_report(tab).max_aot(), "max_aot")
+        same(decomposition_residual_standard, "decomposition_residual_standard")
+        same(decomposition_residual_variant, "decomposition_residual_variant")
 
 
 class TestOneTimeProbability:
@@ -236,8 +254,8 @@ class TestOneTimeProbability:
             for j in (1, 2, 3):
                 p_plus, p_minus = one_time_probability(preset, j)
                 d = distribution(ctx(preset, j))
-                assert p_plus == pytest.approx(d.probs[(+1,)], abs=1e-12)
-                assert p_minus == pytest.approx(d.probs[(-1,)], abs=1e-12)
+                assert p_plus == pytest.approx(d[+1], abs=1e-12)
+                assert p_minus == pytest.approx(d[-1], abs=1e-12)
                 assert 0.0 <= p_plus <= 1.0
 
     def test_bad_time_index(self):
@@ -252,8 +270,7 @@ class TestPublishedChain:
             for times in ALL_CONTEXTS:
                 dp = distribution(ctx(pub, *times))
                 ds = distribution(ctx(seq, *times))
-                for oc in dp.probs:
-                    assert dp.probs[oc] == pytest.approx(ds.probs[oc], abs=1e-12)
+                assert dp.probs == pytest.approx(ds.probs, abs=1e-12)
 
     def test_chain_is_the_stated_product(self):
         # bare state, U(2t) into time 1, U(3t) U(t)^dagger across the gap to time 3
@@ -274,7 +291,7 @@ class TestPublishedChain:
     def test_differs_from_sequential_off_alpha_zero(self):
         seq, pub = pt_standard(0.9, 0.6), pt_standard(0.9, 0.6, published=True)
         d_seq, d_pub = distribution(ctx(seq, 1, 3)), distribution(ctx(pub, 1, 3))
-        assert max(abs(d_seq.probs[oc] - d_pub.probs[oc]) for oc in d_seq.probs) > 1e-3
+        assert np.abs(d_seq.probs - d_pub.probs).max() > 1e-3
 
     def test_requires_pre_evolution(self):
         with pytest.raises(UsageError):
@@ -324,7 +341,7 @@ class TestOneChainPerPreset:
             tab[times]
         assert calls.get("projector") == 2
         for times in ALL_CONTEXTS:
-            assert tab[times].probs == ContextTable(base)[times].probs
+            assert np.array_equal(tab[times].probs, ContextTable(base)[times].probs)
 
     def test_degenerate_pre_evolution_raises_at_first_use(self, monkeypatch):
         monkeypatch.setattr(protocol, "propagator", lambda p: np.zeros((2, 2), dtype=complex))
@@ -359,6 +376,38 @@ class TestContextValidation:
         d = distribution(ctx(unitary_standard(0.5), 1, 2))
         with pytest.raises(UsageError):
             d.marginal((3,))
+
+    def test_outcome_tuple_reads_its_entry(self):
+        d = distribution(ctx(pt_variant(0.9, 0.6, 1.1, 0.4), 1, 2, 3))
+        for oc in product((+1, -1), repeat=3):
+            assert d[oc] == d.probs[tuple((1 - m) // 2 for m in oc)]
+            assert type(d[oc]) is float
+        assert d[+1, -1, +1] == d.probs[0, 1, 0] == d.rows[2]
+        for bad in ((+1, -1), (+1, 0, -1), (+1, -1, +1, +1)):
+            with pytest.raises(UsageError):
+                d[bad]
+
+    def test_marginal_sums_in_outcome_order(self):
+        d = distribution(ctx(pt_standard(1.2, (0.3, 0.8, 2.1)), 1, 2, 3))
+        p = d.probs
+        assert np.array_equal(d.marginal((2, 3)), 0.0 + p[0] + p[1])
+        assert np.array_equal(d.marginal((1, 3)), 0.0 + p[:, 0] + p[:, 1])
+        assert np.array_equal(d.marginal((3, 1)), (0.0 + p[:, 0] + p[:, 1]).swapaxes(0, 1))
+        assert np.array_equal(d.marginal((1,)),
+                              0.0 + p[:, 0, 0] + p[:, 0, 1] + p[:, 1, 0] + p[:, 1, 1])
+
+
+def test_pure_state_needs_finite_angles():
+    for theta, phi in ((np.nan, 0.4), (1.1, np.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            pure_state(theta, phi)
+    with pytest.raises(DomainError) as stacked:
+        pure_state((0.3, np.nan, 1.1, -np.inf), (0.2, 0.4, np.inf, 0.9))
+    assert stacked.value.failures == {1: "theta must be finite, got nan",
+                                      3: "theta must be finite, got -inf"}
+    with pytest.raises(DomainError) as stacked:
+        pure_state((0.3, 0.7), (0.2, np.nan))
+    assert stacked.value.failures == {1: "phi must be finite, got nan"}
 
 
 def test_pure_state_norm():

@@ -152,8 +152,8 @@ def reference_error(kind: str, alpha: float, t: float, theta: float, phi: float)
     ref = reference(kind, alpha, t, theta, phi)
     err = 0.0
     for times in CONTEXTS:
-        probs = distribution(MeasurementContext(preset, times)).probs
-        err = max(err, max(float(abs(probs[oc] - p)) for oc, p in ref[times].items()))
+        dist = distribution(MeasurementContext(preset, times))
+        err = max(err, max(float(abs(dist[oc] - p)) for oc, p in ref[times].items()))
     return err
 
 

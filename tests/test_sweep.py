@@ -411,7 +411,7 @@ class TestFigureData:
 
 
 _DEGREE_TABLES = {"D123": "d_123", "D1_2_3": "d_1_2_3", "R12_3": "r_12_3", "R1_23": "r_1_23"}
-_SIGN = {"p": +1, "m": -1}
+_INDEX = {"p": 0, "m": 1}  # a column suffix letter's index on its time's outcome axis
 
 
 def _row_alone(columns, alpha, t, theta, phi, pre_evolution):
@@ -427,8 +427,7 @@ def _row_alone(columns, alpha, t, theta, phi, pre_evolution):
             row.append({"theta": theta, "phi": phi}[c])
             continue
         prefix, suffix = c.rsplit("_", 1)
-        key = tuple(_SIGN[ch] for ch in suffix)
-        row.append(getattr(rep, _DEGREE_TABLES[prefix])[key if len(key) == 2 else key[0]])
+        row.append(getattr(rep, _DEGREE_TABLES[prefix])[tuple(_INDEX[ch] for ch in suffix)])
     return tuple(row)
 
 
