@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from functools import cache
-
-import numpy as np
 
 from .checks import run_identity_suite
 from .errors import DegenerateWeightError, DomainError, UsageError
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file; flags override")
         p.add_argument("--alpha", type=float, default=None, help="non-Hermiticity angle (rad)")
         p.add_argument("--t-min", type=float, default=0.0)
-        p.add_argument("--t-max", type=float, default=float(np.pi))
+        p.add_argument("--t-max", type=float, default=math.pi)
         p.add_argument("--t-steps", type=int, default=512)
 
     def add_state(p):
@@ -169,6 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ns = sub.add_parser("nosignal", help="partner-state deviation over a grid")
     add_grid(p_ns)
+    for p in (parser, *sub.choices.values()):  # -1e-3, -inf and -nan are values, as -1 is
+        p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
@@ -190,7 +192,7 @@ def _alpha_t_grid(args) -> tuple[tuple[float, ...], GridSpec, dict]:
 def _emit_table(args, default_out: str, columns, rows, config: dict, max_key: str) -> int:
     """Write a table whose third column is summarized by its finite maximum."""
     out = args.out or default_out
-    finite = [row[2] for row in rows if np.isfinite(row[2])]
+    finite = [row[2] for row in rows if math.isfinite(row[2])]
     summary = {"rows": len(rows), max_key: _round12(max(finite)) if finite else float("nan")}
     _write_table(out, columns, rows, args.format, config, summary)
     print(f"wrote {out} ({len(rows)} rows)")

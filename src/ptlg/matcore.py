@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightError, DomainError, UsageError
+from .errors import DomainError, UsageError
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -118,12 +118,13 @@ class QubitDensity:
                     lambda lo: DomainError(f"density not PSD: lowest eigenvalue {lo:.2e}"))
         object.__setattr__(self, "mat", m)
 
-    def normalize(self) -> "QubitDensity":
-        """Rescale to unit trace; degenerate weight cannot be renormalized."""
-        w = weights(self.mat)
-        raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
-            f"weight {w:.3e} below renormalization floor"))
-        return QubitDensity(self.mat / per_matrix(w))
+
+def mixture(p, kets: np.ndarray) -> np.ndarray:
+    """sum_k p_k psi_k psi_k^dagger of the kets psi_k, the columns of a (2, K) array or (..., 2, K)
+    stack, at the K weights p; entry by entry, in k order (one ket is one outer product)."""
+    terms = [(pk * kets[..., k])[..., :, None] * kets[..., None, :, k].conj()
+             for k, pk in enumerate(p)]
+    return sum(terms[1:], terms[0])
 
 
 def projector(observable: np.ndarray, outcome: int) -> np.ndarray:

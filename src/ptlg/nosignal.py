@@ -8,8 +8,9 @@ the evolution is Hermitian (alpha = 0) or trivial (sin t = 0).  A t-grid in
 
 No two-qubit state is built.  For the pair (|00> + |11>) / sqrt(2), tracing
 (U x I) |pair><pair| (U^dag x I) over the first qubit leaves (U^dag U)^T / 2,
-so the renormalized partner state is (U^T U^*) / tr(U^dag U), a 2x2 product.
-U is complex symmetric (U^T = U, see `ptdyn`), so that product is U U^dag.
+which is U U^dag / 2 as U^T = U (see `ptdyn`): the mixture of U's two columns at
+weight 1/2, entry by entry (`matcore.mixture`).  Renormalized, it is the
+pre-evolved maximally mixed start of `protocol`, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .matcore import I2, WEIGHT_FLOOR, QubitDensity, per_matrix, raise_where, weights
+from .matcore import I2, WEIGHT_FLOOR, QubitDensity, mixture, per_matrix, raise_where, weights
 from .ptdyn import PTParams, propagator
 
 
 def bob_reduced(p: PTParams) -> QubitDensity:
     """Partner's reduced state after the local non-unitary step, renormalized."""
-    u = propagator(p)
-    reduced = u.swapaxes(-1, -2) @ u.conj()  # (U^dag U)^T = U^T U^*
+    reduced = mixture((0.5, 0.5), propagator(p))  # U U^dag / 2, from the columns of U
     w = weights(reduced)
     raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
         f"reduced weight {w:.3e} cannot be renormalized"))

@@ -18,13 +18,15 @@ preset run along one chain (Emary, Lambert & Nori, Rep. Prog. Phys. 77,
 with rho_k the chain state at time k and G_n the leg across the gap.  Each
 preset forms these tables once, on first use (`ScenarioPreset.transfer`), with
 all its distinct legs in one array (`_product`), and `distribution` multiplies
-them out per context into one array (`OutcomeDistribution`).
-`unnormalized_chain` evolves branch states along the same legs with `@`
-instead, as an independent oracle.
-Under non-unitary evolution N differs from context to context, which is
-exactly what lets the marginal of a finer context disagree with a coarser
-context's distribution (`macrodiag` quantifies this).  Per-step
-renormalization is deliberately not used: it would force every
+them out per context into one array (`OutcomeDistribution`).  Every chain
+start is the state's mixture of kets (`InitialState.kets`), each ket carried
+through U(t) entry by entry when the chain pre-evolves, then renormalized
+(`_start`).  `unnormalized_chain` evolves branch states along the same legs
+with `@` instead, as an independent oracle; apart from it, `@` (BLAS) forms
+only the published gap legs.  Under non-unitary evolution N differs from
+context to context, which is exactly what lets the marginal of a finer context
+disagree with a coarser context's distribution (`macrodiag` quantifies this).
+Per-step renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
 Two chains reach the measured times (`_chain` holds the rule).  The
@@ -37,20 +39,19 @@ of n steps with U((n+1) t) U(t)^dagger.  The rule is inferred from those
 forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
 the mixed state; for alpha != 0 the published gap is not U(n t).
 
-Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values
-in place of one, aligned point by point with the other stacks (see
-`PTParams` and `InitialState`).  Its propagators, weights, transfer tables
-and probabilities then carry an axis of N points, computed by the
-same code and the same order of operations as a single point.  An entry of
-a t-stack equals that point evaluated alone, bit for bit.  Stacks must have
-the same length.  Every check applies per point: a failing point raises the
-error it raises alone, and on a stack the error names every failing point
-(see `matcore.raise_where`).
+Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values in
+place of one, of the same length as the other stacks and aligned with them
+point by point (see `PTParams` and `InitialState`).  Its propagators, weights,
+transfer tables and probabilities then carry an axis of N points, computed by
+the same code and the same order of operations as a single point.  An entry of
+a t-stack equals that point evaluated alone, bit for bit.  Every check applies
+per point: a failing point raises the error it raises alone, and on a stack
+the error names every failing point (see `matcore.raise_where`).
 
 Unitary = alpha = 0 PT step: the unitary presets evolve states with
-exp(-i t sigma_x), probe sigma_z and skip pre-evolution; the ket |0> of
-PURE(theta, phi) is the lower sigma_z eigenvector.  These pins put the
-variant expression's quoted optimum at its stated parameters.
+exp(-i t sigma_x), probe sigma_z and skip pre-evolution.  With the kets of
+`InitialState.kets`, these pins put the variant expression's quoted optimum
+at its stated parameters.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
 from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
-                      per_matrix, projector, raise_where, weights)
+                      mixture, per_matrix, projector, raise_where, weights)
 from .ptdyn import PTParams, check_aligned, point_or_stack, propagator, scaled
 
 MAXIMALLY_MIXED = "maximally_mixed"
@@ -75,17 +76,15 @@ class InitialState:
     theta: float | tuple[float, ...] = 0.0  # a stack of N angles is held as a tuple
     phi: float | tuple[float, ...] = 0.0
 
-    def ket(self) -> np.ndarray:
-        """cos(theta)|0> + e^{i phi} sin(theta)|1> as the column (e^{i phi} sin(theta),
-        cos(theta)): |0> is the lower sigma_z eigenvector.  (N, 2) for a stack."""
-        theta, phi = np.broadcast_arrays(self.theta, self.phi)
-        return np.stack([np.exp(1j * phi) * np.sin(theta), np.cos(theta)], axis=-1)
-
-    def density(self) -> QubitDensity:
+    def kets(self) -> tuple[tuple[float, ...], np.ndarray]:
+        """Weights p and kets psi_k of rho = sum_k p_k psi_k psi_k^dagger (`matcore.mixture`),
+        the kets the columns of a (2, K) array, (N, 2, K) for a stack.  I/2 is |0> and |1> at
+        weight 1/2; PURE(theta, phi) is cos(theta)|0> + e^{i phi} sin(theta)|1> at weight 1,
+        the column (e^{i phi} sin(theta), cos(theta)): |0> is the lower sigma_z eigenvector."""
         if self.kind == MAXIMALLY_MIXED:
-            return QubitDensity(I2 / 2.0)
-        psi = self.ket()
-        return QubitDensity(psi[..., :, None] * psi[..., None, :].conj())
+            return (0.5, 0.5), I2
+        theta, phi = np.broadcast_arrays(self.theta, self.phi)
+        return (1.0,), np.array([np.exp(1j * phi) * np.sin(theta), np.cos(theta)]).T[..., None]
 
 
 def maximally_mixed() -> InitialState:
@@ -263,26 +262,24 @@ class OutcomeDistribution:
 
 
 def initial_state_at_t1(preset: ScenarioPreset, u=None) -> QubitDensity:
-    """Normalized state at the first measurement time of the sequential chain.
-
-    With pre-evolution the bare state is propagated for one step duration,
-    through U(t) (`u` when the caller already has it), and renormalized;
-    otherwise it is used as given (normalized).
-    """
-    state = preset.initial_state
+    """Normalized state at the first time of the sequential chain: the bare state, or
+    with pre-evolution the state through U(t) (`u` when the caller already has it)."""
     if not preset.pre_evolution:
-        return state.density().normalize()
-    u = preset.evolution.step(1) if u is None else u
-    if state.kind == PURE:  # v v^dagger is Hermitian entry for entry; U rho U^dagger is not
-        psi = state.ket()
-        v = u[..., :, 0] * psi[..., :1] + u[..., :, 1] * psi[..., 1:]  # U psi, entry by entry
-        evolved = v[..., :, None] * v[..., None, :].conj()
-    else:
-        evolved = u @ state.density().normalize().mat @ dagger(u)
-    w = weights(evolved)
+        return _start(preset.initial_state)
+    return _start(preset.initial_state, preset.evolution.step(1) if u is None else u)
+
+
+def _start(state: InitialState, u=None) -> QubitDensity:
+    """Every chain start: the mixture of the state's kets, each carried through U(t) = `u`
+    entry by entry when given, renormalized (the bare state has unit weight)."""
+    p, psi = state.kets()
+    if u is not None:  # U psi_k = u_i0 psi_0k + u_i1 psi_1k
+        psi = u[..., :, :1] * psi[..., :1, :] + u[..., :, 1:] * psi[..., 1:, :]
+    rho = mixture(p, psi)
+    w = weights(rho)
     raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
         f"pre-evolution weight {w:.3e} cannot be renormalized"))
-    return QubitDensity(evolved / per_matrix(w))
+    return QubitDensity(rho / per_matrix(w))
 
 
 def _chain(preset: ScenarioPreset) -> list[np.ndarray]:
@@ -297,7 +294,7 @@ def _chain(preset: ScenarioPreset) -> list[np.ndarray]:
     u = evo.step(1)
     if evo.published:
         into = [evo.step(k + 1) for k in (1, 2, 3)]
-        return [preset.initial_state.density().normalize().mat, *into,
+        return [_start(preset.initial_state).mat, *into,
                 *(into[n - 1] @ dagger(u) for n in (1, 2))]
     return [initial_state_at_t1(preset, u).mat, np.broadcast_to(I2, u.shape), u, evo.step(2)]
 
@@ -321,8 +318,8 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products of 2x2 matrices laid out (L, 2, 2), plus a trailing axis of N points for
     a stack: each entry a_i0 b_0j + a_i1 b_1j, for all L legs and N points at once.  `@`
-    (BLAS, which rounds its sums differently) stays in the mixed-state pre-evolution
-    U rho U^dagger and the published gap U((n+1) t) U(t)^dagger."""
+    (BLAS, which rounds its sums differently) stays only in the published gap legs
+    U((n+1) t) U(t)^dagger and in the oracles (`unnormalized_chain`, `checks`)."""
     c = a[:, :, :1] * b[:, :1]
     c += a[:, :, 1:] * b[:, 1:]  # in place: one (L, 2, 2, N) temporary fewer
     return c

@@ -317,6 +317,21 @@ class TestUsageEdges:
     def test_unknown_command_rejected(self):
         assert main(["frobnicate"]) == 2
 
+    def test_exponent_number_is_a_value(self, tmp_path):
+        # argparse alone reads -1e-3 as an option; it is the alpha -0.001
+        outs = [tmp_path / "exponent.csv", tmp_path / "decimal.csv"]
+        for alpha, out in zip(("-1e-3", "-0.001"), outs):
+            assert main(["figure", "1", "--alpha", alpha, "--t-steps", "4",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_negative_infinity_reaches_the_angle_check(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["figure", "4", "--phi", "-inf", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestDomainFailures:
     def test_alpha_past_exceptional_point_exits_one(self, capsys):

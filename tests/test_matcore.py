@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptlg.errors import DegenerateWeightError, DomainError, UsageError
+from ptlg.errors import DomainError, UsageError
 from ptlg.matcore import (
     I2,
     SIGMA_X,
@@ -10,6 +10,7 @@ from ptlg.matcore import (
     QubitDensity,
     as_cmat,
     hermitian_eigvals_2x2,
+    mixture,
     projector,
     weights,
 )
@@ -60,10 +61,6 @@ class TestProjector:
 
 
 class TestQubitDensity:
-    def test_normalize(self):
-        rho = QubitDensity(3.0 * I2 / 2).normalize()
-        assert abs(weights(rho.mat) - 1.0) < 1e-12
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             QubitDensity(np.array([[1, 1], [0, 1]], dtype=complex))
@@ -83,13 +80,6 @@ class TestQubitDensity:
             alone[i] = str(exc.value)
         assert str(stacked.value) == alone[1]
         assert stacked.value.failures == alone
-        with pytest.raises(DegenerateWeightError) as stacked:
-            QubitDensity(np.array([I2, 0 * I2, I2])).normalize()
-        assert stacked.value.failures == {1: "weight 0.000e+00 below renormalization floor"}
-
-    def test_degenerate_weight(self):
-        with pytest.raises(DegenerateWeightError):
-            QubitDensity(np.zeros((2, 2), dtype=complex)).normalize()
 
     def test_closed_form_eigenvalues(self):
         rng = np.random.default_rng(18)
@@ -99,6 +89,25 @@ class TestQubitDensity:
             lo, hi = hermitian_eigvals_2x2(h)
             ref = np.linalg.eigvalsh(h)
             np.testing.assert_allclose([lo, hi], ref, atol=1e-12)
+
+
+class TestMixture:
+    def test_mixed_state_is_its_basis_kets_at_half_weight(self):
+        assert np.array_equal(mixture((0.5, 0.5), I2), I2 / 2)
+
+    def test_columns_give_u_u_dagger(self):
+        rng = np.random.default_rng(21)
+        us = np.array([random_cmat(rng) for _ in range(5)])
+        stacked = mixture((0.5, 0.5), us)
+        np.testing.assert_allclose(stacked, us @ us.conj().swapaxes(-1, -2) / 2,
+                                   rtol=0, atol=1e-14)
+        for u, rho in zip(us, stacked):  # each point of a stack as alone, bit for bit
+            assert np.array_equal(mixture((0.5, 0.5), u), rho)
+
+    def test_one_ket_is_its_outer_product(self):
+        psi = np.array([[0.6j], [0.8]])
+        np.testing.assert_allclose(mixture((1.0,), psi), [[0.36, 0.48j], [-0.48j, 0.64]],
+                                   rtol=0, atol=1e-15)
 
 
 class TestNonContiguousInput:

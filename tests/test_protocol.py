@@ -8,7 +8,8 @@ from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
                             degree_report)
-from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, projector, weights
+from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, mixture, projector, weights
+from ptlg.nosignal import bob_reduced
 from ptlg.protocol import (
     MeasurementContext,
     ScenarioPreset,
@@ -46,6 +47,21 @@ class TestInitialState:
         assert abs(weights(rho.mat) - 1.0) < 1e-12
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
         assert np.max(np.abs(rho.mat - I2 / 2)) > 1e-3
+        for ts in (0.7, (0.0, 0.7, 1.6, 2.9)):  # U (I/2) U^dag is the partner state, U U^dag / tr
+            assert np.array_equal(initial_state_at_t1(pt_standard(np.pi / 3, ts)).mat,
+                                  bob_reduced(PTParams(np.pi / 3, ts)).mat)
+
+    def test_normalize(self):
+        rho = initial_state_at_t1(pt_standard(0.5, 0.7), np.sqrt(3.0) * I2)  # weight 3
+        assert abs(weights(rho.mat) - 1.0) < 1e-12
+
+    def test_degenerate_weight(self):
+        with pytest.raises(DegenerateWeightError):
+            initial_state_at_t1(pt_standard(0.5, 0.7), np.zeros((2, 2), dtype=complex))
+        with pytest.raises(DegenerateWeightError) as stacked:
+            initial_state_at_t1(pt_standard(0.5, (0.1, 0.2, 0.3)), np.array([I2, 0 * I2, I2]))
+        assert stacked.value.failures == {
+            1: "pre-evolution weight 0.000e+00 cannot be renormalized"}
 
     def test_pure_state_is_rank_one(self):
         theta, phi = 5 * np.pi / 6, np.pi / 2
@@ -279,7 +295,7 @@ class TestPublishedChain:
         u = {n: propagator(PTParams(alpha, n * t)) for n in (1, 2, 3)}
         for m1 in (+1, -1):
             for m3 in (+1, -1):
-                rho = u[2] @ preset.initial_state.density().mat @ u[2].conj().T
+                rho = u[2] @ mixture(*preset.initial_state.kets()) @ u[2].conj().T
                 p1 = projector(SIGMA_Y, m1)
                 rho = p1 @ rho @ p1
                 gap = u[3] @ u[1].conj().T
@@ -414,4 +430,4 @@ def test_pure_state_norm():
     rng = np.random.default_rng(33)
     for _ in range(10):
         st = pure_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        assert weights(st.density().mat) == pytest.approx(1.0, abs=1e-12)
+        assert weights(mixture(*st.kets())) == pytest.approx(1.0, abs=1e-12)

@@ -71,7 +71,7 @@ def _sample(n: int, lo: float, hi: float, seed: int):
 UNIFORM = _sample(12, 0.0, 1.55, seed=606)
 NEAR_EP = _sample(8, 1.45, 1.566, seed=607)
 # every other point of the 512-point figure grid where the worst ratios sit,
-# t in [1.43, 1.77], for the pure-state figure preset at the reference alphas
+# t in [1.43, 1.77], for both figure presets at the reference alphas
 FIGURE_WINDOW = [(alpha, t, DEFAULT_THETA, DEFAULT_PHI)
                  for alpha in DEFAULT_ALPHAS[1:]
                  for t in np.linspace(0.0, np.pi, 512)[232:290:2]]
@@ -168,9 +168,10 @@ def test_engine_within_err_bound(kind, sample):
 
 
 def test_figure_window_within_err_bound():
-    for point in FIGURE_WINDOW:
-        err = reference_error("pt_variant", *point)
-        assert err <= err_bound(point[0]), (point, err, err_bound(point[0]))
+    for kind in ("pt_standard", "pt_variant"):
+        for point in FIGURE_WINDOW:
+            err = reference_error(kind, *point)
+            assert err <= err_bound(point[0]), (kind, point, err, err_bound(point[0]))
 
 
 def test_reference_is_the_documented_chain():
