@@ -26,17 +26,20 @@ from .protocol import MeasurementContext, OutcomeDistribution, ScenarioPreset, d
 CONTEXTS = ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3))
 EXPRESSIONS = ("L13", "V1", "V2", "V3")
 VARIANT_PAIR = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+# each expression as signed correlators, each in its own minimal context
+TERMS = {"L13": ((1, (1, 2)), (1, (2, 3)), (-1, (1, 3))),
+         **{f"V{k}": ((-1, (1, 2, 3)), (1, VARIANT_PAIR[k]), (1, (k,))) for k in VARIANT_PAIR}}
 
 
 def correlator(dist: OutcomeDistribution, which: tuple[int, ...]) -> float:
     """Expectation of the product of outcomes at the selected measured times."""
-    signs = _signs(dist.context.measured_times, tuple(which), dist.probs.ndim)
+    signs = outcome_signs(dist.context.measured_times, tuple(which), dist.probs.ndim)
     total = sum(signs * dist.rows)  # one outcome row after another, in order
     return total if total.ndim else float(total)
 
 
 @cache
-def _signs(measured: tuple[int, ...], which: tuple[int, ...], ndim: int) -> np.ndarray:
+def outcome_signs(measured: tuple[int, ...], which: tuple[int, ...], ndim: int) -> np.ndarray:
     """The product of the outcomes at `which` on each outcome row of `measured`, shaped
     to multiply rows with ndim - len(measured) stack axes; read-only, as it is shared."""
     if any(j not in measured for j in which):
@@ -86,23 +89,23 @@ def table(x: ScenarioPreset | ContextTable) -> ContextTable:
 
 def l13(x: ScenarioPreset | ContextTable) -> float:
     """c12 + c23 - c13 from pairwise contexts; macrorealism bounds this by 1."""
-    tab = table(x)
-    return tab.correlator(1, 2) + tab.correlator(2, 3) - tab.correlator(1, 3)
+    return expression("L13", x)
 
 
 def variant_v(k: int, x: ScenarioPreset | ContextTable) -> float:
     """-<M1 M2 M3> + <Mi Mj> + <Mk> with (i, j) the pair complementary to k."""
     if k not in VARIANT_PAIR:
         raise UsageError(f"k must be 1, 2 or 3, got {k}")
-    tab = table(x)
-    return -tab.correlator(1, 2, 3) + tab.correlator(*VARIANT_PAIR[k]) + tab.correlator(k)
+    return expression(f"V{k}", x)
 
 
 def expression(name: str, x: ScenarioPreset | ContextTable) -> float:
-    """The LG expression called `name`, one of EXPRESSIONS."""
+    """The LG expression called `name`, one of EXPRESSIONS: its `TERMS` summed in order."""
     if name not in EXPRESSIONS:
         raise UsageError(f"expression must be one of {EXPRESSIONS}, got {name!r}")
-    return l13(x) if name == "L13" else variant_v(int(name[1]), x)
+    tab = table(x)
+    terms = [sign * tab.correlator(*times) for sign, times in TERMS[name]]
+    return sum(terms[1:], terms[0])
 
 
 def l123_and_beta(x: ScenarioPreset | ContextTable) -> tuple[float, float]:

@@ -134,14 +134,17 @@ class ScenarioPreset:
         check_aligned(p.alpha, p.t, state.theta, state.phi)
 
     @cached_property
-    def transfer(self) -> tuple[np.ndarray, np.ndarray]:
+    def transfer(self) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables
         T[n - 1, i, j] = T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1,
-        m_1 = -1), each with a trailing axis of N points for a stack; formed on
-        first use, so that a failure raises at the first context read.
+        m_1 = -1), each with a trailing axis of N points for a stack, then the
+        start's weight: the trace that `_start` divided out (1 for a bare
+        start; (N,) for a stack).  Formed on first use, so that a failure
+        raises at the first context read.
         """
         vh = next((bras for obs, bras in _MODULE_BRAS if obs is self.observable), None)
-        mats = [_bras(self.observable) if vh is None else vh, *_chain(self)]
+        state, *legs = _chain(self)
+        mats = [_bras(self.observable) if vh is None else vh, state.mat, *legs]
         n = max((x.shape[0] for x in mats if x.ndim == 3), default=None)
         at = np.empty((len(mats), 2, 2) + (() if n is None else (n,)), dtype=complex)
         for k, x in enumerate(mats):  # one contiguous copy, the stack axis innermost
@@ -153,7 +156,7 @@ class ScenarioPreset:
         t = _product(vh, rho)  # the state at time k, then its diagonal in the eigenbasis:
         w = (t[:, :, 0] * v[:, 0] + t[:, :, 1] * v[:, 1]).real  # w(m) = <m|rho|m>
         a = abs(_product(_product(vh, gaps), v))  # |<m'|g|m>|, row m'
-        return w, (a * a).swapaxes(1, 2)
+        return w, (a * a).swapaxes(1, 2), state.weight
 
 
 def unitary_standard(t: float) -> ScenarioPreset:
@@ -271,7 +274,8 @@ def initial_state_at_t1(preset: ScenarioPreset, u=None) -> QubitDensity:
 
 def _start(state: InitialState, u=None) -> QubitDensity:
     """Every chain start: the mixture of the state's kets, each carried through U(t) = `u`
-    entry by entry when given, renormalized (the bare state has unit weight)."""
+    entry by entry when given, renormalized (the bare state has unit weight), with the
+    weight it had as `QubitDensity.weight`."""
     p, psi = state.kets()
     if u is not None:  # U psi_k = u_i0 psi_0k + u_i1 psi_1k
         psi = u[..., :, :1] * psi[..., :1, :] + u[..., :, 1:] * psi[..., 1:, :]
@@ -279,11 +283,11 @@ def _start(state: InitialState, u=None) -> QubitDensity:
     w = weights(rho)
     raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
         f"pre-evolution weight {w:.3e} cannot be renormalized"))
-    return QubitDensity(rho / per_matrix(w))
+    return QubitDensity(rho / per_matrix(w), w)
 
 
-def _chain(preset: ScenarioPreset) -> list[np.ndarray]:
-    """The chain state at the start, then the chain's distinct legs: the first
+def _chain(preset: ScenarioPreset) -> list:
+    """The chain state at the start (a `QubitDensity`), then the chain's distinct legs: the first
     three lead into times k = 1..3, the last two cross gaps of n = 1, 2 steps.
 
     Sequential chain: the state at t1, then I, U(t), U(2 t), where I leads into
@@ -294,9 +298,8 @@ def _chain(preset: ScenarioPreset) -> list[np.ndarray]:
     u = evo.step(1)
     if evo.published:
         into = [evo.step(k + 1) for k in (1, 2, 3)]
-        return [_start(preset.initial_state).mat, *into,
-                *(into[n - 1] @ dagger(u) for n in (1, 2))]
-    return [initial_state_at_t1(preset, u).mat, np.broadcast_to(I2, u.shape), u, evo.step(2)]
+        return [_start(preset.initial_state), *into, *(into[n - 1] @ dagger(u) for n in (1, 2))]
+    return [initial_state_at_t1(preset, u), np.broadcast_to(I2, u.shape), u, evo.step(2)]
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
@@ -305,7 +308,8 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
     times = ctx.measured_times
     if len(outcomes) != len(times):
         raise UsageError(f"{len(times)} measured times but {len(outcomes)} outcomes")
-    rho, *legs = _chain(ctx.preset)
+    start, *legs = _chain(ctx.preset)
+    rho = start.mat
     legs = [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]
     for u, m in zip(legs, outcomes):
         rho = u @ rho @ dagger(u)
@@ -325,20 +329,29 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
-    """Per-context normalized outcome table, in the transfer form.
-
-    The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, formed over
-    an outcome axis (+1 first) and normalized once; equivalent to normalizing
-    `unnormalized_chain` over all outcome tuples.  The layout is
-    `OutcomeDistribution`'s.
-    """
+def context_weights(ctx: MeasurementContext) -> np.ndarray:
+    """The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, as (2^k,)
+    rows in `OutcomeDistribution.rows` order ((2^k, N) for a stack): the
+    values p~ of `unnormalized_chain`, from the renormalized start.  Times the
+    start's weight (`transfer`'s last entry) they are the chain's weights with
+    nothing divided out."""
     times = ctx.measured_times
-    w, tables = ctx.preset.transfer
+    w, tables, _ = ctx.preset.transfer
     raw = w[times[0] - 1]
     trail = raw.shape[1:]
     for a, b in zip(times, times[1:]):  # p(..., m, m') = p(..., m) T(m'|m)
         raw = (raw.reshape((-1, 2, 1) + trail) * tables[b - a - 1]).reshape((-1,) + trail)
+    return raw
+
+
+def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
+    """Per-context normalized outcome table, in the transfer form: `context_weights`
+    normalized once; equivalent to normalizing `unnormalized_chain` over all
+    outcome tuples.  The layout is `OutcomeDistribution`'s.
+    """
+    times = ctx.measured_times
+    raw = context_weights(ctx)
+    trail = raw.shape[1:]
     total = sum(raw)  # in outcome order, one row at a time
     raise_where(total < WEIGHT_FLOOR, total, lambda w: DegenerateContextError(
         f"context {times} carries total weight {w:.3e}; cannot normalize"))

@@ -1,4 +1,4 @@
-"""Parameter-space scans, local refinement, and figure-data generation.
+"""Parameter-space scans, refinement, and figure-data generation.
 
 Grids are evaluated in deterministic lexicographic order over the parameter
 axes (t, alpha, theta, phi).  Domain errors at individual grid points are
@@ -7,9 +7,17 @@ grids still produce complete figures.
 
 Every grid is evaluated as one stacked preset (see `protocol`): each alpha's
 t-grid of a figure, a `scan`'s whole Cartesian grid, and each round of
-`refine_max` (K probes of a k-section bracket, or a Newton stencil).
-`grid_columns` runs the stack; the points that a check names as failing drop
-out of it, and the rest run again as one stack.
+`refine_max`.  `grid_columns` runs the stack; the points that a check names
+as failing drop out of it, and the rest run again as one stack.
+
+`refine_max` has two routes.  When only t moves, the expression is an exact
+ratio of trigonometric polynomials in 2 t, fitted from M = 7 samples (17 on
+the published chain) in one stack (`tfit`); a fine scan of the fit's
+derivative and Newton steps on it locate every maximum of the fit in the
+window, and one more stack reads the engine there, at the window ends and at
+the seed (`_refine_t`).  When several coordinates move, a cyclic k-section (K
+probes per round) and a trust-region Newton phase (one central-difference
+stencil per iteration) climb from the seed.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateWeightError, DomainError, UsageError
+from . import tfit
 from .lgexpr import EXPRESSIONS, expression, table
 from .macrodiag import degree_report
 from .protocol import ScenarioPreset, pt_standard, pt_variant, unitary_standard, unitary_variant
@@ -201,22 +210,62 @@ def _ksection_max(cfg: SweepConfig, params: dict, name: str, lo: float, hi: floa
             return x, fx
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
-    """Local maximization from a seed point: the point, its value (never below
-    the seed's) and whether the Newton stopping test was met.
+def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
+    """`refine_max` along t alone, through the exact fit (`tfit`): one stacked
+    call samples the fit, and one more reads the engine at the seed, both window
+    ends and `tfit.candidates`.  The best engine value wins.  A reading carries
+    the engine's roundoff (about `err_bound(alpha)` near the EP); the exact V
+    cannot tell the readings about a maximum apart, so their best stands for
+    it, as the best probe of a k-section did.  A winning reading where the fit
+    does not settle V is finished by a k-section of the engine about it.
 
-    A cyclic per-coordinate k-section (bracket: one grid spacing, clipped to
-    the grid; at most START_CYCLES passes, one for a lone coordinate) starts
-    it.  Trust-region Newton steps finish it, each iteration one stacked
-    central-difference stencil (step H) at the trial point.  The test: an
-    unshifted Newton step below REFINE_TOLERANCE on a negative-definite Hessian
-    over the coordinates not pinned at a grid bound by an outward gradient.
+    Converged: the winner is a reading of a settled maximum of the fit, or a
+    window end where V rises outward.
+    """
+    preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
+    coef = tfit.fit(preset, cfg.expression)
+    ts, gaps = tfit.candidates(cfg.expression, coef, grid.lo, grid.hi, grid.count)
+    ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
+    (values,), _ = grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
+                                {"t": ts.tolist()}, 1)
+    if not np.isfinite(values[0]):
+        raise UsageError(f"objective not finite at seed {params}")
+    i = int(np.argmax(np.fmax(values, -np.inf)))  # the seed wins a tie
+    t, best = float(ts[i]), float(values[i])
+    if gaps[i]:
+        x, fx = _ksection_max(cfg, params, "t", max(grid.lo, t - gaps[i]),
+                              min(grid.hi, t + gaps[i]))
+        return params | {"t": x if fx > best else t}, max(fx, best), False
+    if i >= 3:
+        return params | {"t": t}, best, True  # a reading of a settled maximum of the fit
+    slope = tfit.slopes(cfg.expression, coef, [2 * t], second=False)[0][0]
+    return params | {"t": t}, best, bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
+
+
+def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
+    """Maximization from a seed point: the point, its value (never below the
+    seed's) and whether it converged.
+
+    When only t moves, the window's maximum through the exact fit
+    (`_refine_t`).  Otherwise, or when a sample of the fit fails a check, a
+    local search: a cyclic per-coordinate k-section (bracket: one grid
+    spacing, clipped to the grid; at most START_CYCLES passes, one for a lone
+    coordinate) starts it.  Trust-region Newton steps finish it, each
+    iteration one stacked central-difference stencil (step H) at the trial
+    point.  Converged there: an unshifted Newton step below REFINE_TOLERANCE
+    on a negative-definite Hessian over the coordinates not pinned at a grid
+    bound by an outward gradient.
     """
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
+    sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
+    if [n for n, _ in sweepable] == ["t"]:
+        try:
+            return _refine_t(cfg, params, sweepable[0][1])
+        except (DomainError, DegenerateWeightError):
+            pass  # a sample the engine refuses: the coordinate search below
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
-    sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     if not sweepable:
         return params, best, True
     for _ in range(START_CYCLES if len(sweepable) > 1 else 1):

@@ -192,6 +192,18 @@ class TestOptimizeCommand:
         assert captured.err.startswith("usage error: ") and len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_sequential_smoke_reaches_window_maximum(self, capsys):
+        # the grid's best point seeds a local maximum at t = 0.372 (-0.741935);
+        # the window's maximum is 0.290526 at t = 1.05236, and a 20,001-point
+        # engine grid reads 0.290519 at t = 1.05232
+        argv = ["optimize", "V3", "--kind", "pt", "--alpha", "1.45",
+                "--t-min", "0.3", "--t-max", "1.9", "--t-steps", "32"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["value"] >= 0.290519
+        assert report["params"]["t"] == pytest.approx(1.05236, abs=1e-3)
+        assert report["converged"] is True
+
     def test_published_equals_scan_of_published_chain(self, capsys):
         argv = ["optimize", "V3", "--kind", "pt-published", "--alpha", "1.45",
                 "--t-min", "0.3", "--t-max", "1.9", "--t-steps", "32"]

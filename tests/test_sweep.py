@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_reference import err_bound
 
-from ptlg import sweep
+from ptlg import sweep, tfit
 from ptlg.closedform import unitary_l13
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
-from ptlg.lgexpr import EXPRESSIONS, expression, l13, table
+from ptlg.lgexpr import EXPRESSIONS, TERMS, expression, l13, table
 from ptlg.macrodiag import degree_report
 from ptlg.matcore import raise_where
 from ptlg.nosignal import signaling_deviation
-from ptlg.protocol import pt_standard, pt_variant
+from ptlg.protocol import MeasurementContext, context_weights, pt_standard, pt_variant
 from ptlg.ptdyn import PTParams
-from ptlg.sweep import (DEFAULT_ALPHAS, FigureData, GridSpec, SweepConfig, evaluate_expression,
-                        figure_data, grid_columns, refine_max, scan)
+from ptlg.sweep import (DEFAULT_ALPHAS, DEFAULT_PHI, DEFAULT_THETA, FigureData, GridSpec,
+                        SweepConfig, evaluate_expression, figure_data, grid_columns, refine_max,
+                        scan)
 
 
 def unitary_l13_cfg(count=201, refine=False):
@@ -95,6 +96,19 @@ class TestScan:
             assert row.value == pytest.approx(want, abs=1e-14)
 
 
+RIDGE_SCAN = SweepConfig(expression="V3", kind="pt",
+                         grids={"t": GridSpec(0.535380872854154, 1.8613102114012474, 6),
+                                "theta": GridSpec(0.7755416825702021, 2.6386637072318164, 4),
+                                "phi": GridSpec(5.384665640433963, 10.097054620818653, 4)},
+                         fixed={"alpha": 1.426860673717}, refine=True)
+# a near-EP (t, theta, phi) scan of the optimize benchmark's first pass
+WORKLOAD_SCAN = SweepConfig(expression="V3", kind="pt",
+                            grids={"t": GridSpec(0.37632741362364797, 2.279014353760962, 6),
+                                   "theta": GridSpec(0.35063265123998577, 1.9523416984962731, 4),
+                                   "phi": GridSpec(5.974528067986229, 10.686917048370919, 4)},
+                            fixed={"alpha": 1.4753338410612633}, refine=True)
+
+
 class TestRefine:
     def test_never_below_seed(self):
         cfg = unitary_l13_cfg(count=31)
@@ -119,26 +133,94 @@ class TestRefine:
         assert converged
 
     def test_one_dim_refinement_call_budget(self, monkeypatch):
-        # after the seed, one k-section from a bracket of one grid spacing
-        # (0.031) each side reaches 1e-7 in 7 stacked rounds of K probes, and
-        # the Newton phase needs one or two 3-point stencils: 9 or 10 calls.
-        # A second k-section cycle would add about 7 more.
+        # two stacked engine calls in all: the fit's samples, then the seed, both
+        # window ends and the readings of the maxima
         calls = []
-        original = sweep.evaluate_expression
+        original = sweep.build_preset
 
         def counting(cfg, params):
             calls.append(params["t"])
             return original(cfg, params)
 
-        monkeypatch.setattr(sweep, "evaluate_expression", counting)
+        monkeypatch.setattr(sweep, "build_preset", counting)
         cfg = unitary_l13_cfg(count=101)
         params, value, converged = refine_max(cfg, {"t": 0.5})
         assert converged
         assert value == pytest.approx(1.5, abs=1e-12)
         assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
-        stacks = calls[1:]  # after the seed
-        assert all(isinstance(t, tuple) and len(t) in (sweep.K, 3) for t in stacks)
-        assert len(calls) <= 10
+        assert len(calls) == 2 and all(isinstance(t, tuple) for t in calls)
+        samples, candidates = calls
+        assert len(samples) == 7  # the sequential chain's fit
+        assert candidates[:3] == (0.5, 0.01, np.pi)
+
+    def test_one_dim_refinement_falls_back_when_a_sample_fails(self, monkeypatch):
+        def refused(preset, expression):
+            raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
+
+        monkeypatch.setattr(tfit, "fit", refused)
+        params, value, converged = refine_max(unitary_l13_cfg(count=101), {"t": 0.5})
+        assert value == pytest.approx(1.5, abs=1e-12)
+        assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           pre_evolution=st.booleans(), alpha=st.floats(-1.45, 1.45),
+           theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi),
+           ts=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=8))
+    def test_fit_reproduces_engine(self, expr, kind, pre_evolution, alpha, theta, phi, ts):
+        # M = 7 samples (17 on the published chain) determine each term's
+        # numerator and total exactly, so the model is the engine at any t.
+        # The rows carry roundoff relative to their largest value, which a
+        # term's normalization divides by D_c(t): the bound scales
+        # err_bound(alpha), the engine's error on a probability, by
+        # sum_c max|D_c| / D_c(t), D_c(t) read from the engine, so that a fit
+        # with too few samples cannot widen its own bound.
+        pre_evolution = pre_evolution or kind == "pt-published"
+        fixed = {"theta": theta, "phi": phi} | ({} if kind == "unitary" else {"alpha": alpha})
+        cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
+                          fixed=fixed, pre_evolution=pre_evolution)
+        samples = tfit.sample_times(kind == "pt-published")
+        fit = tfit.fit(sweep.build_preset(cfg, fixed | {"t": samples}), expr)
+        assert fit.shape == (6, 17 if kind == "pt-published" else 7)
+        ts = np.array(ts)
+        num, den = tfit.trig(fit, 2 * ts)[0].reshape(3, 2, ts.size).transpose(1, 0, 2)
+        model = np.array([sign for sign, _ in TERMS[expr]]) @ (num / den)
+        at = sweep.build_preset(cfg, fixed | {"t": tuple(ts.tolist())})
+        engine = np.asarray(expression(expr, at))
+        totals = np.array([context_weights(MeasurementContext(at, times)).sum(0)
+                           for _, times in TERMS[expr]]) * at.transfer[2]
+        amplification = (abs(fit[1::2]).sum(1)[:, None] / totals).sum(0)
+        bound = err_bound(0.0 if kind == "unitary" else alpha) * amplification
+        assert np.all(abs(model - engine) <= bound), (abs(model - engine) / bound).max()
+
+    def test_one_dim_refinement_escapes_the_seed_basin(self):
+        # the seed's local maximum is -0.7419; the window's is 0.2905 at t = 1.0524
+        cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(0.3, 1.9, 32)},
+                          fixed={"alpha": 1.45, "theta": DEFAULT_THETA, "phi": DEFAULT_PHI})
+        params, value, converged = refine_max(cfg, {"t": 0.3 + 1.6 * 2 / 31})
+        assert value >= 0.290519 and converged
+        assert params["t"] == pytest.approx(1.05236, abs=1e-3)
+        assert value == evaluate_expression(cfg, params)
+
+    def test_published_dip_is_read_by_the_engine(self):
+        # near t = pi/2 the published chain's full-context total dips to about 1e-12
+        # of its scale, where the fit cannot resolve V, and V peaks there
+        cfg = SweepConfig(expression="V2", kind="pt-published",
+                          grids={"t": GridSpec(0.05, 1.65, 20)}, refine=True,
+                          fixed={"alpha": -1.506937014647157, "theta": 1.4866141201638425,
+                                 "phi": 1.3604874374011873})
+        res = scan(cfg)
+        assert res.argmax_value >= 2.99538  # a 20,001-point engine grid reads 2.995380
+        assert res.argmax_params["t"] == pytest.approx(1.57025, abs=1e-4)
+        assert res.converged is False  # the engine's own search, not a maximum of the fit
+        assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
+
+    def test_window_end_with_outward_slope_converges(self):
+        # L13 rises through the whole window [0.01, 0.3] towards its peak at pi/6
+        cfg = SweepConfig(expression="L13", kind="unitary", grids={"t": GridSpec(0.01, 0.3, 8)})
+        params, value, converged = refine_max(cfg, {"t": 0.2})
+        assert params["t"] == 0.3 and converged
+        assert value == evaluate_expression(cfg, params)
 
     def test_scan_reports_convergence(self):
         assert scan(unitary_l13_cfg(count=31, refine=True)).converged is True
@@ -153,6 +235,20 @@ class TestRefine:
         assert res.argmax_value >= 0.7967740808242361
         assert res.argmax_value == pytest.approx(evaluate_expression(RIDGE_SCAN, res.argmax_params),
                                                  abs=err_bound(RIDGE_SCAN.fixed["alpha"]))
+
+    @pytest.mark.parametrize("cfg, want", [
+        (RIDGE_SCAN, ({"alpha": 1.426860673717, "t": 0.535380872854154,
+                       "theta": 0.7880697978436287, "phi": 7.85398163397042},
+                      2.4615369046977893, True)),
+        (WORKLOAD_SCAN, ({"alpha": 1.4753338410612633, "t": 0.5304446866220299,
+                          "theta": 0.7864153865115064, "phi": 7.853981633972052},
+                         2.464598862490791, False)),
+    ])
+    def test_multi_dim_refinement_is_unchanged(self, cfg, want):
+        # values recorded before t-only sweeps moved to the fit; the coordinate
+        # search and Newton phase that (t, theta, phi) scans run stay as they were
+        res = scan(cfg)
+        assert (res.argmax_params, res.argmax_value, res.converged) == want
 
     def test_spent_iteration_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(sweep, "NEWTON_ITERATIONS", 1)
@@ -178,13 +274,6 @@ class TestRefine:
         res = scan(cfg)
         assert res.argmax_value >= max(r.value for r in res.rows)
         assert all(g.lo <= res.argmax_params[n] <= g.hi for n, g in grids.items())
-
-
-RIDGE_SCAN = SweepConfig(expression="V3", kind="pt",
-                         grids={"t": GridSpec(0.535380872854154, 1.8613102114012474, 6),
-                                "theta": GridSpec(0.7755416825702021, 2.6386637072318164, 4),
-                                "phi": GridSpec(5.384665640433963, 10.097054620818653, 4)},
-                         fixed={"alpha": 1.426860673717}, refine=True)
 
 
 def l13_from_cfg(cfg, params):
