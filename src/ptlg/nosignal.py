@@ -9,26 +9,23 @@ the evolution is Hermitian (alpha = 0) or trivial (sin t = 0).  A t-grid in
 No two-qubit state is built.  For the pair (|00> + |11>) / sqrt(2), tracing
 (U x I) |pair><pair| (U^dag x I) over the first qubit leaves (U^dag U)^T / 2,
 which is U U^dag / 2 as U^T = U (see `ptdyn`): the mixture of U's two columns at
-weight 1/2, entry by entry (`matcore.mixture`).  Renormalized, it is the
-pre-evolved maximally mixed start of `protocol`, bit for bit.
+weight 1/2, entry by entry (`matcore.mixture`): the pre-evolved maximally mixed
+start of `protocol`, bit for bit, at weight tr(U U^dag) / 2 >= 1 (det U = 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateWeightError
-from .matcore import I2, WEIGHT_FLOOR, QubitDensity, mixture, per_matrix, raise_where, weights
+from .matcore import I2, QubitDensity
+from .protocol import _start, maximally_mixed
 from .ptdyn import PTParams, propagator
 
 
 def bob_reduced(p: PTParams) -> QubitDensity:
-    """Partner's reduced state after the local non-unitary step, renormalized."""
-    reduced = mixture((0.5, 0.5), propagator(p))  # U U^dag / 2, from the columns of U
-    w = weights(reduced)
-    raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
-        f"reduced weight {w:.3e} cannot be renormalized"))
-    return QubitDensity(reduced / per_matrix(w))
+    """Partner's reduced state after the local non-unitary step, renormalized: the
+    pre-evolved maximally mixed start of `protocol`."""
+    return _start(maximally_mixed(), propagator(p))
 
 
 def signaling_deviation(p: PTParams):

@@ -13,11 +13,11 @@ as failing drop out of it, and the rest run again as one stack.
 `refine_max` has two routes.  When only t moves, the expression is an exact
 ratio of trigonometric polynomials in 2 t, fitted from M = 7 samples (17 on
 the published chain) in one stack (`tfit`); a fine scan of the fit's
-derivative and Newton steps on it locate every maximum of the fit in the
-window, and one more stack reads the engine there, at the window ends and at
-the seed (`_refine_t`).  When several coordinates move, a cyclic k-section (K
-probes per round) and a trust-region Newton phase (one central-difference
-stencil per iteration) climb from the seed.
+derivative over one period and Newton steps on it locate every maximum of the
+fit in the window, and one more stack reads the engine there, at the window
+ends and at the seed (`_refine_t`).  When several coordinates move, a cyclic
+k-section (K probes per round) and a trust-region Newton phase (one
+central-difference stencil per iteration) climb from the seed.
 """
 
 from __future__ import annotations
@@ -216,26 +216,29 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
     ends and `tfit.candidates`.  The best engine value wins.  A reading carries
     the engine's roundoff (about `err_bound(alpha)` near the EP); the exact V
     cannot tell the readings about a maximum apart, so their best stands for
-    it, as the best probe of a k-section did.  A winning reading where the fit
-    does not settle V is finished by a k-section of the engine about it.
+    it, as the best probe of a k-section did.  An unsettled winner is finished
+    by k-sections about every unsettled reading at least its unsettled neighbours.
 
     Converged: the winner is a reading of a settled maximum of the fit, or a
     window end where V rises outward.
     """
     preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
     coef = tfit.fit(preset, cfg.expression)
-    ts, gaps = tfit.candidates(cfg.expression, coef, grid.lo, grid.hi, grid.count)
+    ts, gaps = tfit.candidates(cfg.expression, coef, grid.lo, grid.hi)
     ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
-    (values,), _ = grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
-                                {"t": ts.tolist()}, 1)
+    values = np.fmax(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
+                                  {"t": ts.tolist()}, 1)[0][0], -np.inf)  # NaN -> -inf
     if not np.isfinite(values[0]):
         raise UsageError(f"objective not finite at seed {params}")
-    i = int(np.argmax(np.fmax(values, -np.inf)))  # the seed wins a tie
+    i = int(np.argmax(values))  # the seed wins a tie
     t, best = float(ts[i]), float(values[i])
-    if gaps[i]:
-        x, fx = _ksection_max(cfg, params, "t", max(grid.lo, t - gaps[i]),
-                              min(grid.hi, t + gaps[i]))
-        return params | {"t": x if fx > best else t}, max(fx, best), False
+    if gaps[i]:  # the unsettled readings in t order, and those at least their neighbours
+        order = np.flatnonzero(gaps)[np.argsort(ts[gaps > 0])]
+        v = np.pad(values[order], 1, constant_values=-np.inf)
+        peaks = order[(v[1:-1] > -np.inf) & (v[1:-1] >= np.fmax(v[:-2], v[2:]))]
+        t, best = max([(t, best)] + [_ksection_max(cfg, params, "t", *np.clip(
+            ts[j] + (-gaps[j], gaps[j]), grid.lo, grid.hi)) for j in peaks], key=lambda p: p[1])
+        return params | {"t": t}, best, False
     if i >= 3:
         return params | {"t": t}, best, True  # a reading of a settled maximum of the fit
     slope = tfit.slopes(cfg.expression, coef, [2 * t], second=False)[0][0]

@@ -215,6 +215,46 @@ class TestRefine:
         assert res.converged is False  # the engine's own search, not a maximum of the fit
         assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
 
+    def test_wide_window_reads_its_first_period(self):
+        # V has period pi in t, so a 3,000-wide window holds its maximum in its
+        # first period; a scan of the whole window at a capped step count reads
+        # it 0.055 low, at t = 2939.544
+        lo = 0.8011138329902308
+        cfg = SweepConfig(expression="V2", kind="pt-published",
+                          grids={"t": GridSpec(lo, 3000.8011138329902, 32)}, refine=True,
+                          fixed={"alpha": 1.3523297645402659, "theta": 0.3561180404435358,
+                                 "phi": 2.575028347135541})
+        res = scan(cfg)
+        assert res.argmax_value >= 1.521814 and res.converged
+        assert lo <= res.argmax_params["t"] <= lo + np.pi
+        assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
+
+    @pytest.mark.parametrize("width, count", [(41.352187983104535, 13), (3.5, 64)])
+    def test_twin_peaks_about_a_dip_do_not_depend_on_the_grid(self, width, count):
+        # two peaks flank a dip of a total at t = pi / 2, where the fit cannot
+        # settle V: 2.99238674538503 at t = 1.5695984 (a 40,001-point engine
+        # grid) and 2.99235298 at t = 1.57200; the engine's own search runs
+        # about both, so the grid cannot pick the lower one
+        lo = 0.8661213373836898
+        cfg = SweepConfig(expression="V2", kind="pt-published",
+                          grids={"t": GridSpec(lo, lo + width, count)}, refine=True,
+                          fixed={"alpha": -1.4611171291133416, "theta": 2.3194217785909443,
+                                 "phi": 0.4420981663531076})
+        res = scan(cfg)
+        assert res.argmax_value >= 2.9923867
+        assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
+
+    @pytest.mark.parametrize("kind", sweep.KINDS)
+    def test_one_dim_refinement_does_not_depend_on_the_grid(self, kind):
+        # the optimize smoke's window: the fit, not the grid, sets every reading
+        # but the seed's, so the grid's step count changes nothing
+        fixed = {} if kind == "unitary" else {"alpha": 1.45}
+        results = [scan(SweepConfig(expression="V3", kind=kind, fixed=fixed, refine=True,
+                                    grids={"t": GridSpec(0.3, 1.9, count)}))
+                   for count in (8, 32, 512)]
+        first, *rest = [(r.argmax_params, r.argmax_value, r.converged) for r in results]
+        assert all(r == first for r in rest)
+
     def test_window_end_with_outward_slope_converges(self):
         # L13 rises through the whole window [0.01, 0.3] towards its peak at pi/6
         cfg = SweepConfig(expression="L13", kind="unitary", grids={"t": GridSpec(0.01, 0.3, 8)})
