@@ -17,12 +17,16 @@ derivative over one period and Newton steps on it locate every maximum of the
 fit in the window, and one more stack reads the engine there, at the window
 ends and at the seed (`_refine_t`).  When several coordinates move, a cyclic
 k-section (K probes per round) and a trust-region Newton phase (one
-central-difference stencil per iteration) climb from the seed.
+central-difference stencil per iteration) climb from the seed.  At fixed
+alpha the k-section probes the (t, state) fit, built from one stack of M
+samples at each of four states (`tfit.section`), and the Newton phase reads
+the engine, so the reported value is always the engine's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -190,24 +194,50 @@ def scan(cfg: SweepConfig) -> SweepResult:
                        argmax_value=argmax_value, converged=converged)
 
 
-def _ksection_max(cfg: SweepConfig, params: dict, name: str, lo: float, hi: float):
-    """The best probe of `name` in [lo, hi], the other parameters held at `params`.
+def _ksection_max(values, lo: float, hi: float):
+    """The best probe in [lo, hi] of `values`, a function of K probe values of one
+    coordinate (`_engine_line`, `_fit_line`).
 
-    Each round evaluates K evenly spaced interior probes as one stack (a failing
+    Each round evaluates K evenly spaced interior probes at once (a failing
     probe counts as -inf) and keeps the two spacings around the best probe so
     far, until the bracket is at most REFINE_TOLERANCE wide."""
     x, fx = None, -np.inf
     while True:
         xs = np.linspace(lo, hi, K + 2)
-        (values,), _ = grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
-                                    {name: xs[1:-1].tolist()}, 1)
-        values = np.fmax(values, -np.inf)  # NaN -> -inf
-        i = int(np.argmax(values))
-        if x is None or values[i] > fx:
-            x, fx = float(xs[i + 1]), float(values[i])
+        probes = np.fmax(values(xs[1:-1]), -np.inf)  # NaN -> -inf
+        i = int(np.argmax(probes))
+        if x is None or probes[i] > fx:
+            x, fx = float(xs[i + 1]), float(probes[i])
         lo, hi = max(lo, x - (xs[1] - xs[0])), min(hi, x + (xs[1] - xs[0]))
         if hi - lo <= REFINE_TOLERANCE:
             return x, fx
+
+
+def _engine_line(cfg: SweepConfig, params: dict, name: str):
+    """The engine along `name`, the other parameters held at `params`: each call one stack."""
+    return lambda xs: grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
+                                   {name: xs.tolist()}, 1)[0][0]
+
+
+def _fit_line(cfg: SweepConfig, coef: np.ndarray):
+    """Like `_engine_line`, through the (t, state) fit `coef` (`tfit.section`); a
+    round with a probe where the fit cannot resolve V reads the engine instead."""
+    def line(params: dict, name: str):
+        fit = tfit.section(cfg.expression, coef,
+                           {"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | params, name)
+        engine = _engine_line(cfg, params, name)
+        return lambda xs: v if (v := fit(xs)) is not None else engine(xs)
+    return line
+
+
+def _state_fit(cfg: SweepConfig, params: dict):
+    """The (t, state) fit at params' alpha (`tfit.fit` with `states`), or None if a
+    sample fails a check."""
+    samples = tfit.sample_states(cfg.kind == "pt-published")
+    try:
+        return tfit.fit(build_preset(cfg, params | samples), cfg.expression, states=True)
+    except (DomainError, DegenerateWeightError):
+        return None
 
 
 def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
@@ -236,7 +266,7 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
         order = np.flatnonzero(gaps)[np.argsort(ts[gaps > 0])]
         v = np.pad(values[order], 1, constant_values=-np.inf)
         peaks = order[(v[1:-1] > -np.inf) & (v[1:-1] >= np.fmax(v[:-2], v[2:]))]
-        t, best = max([(t, best)] + [_ksection_max(cfg, params, "t", *np.clip(
+        t, best = max([(t, best)] + [_ksection_max(_engine_line(cfg, params, "t"), *np.clip(
             ts[j] + (-gaps[j], gaps[j]), grid.lo, grid.hi)) for j in peaks], key=lambda p: p[1])
         return params | {"t": t}, best, False
     if i >= 3:
@@ -253,15 +283,20 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
     (`_refine_t`).  Otherwise, or when a sample of the fit fails a check, a
     local search: a cyclic per-coordinate k-section (bracket: one grid
     spacing, clipped to the grid; at most START_CYCLES passes, one for a lone
-    coordinate) starts it.  Trust-region Newton steps finish it, each
-    iteration one stacked central-difference stencil (step H) at the trial
-    point.  Converged there: an unshifted Newton step below REFINE_TOLERANCE
-    on a negative-definite Hessian over the coordinates not pinned at a grid
-    bound by an outward gradient.
+    coordinate) starts it.  At fixed alpha its probes read the (t, state) fit
+    (`_fit_line`), built from one stack, and the engine where a sample fails a
+    check or alpha moves.  Trust-region Newton steps on the engine finish it,
+    each iteration one stacked central-difference stencil (step H) at the
+    trial point; the first re-reads the k-section's point, and the search
+    starts from the seed instead if the engine reads it below the seed.
+    Converged there: an unshifted Newton step below REFINE_TOLERANCE on a
+    negative-definite Hessian over the coordinates not pinned at a grid bound
+    by an outward gradient.
     """
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
-    if [n for n, _ in sweepable] == ["t"]:
+    moving = [n for n, _ in sweepable]
+    if moving == ["t"]:
         try:
             return _refine_t(cfg, params, sweepable[0][1])
         except (DomainError, DegenerateWeightError):
@@ -271,6 +306,9 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
         raise UsageError(f"objective not finite at seed {seed}")
     if not sweepable:
         return params, best, True
+    start, at_start = dict(params), best
+    coef = None if moving == ["t"] or "alpha" in moving else _state_fit(cfg, params)
+    line = partial(_engine_line, cfg) if coef is None else _fit_line(cfg, coef)
     for _ in range(START_CYCLES if len(sweepable) > 1 else 1):
         moved = 0.0
         for name, grid in sweepable:
@@ -279,7 +317,7 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
             hi = min(grid.hi, params[name] + radius)
             if hi <= lo:
                 continue
-            x, fx = _ksection_max(cfg, params, name, lo, hi)
+            x, fx = _ksection_max(line(params, name), lo, hi)
             if fx > best:
                 moved = max(moved, abs(x - params[name]))
                 params[name], best = x, fx
@@ -300,6 +338,14 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
 
     x = np.array([params[name] for name in names])
     at_x, radius = stencil(x), min(g.spacing() for _, g in sweepable)
+    if coef is not None:  # the value reported is the engine's, never below the seed's
+        if at_x is not None and at_x[0] >= at_start:
+            best = float(at_x[0])
+        else:
+            if params != start:
+                x = np.array([start[name] for name in names])
+                at_x = stencil(x)
+            params, best = start, at_start
     for _ in range(NEWTON_ITERATIONS):
         if at_x is None or radius < REFINE_TOLERANCE:
             break

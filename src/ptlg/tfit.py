@@ -11,6 +11,14 @@ it is at most 8.  M = 7 (17) equispaced samples on [0, pi) determine them
 (2013)), and with them the expression's exact derivatives (`slopes`) and the
 points where its maximum in a window can lie (`candidates`).
 
+Each weight, with that start weight put back, is also linear in the initial
+state, so affine in the pure state's Bloch features (1, cos 2 theta,
+sin 2 theta cos phi, sin 2 theta sin phi) (`features`).  The same M samples
+at each of four fixed STATES therefore determine every term over all of
+(t, theta, phi): `fit` with `states` solves the 4 x 4 feature system for a
+coefficient tensor with a feature axis, and `section` contracts it on two
+coordinates to give V along the third.
+
 Coefficients are laid out as c_k, k = -n .. n, of sum_k c_k e^(i k theta).
 """
 
@@ -31,6 +39,7 @@ STENCIL = 1e-9 * np.arange(-8, 9)  # the engine's readings about each settled ma
 SEARCH = 1e-4  # least half-width of the engine's own search about an unsettled maximum
 DIP_RATIO = 10 ** 0.125  # ratio of successive DIP_OFFSETS, readings from 0.1 to 1e-6 each side
 DIP_OFFSETS = np.outer((-1, 1), DIP_RATIO ** -np.arange(8, 49)).ravel()
+STATES = ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 4, 0.0), (np.pi / 4, np.pi / 2))  # (theta, phi)
 
 
 def sample_times(published: bool) -> tuple[float, ...]:
@@ -39,17 +48,74 @@ def sample_times(published: bool) -> tuple[float, ...]:
     return tuple(np.arange(m) * np.pi / m)
 
 
-def fit(preset: ScenarioPreset, expression: str) -> np.ndarray:
+def sample_states(published: bool) -> dict[str, tuple[float, ...]]:
+    """The (t, theta, phi) stacks at which `fit` with `states` needs the chain:
+    `sample_times` at each of STATES in turn."""
+    ts = sample_times(published)
+    return {"t": ts * len(STATES), "theta": tuple(th for th, _ in STATES for _ in ts),
+            "phi": tuple(ph for _, ph in STATES for _ in ts)}
+
+
+def features(theta, phi) -> np.ndarray:
+    """The Bloch features (1, cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi)
+    of PURE(theta, phi), the leading axis of 4, at each (theta, phi)."""
+    theta, phi = np.broadcast_arrays(theta, phi)
+    s = np.sin(2 * theta)
+    return np.array([np.ones(theta.shape), np.cos(2 * theta), s * np.cos(phi), s * np.sin(phi)])
+
+
+def fit(preset: ScenarioPreset, expression: str, states: bool = False) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows (N_1, D_1,
     N_2, D_2, ...), from `preset` stacked at `sample_times`, through the fixed
-    M x M DFT matrix: the expression is sum_c sign_c N_c / D_c."""
+    M x M DFT matrix: the expression is sum_c sign_c N_c / D_c.  With `states`,
+    `preset` is stacked at `sample_states`, and each row has a feature axis
+    (R, 4, 2 n + 1): row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
     start, rows = preset.transfer[2], []
     for _, times in TERMS[expression]:
         raw = context_weights(MeasurementContext(preset, times)) * start
         rows += [sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
-    m = len(rows[0])
+    m = len(rows[0]) // (len(STATES) if states else 1)
     dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
-    return np.array(rows) @ dft
+    coef = np.array(rows).reshape(-1, m) @ dft
+    if not states:
+        return coef
+    # formed here, not at import: a process's first np.linalg.inv costs it about 0.5 MB
+    unmix = np.linalg.inv(features(*zip(*STATES)).T)  # the samples at STATES -> features
+    return unmix @ coef.reshape(len(rows), len(STATES), -1)
+
+
+def scales(coef: np.ndarray) -> np.ndarray:
+    """Each term's bound on its total, the sum of |c| over its coefficients, as a column."""
+    return abs(coef[1::2]).reshape(len(coef) // 2, -1).sum(1)[:, None]
+
+
+def section(expression: str, coef: np.ndarray, params: dict, name: str):
+    """The expression along `name` ("t", "theta" or "phi") through the (t, state)
+    fit `coef` (`fit` with `states`), the other two held at `params`: a function
+    of K probe values, giving V at each, or None if a total at some probe is
+    below RESOLVE of its scale, where the fit cannot resolve V.  The tensor is
+    contracted on the two held coordinates once, to trigonometric polynomials
+    in 2 t, 2 theta or phi, so each call is one (R, K) product (`trig`)."""
+    signs, scale = np.array([sign for sign, _ in TERMS[expression]]), scales(coef)
+    t, theta, phi = params["t"], params["theta"], params["phi"]
+    if name == "t":
+        line, rate = coef.transpose(0, 2, 1) @ features(theta, phi), 2
+    else:  # a0 + a1 cos u + b1 sin u has the coefficients ((a1 + i b1) / 2, a0, (a1 - i b1) / 2)
+        k = np.arange(coef.shape[-1]) - coef.shape[-1] // 2
+        a = (coef @ np.exp(2j * t * k)).real  # (R, 4), one per feature
+        if name == "theta":  # u = 2 theta: a0 = a_1, a1 = a_z, b1 = a_x cos phi + a_y sin phi
+            c, s = np.cos(phi) / 2, np.sin(phi) / 2
+            to_line, rate = [[0, 1, 0], [0.5, 0, 0.5], [1j * c, 0, -1j * c], [1j * s, 0, -1j * s]], 2
+        else:  # u = phi: a0 = a_1 + a_z cos 2 theta, a1 = a_x sin 2 theta, b1 = a_y sin 2 theta
+            c, s = np.cos(2 * theta), np.sin(2 * theta) / 2
+            to_line, rate = [[0, 1, 0], [0, c, 0], [s, 0, s], [1j * s, 0, -1j * s]], 1
+        line = a @ np.array(to_line)
+    ik, floor = 1j * rate * (np.arange(line.shape[-1]) - line.shape[-1] // 2), RESOLVE * scale
+
+    def values(x):
+        rows = (line @ np.exp(np.multiply.outer(ik, x))).real  # `trig`, with k scaled once
+        return None if (rows[1::2] <= floor).any() else signs @ (rows[::2] / rows[1::2])
+    return values
 
 
 def trig(c: np.ndarray, theta, orders=(0,)) -> list[np.ndarray]:
@@ -132,7 +198,7 @@ def candidates(expression: str, coef: np.ndarray, lo: float, hi: float):
         x = np.where((left <= x - step) & (x - step <= right), x - step, (left + right) / 2)
         if np.all(abs(step) <= SETTLED):
             break
-    scale = abs(coef[1::2]).sum(1)[:, None]  # bounds each total
+    scale = scales(coef)
     settled = (abs(step) <= SETTLED) & (at_x >= RESOLVE * scale).all(0)
     n, h = coef.shape[1] // 2, theta[1] - theta[0]
     dips = [np.empty(0)]

@@ -187,9 +187,7 @@ class TestRefine:
         model = np.array([sign for sign, _ in TERMS[expr]]) @ (num / den)
         at = sweep.build_preset(cfg, fixed | {"t": tuple(ts.tolist())})
         engine = np.asarray(expression(expr, at))
-        totals = np.array([context_weights(MeasurementContext(at, times)).sum(0)
-                           for _, times in TERMS[expr]]) * at.transfer[2]
-        amplification = (abs(fit[1::2]).sum(1)[:, None] / totals).sum(0)
+        amplification = (abs(fit[1::2]).sum(1)[:, None] / _totals(at, expr)).sum(0)
         bound = err_bound(0.0 if kind == "unitary" else alpha) * amplification
         assert np.all(abs(model - engine) <= bound), (abs(model - engine) / bound).max()
 
@@ -284,17 +282,126 @@ class TestRefine:
                           "theta": 0.7864153865115064, "phi": 7.853981633972052},
                          2.464598862490791, False)),
     ])
-    def test_multi_dim_refinement_is_unchanged(self, cfg, want):
-        # values recorded before t-only sweeps moved to the fit; the coordinate
-        # search and Newton phase that (t, theta, phi) scans run stay as they were
+    def test_multi_dim_refinement_is_unchanged(self, cfg, want, monkeypatch):
+        # values recorded before t-only sweeps moved to the fit: where the state
+        # fit's samples fail a check, the coordinate search probes the engine,
+        # and it and the Newton phase run as they did then, bit for bit
+        fit = tfit.fit
+
+        def refused(preset, expression, states=False):
+            if states:
+                raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
+            return fit(preset, expression)
+
+        monkeypatch.setattr(tfit, "fit", refused)
         res = scan(cfg)
         assert (res.argmax_params, res.argmax_value, res.converged) == want
+
+    @pytest.mark.parametrize("cfg, want, before", [
+        (RIDGE_SCAN, ({"alpha": 1.426860673717, "t": 0.535380872854154,
+                       "theta": 0.7880698002454738, "phi": 7.8539816339747},
+                      2.4615369046967928, True),
+         ({"t": 0.535380872854154, "theta": 0.7880697978436287, "phi": 7.85398163397042},
+          2.4615369046977893)),
+        (WORKLOAD_SCAN, ({"alpha": 1.4753338410612633, "t": 0.5304575776494923,
+                          "theta": 0.78641723349772, "phi": 7.853981633995395},
+                         2.4645988616245824, False),
+         ({"t": 0.5304446866220299, "theta": 0.7864153865115064, "phi": 7.853981633972052},
+          2.464598862490791)),
+    ])
+    def test_multi_dim_refinement_on_the_state_fit(self, cfg, want, before):
+        # the k-section probes the (t, state) fit and the Newton phase the
+        # engine; recorded values, each at least the grid's best and below the
+        # engine route's (`before`, as above) by at most the engine's roundoff,
+        # amplified by the terms' totals at that route's argmax
+        res = scan(cfg)
+        assert (res.argmax_params, res.argmax_value, res.converged) == want
+        assert res.argmax_value >= max(r.value for r in res.rows)
+        old, value = cfg.fixed | before[0], before[1]
+        assert evaluate_expression(cfg, old) == value
+        at = sweep.build_preset(cfg, old)
+        coef = tfit.fit(sweep.build_preset(cfg, old | {"t": tfit.sample_times(False)}), "V3")
+        bound = err_bound(cfg.fixed["alpha"]) * (tfit.scales(coef)[:, 0] / _totals(at, "V3")).sum()
+        assert res.argmax_value >= value - bound
+
+    def test_state_fit_k_section_reads_no_engine_round(self, monkeypatch):
+        # the engine reads the seed, the fit's 4 x 7 samples and the Newton
+        # stencils (19 points for three coordinates), never a K-probe round
+        sizes = []
+        original = sweep.build_preset
+
+        def counting(cfg, params):
+            sizes.append(len(params["t"]) if isinstance(params["t"], tuple) else 1)
+            return original(cfg, params)
+
+        monkeypatch.setattr(sweep, "build_preset", counting)
+        res = scan(RIDGE_SCAN)
+        assert res.converged
+        assert sizes[:3] == [6 * 4 * 4, 1, 4 * 7]
+        assert set(sizes[3:]) == {19}
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           pre_evolution=st.booleans(), alpha=st.floats(-1.45, 1.45),
+           t=st.floats(0.0, 2 * np.pi), theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))
+    def test_state_fit_reproduces_engine(self, expr, kind, pre_evolution, alpha, t, theta, phi):
+        # M samples at each of 4 states determine each term over (t, theta, phi);
+        # each line of `tfit.section` through the drawn point reads the engine
+        # there within the bound of `test_fit_reproduces_engine`, its scale a
+        # sum over the state components as well
+        pre_evolution = pre_evolution or kind == "pt-published"
+        fixed = {} if kind == "unitary" else {"alpha": alpha}
+        cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
+                          fixed=fixed, pre_evolution=pre_evolution)
+        samples = tfit.sample_states(kind == "pt-published")
+        coef = tfit.fit(sweep.build_preset(cfg, fixed | samples), expr, states=True)
+        assert coef.shape == (6, 4, 17 if kind == "pt-published" else 7)
+        point = {"t": t, "theta": theta, "phi": phi}
+        at = sweep.build_preset(cfg, fixed | point)
+        engine, totals = expression(expr, at), _totals(at, expr)
+        scale = tfit.scales(coef)[:, 0]
+        bound = err_bound(0.0 if kind == "unitary" else alpha) * (scale / totals).sum()
+        for name in point:
+            model = tfit.section(expr, coef, point, name)([point[name]])
+            if model is None:  # a total the fit cannot resolve
+                assert (totals <= 2 * tfit.RESOLVE * scale).any()
+            else:
+                assert abs(model[0] - engine) <= bound, (name, abs(model[0] - engine) / bound)
 
     def test_spent_iteration_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(sweep, "NEWTON_ITERATIONS", 1)
         res = scan(RIDGE_SCAN)
         assert res.converged is False
         assert res.argmax_value >= max(r.value for r in res.rows)
+
+    def test_criterion_04_verdict_through_the_state_fit(self):
+        # the README's verdict on criterion 04: at alpha = pi/3, t = 0.785 on
+        # the published chain, V3 is 2.858795 at the quoted state, at most
+        # 2.9984985 over the sphere, and at least 2.9 on 4.9% of it by area
+        # (3.2% of a uniform (theta, phi) grid)
+        fixed = {"alpha": np.pi / 3, "t": 0.785}
+        cfg = SweepConfig(expression="V3", kind="pt-published", fixed=fixed, refine=True,
+                          grids={"theta": GridSpec(0.0, np.pi, 33),
+                                 "phi": GridSpec(0.0, 2 * np.pi, 33)})
+        coef = tfit.fit(sweep.build_preset(cfg, fixed | tfit.sample_states(True)), "V3",
+                        states=True)
+        quoted = {"t": 0.785, "theta": 5 * np.pi / 6, "phi": np.pi / 2}
+        value = tfit.section("V3", coef, quoted, "theta")([quoted["theta"]])[0]
+        assert value == pytest.approx(2.858795, abs=5e-7)
+        assert value == pytest.approx(evaluate_expression(cfg, fixed | quoted), abs=1e-13)
+        res = scan(cfg)  # (pi - theta, phi + pi) is the same state, so (2.35025, pi / 2) too
+        assert res.converged and res.argmax_value == pytest.approx(2.9984985, abs=5e-8)
+        assert (res.argmax_params["theta"], res.argmax_params["phi"]) == pytest.approx(
+            (np.pi - 2.35025, 3 * np.pi / 2), abs=1e-5)
+        best = tfit.section("V3", coef, res.argmax_params, "phi")([res.argmax_params["phi"]])
+        assert best[0] == pytest.approx(res.argmax_value, abs=1e-13)
+        theta = (np.arange(400) + 0.5) * np.pi / 400  # midpoints; 2 theta is the polar angle
+        above = np.array([tfit.section("V3", coef, {"t": 0.785, "theta": 0.0, "phi": phi},
+                                       "theta")(theta) >= 2.9
+                          for phi in (np.arange(800) + 0.5) * np.pi / 400])
+        area = abs(np.sin(2 * theta))
+        assert above.mean() == pytest.approx(0.032, abs=5e-4)
+        assert (above * area).sum() / (area.sum() * 800) == pytest.approx(0.0492, abs=5e-4)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(data=st.data(), expr=st.sampled_from(EXPRESSIONS),
@@ -314,6 +421,12 @@ class TestRefine:
         res = scan(cfg)
         assert res.argmax_value >= max(r.value for r in res.rows)
         assert all(g.lo <= res.argmax_params[n] <= g.hi for n, g in grids.items())
+
+
+def _totals(preset, expr):
+    """Each term's total at a point, with the start weight put back: the D_c of `tfit`."""
+    return np.array([context_weights(MeasurementContext(preset, times)).sum(0)
+                     for _, times in TERMS[expr]]) * preset.transfer[2]
 
 
 def l13_from_cfg(cfg, params):
