@@ -1,38 +1,26 @@
 """Parameter-space scans, refinement, and figure-data generation.
 
 Grids are evaluated in deterministic lexicographic order over the parameter
-axes (t, alpha, theta, phi).  Domain errors at individual grid points are
-recorded per row instead of aborting the scan, so near-exceptional-point
-grids still produce complete figures.
+axes (t, alpha, theta, phi), each as one stacked preset (see `protocol`):
+`grid_columns` runs the stack, gives each point that a check names as failing
+its reason instead of aborting, and runs the rest again as one stack.
 
-Every grid is evaluated as one stacked preset (see `protocol`): each alpha's
-t-grid of a figure, a `scan`'s whole Cartesian grid, and each round of
-`refine_max`.  `grid_columns` runs the stack; the points that a check names
-as failing drop out of it, and the rest run again as one stack.
-
-`refine_max` has two routes.  When only t moves, the expression is an exact
-ratio of trigonometric polynomials in 2 t, fitted from M = 7 samples (17 on
-the published chain) in one stack (`tfit`); a fine scan of the fit's
-derivative over one period and Newton steps on it locate every maximum of the
-fit in the window, and one more stack reads the engine there, at the window
-ends and at the seed (`_refine_t`).  When several coordinates move, a cyclic
-k-section (K probes per round) and a trust-region Newton phase (one
-central-difference stencil per iteration) climb from the seed.  At fixed
-alpha the k-section probes the (t, state) fit, built from one stack of M
-samples at each of four states (`tfit.section`), and the Newton phase reads
-the engine, so the reported value is always the engine's.
+`refine_max` refines on exact fits (`tfit`) and ends in one stacked engine
+reading, so the value it reports is the engine's: along t alone, at the
+maxima of the fit of each term in 2 t (`_refine_t`); at fixed alpha with an
+angle moving, at the ends of Newton steps on the (t, state) fit from many
+starts (`_refine_state`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateWeightError, DomainError, UsageError
-from . import tfit
+from . import search, tfit
 from .lgexpr import EXPRESSIONS, expression, table
 from .macrodiag import degree_report
 from .protocol import ScenarioPreset, pt_standard, pt_variant, unitary_standard, unitary_variant
@@ -42,10 +30,10 @@ DEFAULT_ALPHAS = (0.0, np.pi / 3, 2 * np.pi / 5, np.pi / 2.05)
 DEFAULT_THETA = 5 * np.pi / 6
 DEFAULT_PHI = np.pi / 2
 REFINE_TOLERANCE = 1e-7
-START_CYCLES = 6  # cap on the k-section passes that start `refine_max`
-NEWTON_ITERATIONS = 150  # cap on the trust-region iterations that finish it
-H = 1e-5  # central-difference step of the Newton phase
+NEWTON_ITERATIONS = 150  # cap on the trust-region iterations on the (t, state) fit
 K = 16  # interior probes per k-section round, evaluated as one stack
+READS = 64  # cap on the engine's readings that end a search on the (t, state) fit
+FIT_AXES = ("t", "theta", "phi")  # the coordinates of the (t, state) fit
 KINDS = ("unitary", "pt", "pt-published")
 
 
@@ -175,12 +163,22 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list
 
 def scan(cfg: SweepConfig) -> SweepResult:
     """Dense evaluation over the Cartesian grid as one stack, then optional
-    local refinement."""
+    local refinement.  When only t moves, the t-fit's samples join the grid's
+    stack (an entry of a t-stack equals its point alone, bit for bit)."""
     names = [n for n in PARAM_ORDER if n in cfg.grids]
     points = list(product(*(cfg.grids[n].values() for n in names)))
-    axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
-    (values,), errors = grid_columns(
-        lambda **point: (evaluate_expression(cfg, cfg.fixed | point),), axes, 1)
+    axes, coef = {n: [p[i] for p in points] for i, n in enumerate(names)}, None
+    if cfg.refine and names == ["t"] and len(points) > 1:  # the t-fit's samples join the stack
+        samples = tfit.sample_times(cfg.kind == "pt-published")
+        try:
+            preset = build_preset(cfg, cfg.fixed | {"t": tuple(axes["t"]) + samples})
+            values = expression(cfg.expression, preset)[:len(points)].tolist()
+            coef, errors = tfit.fit(preset, cfg.expression, skip=len(points)), [None] * len(points)
+        except (DomainError, DegenerateWeightError):
+            pass  # a point the engine refuses: the grid alone, its failures named
+    if coef is None:
+        (values,), errors = grid_columns(
+            lambda **point: (evaluate_expression(cfg, cfg.fixed | point),), axes, 1)
     rows = [SweepRow(params=dict(cfg.fixed) | dict(zip(names, p)), value=v, error=e)
             for p, v, e in zip(points, values, errors)]
     valid = [r for r in rows if r.error is None]
@@ -189,18 +187,16 @@ def scan(cfg: SweepConfig) -> SweepResult:
     best = max(valid, key=lambda r: r.value)
     argmax_params, argmax_value, converged = dict(best.params), best.value, None
     if cfg.refine:
-        argmax_params, argmax_value, converged = refine_max(cfg, argmax_params)
+        argmax_params, argmax_value, converged = refine_max(cfg, argmax_params, coef)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
                        argmax_value=argmax_value, converged=converged)
 
 
 def _ksection_max(values, lo: float, hi: float):
     """The best probe in [lo, hi] of `values`, a function of K probe values of one
-    coordinate (`_engine_line`, `_fit_line`).
-
-    Each round evaluates K evenly spaced interior probes at once (a failing
-    probe counts as -inf) and keeps the two spacings around the best probe so
-    far, until the bracket is at most REFINE_TOLERANCE wide."""
+    coordinate: each round evaluates K evenly spaced interior probes at once (a
+    failing one counts as -inf) and keeps the two spacings around the best probe
+    so far, until the bracket is at most REFINE_TOLERANCE wide."""
     x, fx = None, -np.inf
     while True:
         xs = np.linspace(lo, hi, K + 2)
@@ -213,34 +209,33 @@ def _ksection_max(values, lo: float, hi: float):
             return x, fx
 
 
+def _read(cfg: SweepConfig, params: dict, points: dict) -> np.ndarray:
+    """The engine at the aligned stacks `points` over `params` as one stack, -inf
+    where a point fails a check."""
+    return np.fmax(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
+                                {n: np.asarray(v).tolist() for n, v in points.items()}, 1)[0][0],
+                   -np.inf)
+
+
 def _engine_line(cfg: SweepConfig, params: dict, name: str):
     """The engine along `name`, the other parameters held at `params`: each call one stack."""
-    return lambda xs: grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
-                                   {name: xs.tolist()}, 1)[0][0]
-
-
-def _fit_line(cfg: SweepConfig, coef: np.ndarray):
-    """Like `_engine_line`, through the (t, state) fit `coef` (`tfit.section`); a
-    round with a probe where the fit cannot resolve V reads the engine instead."""
-    def line(params: dict, name: str):
-        fit = tfit.section(cfg.expression, coef,
-                           {"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | params, name)
-        engine = _engine_line(cfg, params, name)
-        return lambda xs: v if (v := fit(xs)) is not None else engine(xs)
-    return line
+    return lambda xs: _read(cfg, params, {name: xs})
 
 
 def _state_fit(cfg: SweepConfig, params: dict):
-    """The (t, state) fit at params' alpha (`tfit.fit` with `states`), or None if a
-    sample fails a check."""
-    samples = tfit.sample_states(cfg.kind == "pt-published")
-    try:
-        return tfit.fit(build_preset(cfg, params | samples), cfg.expression, states=True)
-    except (DomainError, DegenerateWeightError):
-        return None
+    """The (t, state) fit at params' alpha (`tfit.fit` with `states`), sampled
+    again on the shifted set if a sample fails a check; None if both fail."""
+    for shifted in (False, True):
+        samples = tfit.sample_states(cfg.kind == "pt-published", shifted)
+        try:
+            return tfit.fit(build_preset(cfg, params | samples), cfg.expression, states=True,
+                            shifted=shifted)
+        except (DomainError, DegenerateWeightError):
+            pass
+    return None
 
 
-def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
+def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, coef=None):
     """`refine_max` along t alone, through the exact fit (`tfit`): one stacked
     call samples the fit, and one more reads the engine at the seed, both window
     ends and `tfit.candidates`.  The best engine value wins.  A reading carries
@@ -252,8 +247,9 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
     Converged: the winner is a reading of a settled maximum of the fit, or a
     window end where V rises outward.
     """
-    preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
-    coef = tfit.fit(preset, cfg.expression)
+    if coef is None:
+        preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
+        coef = tfit.fit(preset, cfg.expression)
     ts, gaps = tfit.candidates(cfg.expression, coef, grid.lo, grid.hi)
     ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
     values = np.fmax(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
@@ -275,100 +271,71 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
     return params | {"t": t}, best, bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
-    """Maximization from a seed point: the point, its value (never below the
-    seed's) and whether it converged.
+def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list):
+    """`refine_max` at fixed alpha over `grids` among (t, theta, phi) through the
+    (t, state) fit `coef`: `search.maxima` from `search.starts` (trust radius: the
+    least grid spacing), then one engine stack at the ends that could win, best
+    first (at most READS - 1), and at the seed.  The best reading wins;
+    converged if it is a converged end's."""
+    x = np.array([({"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | params)[n] for n in FIT_AXES])
+    lo, hi = (np.array([getattr(dict(grids).get(n), e, x[i]) for i, n in enumerate(FIT_AXES)])
+              for e in ("lo", "hi"))
+    ends, fit, converged, wins = search.maxima(cfg.expression, coef, search.starts(
+        cfg.expression, coef, x, lo, hi), lo, hi, min(g.spacing() for _, g in grids),
+        NEWTON_ITERATIONS)
+    keep = np.argsort(np.where(wins, -fit, np.inf))[:min(wins.sum(), READS - 1)]
+    points = np.vstack([ends[keep], x])
+    names = [n for n, _ in grids]
+    values = _read(cfg, params, {n: points[:, FIT_AXES.index(n)] for n in names})
+    if not np.isfinite(values[-1]):
+        raise UsageError(f"objective not finite at seed {params}")
+    i = int(np.argmax(values))  # an end wins a tie with the seed
+    return (params | {n: float(points[i, FIT_AXES.index(n)]) for n in names}, float(values[i]),
+            bool(i < len(keep) and converged[keep[i]]))
 
-    When only t moves, the window's maximum through the exact fit
-    (`_refine_t`).  Otherwise, or when a sample of the fit fails a check, a
-    local search: a cyclic per-coordinate k-section (bracket: one grid
-    spacing, clipped to the grid; at most START_CYCLES passes, one for a lone
-    coordinate) starts it.  At fixed alpha its probes read the (t, state) fit
-    (`_fit_line`), built from one stack, and the engine where a sample fails a
-    check or alpha moves.  Trust-region Newton steps on the engine finish it,
-    each iteration one stacked central-difference stencil (step H) at the
-    trial point; the first re-reads the k-section's point, and the search
-    starts from the seed instead if the engine reads it below the seed.
-    Converged there: an unshifted Newton step below REFINE_TOLERANCE on a
-    negative-definite Hessian over the coordinates not pinned at a grid bound
-    by an outward gradient.
-    """
+
+def refine_max(cfg: SweepConfig, seed: dict[str, float],
+               coef=None) -> tuple[dict[str, float], float, bool]:
+    """Maximization from a seed point: the point, its value (never below the
+    seed's) and whether it converged.  At fixed alpha `_refine_t` or
+    `_refine_state`, or, where a fit's samples fail a check, one pass of engine
+    k-sections over one grid spacing about the seed, unconverged.  A gridded
+    alpha is k-sectioned over one grid spacing about the seed's, each probe the
+    fixed-alpha refinement there; the seed's alpha or the best probe wins.
+    `coef`: the t-fit, where the caller (`scan`) sampled it in its own stack."""
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     moving = [n for n, _ in sweepable]
+    if "alpha" in moving:
+        grid, alpha, results = cfg.grids["alpha"], params["alpha"], {}
+        others = {n: g for n, g in cfg.grids.items() if n != "alpha"}
+
+        def probes(alphas):
+            for a in alphas.tolist():
+                results[a] = refine_max(replace(cfg, grids=others, fixed=cfg.fixed | {"alpha": a}),
+                                        params | {"alpha": a})
+            return [results[a][1] for a in alphas.tolist()]
+
+        probes(np.array([alpha]))
+        a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
+                             min(grid.hi, alpha + grid.spacing()))
+        return max(results[alpha], results[a], key=lambda r: r[1])
     if moving == ["t"]:
         try:
-            return _refine_t(cfg, params, sweepable[0][1])
+            return _refine_t(cfg, params, sweepable[0][1], coef)
         except (DomainError, DegenerateWeightError):
-            pass  # a sample the engine refuses: the coordinate search below
+            pass  # a sample the engine refuses: the engine's k-sections below
+    elif moving and (coef := _state_fit(cfg, params)) is not None:
+        return _refine_state(cfg, params, coef, sweepable)
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
-    if not sweepable:
-        return params, best, True
-    start, at_start = dict(params), best
-    coef = None if moving == ["t"] or "alpha" in moving else _state_fit(cfg, params)
-    line = partial(_engine_line, cfg) if coef is None else _fit_line(cfg, coef)
-    for _ in range(START_CYCLES if len(sweepable) > 1 else 1):
-        moved = 0.0
-        for name, grid in sweepable:
-            radius = grid.spacing()
-            lo = max(grid.lo, params[name] - radius)
-            hi = min(grid.hi, params[name] + radius)
-            if hi <= lo:
-                continue
-            x, fx = _ksection_max(line(params, name), lo, hi)
-            if fx > best:
-                moved = max(moved, abs(x - params[name]))
-                params[name], best = x, fx
-        if moved < REFINE_TOLERANCE:
-            break
-    names, lo, hi = zip(*[(name, g.lo, g.hi) for name, g in sweepable])
-    n, eye, (i, j) = len(names), np.eye(len(names)), np.triu_indices(len(names), 1)
-    offsets = H * np.vstack([np.zeros(n), eye, -eye] + [
-        s * eye[a] + u * eye[b] for a, b in zip(i, j) for s, u in product((1, -1), repeat=2)])
-
-    def stencil(x):  # (f, gradient, Hessian) at x, or None if a probe fails
-        f = np.asarray(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
-                                    dict(zip(names, (x + offsets).T.tolist())), 1)[0][0])
-        fp, fm = f[1:n + 1], f[n + 1:2 * n + 1]
-        hess = np.diag((fp - 2 * f[0] + fm) / H**2)
-        hess[i, j] = hess[j, i] = f[2 * n + 1:].reshape(-1, 4) @ (1, -1, -1, 1) / (4 * H**2)
-        return (f[0], (fp - fm) / (2 * H), hess) if np.isfinite(f).all() else None
-
-    x = np.array([params[name] for name in names])
-    at_x, radius = stencil(x), min(g.spacing() for _, g in sweepable)
-    if coef is not None:  # the value reported is the engine's, never below the seed's
-        if at_x is not None and at_x[0] >= at_start:
-            best = float(at_x[0])
-        else:
-            if params != start:
-                x = np.array([start[name] for name in names])
-                at_x = stencil(x)
-            params, best = start, at_start
-    for _ in range(NEWTON_ITERATIONS):
-        if at_x is None or radius < REFINE_TOLERANCE:
-            break
-        fx, grad, hess = at_x
-        free = ~((x <= lo) & (grad < 0) | (x >= hi) & (grad > 0))  # all pinned: w, gv empty, converged
-        w, v = np.linalg.eigh(hess[np.ix_(free, free)])
-        gv = v.T @ grad[free]
-        newton = np.linalg.norm(gv / w) if np.all(w < 0) else np.inf
-        if newton < REFINE_TOLERANCE or not gv.any():  # a zero gradient off a maximum ends it
-            return params, best, bool(newton < REFINE_TOLERANCE)
-        shift = 0.0 if newton <= radius else max(w.max(), 0.0) + np.linalg.norm(gv) / radius
-        step = np.zeros(n)
-        step[free] = v @ (gv / (shift - w))
-        trial = np.clip(x + step, lo, hi)
-        step, at_trial = trial - x, stencil(trial)
-        if at_trial is None or at_trial[0] <= max(fx, best):  # refused
-            radius = np.linalg.norm(step) / 4
-            continue
-        if at_trial[0] - fx >= 0.75 * (grad @ step + step @ hess @ step / 2):
-            radius *= 2  # the model predicted the gain well
-        x, at_x = trial, at_trial
-        params, best = params | dict(zip(names, x.tolist())), float(at_x[0])
-    return params, best, False
+    for name, grid in sweepable:
+        x, fx = _ksection_max(_engine_line(cfg, params, name), max(
+            grid.lo, params[name] - grid.spacing()), min(grid.hi, params[name] + grid.spacing()))
+        if fx > best:
+            params, best = params | {name: x}, fx
+    return params, best, not sweepable
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,17 @@
-"""An LG expression along t alone, as an exact ratio of trigonometric polynomials.
+"""An LG expression along t, or over (t, state), as an exact ratio of trigonometric polynomials.
 
-Fix every parameter but t.  Each term of an expression is a correlator
-N_c / D_c in its own context (`lgexpr.TERMS`): a signed sum N_c of the
-context's outcome weights over their total D_c.  With the weight that
-`protocol._start` divides out put back, both are trigonometric polynomials in
-theta = 2 t: the sequential chain's legs are the pre-evolution U(t), then U(t)
-and U(2 t), so the degree is at most 3; the published chain's reach U(4 t), so
-it is at most 8.  M = 7 (17) equispaced samples on [0, pi) determine them
-(`fit`; Trefethen, Approximation Theory and Approximation Practice, SIAM
-(2013)), and with them the expression's exact derivatives (`slopes`) and the
-points where its maximum in a window can lie (`candidates`).
-
-Each weight, with that start weight put back, is also linear in the initial
-state, so affine in the pure state's Bloch features (1, cos 2 theta,
-sin 2 theta cos phi, sin 2 theta sin phi) (`features`).  The same M samples
-at each of four fixed STATES therefore determine every term over all of
-(t, theta, phi): `fit` with `states` solves the 4 x 4 feature system for a
-coefficient tensor with a feature axis, and `section` contracts it on two
-coordinates to give V along the third.
+Each term of an expression is a correlator N_c / D_c in its own context
+(`lgexpr.TERMS`): a signed sum N_c of the context's outcome weights over their
+total D_c.  With the weight that `protocol._start` divides out put back, both
+are trigonometric polynomials in theta = 2 t, of degree at most 3 on the
+sequential chain and 8 on the published one (whose legs reach U(4 t)), so
+M = 7 (17) equispaced samples on [0, pi) determine them (`fit`; Trefethen,
+Approximation Theory and Approximation Practice, SIAM (2013)): along t, the
+exact derivatives (`slopes`) and where the maximum in a window can lie
+(`candidates`).  Both are also affine in the pure state's Bloch features
+(`features`), so the samples at four STATES (`fit` with `states`) give V over
+all of (t, theta, phi) (`values`), its exact gradient and Hessian
+(`derivatives`), and where each term peaks (`term_maxima`); `search` climbs it.
 
 Coefficients are laid out as c_k, k = -n .. n, of sum_k c_k e^(i k theta).
 """
@@ -34,12 +28,15 @@ NEWTON_STEPS = 8  # safeguarded Newton steps that polish each maximum
 SETTLED = 1e-7  # longest last Newton step, in theta, of a settled maximum
 RESOLVE = 1e-6  # relative depth of a total below which the fit cannot resolve V
 ROOT_TOLERANCE = 1e-3  # distance from the unit circle up to which a root counts (`real_roots`)
-TRIM = 1e-10  # relative size below which a coefficient is roundoff (`real_roots`)
+TRIM = 1e-10  # relative size below which a coefficient or a (t, state) fit's total is roundoff
 STENCIL = 1e-9 * np.arange(-8, 9)  # the engine's readings about each settled maximum in t
 SEARCH = 1e-4  # least half-width of the engine's own search about an unsettled maximum
 DIP_RATIO = 10 ** 0.125  # ratio of successive DIP_OFFSETS, readings from 0.1 to 1e-6 each side
 DIP_OFFSETS = np.outer((-1, 1), DIP_RATIO ** -np.arange(8, 49)).ravel()
 STATES = ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 4, 0.0), (np.pi / 4, np.pi / 2))  # (theta, phi)
+# the samples at STATES -> features: the inverse of their features (1, 1, 0, 0), (1, -1, 0, 0),
+# (1, 0, 1, 0) and (1, 0, 0, 1) as rows
+UNMIX = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2]]) / 2
 
 
 def sample_times(published: bool) -> tuple[float, ...]:
@@ -48,10 +45,13 @@ def sample_times(published: bool) -> tuple[float, ...]:
     return tuple(np.arange(m) * np.pi / m)
 
 
-def sample_states(published: bool) -> dict[str, tuple[float, ...]]:
+def sample_states(published: bool, shifted: bool = False) -> dict[str, tuple[float, ...]]:
     """The (t, theta, phi) stacks at which `fit` with `states` needs the chain:
-    `sample_times` at each of STATES in turn."""
+    `sample_times` at each of STATES in turn.  `shifted` moves every t by half
+    a sample step, pi / (2 M): any M equispaced t on a period determine the fit."""
     ts = sample_times(published)
+    if shifted:
+        ts = tuple(np.add(ts, np.pi / (2 * len(ts))))
     return {"t": ts * len(STATES), "theta": tuple(th for th, _ in STATES for _ in ts),
             "phi": tuple(ph for _, ph in STATES for _ in ts)}
 
@@ -64,24 +64,26 @@ def features(theta, phi) -> np.ndarray:
     return np.array([np.ones(theta.shape), np.cos(2 * theta), s * np.cos(phi), s * np.sin(phi)])
 
 
-def fit(preset: ScenarioPreset, expression: str, states: bool = False) -> np.ndarray:
+def fit(preset: ScenarioPreset, expression: str, states: bool = False, shifted: bool = False,
+        skip: int = 0) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows (N_1, D_1,
     N_2, D_2, ...), from `preset` stacked at `sample_times`, through the fixed
-    M x M DFT matrix: the expression is sum_c sign_c N_c / D_c.  With `states`,
-    `preset` is stacked at `sample_states`, and each row has a feature axis
-    (R, 4, 2 n + 1): row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
+    M x M DFT matrix: the expression is sum_c sign_c N_c / D_c.  With `states`
+    (`preset` at `sample_states`), each row has a feature axis (R, 4, 2 n + 1):
+    row r at PURE(theta, phi) is features(theta, phi) @ c[r].  The first `skip`
+    points of the stack are not samples."""
     start, rows = preset.transfer[2], []
     for _, times in TERMS[expression]:
         raw = context_weights(MeasurementContext(preset, times)) * start
-        rows += [sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
+        rows += [sum(outcome_signs(times, times, len(times) + 1) * raw)[skip:], sum(raw)[skip:]]
     m = len(rows[0]) // (len(STATES) if states else 1)
     dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
+    if shifted:  # a sample at t_j + pi / (2 m) reads c_k e^(i pi k / m)
+        dft = dft * np.exp(-1j * np.pi / m * (np.arange(m) - m // 2))
     coef = np.array(rows).reshape(-1, m) @ dft
     if not states:
         return coef
-    # formed here, not at import: a process's first np.linalg.inv costs it about 0.5 MB
-    unmix = np.linalg.inv(features(*zip(*STATES)).T)  # the samples at STATES -> features
-    return unmix @ coef.reshape(len(rows), len(STATES), -1)
+    return UNMIX @ coef.reshape(len(rows), len(STATES), -1)
 
 
 def scales(coef: np.ndarray) -> np.ndarray:
@@ -89,33 +91,80 @@ def scales(coef: np.ndarray) -> np.ndarray:
     return abs(coef[1::2]).reshape(len(coef) // 2, -1).sum(1)[:, None]
 
 
-def section(expression: str, coef: np.ndarray, params: dict, name: str):
-    """The expression along `name` ("t", "theta" or "phi") through the (t, state)
-    fit `coef` (`fit` with `states`), the other two held at `params`: a function
-    of K probe values, giving V at each, or None if a total at some probe is
-    below RESOLVE of its scale, where the fit cannot resolve V.  The tensor is
-    contracted on the two held coordinates once, to trigonometric polynomials
-    in 2 t, 2 theta or phi, so each call is one (R, K) product (`trig`)."""
-    signs, scale = np.array([sign for sign, _ in TERMS[expression]]), scales(coef)
-    t, theta, phi = params["t"], params["theta"], params["phi"]
-    if name == "t":
-        line, rate = coef.transpose(0, 2, 1) @ features(theta, phi), 2
-    else:  # a0 + a1 cos u + b1 sin u has the coefficients ((a1 + i b1) / 2, a0, (a1 - i b1) / 2)
-        k = np.arange(coef.shape[-1]) - coef.shape[-1] // 2
-        a = (coef @ np.exp(2j * t * k)).real  # (R, 4), one per feature
-        if name == "theta":  # u = 2 theta: a0 = a_1, a1 = a_z, b1 = a_x cos phi + a_y sin phi
-            c, s = np.cos(phi) / 2, np.sin(phi) / 2
-            to_line, rate = [[0, 1, 0], [0.5, 0, 0.5], [1j * c, 0, -1j * c], [1j * s, 0, -1j * s]], 2
-        else:  # u = phi: a0 = a_1 + a_z cos 2 theta, a1 = a_x sin 2 theta, b1 = a_y sin 2 theta
-            c, s = np.cos(2 * theta), np.sin(2 * theta) / 2
-            to_line, rate = [[0, 1, 0], [0, c, 0], [s, 0, s], [1j * s, 0, -1j * s]], 1
-        line = a @ np.array(to_line)
-    ik, floor = 1j * rate * (np.arange(line.shape[-1]) - line.shape[-1] // 2), RESOLVE * scale
+def _signs(expression: str, coef: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Each term's sign at each point of the (t, state) fit's totals `den` (C, ...),
+    NaN where a total is below TRIM of its scale: roundoff of its coefficients."""
+    floor = TRIM * scales(coef).reshape((-1,) + (1,) * (den.ndim - 1))
+    signs = np.array([sign for sign, _ in TERMS[expression]]).reshape(floor.shape)
+    return np.where((den >= floor).all(0), 1.0, np.nan) * signs
 
-    def values(x):
-        rows = (line @ np.exp(np.multiply.outer(ik, x))).real  # `trig`, with k scaled once
-        return None if (rows[1::2] <= floor).any() else signs @ (rows[::2] / rows[1::2])
-    return values
+
+def values(expression: str, coef: np.ndarray, t, theta, phi) -> np.ndarray:
+    """V of the (t, state) fit `coef` (`fit` with `states`) at (t, theta, phi),
+    broadcast against each other, NaN where a total is below TRIM of its scale.
+    The tensor is contracted on t, then on the features: a grid's axes
+    (`np.ix_`) cost one contraction each."""
+    k = np.arange(coef.shape[-1]) - coef.shape[-1] // 2
+    e = np.exp(2j * np.multiply.outer(k, t))
+    along_t = (coef @ e.reshape(len(k), -1)).real.reshape(coef.shape[:2] + e.shape[1:])
+    rows = (along_t * features(theta, phi)).sum(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (_signs(expression, coef, rows[1::2]) * rows[::2] / rows[1::2]).sum(0)
+
+
+def term_maxima(expression: str, coef: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The state (theta, phi), each (C, len t), where each signed term of the
+    (t, state) fit peaks at each t.  It is (m0 + m.b) / (d0 + d.b) in the Bloch
+    vector b = features[1:], d0 >= |d|; its peak Q is the larger root of
+    (|d|^2 - d0^2) Q^2 - 2 (m.d - m0 d0) Q + |m|^2 - m0^2 = 0, at b parallel to
+    m - Q d, or -d (a zero of the total) if Q is not finite.  Near the EP the
+    sharpest peaks of V lie by these states, where one term dominates."""
+    k = np.arange(coef.shape[-1]) - coef.shape[-1] // 2
+    a = (coef @ np.exp(2j * np.multiply.outer(k, t))).real  # (R, 4, len t)
+    signs = np.array([[[sign]] for sign, _ in TERMS[expression]])
+    (m0, m), (d0, d) = ((r[:, 0], r[:, 1:]) for r in (signs * a[::2], a[1::2]))
+    qa, qb, qc = (d * d).sum(1) - d0 * d0, (m * d).sum(1) - m0 * d0, (m * m).sum(1) - m0 * m0
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where the term is constant
+        root = np.sqrt(np.maximum(qb * qb - qa * qc, 0))
+        b = m - np.fmax((qb + root) / qa, (qb - root) / qa)[:, None] * d
+        b = np.where(np.isfinite(b).all(1, keepdims=True), b, -d)
+        b = b / np.sqrt((b * b).sum(1, keepdims=True))
+        return np.arccos(np.clip(b[:, 0], -1, 1)) / 2, np.arctan2(b[:, 2], b[:, 1])
+
+
+_ANGLE_FACTORS = np.array([1, 2, 1, -4, 2, 1])[:, None, None]  # of the rows of `derivatives`' angle
+
+
+def derivatives(expression: str, coef: np.ndarray):
+    """A function of aligned points (t, theta, phi) that gives `values` there, its
+    gradient (3, P) and its Hessian (3, 3, P) in (t, theta, phi), all NaN where
+    `values` is; all that depends on the fit alone is formed once.  A
+    t-derivative of order m is a factor (2 i k)^m on c_k, an angle derivative
+    one of `features`, and each term's quotient rule is applied as in `slopes`."""
+    ik = 2j * (np.arange(coef.shape[-1]) - coef.shape[-1] // 2)
+    by_order, floor = coef[:, :, None] * np.array([ik ** 0, ik, ik * ik]), TRIM * scales(coef)
+    signs = np.array([[sign] for sign, _ in TERMS[expression]])
+
+    def at(t, theta, phi):
+        along_t = (by_order @ np.exp(np.multiply.outer(ik, t))).real  # (R, 4, 3 orders, P)
+        c2, s2, c, s = np.cos(2 * theta), np.sin(2 * theta), np.cos(phi), np.sin(phi)
+        s2c, s2s, c2c, c2s, zero = s2 * c, s2 * s, c2 * c, c2 * s, np.zeros_like(c2)
+        # the features, then their derivatives in theta, phi, theta theta, theta phi, phi phi
+        angle = np.array([[zero + 1, c2, s2c, s2s], [zero, -s2, c2c, c2s], [zero, zero, -s2s, s2c],
+                          [zero, c2, s2c, s2s], [zero, zero, -c2s, c2c], [zero, zero, -s2c, -s2s]])
+        rows = (along_t.transpose(3, 2, 0, 1).reshape(len(c2), -1, 4) @ (
+            angle * _ANGLE_FACTORS).transpose(2, 1, 0)).reshape(len(c2), 3, len(signs) * 2, 6)
+        rows = rows.transpose(1, 2, 3, 0)  # (3 orders, R, 6 angle rows, P)
+        r, dr = rows[0, :, 0], rows[[1, 0, 0], :, [0, 1, 2]]  # by (order in t, angle row)
+        ddr = rows[[[2, 1, 1], [1, 0, 0], [1, 0, 0]], :, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+        d, dd, ddd = r[1::2], dr[:, 1::2], ddr[:, :, 1::2]
+        sign = np.where((d >= floor).all(0), 1.0, np.nan) * signs  # NaN where unresolved
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = r[::2] / d
+            dq = (dr[:, ::2] - q * dd) / d  # (3, C, P)
+            ddq = (ddr[:, :, ::2] - q * ddd - dq[:, None] * dd[None] - dd[:, None] * dq[None]) / d
+            return (sign * q).sum(-2), (sign * dq).sum(-2), (sign * ddq).sum(-2)
+    return at
 
 
 def trig(c: np.ndarray, theta, orders=(0,)) -> list[np.ndarray]:
