@@ -56,12 +56,12 @@ def maxima(expression: str, coef: np.ndarray, x, lo, hi, radius: float, iteratio
     ones, lo == hi), a step is Newton's, or Levenberg-shifted on the Hessian's
     eigenvalues where that is not negative definite or longer than the trust
     radius.  Each iteration tries the radius times each of RADII and keeps the
-    best trial that gains (a NaN one does not), with its radius, doubled if the
-    model predicted the gain well; else the radius is a quarter of the least
-    step.  Converged: an unshifted step below SETTLED on a negative-definite
-    Hessian, or no coordinate free.  A start stops at a radius below SETTLED,
-    a zero gradient or `iterations` spent, and cannot win once its concave
-    model peaks below the best value so far."""
+    best trial that gains (a NaN one does not), with its radius doubled; else
+    the radius is a quarter of the least step.  Converged: an unshifted step
+    below SETTLED on a negative-definite Hessian, or no coordinate free.  A
+    start stops at a radius below SETTLED, a zero gradient or `iterations`
+    spent, and cannot win once its concave model peaks below the best value so
+    far."""
     at = tfit.derivatives(expression, coef)
     (f, g, h), x = at(*x.T), np.array(x, dtype=float)
     g, h, f = g.T, h.transpose(2, 0, 1), np.fmax(f, -np.inf)  # NaN -> -inf
@@ -92,6 +92,7 @@ def maxima(expression: str, coef: np.ndarray, x, lo, hi, radius: float, iteratio
         radius[live] = np.where(gain, 2 * r[rows, k], np.sqrt(
             ((trial - xl[:, None]) ** 2).sum(2)).min(1) / 4)
         b, pick = live[gain], pick[gain]
-        x[b], f[b], g[b], h[b] = trial.reshape(-1, 3)[pick], ft.ravel()[pick], gt[:, pick].T, ht[:, :, pick].T
+        x[b], f[b] = trial.reshape(-1, 3)[pick], ft.ravel()[pick]
+        g[b], h[b] = gt[:, pick].T, ht[:, :, pick].T
         live = live[stay & (radius[live] >= tfit.SETTLED)]
     return x, f, converged, wins

@@ -163,22 +163,12 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list
 
 def scan(cfg: SweepConfig) -> SweepResult:
     """Dense evaluation over the Cartesian grid as one stack, then optional
-    local refinement.  When only t moves, the t-fit's samples join the grid's
-    stack (an entry of a t-stack equals its point alone, bit for bit)."""
+    local refinement."""
     names = [n for n in PARAM_ORDER if n in cfg.grids]
     points = list(product(*(cfg.grids[n].values() for n in names)))
-    axes, coef = {n: [p[i] for p in points] for i, n in enumerate(names)}, None
-    if cfg.refine and names == ["t"] and len(points) > 1:  # the t-fit's samples join the stack
-        samples = tfit.sample_times(cfg.kind == "pt-published")
-        try:
-            preset = build_preset(cfg, cfg.fixed | {"t": tuple(axes["t"]) + samples})
-            values = expression(cfg.expression, preset)[:len(points)].tolist()
-            coef, errors = tfit.fit(preset, cfg.expression, skip=len(points)), [None] * len(points)
-        except (DomainError, DegenerateWeightError):
-            pass  # a point the engine refuses: the grid alone, its failures named
-    if coef is None:
-        (values,), errors = grid_columns(
-            lambda **point: (evaluate_expression(cfg, cfg.fixed | point),), axes, 1)
+    axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
+    (values,), errors = grid_columns(
+        lambda **point: (evaluate_expression(cfg, cfg.fixed | point),), axes, 1)
     rows = [SweepRow(params=dict(cfg.fixed) | dict(zip(names, p)), value=v, error=e)
             for p, v, e in zip(points, values, errors)]
     valid = [r for r in rows if r.error is None]
@@ -187,7 +177,7 @@ def scan(cfg: SweepConfig) -> SweepResult:
     best = max(valid, key=lambda r: r.value)
     argmax_params, argmax_value, converged = dict(best.params), best.value, None
     if cfg.refine:
-        argmax_params, argmax_value, converged = refine_max(cfg, argmax_params, coef)
+        argmax_params, argmax_value, converged = refine_max(cfg, argmax_params)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
                        argmax_value=argmax_value, converged=converged)
 
@@ -235,7 +225,7 @@ def _state_fit(cfg: SweepConfig, params: dict):
     return None
 
 
-def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, coef=None):
+def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
     """`refine_max` along t alone, through the exact fit (`tfit`): one stacked
     call samples the fit, and one more reads the engine at the seed, both window
     ends and `tfit.candidates`.  The best engine value wins.  A reading carries
@@ -247,13 +237,11 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, coef=None):
     Converged: the winner is a reading of a settled maximum of the fit, or a
     window end where V rises outward.
     """
-    if coef is None:
-        preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
-        coef = tfit.fit(preset, cfg.expression)
+    preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
+    coef = tfit.fit(preset, cfg.expression)
     ts, gaps = tfit.candidates(cfg.expression, coef, grid.lo, grid.hi)
     ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
-    values = np.fmax(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
-                                  {"t": ts.tolist()}, 1)[0][0], -np.inf)  # NaN -> -inf
+    values = _read(cfg, params, {"t": ts})
     if not np.isfinite(values[0]):
         raise UsageError(f"objective not finite at seed {params}")
     i = int(np.argmax(values))  # the seed wins a tie
@@ -294,35 +282,40 @@ def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list)
             bool(i < len(keep) and converged[keep[i]]))
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float],
-               coef=None) -> tuple[dict[str, float], float, bool]:
+def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
     """Maximization from a seed point: the point, its value (never below the
     seed's) and whether it converged.  At fixed alpha `_refine_t` or
     `_refine_state`, or, where a fit's samples fail a check, one pass of engine
     k-sections over one grid spacing about the seed, unconverged.  A gridded
     alpha is k-sectioned over one grid spacing about the seed's, each probe the
-    fixed-alpha refinement there; the seed's alpha or the best probe wins.
-    `coef`: the t-fit, where the caller (`scan`) sampled it in its own stack."""
+    fixed-alpha refinement there (-inf where it fails); the seed's alpha or the
+    best probe wins."""
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     moving = [n for n, _ in sweepable]
     if "alpha" in moving:
-        grid, alpha, results = cfg.grids["alpha"], params["alpha"], {}
+        grid, alpha = cfg.grids["alpha"], params["alpha"]
         others = {n: g for n, g in cfg.grids.items() if n != "alpha"}
+
+        def at(a):
+            return refine_max(replace(cfg, grids=others, fixed=cfg.fixed | {"alpha": a}),
+                              params | {"alpha": a})
 
         def probes(alphas):
             for a in alphas.tolist():
-                results[a] = refine_max(replace(cfg, grids=others, fixed=cfg.fixed | {"alpha": a}),
-                                        params | {"alpha": a})
+                try:
+                    results[a] = at(a)
+                except (DomainError, DegenerateWeightError, UsageError):
+                    results[a] = params | {"alpha": a}, -np.inf, False
             return [results[a][1] for a in alphas.tolist()]
 
-        probes(np.array([alpha]))
+        results = {alpha: at(alpha)}
         a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
                              min(grid.hi, alpha + grid.spacing()))
         return max(results[alpha], results[a], key=lambda r: r[1])
     if moving == ["t"]:
         try:
-            return _refine_t(cfg, params, sweepable[0][1], coef)
+            return _refine_t(cfg, params, sweepable[0][1])
         except (DomainError, DegenerateWeightError):
             pass  # a sample the engine refuses: the engine's k-sections below
     elif moving and (coef := _state_fit(cfg, params)) is not None:

@@ -64,18 +64,17 @@ def features(theta, phi) -> np.ndarray:
     return np.array([np.ones(theta.shape), np.cos(2 * theta), s * np.cos(phi), s * np.sin(phi)])
 
 
-def fit(preset: ScenarioPreset, expression: str, states: bool = False, shifted: bool = False,
-        skip: int = 0) -> np.ndarray:
+def fit(preset: ScenarioPreset, expression: str, states: bool = False,
+        shifted: bool = False) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows (N_1, D_1,
     N_2, D_2, ...), from `preset` stacked at `sample_times`, through the fixed
     M x M DFT matrix: the expression is sum_c sign_c N_c / D_c.  With `states`
     (`preset` at `sample_states`), each row has a feature axis (R, 4, 2 n + 1):
-    row r at PURE(theta, phi) is features(theta, phi) @ c[r].  The first `skip`
-    points of the stack are not samples."""
+    row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
     start, rows = preset.transfer[2], []
     for _, times in TERMS[expression]:
         raw = context_weights(MeasurementContext(preset, times)) * start
-        rows += [sum(outcome_signs(times, times, len(times) + 1) * raw)[skip:], sum(raw)[skip:]]
+        rows += [sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
     m = len(rows[0]) // (len(STATES) if states else 1)
     dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
     if shifted:  # a sample at t_j + pi / (2 m) reads c_k e^(i pi k / m)
@@ -99,15 +98,20 @@ def _signs(expression: str, coef: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where((den >= floor).all(0), 1.0, np.nan) * signs
 
 
+def _in_t(c: np.ndarray, t) -> np.ndarray:
+    """The real trigonometric polynomials in 2 t with coefficients c (..., 2 n + 1)
+    at t, t's axes last: the (t, state) fit's rows, or their t-derivatives."""
+    k = np.arange(c.shape[-1]) - c.shape[-1] // 2
+    e = np.exp(2j * np.multiply.outer(k, t))
+    return (c @ e.reshape(len(k), -1)).real.reshape(c.shape[:-1] + e.shape[1:])
+
+
 def values(expression: str, coef: np.ndarray, t, theta, phi) -> np.ndarray:
     """V of the (t, state) fit `coef` (`fit` with `states`) at (t, theta, phi),
     broadcast against each other, NaN where a total is below TRIM of its scale.
     The tensor is contracted on t, then on the features: a grid's axes
     (`np.ix_`) cost one contraction each."""
-    k = np.arange(coef.shape[-1]) - coef.shape[-1] // 2
-    e = np.exp(2j * np.multiply.outer(k, t))
-    along_t = (coef @ e.reshape(len(k), -1)).real.reshape(coef.shape[:2] + e.shape[1:])
-    rows = (along_t * features(theta, phi)).sum(1)
+    rows = (_in_t(coef, t) * features(theta, phi)).sum(1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (_signs(expression, coef, rows[1::2]) * rows[::2] / rows[1::2]).sum(0)
 
@@ -119,8 +123,7 @@ def term_maxima(expression: str, coef: np.ndarray, t) -> tuple[np.ndarray, np.nd
     (|d|^2 - d0^2) Q^2 - 2 (m.d - m0 d0) Q + |m|^2 - m0^2 = 0, at b parallel to
     m - Q d, or -d (a zero of the total) if Q is not finite.  Near the EP the
     sharpest peaks of V lie by these states, where one term dominates."""
-    k = np.arange(coef.shape[-1]) - coef.shape[-1] // 2
-    a = (coef @ np.exp(2j * np.multiply.outer(k, t))).real  # (R, 4, len t)
+    a = _in_t(coef, t)  # (R, 4, len t)
     signs = np.array([[[sign]] for sign, _ in TERMS[expression]])
     (m0, m), (d0, d) = ((r[:, 0], r[:, 1:]) for r in (signs * a[::2], a[1::2]))
     qa, qb, qc = (d * d).sum(1) - d0 * d0, (m * d).sum(1) - m0 * d0, (m * m).sum(1) - m0 * m0
@@ -142,23 +145,22 @@ def derivatives(expression: str, coef: np.ndarray):
     t-derivative of order m is a factor (2 i k)^m on c_k, an angle derivative
     one of `features`, and each term's quotient rule is applied as in `slopes`."""
     ik = 2j * (np.arange(coef.shape[-1]) - coef.shape[-1] // 2)
-    by_order, floor = coef[:, :, None] * np.array([ik ** 0, ik, ik * ik]), TRIM * scales(coef)
-    signs = np.array([[sign] for sign, _ in TERMS[expression]])
+    by_order = coef[:, :, None] * np.array([ik ** 0, ik, ik * ik])
 
     def at(t, theta, phi):
-        along_t = (by_order @ np.exp(np.multiply.outer(ik, t))).real  # (R, 4, 3 orders, P)
+        along_t = _in_t(by_order, t)  # (R, 4, 3 orders, P)
         c2, s2, c, s = np.cos(2 * theta), np.sin(2 * theta), np.cos(phi), np.sin(phi)
         s2c, s2s, c2c, c2s, zero = s2 * c, s2 * s, c2 * c, c2 * s, np.zeros_like(c2)
         # the features, then their derivatives in theta, phi, theta theta, theta phi, phi phi
         angle = np.array([[zero + 1, c2, s2c, s2s], [zero, -s2, c2c, c2s], [zero, zero, -s2s, s2c],
                           [zero, c2, s2c, s2s], [zero, zero, -c2s, c2c], [zero, zero, -s2c, -s2s]])
         rows = (along_t.transpose(3, 2, 0, 1).reshape(len(c2), -1, 4) @ (
-            angle * _ANGLE_FACTORS).transpose(2, 1, 0)).reshape(len(c2), 3, len(signs) * 2, 6)
+            angle * _ANGLE_FACTORS).transpose(2, 1, 0)).reshape(len(c2), 3, len(coef), 6)
         rows = rows.transpose(1, 2, 3, 0)  # (3 orders, R, 6 angle rows, P)
         r, dr = rows[0, :, 0], rows[[1, 0, 0], :, [0, 1, 2]]  # by (order in t, angle row)
         ddr = rows[[[2, 1, 1], [1, 0, 0], [1, 0, 0]], :, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
         d, dd, ddd = r[1::2], dr[:, 1::2], ddr[:, :, 1::2]
-        sign = np.where((d >= floor).all(0), 1.0, np.nan) * signs  # NaN where unresolved
+        sign = _signs(expression, coef, d)  # NaN where unresolved
         with np.errstate(divide="ignore", invalid="ignore"):
             q = r[::2] / d
             dq = (dr[:, ::2] - q * dd) / d  # (3, C, P)

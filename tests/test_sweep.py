@@ -179,26 +179,6 @@ class TestRefine:
         assert len(samples) == 7  # the sequential chain's fit
         assert candidates[:3] == (0.5, 0.01, np.pi)
 
-    def test_one_dim_scan_samples_the_fit_in_the_grid_stack(self, monkeypatch):
-        # the t-fit's 7 samples join the grid's stack, and the seed, both window
-        # ends and the fit's maxima are read in one more: the same values and
-        # convergence as refining from the grid's best alone
-        cfg = unitary_l13_cfg(count=101, refine=True)
-        sizes = []
-        original = sweep.build_preset
-
-        def counting(cfg, params):
-            sizes.append(len(params["t"]) if isinstance(params["t"], tuple) else 1)
-            return original(cfg, params)
-
-        monkeypatch.setattr(sweep, "build_preset", counting)
-        res = scan(cfg)
-        assert sizes[0] == 101 + 7 and len(sizes) == 2
-        monkeypatch.setattr(sweep, "build_preset", original)
-        alone = refine_max(cfg, max(res.rows, key=lambda r: r.value).params)
-        assert (res.argmax_params, res.argmax_value, res.converged) == alone
-        assert [r.value for r in res.rows] == _rows_alone(res)
-
     def test_state_samples_unmix_exactly(self):
         # UNMIX inverts the STATES' features: its product with them is the identity
         # up to the roundoff of cos and sin at pi / 2 and pi / 4
@@ -641,6 +621,23 @@ class TestStackedScan:
         res = scan(cfg)
         assert res.converged
         assert res.argmax_value >= max(r.value for r in res.rows)
+        assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
+
+    def test_refined_alpha_grid_past_the_exceptional_point(self):
+        # the grid's best is at alpha = 1.4, so the alpha probes span [1.2, 1.6]
+        # and reach past pi / 2, where the fixed-alpha refinement fails a check:
+        # such a probe counts as -inf, and the scan keeps its rows and an argmax
+        cfg = SweepConfig(expression="L13", kind="pt", refine=True,
+                          grids={"t": GridSpec(0.2, 1.2, 3), "alpha": GridSpec(1.2, 1.6, 3)})
+        past = SweepConfig(expression="L13", kind="pt", grids={"t": cfg.grids["t"]},
+                           fixed={"alpha": 1.58})
+        with pytest.raises(DomainError):
+            refine_max(past, {"t": 0.7})
+        res = scan(cfg)
+        seed = max((r for r in res.rows if r.error is None), key=lambda r: r.value)
+        assert seed.params["alpha"] == 1.4
+        assert res.argmax_value >= seed.value
+        assert res.argmax_params["alpha"] < np.pi / 2
         assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
 
     def test_failing_points_keep_their_reason(self):
