@@ -1,5 +1,5 @@
-"""The maxima of the (t, state) fit (`tfit`) in a box: trust-region Newton steps
-on its exact derivatives (`maxima`) from many starts at once (`starts`).
+"""The maxima of the (t, state) fit (`tfit`, its rows signed) in a box: trust-region
+Newton steps on its exact derivatives (`maxima`) from many starts at once (`starts`).
 
 Near the EP the fit's peaks can be narrower than 1e-3 in theta and phi, where
 one term's total is small and that term dominates.  So besides the local
@@ -19,14 +19,14 @@ STARTS = 8  # cap on each kind of start, best first (`starts`)
 RADII = (8.0, 2.0, 1.0, 0.5, 0.125, 0.03125)  # trust radius multiples tried at once (`maxima`)
 
 
-def starts(expression: str, coef: np.ndarray, x, lo, hi) -> np.ndarray:
+def starts(coef: np.ndarray, x, lo, hi) -> np.ndarray:
     """Starts of `maxima` in the box [lo, hi], rows of (t, theta, phi): x; the
     best STARTS local maxima (cells at least their neighbours) of `values` on a
     SEED_GRID over the box's first period; the states of `term_maxima` at x's t
     and the best STARTS at the grid's t, clipped to the box.  NaN ones go."""
     axes = [np.linspace(a, min(b, a + p), n) if b > a else np.array([a])
             for a, b, p, n in zip(lo, hi, PERIODS, SEED_GRID)]
-    v = np.fmax(tfit.values(expression, coef, *np.ix_(*axes)), -np.inf)  # NaN -> -inf
+    v = np.fmax(tfit.values(coef, *np.ix_(*axes)), -np.inf)  # NaN -> -inf
     top = np.full(np.add(v.shape, 2), -np.inf)
     top[1:-1, 1:-1, 1:-1] = v
     for a in range(3):  # the largest value over each cell's 3 x 3 x 3 neighbourhood
@@ -35,20 +35,20 @@ def starts(expression: str, coef: np.ndarray, x, lo, hi) -> np.ndarray:
     cells = np.flatnonzero((v == top) & (v > -np.inf))
     cells = cells[np.argsort(-v.ravel()[cells])][:STARTS]
     ts = np.append(x[0], axes[0])
-    theta, phi = tfit.term_maxima(expression, coef, ts)  # (C, len ts)
+    theta, phi = tfit.term_maxima(coef, ts)  # (C, len ts)
     mid = (lo[2] + hi[2]) / 2  # of the pairs (theta, phi) and (pi - theta, phi + pi) of a
     pairs = [np.array([th, mid + (ph - mid + np.pi) % (2 * np.pi) - np.pi])  # state, the one
              for th, ph in ((theta, phi), (np.pi - theta, phi + np.pi))]  # nearer the box
     out = [np.maximum(lo[1:, None, None] - p, p - hi[1:, None, None]).max(0) for p in pairs]
     state = np.where(out[0] <= out[1], *pairs).reshape(2, -1)
     terms = np.clip(np.column_stack([np.tile(ts, len(theta)), *state]), lo, hi)
-    at = np.fmax(tfit.values(expression, coef, *terms.T), -np.inf)
+    at = np.fmax(tfit.values(coef, *terms.T), -np.inf)
     order = np.argsort(np.where(np.arange(len(at)) % len(ts) == 0, -np.inf, -at))
     return np.vstack([x, np.column_stack([ax[i] for ax, i in zip(axes, np.unravel_index(
         cells, v.shape))]), terms[order[at[order] > -np.inf][:STARTS + len(theta)]]])
 
 
-def maxima(expression: str, coef: np.ndarray, x, lo, hi, radius: float, iterations: int):
+def maxima(coef: np.ndarray, x, lo, hi, radius: float, iterations: int):
     """Trust-region Newton steps on `values` in the box [lo, hi] from each start
     x (S, 3) at once (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
     (1983)): the ends, their values, and whether each converged and could win.
@@ -62,7 +62,7 @@ def maxima(expression: str, coef: np.ndarray, x, lo, hi, radius: float, iteratio
     start stops at a radius below SETTLED, a zero gradient or `iterations`
     spent, and cannot win once its concave model peaks below the best value so
     far."""
-    at = tfit.derivatives(expression, coef)
+    at = tfit.derivatives(coef)
     (f, g, h), x = at(*x.T), np.array(x, dtype=float)
     g, h, f = g.T, h.transpose(2, 0, 1), np.fmax(f, -np.inf)  # NaN -> -inf
     radius, converged, wins = np.full(len(x), radius), np.zeros(len(x), dtype=bool), f > -np.inf

@@ -83,6 +83,8 @@ class SweepConfig:
         unknown = (set(self.grids) | set(self.fixed)) - set(PARAM_ORDER)
         if unknown:
             raise UsageError(f"unknown parameters {sorted(unknown)}")
+        if both := sorted(set(self.grids) & set(self.fixed)):
+            raise UsageError(f"parameters {both} are both gridded and fixed")
         if "t" not in self.grids and "t" not in self.fixed:
             raise UsageError("parameter 't' must be gridded or fixed")
         if (self.kind == "unitary") == ("alpha" in self.grids or "alpha" in self.fixed):
@@ -207,39 +209,35 @@ def _read(cfg: SweepConfig, params: dict, points: dict) -> np.ndarray:
                    -np.inf)
 
 
-def _engine_line(cfg: SweepConfig, params: dict, name: str):
-    """The engine along `name`, the other parameters held at `params`: each call one stack."""
-    return lambda xs: _read(cfg, params, {name: xs})
-
-
-def _state_fit(cfg: SweepConfig, params: dict):
-    """The (t, state) fit at params' alpha (`tfit.fit` with `states`), sampled
-    again on the shifted set if a sample fails a check; None if both fail."""
+def _fit(cfg: SweepConfig, params: dict, states: bool):
+    """The fit at params' alpha (`tfit.fit`), along t or with `states` over
+    (t, state), sampled again on the shifted set if a sample fails a check;
+    None if both fail."""
+    published = cfg.kind == "pt-published"
     for shifted in (False, True):
-        samples = tfit.sample_states(cfg.kind == "pt-published", shifted)
+        samples = (tfit.sample_states(published, shifted) if states
+                   else {"t": tfit.sample_times(published, shifted)})
         try:
-            return tfit.fit(build_preset(cfg, params | samples), cfg.expression, states=True,
+            return tfit.fit(build_preset(cfg, params | samples), cfg.expression, states=states,
                             shifted=shifted)
         except (DomainError, DegenerateWeightError):
             pass
     return None
 
 
-def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
-    """`refine_max` along t alone, through the exact fit (`tfit`): one stacked
-    call samples the fit, and one more reads the engine at the seed, both window
-    ends and `tfit.candidates`.  The best engine value wins.  A reading carries
-    the engine's roundoff (about `err_bound(alpha)` near the EP); the exact V
-    cannot tell the readings about a maximum apart, so their best stands for
-    it, as the best probe of a k-section did.  An unsettled winner is finished
-    by k-sections about every unsettled reading at least its unsettled neighbours.
+def _refine_t(cfg: SweepConfig, params: dict, coef: np.ndarray, grid: GridSpec):
+    """`refine_max` along t alone, through the fit `coef` (`tfit`): one stacked
+    call reads the engine at the seed, both window ends and `tfit.candidates`.
+    The best engine value wins.  A reading carries the engine's roundoff (about
+    `err_bound(alpha)` near the EP); the exact V cannot tell the readings about
+    a maximum apart, so their best stands for it, as the best probe of a
+    k-section did.  An unsettled winner is finished by k-sections about every
+    unsettled reading at least its unsettled neighbours.
 
     Converged: the winner is a reading of a settled maximum of the fit, or a
     window end where V rises outward.
     """
-    preset = build_preset(cfg, params | {"t": tfit.sample_times(cfg.kind == "pt-published")})
-    coef = tfit.fit(preset, cfg.expression)
-    ts, gaps = tfit.candidates(cfg.expression, coef, grid.lo, grid.hi)
+    ts, gaps = tfit.candidates(coef, grid.lo, grid.hi)
     ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
     values = _read(cfg, params, {"t": ts})
     if not np.isfinite(values[0]):
@@ -250,12 +248,13 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
         order = np.flatnonzero(gaps)[np.argsort(ts[gaps > 0])]
         v = np.pad(values[order], 1, constant_values=-np.inf)
         peaks = order[(v[1:-1] > -np.inf) & (v[1:-1] >= np.fmax(v[:-2], v[2:]))]
-        t, best = max([(t, best)] + [_ksection_max(_engine_line(cfg, params, "t"), *np.clip(
-            ts[j] + (-gaps[j], gaps[j]), grid.lo, grid.hi)) for j in peaks], key=lambda p: p[1])
+        reads = [_ksection_max(lambda xs: _read(cfg, params, {"t": xs}), *np.clip(
+            ts[j] + (-gaps[j], gaps[j]), grid.lo, grid.hi)) for j in peaks]
+        t, best = max([(t, best)] + reads, key=lambda p: p[1])
         return params | {"t": t}, best, False
     if i >= 3:
         return params | {"t": t}, best, True  # a reading of a settled maximum of the fit
-    slope = tfit.slopes(cfg.expression, coef, [2 * t], second=False)[0][0]
+    slope = tfit.slopes(coef, [2 * t], second=False)[0][0]
     return params | {"t": t}, best, bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
 
 
@@ -268,9 +267,8 @@ def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list)
     x = np.array([({"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | params)[n] for n in FIT_AXES])
     lo, hi = (np.array([getattr(dict(grids).get(n), e, x[i]) for i, n in enumerate(FIT_AXES)])
               for e in ("lo", "hi"))
-    ends, fit, converged, wins = search.maxima(cfg.expression, coef, search.starts(
-        cfg.expression, coef, x, lo, hi), lo, hi, min(g.spacing() for _, g in grids),
-        NEWTON_ITERATIONS)
+    ends, fit, converged, wins = search.maxima(coef, search.starts(coef, x, lo, hi), lo, hi, min(
+        g.spacing() for _, g in grids), NEWTON_ITERATIONS)
     keep = np.argsort(np.where(wins, -fit, np.inf))[:min(wins.sum(), READS - 1)]
     points = np.vstack([ends[keep], x])
     names = [n for n, _ in grids]
@@ -285,7 +283,8 @@ def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list)
 def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
     """Maximization from a seed point: the point, its value (never below the
     seed's) and whether it converged.  At fixed alpha `_refine_t` or
-    `_refine_state`, or, where a fit's samples fail a check, one pass of engine
+    `_refine_state` on the fit (`_fit`: a failed sample set is read again
+    shifted), or, where both sample sets fail a check, one pass of engine
     k-sections over one grid spacing about the seed, unconverged.  A gridded
     alpha is k-sectioned over one grid spacing about the seed's, each probe the
     fixed-alpha refinement there (-inf where it fails); the seed's alpha or the
@@ -313,18 +312,15 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
         a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
                              min(grid.hi, alpha + grid.spacing()))
         return max(results[alpha], results[a], key=lambda r: r[1])
-    if moving == ["t"]:
-        try:
-            return _refine_t(cfg, params, sweepable[0][1])
-        except (DomainError, DegenerateWeightError):
-            pass  # a sample the engine refuses: the engine's k-sections below
-    elif moving and (coef := _state_fit(cfg, params)) is not None:
+    if moving and (coef := _fit(cfg, params, states=moving != ["t"])) is not None:
+        if moving == ["t"]:
+            return _refine_t(cfg, params, coef, sweepable[0][1])
         return _refine_state(cfg, params, coef, sweepable)
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
     for name, grid in sweepable:
-        x, fx = _ksection_max(_engine_line(cfg, params, name), max(
+        x, fx = _ksection_max(lambda xs: _read(cfg, params, {name: xs}), max(
             grid.lo, params[name] - grid.spacing()), min(grid.hi, params[name] + grid.spacing()))
         if fx > best:
             params, best = params | {name: x}, fx

@@ -1,14 +1,16 @@
 """An LG expression along t, or over (t, state), as an exact ratio of trigonometric polynomials.
 
-Each term of an expression is a correlator N_c / D_c in its own context
-(`lgexpr.TERMS`): a signed sum N_c of the context's outcome weights over their
-total D_c.  With the weight that `protocol._start` divides out put back, both
-are trigonometric polynomials in theta = 2 t, of degree at most 3 on the
-sequential chain and 8 on the published one (whose legs reach U(4 t)), so
-M = 7 (17) equispaced samples on [0, pi) determine them (`fit`; Trefethen,
-Approximation Theory and Approximation Practice, SIAM (2013)): along t, the
-exact derivatives (`slopes`) and where the maximum in a window can lie
-(`candidates`).  Both are also affine in the pure state's Bloch features
+Each term of an expression is a correlator in its own context (`lgexpr.TERMS`):
+a signed sum N_c of the context's outcome weights over their total D_c, times
+the term's sign.  `fit` folds that sign into N_c, so V is the plain sum of the
+rows' quotients and no other function reads TERMS.  With the weight that
+`protocol._start` divides out put back, N_c and D_c are trigonometric
+polynomials in theta = 2 t, of degree at most 3 on the sequential chain and 8
+on the published one (whose legs reach U(4 t)), so M = 7 (17) equispaced
+samples on [0, pi), or any M equispaced t on a period (`sample_times`), determine
+them (`fit`; Trefethen, Approximation Theory and Approximation Practice, SIAM
+(2013)): along t, the exact derivatives (`slopes`) and where the maximum in a
+window can lie (`candidates`).  Both are also affine in the pure state's Bloch features
 (`features`), so the samples at four STATES (`fit` with `states`) give V over
 all of (t, theta, phi) (`values`), its exact gradient and Hessian
 (`derivatives`), and where each term peaks (`term_maxima`); `search` climbs it.
@@ -39,19 +41,19 @@ STATES = ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 4, 0.0), (np.pi / 4, np.pi / 2)
 UNMIX = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2]]) / 2
 
 
-def sample_times(published: bool) -> tuple[float, ...]:
-    """The M equispaced t on [0, pi) at which `fit` needs the expression's chain."""
+def sample_times(published: bool, shifted: bool = False) -> tuple[float, ...]:
+    """The M equispaced t on [0, pi) at which `fit` needs the expression's chain.
+    `shifted` moves every t by half a sample step, pi / (2 M): any M equispaced
+    t on a period determine the fit."""
     m = 17 if published else 7
-    return tuple(np.arange(m) * np.pi / m)
+    ts = np.arange(m) * np.pi / m
+    return tuple(ts + np.pi / (2 * m) if shifted else ts)
 
 
 def sample_states(published: bool, shifted: bool = False) -> dict[str, tuple[float, ...]]:
     """The (t, theta, phi) stacks at which `fit` with `states` needs the chain:
-    `sample_times` at each of STATES in turn.  `shifted` moves every t by half
-    a sample step, pi / (2 M): any M equispaced t on a period determine the fit."""
-    ts = sample_times(published)
-    if shifted:
-        ts = tuple(np.add(ts, np.pi / (2 * len(ts))))
+    `sample_times` at each of STATES in turn."""
+    ts = sample_times(published, shifted)
     return {"t": ts * len(STATES), "theta": tuple(th for th, _ in STATES for _ in ts),
             "phi": tuple(ph for _, ph in STATES for _ in ts)}
 
@@ -66,15 +68,16 @@ def features(theta, phi) -> np.ndarray:
 
 def fit(preset: ScenarioPreset, expression: str, states: bool = False,
         shifted: bool = False) -> np.ndarray:
-    """The coefficients of each term's signed numerator and total, rows (N_1, D_1,
-    N_2, D_2, ...), from `preset` stacked at `sample_times`, through the fixed
-    M x M DFT matrix: the expression is sum_c sign_c N_c / D_c.  With `states`
+    """The coefficients of each term's signed numerator and total, rows
+    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), from `preset` stacked at
+    `sample_times`, through the fixed M x M DFT matrix: the expression is the
+    sum of each pair's quotient.  The sign is an exact negation.  With `states`
     (`preset` at `sample_states`), each row has a feature axis (R, 4, 2 n + 1):
     row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
     start, rows = preset.transfer[2], []
-    for _, times in TERMS[expression]:
+    for sign, times in TERMS[expression]:
         raw = context_weights(MeasurementContext(preset, times)) * start
-        rows += [sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
+        rows += [sign * sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
     m = len(rows[0]) // (len(STATES) if states else 1)
     dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
     if shifted:  # a sample at t_j + pi / (2 m) reads c_k e^(i pi k / m)
@@ -90,42 +93,32 @@ def scales(coef: np.ndarray) -> np.ndarray:
     return abs(coef[1::2]).reshape(len(coef) // 2, -1).sum(1)[:, None]
 
 
-def _signs(expression: str, coef: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Each term's sign at each point of the (t, state) fit's totals `den` (C, ...),
-    NaN where a total is below TRIM of its scale: roundoff of its coefficients."""
+def _resolved(coef: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """1 at each point of the (t, state) fit's totals `den` (C, ...), NaN where a
+    total is below TRIM of its scale: roundoff of its coefficients."""
     floor = TRIM * scales(coef).reshape((-1,) + (1,) * (den.ndim - 1))
-    signs = np.array([sign for sign, _ in TERMS[expression]]).reshape(floor.shape)
-    return np.where((den >= floor).all(0), 1.0, np.nan) * signs
+    return np.where((den >= floor).all(0), 1.0, np.nan)
 
 
-def _in_t(c: np.ndarray, t) -> np.ndarray:
-    """The real trigonometric polynomials in 2 t with coefficients c (..., 2 n + 1)
-    at t, t's axes last: the (t, state) fit's rows, or their t-derivatives."""
-    k = np.arange(c.shape[-1]) - c.shape[-1] // 2
-    e = np.exp(2j * np.multiply.outer(k, t))
-    return (c @ e.reshape(len(k), -1)).real.reshape(c.shape[:-1] + e.shape[1:])
-
-
-def values(expression: str, coef: np.ndarray, t, theta, phi) -> np.ndarray:
+def values(coef: np.ndarray, t, theta, phi) -> np.ndarray:
     """V of the (t, state) fit `coef` (`fit` with `states`) at (t, theta, phi),
     broadcast against each other, NaN where a total is below TRIM of its scale.
     The tensor is contracted on t, then on the features: a grid's axes
     (`np.ix_`) cost one contraction each."""
-    rows = (_in_t(coef, t) * features(theta, phi)).sum(1)
+    rows = (trig(coef, 2 * np.asarray(t))[0] * features(theta, phi)).sum(1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (_signs(expression, coef, rows[1::2]) * rows[::2] / rows[1::2]).sum(0)
+        return (_resolved(coef, rows[1::2]) * rows[::2] / rows[1::2]).sum(0)
 
 
-def term_maxima(expression: str, coef: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+def term_maxima(coef: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """The state (theta, phi), each (C, len t), where each signed term of the
     (t, state) fit peaks at each t.  It is (m0 + m.b) / (d0 + d.b) in the Bloch
     vector b = features[1:], d0 >= |d|; its peak Q is the larger root of
     (|d|^2 - d0^2) Q^2 - 2 (m.d - m0 d0) Q + |m|^2 - m0^2 = 0, at b parallel to
     m - Q d, or -d (a zero of the total) if Q is not finite.  Near the EP the
     sharpest peaks of V lie by these states, where one term dominates."""
-    a = _in_t(coef, t)  # (R, 4, len t)
-    signs = np.array([[[sign]] for sign, _ in TERMS[expression]])
-    (m0, m), (d0, d) = ((r[:, 0], r[:, 1:]) for r in (signs * a[::2], a[1::2]))
+    a = trig(coef, 2 * np.asarray(t))[0]  # (R, 4, len t)
+    (m0, m), (d0, d) = ((r[:, 0], r[:, 1:]) for r in (a[::2], a[1::2]))
     qa, qb, qc = (d * d).sum(1) - d0 * d0, (m * d).sum(1) - m0 * d0, (m * m).sum(1) - m0 * m0
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN where the term is constant
         root = np.sqrt(np.maximum(qb * qb - qa * qc, 0))
@@ -138,7 +131,7 @@ def term_maxima(expression: str, coef: np.ndarray, t) -> tuple[np.ndarray, np.nd
 _ANGLE_FACTORS = np.array([1, 2, 1, -4, 2, 1])[:, None, None]  # of the rows of `derivatives`' angle
 
 
-def derivatives(expression: str, coef: np.ndarray):
+def derivatives(coef: np.ndarray):
     """A function of aligned points (t, theta, phi) that gives `values` there, its
     gradient (3, P) and its Hessian (3, 3, P) in (t, theta, phi), all NaN where
     `values` is; all that depends on the fit alone is formed once.  A
@@ -148,7 +141,7 @@ def derivatives(expression: str, coef: np.ndarray):
     by_order = coef[:, :, None] * np.array([ik ** 0, ik, ik * ik])
 
     def at(t, theta, phi):
-        along_t = _in_t(by_order, t)  # (R, 4, 3 orders, P)
+        along_t = trig(by_order, 2 * np.asarray(t))[0]  # (R, 4, 3 orders, P)
         c2, s2, c, s = np.cos(2 * theta), np.sin(2 * theta), np.cos(phi), np.sin(phi)
         s2c, s2s, c2c, c2s, zero = s2 * c, s2 * s, c2 * c, c2 * s, np.zeros_like(c2)
         # the features, then their derivatives in theta, phi, theta theta, theta phi, phi phi
@@ -160,21 +153,23 @@ def derivatives(expression: str, coef: np.ndarray):
         r, dr = rows[0, :, 0], rows[[1, 0, 0], :, [0, 1, 2]]  # by (order in t, angle row)
         ddr = rows[[[2, 1, 1], [1, 0, 0], [1, 0, 0]], :, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
         d, dd, ddd = r[1::2], dr[:, 1::2], ddr[:, :, 1::2]
-        sign = _signs(expression, coef, d)  # NaN where unresolved
+        mask = _resolved(coef, d)  # NaN where unresolved
         with np.errstate(divide="ignore", invalid="ignore"):
             q = r[::2] / d
             dq = (dr[:, ::2] - q * dd) / d  # (3, C, P)
             ddq = (ddr[:, :, ::2] - q * ddd - dq[:, None] * dd[None] - dd[:, None] * dq[None]) / d
-            return (sign * q).sum(-2), (sign * dq).sum(-2), (sign * ddq).sum(-2)
+            return (mask * q).sum(-2), (mask * dq).sum(-2), (mask * ddq).sum(-2)
     return at
 
 
 def trig(c: np.ndarray, theta, orders=(0,)) -> list[np.ndarray]:
     """The theta-derivatives of each order in `orders` of the real trigonometric
-    polynomials with coefficients c (..., 2 n + 1), at each theta."""
+    polynomials with coefficients c (..., 2 n + 1), at theta of any shape: each
+    has c's leading axes, then theta's."""
     k = np.arange(c.shape[-1]) - c.shape[-1] // 2
-    e = np.exp(1j * np.outer(k, theta))
-    return [((1j * k) ** order * c @ e).real for order in orders]
+    e = np.exp(1j * np.multiply.outer(k, theta))
+    return [((1j * k) ** order * c @ e.reshape(len(k), -1)).real.reshape(c.shape[:-1] + e.shape[1:])
+            for order in orders]
 
 
 def real_roots(p: np.ndarray) -> np.ndarray:
@@ -194,22 +189,21 @@ def real_roots(p: np.ndarray) -> np.ndarray:
     return np.angle(z[abs(abs(z) - 1) <= ROOT_TOLERANCE])
 
 
-def slopes(expression: str, coef: np.ndarray, theta, second: bool = True) -> tuple:
+def slopes(coef: np.ndarray, theta, second: bool = True) -> tuple:
     """The fit's V' and (if `second`) V'' in theta at each theta, NaN at a pole
     (a total D_c = 0), then the totals D_c, one row per term.  `second` is off
     for the scan of `candidates`: V'' adds 15-40% to a 392-point call."""
     (n, d), (dn, dd), *dd2 = (v.reshape(len(coef) // 2, 2, len(theta)).transpose(1, 0, 2)
                               for v in trig(coef, theta, (0, 1, 2)[:2 + second]))
-    signs = np.array([sign for sign, _ in TERMS[expression]])
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (dn * d - n * dd) / (d * d)
         if not second:
-            return signs @ w, None, d
+            return w.sum(0), None, d
         (ddn, ddd), = dd2
-        return signs @ w, signs @ ((ddn * d - n * ddd) / (d * d) - 2 * dd * w / d), d
+        return w.sum(0), ((ddn * d - n * ddd) / (d * d) - 2 * dd * w / d).sum(0), d
 
 
-def candidates(expression: str, coef: np.ndarray, lo: float, hi: float):
+def candidates(coef: np.ndarray, lo: float, hi: float):
     """The t in [lo, hi] at which the engine should read the expression to find
     its maximum there, and for each the half-width of the engine's own search
     about it should the reading win (0 where the fit settles the maximum): the
@@ -235,14 +229,14 @@ def candidates(expression: str, coef: np.ndarray, lo: float, hi: float):
     hi = min(hi, lo + np.pi)  # the rest of the window repeats this period
     steps = max(int(np.ceil(SCAN_DENSITY * 2 * (hi - lo))), 1)
     theta = np.linspace(2 * lo, 2 * hi, steps + 1)
-    d1, _, den = slopes(expression, coef, theta, second=False)
+    d1, _, den = slopes(coef, theta, second=False)
     falls = np.flatnonzero((d1[:-1] > 0) & (d1[1:] <= 0))
     left, right = theta[falls], theta[falls + 1]
     with np.errstate(divide="ignore", invalid="ignore"):  # the secant's zero, or the midpoint
         x = left + d1[falls] / (d1[falls] - d1[falls + 1]) * (right - left)
     x = np.where((left <= x) & (x <= right), x, (left + right) / 2)
     for _ in range(NEWTON_STEPS):
-        d1, d2, at_x = slopes(expression, coef, x)
+        d1, d2, at_x = slopes(coef, x)
         left, right = np.where(d1 > 0, x, left), np.where(d1 > 0, right, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = d1 / d2

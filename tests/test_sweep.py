@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_reference import err_bound
 
@@ -77,6 +77,9 @@ class TestScan:
             SweepConfig(expression="L13", kind="pt-published", grids={"t": GridSpec(0, 1, 5)})
         with pytest.raises(UsageError):
             SweepConfig(expression="L13", kind="published", fixed={"t": 0.5, "alpha": 0.3})
+        with pytest.raises(UsageError, match="both gridded and fixed"):  # no silent winner
+            SweepConfig(expression="L13", kind="pt", grids={"t": GridSpec(0, 1, 5)},
+                        fixed={"t": 0.5, "alpha": 0.3})
 
     @pytest.mark.parametrize("grids,fixed", [
         ({"t": GridSpec(0, 1, 5)}, {"alpha": 1.2}),
@@ -107,6 +110,9 @@ WORKLOAD_SCAN = SweepConfig(expression="V3", kind="pt",
                                    "theta": GridSpec(0.35063265123998577, 1.9523416984962731, 4),
                                    "phi": GridSpec(5.974528067986229, 10.686917048370919, 4)},
                             fixed={"alpha": 1.4753338410612633}, refine=True)
+# the optimize smoke's window, refined along t alone
+ONE_DIM_SCAN = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(0.3, 1.9, 32)},
+                           fixed={"alpha": 1.45}, refine=True)
 
 # near-EP (t, theta, phi) scans of the optimize benchmark (seed/pass) whose search once ended
 # at the lower of two maxima, each with the best value a 60-start Nelder-Mead search of
@@ -185,8 +191,81 @@ class TestRefine:
         product = tfit.UNMIX @ tfit.features(*zip(*tfit.STATES)).T
         assert abs(product - np.eye(4)).max() <= 2 * np.finfo(float).eps
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           alpha=st.floats(-1.45, 1.45), t=st.floats(0.0, 2 * np.pi))
+    @example(expr="V1", kind="pt-published", alpha=1.447175058739419, t=1.6471168981451434)
+    def test_term_maxima_beat_random_states(self, expr, kind, alpha, t):
+        # each signed term Q(b) = (m0 + m.b) / (d0 + d.b) of the state fit at t,
+        # read at its `term_maxima` state and at 20,000 random Bloch vectors b.
+        # A reading is within 8 u (|m0| + |m.b| + |Q| (d0 + |d.b|)) / D: a 4-term
+        # dot product and the features' rounding.  The state is b ~ w = m - Q d
+        # at the peak Q, the larger root of qa Q^2 - 2 qb Q + qc; the roundoff
+        # of those coefficients moves Q by at most 8 u (S / |2 root| + (|qb| +
+        # root) / |qa|), S the root's sum of coefficient magnitudes, and w by |d|
+        # times that plus 8 u (|m| + |Q| |d|).  Since |w| - w.b' <= 2 |dw| for b'
+        # along w + dw, the peak loses at most 2 min(|dw|, |m| + |Q| |d|) / D.
+        # Where a term's total nearly vanishes on the sphere (d0 ~ |d|) that
+        # loss reaches 1e-8 (the example: d0 - |d| is 1.2e-9 of d0); elsewhere the
+        # bound is a few ulps.
+        fixed = {} if kind == "unitary" else {"alpha": alpha}
+        cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
+                          fixed=fixed)
+        coef = tfit.fit(sweep.build_preset(cfg, fixed | tfit.sample_states(kind == "pt-published")),
+                        expr, states=True)
+        theta, phi = (a[:, 0] for a in tfit.term_maxima(coef, [t]))
+        rows = tfit.trig(coef, 2 * np.array([t]))[0][..., 0]  # (R, 4)
+        b = np.random.default_rng(0).standard_normal((3, 20000))
+        random = np.vstack([np.ones(b.shape[1]), b / np.sqrt((b * b).sum(0))])
+        u = np.finfo(float).eps / 2
+        for n, d, th, ph in zip(rows[::2], rows[1::2], theta, phi):
+            def read(f):
+                q = (n @ f) / (d @ f)
+                return q, 8 * u * (abs(n) @ abs(f) + abs(q) * (abs(d) @ abs(f))) / abs(d @ f)
+
+            qs, errs = read(random)
+            if np.isnan(th):  # a term that does not move with the state, up to its roundoff
+                assert np.ptp(qs) <= 2 * errs.max()
+                continue
+            q, err = read(tfit.features(th, ph))
+            (m0, m), (d0, dv) = (n[0], n[1:]), (d[0], d[1:])
+            nm, nd = np.sqrt(m @ m), np.sqrt(dv @ dv)
+            qa, qb, qc = nd * nd - d0 * d0, m @ dv - m0 * d0, nm * nm - m0 * m0
+            root = np.sqrt(max(qb * qb - qa * qc, 0))
+            s = (q * q * (nd * nd + d0 * d0) + 2 * abs(q) * (nm * nd + abs(m0 * d0))
+                 + nm * nm + m0 * m0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dq = 8 * u * (s / (2 * root) + (abs(qb) + root) / abs(qa))
+                dw = np.fmin(nd * dq + 8 * u * (nm + abs(q) * nd), nm + abs(q) * nd)
+            i = qs.argmax()
+            assert qs[i] - q <= err + errs[i] + 2 * dw / abs(d @ tfit.features(th, ph)), (qs[i], q)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(roots=st.lists(st.floats(0.05, np.pi - 0.05), min_size=1, max_size=4))
+    def test_real_roots_finds_planted_roots(self, roots):
+        # prod_j (cos u - cos r_j), cos u = (z + 1/z) / 2, vanishes at u = +-r_j.  The
+        # companion matrix's eigenvalues carry a backward error of a modest multiple
+        # of eps sum|p| (64 here; 21 is the most seen in 20,000 draws), which a simple
+        # root turns into eps sum|p| / |p'(r_j)| in u
+        roots = np.sort(roots)
+        assume(np.all(np.diff(roots) > 0.05))
+        p = np.array([1.0])
+        for r in roots:
+            p = np.convolve(p, [0.5, -np.cos(r), 0.5])
+        slope = [abs(np.sin(r) * np.prod(np.cos(r) - np.cos(np.delete(roots, j))))
+                 for j, r in enumerate(roots)]
+        want, bound = np.append(roots, -roots), 64 * np.finfo(float).eps * abs(p).sum() / np.tile(
+            slope, 2)
+        found = tfit.real_roots(p)
+        assert found.shape == want.shape
+        assert np.all(abs(np.sort(found) - want[np.argsort(want)]) <= bound[np.argsort(want)])
+
+    def test_real_roots_skip_roots_off_the_unit_circle(self):
+        # 2 + cos u has no real root: its companion roots are z = -2 +- sqrt(3)
+        assert tfit.real_roots(np.array([0.5, 2.0, 0.5])).size == 0
+
     def test_one_dim_refinement_falls_back_when_a_sample_fails(self, monkeypatch):
-        def refused(preset, expression):
+        def refused(preset, expression, states=False, shifted=False):
             raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
 
         monkeypatch.setattr(tfit, "fit", refused)
@@ -216,7 +295,7 @@ class TestRefine:
         assert fit.shape == (6, 17 if kind == "pt-published" else 7)
         ts = np.array(ts)
         num, den = tfit.trig(fit, 2 * ts)[0].reshape(3, 2, ts.size).transpose(1, 0, 2)
-        model = np.array([sign for sign, _ in TERMS[expr]]) @ (num / den)
+        model = (num / den).sum(0)  # the rows carry their terms' signs
         at = sweep.build_preset(cfg, fixed | {"t": tuple(ts.tolist())})
         engine = np.asarray(expression(expr, at))
         amplification = (abs(fit[1::2]).sum(1)[:, None] / _totals(at, expr)).sum(0)
@@ -333,25 +412,33 @@ class TestRefine:
         assert (res.argmax_params, res.argmax_value, res.converged) == want
         assert res.argmax_value >= max(r.value for r in res.rows)
 
-    def test_failed_state_sample_is_read_again_shifted(self, monkeypatch):
-        # the shifted sample set t_j + pi / (2 M) determines the same fit
-        fit = tfit.fit
+    @pytest.mark.parametrize("cfg, on_states", [(RIDGE_SCAN, True), (ONE_DIM_SCAN, False)],
+                             ids=("state", "t"))
+    def test_failed_state_sample_is_read_again_shifted(self, cfg, on_states, monkeypatch):
+        # on either route, the shifted sample set t_j + pi / (2 M) determines the same fit
+        fit, calls = tfit.fit, []
 
         def refused(preset, expression, states=False, shifted=False):
-            if states and not shifted:
+            calls.append(shifted)
+            if states == on_states and not shifted:
                 raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
             return fit(preset, expression, states, shifted)
 
-        want = scan(RIDGE_SCAN)
+        want = scan(cfg)
         monkeypatch.setattr(tfit, "fit", refused)
-        res = scan(RIDGE_SCAN)
+        res = scan(cfg)
+        assert calls == [False, True]
         assert res.converged
         assert res.argmax_value == pytest.approx(want.argmax_value,
-                                                 abs=err_bound(RIDGE_SCAN.fixed["alpha"]))
-        unshifted = fit(sweep.build_preset(RIDGE_SCAN, RIDGE_SCAN.fixed | {"t": 0.5}
-                                           | tfit.sample_states(False)), "V3", states=True)
-        again = fit(sweep.build_preset(RIDGE_SCAN, RIDGE_SCAN.fixed | {"t": 0.5}
-                                       | tfit.sample_states(False, True)), "V3", True, True)
+                                                 abs=err_bound(cfg.fixed["alpha"]))
+
+        def samples(shifted):
+            if on_states:
+                return tfit.sample_states(False, shifted)
+            return {"t": tfit.sample_times(False, shifted)}
+
+        unshifted, again = (fit(sweep.build_preset(cfg, cfg.fixed | samples(shifted)),
+                                cfg.expression, on_states, shifted) for shifted in (False, True))
         assert abs(again - unshifted).max() <= 1e-12 * abs(unshifted).max()
 
     @pytest.mark.parametrize("cfg, want, before", [
@@ -435,8 +522,8 @@ class TestRefine:
         scale = tfit.scales(coef)[:, 0]
         bound = err_bound(0.0 if kind == "unitary" else alpha) * (scale / totals).sum()
         x = [np.array([v]) for v in point.values()]
-        models = (tfit.values(expr, coef, *x)[0], tfit.values(expr, coef, *np.ix_(*x))[0, 0, 0],
-                  tfit.derivatives(expr, coef)(*x)[0][0])
+        models = (tfit.values(coef, *x)[0], tfit.values(coef, *np.ix_(*x))[0, 0, 0],
+                  tfit.derivatives(coef)(*x)[0][0])
         for name, model in zip(("values", "a grid's values", "derivatives"), models):
             if np.isnan(model):  # a total the fit cannot resolve
                 assert (totals <= 2 * tfit.TRIM * scale).any()
@@ -480,8 +567,8 @@ class TestRefine:
             engine, totals = np.asarray(expression(expr, at)), _totals(at, expr)
         except DegenerateWeightError:
             return  # a stencil point where a context weighs nothing
-        fit = [tfit.values(expr, coef, *(x + step * offsets).T) for step in (h, 2 * h)]
-        _, grad, hess = (a[..., 0] for a in tfit.derivatives(expr, coef)(*x[:, None]))
+        fit = [tfit.values(coef, *(x + step * offsets).T) for step in (h, 2 * h)]
+        _, grad, hess = (a[..., 0] for a in tfit.derivatives(coef)(*x[:, None]))
         if not (np.isfinite(fit).all() and np.isfinite(hess).all()):
             return  # a total the fit cannot resolve
         read = err_bound(0.0 if kind == "unitary" else alpha) * (
@@ -511,7 +598,7 @@ class TestRefine:
         coef = tfit.fit(sweep.build_preset(cfg, fixed | tfit.sample_states(True)), "V3",
                         states=True)
         quoted = {"t": 0.785, "theta": 5 * np.pi / 6, "phi": np.pi / 2}
-        value = tfit.values("V3", coef, *([v] for v in quoted.values()))[0]
+        value = tfit.values(coef, *([v] for v in quoted.values()))[0]
         assert value == pytest.approx(2.858795, abs=5e-7)
         assert value == pytest.approx(evaluate_expression(cfg, fixed | quoted), abs=1e-13)
         res = scan(cfg)  # (pi - theta, phi + pi) is the same state, so (2.35025, pi / 2) too
@@ -519,11 +606,11 @@ class TestRefine:
         assert (res.argmax_params["theta"], res.argmax_params["phi"]) in (
             pytest.approx((np.pi - 2.35025, 3 * np.pi / 2), abs=1e-5),
             pytest.approx((2.35025, np.pi / 2), abs=1e-5))
-        best = tfit.values("V3", coef, *([res.argmax_params[n]] for n in ("t", "theta", "phi")))
+        best = tfit.values(coef, *([res.argmax_params[n]] for n in ("t", "theta", "phi")))
         assert best[0] == pytest.approx(res.argmax_value, abs=1e-13)
         theta = (np.arange(400) + 0.5) * np.pi / 400  # midpoints; 2 theta is the polar angle
         phi = (np.arange(800) + 0.5) * np.pi / 400
-        above = tfit.values("V3", coef, *np.ix_([0.785], theta, phi))[0] >= 2.9
+        above = tfit.values(coef, *np.ix_([0.785], theta, phi))[0] >= 2.9
         area = abs(np.sin(2 * theta))[:, None]
         assert above.mean() == pytest.approx(0.032, abs=5e-4)
         assert (above * area).sum() / (area.sum() * 800) == pytest.approx(0.0492, abs=5e-4)
