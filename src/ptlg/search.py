@@ -1,5 +1,6 @@
-"""The maxima of the (t, state) fit (`tfit`, its rows signed) in a box: trust-region
-Newton steps on its exact derivatives (`maxima`) from many starts at once (`starts`).
+"""The maxima of the (t, state) fit (`tfit`; its rows carry the terms' signs) in
+a box: trust-region Newton steps on its exact derivatives (`maxima`) from many
+starts at once (`starts`).
 
 Near the EP the fit's peaks can be narrower than 1e-3 in theta and phi, where
 one term's total is small and that term dominates.  So besides the local

@@ -1,18 +1,17 @@
 """An LG expression along t, or over (t, state), as an exact ratio of trigonometric polynomials.
 
 Each term of an expression is a correlator in its own context (`lgexpr.TERMS`):
-a signed sum N_c of the context's outcome weights over their total D_c, times
-the term's sign.  `fit` folds that sign into N_c, so V is the plain sum of the
-rows' quotients and no other function reads TERMS.  With the weight that
-`protocol._start` divides out put back, N_c and D_c are trigonometric
-polynomials in theta = 2 t, of degree at most 3 on the sequential chain and 8
-on the published one (whose legs reach U(4 t)), so M = 7 (17) equispaced
-samples on [0, pi), or any M equispaced t on a period (`sample_times`), determine
-them (`fit`; Trefethen, Approximation Theory and Approximation Practice, SIAM
+a signed sum N_c of its outcome weights over their total D_c, times the term's
+sign, which `fit` folds into N_c: V is the plain sum of the rows' quotients, and
+nothing else reads TERMS.  With the weight that `protocol._start` divides out
+put back, N_c and D_c are trigonometric polynomials in theta = 2 t, of degree at
+most 3 on the sequential chain and 8 on the published one (whose legs reach
+U(4 t)), so M = 7 (17) equispaced t on a period (`sample_times`) determine them
+(`fit`; Trefethen, Approximation Theory and Approximation Practice, SIAM
 (2013)): along t, the exact derivatives (`slopes`) and where the maximum in a
-window can lie (`candidates`).  Both are also affine in the pure state's Bloch features
-(`features`), so the samples at four STATES (`fit` with `states`) give V over
-all of (t, theta, phi) (`values`), its exact gradient and Hessian
+window can lie (`candidates`).  Both are also affine in the pure state's Bloch
+features (`features`), so the samples at four STATES (`fit` with `states`) give
+V over all of (t, theta, phi) (`values`), its exact gradient and Hessian
 (`derivatives`), and where each term peaks (`term_maxima`); `search` climbs it.
 
 Coefficients are laid out as c_k, k = -n .. n, of sum_k c_k e^(i k theta).
