@@ -26,7 +26,6 @@ from .sweep import (
     FigureData,
     GridSpec,
     SweepConfig,
-    build_preset,
     figure_data,
     grid_columns,
     scan,
@@ -234,7 +233,7 @@ def cmd_optimize(args) -> int:
         refine=True,
     )
     result = scan(cfg)
-    classifier = violation_classifier(build_preset(cfg, result.argmax_params))
+    classifier = violation_classifier(result.preset)
     report = {
         "expression": args.expression,
         "kind": args.kind,

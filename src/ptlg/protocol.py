@@ -56,7 +56,7 @@ at its stated parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -157,6 +157,18 @@ class ScenarioPreset:
         w = (t[:, :, 0] * v[:, 0] + t[:, :, 1] * v[:, 1]).real  # w(m) = <m|rho|m>
         a = abs(_product(_product(vh, gaps), v))  # |<m'|g|m>|, row m'
         return w, (a * a).swapaxes(1, 2), state.weight
+
+    def column(self, i: int) -> ScenarioPreset:
+        """Point i of a stack as a one-point preset whose `transfer` is column i
+        of the stack's, already formed: where t is stacked, the point alone."""
+        p, s = self.evolution.params, self.initial_state
+        alpha, t, theta, phi = (x[i] if isinstance(x, tuple) else x
+                                for x in (p.alpha, p.t, s.theta, s.phi))
+        point = replace(self, initial_state=replace(s, theta=theta, phi=phi),
+                        evolution=replace(self.evolution, params=PTParams(alpha, t)))
+        w, tables, start = self.transfer
+        vars(point)["transfer"] = w[..., i], tables[..., i], start[i] if np.ndim(start) else start
+        return point
 
 
 def unitary_standard(t: float) -> ScenarioPreset:

@@ -9,7 +9,9 @@ its reason instead of aborting, and runs the rest again as one stack.
 reading, so the value it reports is the engine's: along t alone, at the
 maxima of the fit of each term in 2 t (`_refine_t`); at fixed alpha with an
 angle moving, at the ends of Newton steps on the (t, state) fit from many
-starts (`_refine_state`).
+starts (`_refine_state`).  So a refined `scan` forms the chain twice: its
+grid's stack ends with the fit's samples, and the argmax's preset is the
+winning column of that reading (`SweepResult.preset`).
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ class SweepResult:
     argmax_params: dict[str, float]
     argmax_value: float
     converged: bool | None = None  # whether refinement converged; None without refinement
+    preset: ScenarioPreset | None = None  # the argmax's, `refine_max`'s column or built afresh
 
 
 def _pt_preset(expr: str, alpha, t, theta, phi,
@@ -129,9 +132,10 @@ def build_preset(cfg: SweepConfig, params: dict) -> ScenarioPreset:
     return unitary_variant(t, theta, phi)
 
 
-def evaluate_expression(cfg: SweepConfig, params: dict):
-    """The expression at `params`; an array if a stacked parameter moves it."""
-    return expression(cfg.expression, build_preset(cfg, params))
+def evaluate_expression(cfg: SweepConfig, params: dict | ScenarioPreset):
+    """The expression at `params` (or of their preset); an array if a stack moves it."""
+    return expression(cfg.expression, params if isinstance(params, ScenarioPreset)
+                      else build_preset(cfg, params))
 
 
 def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list]:
@@ -163,25 +167,45 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list
     return cols.tolist(), errors
 
 
+def _read(cfg: SweepConfig, params: dict, axes: dict):
+    """`grid_columns` of `evaluate_expression` over the aligned stacks `axes` on
+    `params`: the values, each point's failure reason, and the stacked preset
+    of the last call, which gave the values of every point that did not fail."""
+    presets = [None]
+
+    def f(**point):
+        presets.append(build_preset(cfg, params | point))
+        return (evaluate_expression(cfg, presets[-1]),)
+
+    (values,), errors = grid_columns(f, axes, 1)
+    return values, errors, presets[-1]
+
+
 def scan(cfg: SweepConfig) -> SweepResult:
-    """Dense evaluation over the Cartesian grid as one stack, then optional
-    local refinement."""
+    """Dense evaluation over the Cartesian grid as one stack, ending with the fit's
+    samples (`_samples`) where `refine_max` fits over them, then refinement."""
     names = [n for n in PARAM_ORDER if n in cfg.grids]
     points = list(product(*(cfg.grids[n].values() for n in names)))
     axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
-    (values,), errors = grid_columns(
-        lambda **point: (evaluate_expression(cfg, cfg.fixed | point),), axes, 1)
+    moving = [n for n in names if cfg.grids[n].count >= 2]
+    samples = _samples(cfg, moving != ["t"]) if cfg.refine and moving and "t" in names else {}
+    samples = samples if samples.keys() >= set(names) else {}  # else `refine_max` fits alone
+    base = {"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | cfg.fixed
+    axes |= {n: (axes.get(n) or [base[n]] * len(points)) + list(v) for n, v in samples.items()}
+    values, errors, stack = _read(cfg, cfg.fixed, axes)
     rows = [SweepRow(params=dict(cfg.fixed) | dict(zip(names, p)), value=v, error=e)
             for p, v, e in zip(points, values, errors)]
     valid = [r for r in rows if r.error is None]
     if not valid:
         raise DomainError("every grid point failed; nothing to maximize")
     best = max(valid, key=lambda r: r.value)
-    argmax_params, argmax_value, converged = dict(best.params), best.value, None
+    argmax_params, argmax_value, converged, preset = dict(best.params), best.value, None, None
     if cfg.refine:
-        argmax_params, argmax_value, converged = refine_max(cfg, argmax_params)
+        argmax_params, argmax_value, converged, preset = refine_max(
+            cfg, argmax_params, stack if samples and not any(errors[len(points):]) else None)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
-                       argmax_value=argmax_value, converged=converged)
+                       argmax_value=argmax_value, converged=converged,
+                       preset=preset or build_preset(cfg, argmax_params))
 
 
 def _ksection_max(values, lo: float, hi: float):
@@ -201,27 +225,23 @@ def _ksection_max(values, lo: float, hi: float):
             return x, fx
 
 
-def _read(cfg: SweepConfig, params: dict, points: dict) -> np.ndarray:
-    """The engine at the aligned stacks `points` over `params` as one stack, -inf
-    where a point fails a check."""
-    return np.fmax(grid_columns(lambda **probe: (evaluate_expression(cfg, params | probe),),
-                                {n: np.asarray(v).tolist() for n, v in points.items()}, 1)[0][0],
-                   -np.inf)
-
-
-def _fit(cfg: SweepConfig, params: dict, states: bool):
-    """The fit at params' alpha (`tfit.fit`), along t or with `states` over
-    (t, state), sampled again on the shifted set if a sample fails a check;
-    None if both fail."""
+def _samples(cfg: SweepConfig, states: bool, shifted: bool = False) -> dict:
+    """The stacks at which `tfit.fit` needs the chain, with `states` over (t, state)."""
     published = cfg.kind == "pt-published"
+    return (tfit.sample_states(published, shifted) if states
+            else {"t": tfit.sample_times(published, shifted)})
+
+
+def _fit(cfg: SweepConfig, params: dict, states: bool, stack: ScenarioPreset | None = None):
+    """The fit at params' alpha (`tfit.fit`), along t or with `states` over
+    (t, state), from the samples that end `stack` or from their own stack;
+    sampled again on the shifted set if a sample fails a check; None if both fail."""
     for shifted in (False, True):
-        samples = (tfit.sample_states(published, shifted) if states
-                   else {"t": tfit.sample_times(published, shifted)})
         try:
-            return tfit.fit(build_preset(cfg, params | samples), cfg.expression, states=states,
-                            shifted=shifted)
+            return tfit.fit(stack or build_preset(cfg, params | _samples(cfg, states, shifted)),
+                            cfg.expression, states=states, shifted=shifted)
         except (DomainError, DegenerateWeightError):
-            pass
+            stack = None
     return None
 
 
@@ -239,23 +259,22 @@ def _refine_t(cfg: SweepConfig, params: dict, coef: np.ndarray, grid: GridSpec):
     """
     ts, gaps = tfit.candidates(coef, grid.lo, grid.hi)
     ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
-    values = _read(cfg, params, {"t": ts})
+    values, errors, stack = _read(cfg, params, {"t": ts})
     if not np.isfinite(values[0]):
         raise UsageError(f"objective not finite at seed {params}")
-    i = int(np.argmax(values))  # the seed wins a tie
+    i = int(np.nanargmax(values))  # the seed wins a tie; a failing reading (NaN) cannot
     t, best = float(ts[i]), float(values[i])
     if gaps[i]:  # the unsettled readings in t order, and those at least their neighbours
         order = np.flatnonzero(gaps)[np.argsort(ts[gaps > 0])]
-        v = np.pad(values[order], 1, constant_values=-np.inf)
+        v = np.pad(np.fmax(values, -np.inf)[order], 1, constant_values=-np.inf)  # NaN -> -inf
         peaks = order[(v[1:-1] > -np.inf) & (v[1:-1] >= np.fmax(v[:-2], v[2:]))]
-        reads = [_ksection_max(lambda xs: _read(cfg, params, {"t": xs}), *np.clip(
+        reads = [_ksection_max(lambda xs: _read(cfg, params, {"t": xs})[0], *np.clip(
             ts[j] + (-gaps[j], gaps[j]), grid.lo, grid.hi)) for j in peaks]
         t, best = max([(t, best)] + reads, key=lambda p: p[1])
-        return params | {"t": t}, best, False
-    if i >= 3:
-        return params | {"t": t}, best, True  # a reading of a settled maximum of the fit
-    slope = tfit.slopes(coef, [2 * t], second=False)[0][0]
-    return params | {"t": t}, best, bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
+        return params | {"t": t}, best, False, None
+    slope = tfit.slopes(coef, [2 * t], second=False)[0][0] if i < 3 else 0.0
+    converged = i >= 3 or bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
+    return params | {"t": t}, best, converged, None if any(errors) else stack.column(i)
 
 
 def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list):
@@ -272,23 +291,23 @@ def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list)
     keep = np.argsort(np.where(wins, -fit, np.inf))[:min(wins.sum(), READS - 1)]
     points = np.vstack([ends[keep], x])
     names = [n for n, _ in grids]
-    values = _read(cfg, params, {n: points[:, FIT_AXES.index(n)] for n in names})
+    values, errors, stack = _read(cfg, params, {n: points[:, FIT_AXES.index(n)] for n in names})
     if not np.isfinite(values[-1]):
         raise UsageError(f"objective not finite at seed {params}")
-    i = int(np.argmax(values))  # an end wins a tie with the seed
+    i = int(np.nanargmax(values))  # an end wins a tie with the seed; a failing reading cannot
     return (params | {n: float(points[i, FIT_AXES.index(n)]) for n in names}, float(values[i]),
-            bool(i < len(keep) and converged[keep[i]]))
+            bool(i < len(keep) and converged[keep[i]]), None if any(errors) else stack.column(i))
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, float], float, bool]:
+def refine_max(cfg: SweepConfig, seed: dict[str, float], stack: ScenarioPreset | None = None):
     """Maximization from a seed point: the point, its value (never below the
-    seed's) and whether it converged.  At fixed alpha `_refine_t` or
-    `_refine_state` on the fit (`_fit`: a failed sample set is read again
-    shifted), or, where both sample sets fail a check, one pass of engine
-    k-sections over one grid spacing about the seed, unconverged.  A gridded
-    alpha is k-sectioned over one grid spacing about the seed's, each probe the
-    fixed-alpha refinement there (-inf where it fails); the seed's alpha or the
-    best probe wins."""
+    seed's), whether it converged, and its preset if a column of the final
+    engine stack (`ScenarioPreset.column`).  At fixed alpha `_refine_t` or
+    `_refine_state` on the fit (`_fit`, on `stack`: `scan`'s), or, where both
+    sample sets fail a check, one pass of engine k-sections over one grid
+    spacing about the seed, unconverged.  A gridded alpha is k-sectioned over
+    one grid spacing about the seed's, each probe the fixed-alpha refinement
+    there (-inf where it fails); the seed's alpha or the best probe wins."""
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     moving = [n for n, _ in sweepable]
@@ -305,14 +324,14 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
                 try:
                     results[a] = at(a)
                 except (DomainError, DegenerateWeightError, UsageError):
-                    results[a] = params | {"alpha": a}, -np.inf, False
+                    results[a] = params | {"alpha": a}, -np.inf, False, None
             return [results[a][1] for a in alphas.tolist()]
 
         results = {alpha: at(alpha)}
         a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
                              min(grid.hi, alpha + grid.spacing()))
         return max(results[alpha], results[a], key=lambda r: r[1])
-    if moving and (coef := _fit(cfg, params, states=moving != ["t"])) is not None:
+    if moving and (coef := _fit(cfg, params, moving != ["t"], stack)) is not None:
         if moving == ["t"]:
             return _refine_t(cfg, params, coef, sweepable[0][1])
         return _refine_state(cfg, params, coef, sweepable)
@@ -320,11 +339,11 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]) -> tuple[dict[str, floa
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
     for name, grid in sweepable:
-        x, fx = _ksection_max(lambda xs: _read(cfg, params, {name: xs}), max(
+        x, fx = _ksection_max(lambda xs: _read(cfg, params, {name: xs})[0], max(
             grid.lo, params[name] - grid.spacing()), min(grid.hi, params[name] + grid.spacing()))
         if fx > best:
             params, best = params | {name: x}, fx
-    return params, best, not sweepable
+    return params, best, not sweepable, None
 
 
 @dataclass(frozen=True)

@@ -68,16 +68,16 @@ def features(theta, phi) -> np.ndarray:
 def fit(preset: ScenarioPreset, expression: str, states: bool = False,
         shifted: bool = False) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows
-    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), from `preset` stacked at
+    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), from a stack `preset` ending at
     `sample_times`, through the fixed M x M DFT matrix: the expression is the
     sum of each pair's quotient.  The sign is an exact negation.  With `states`
-    (`preset` at `sample_states`), each row has a feature axis (R, 4, 2 n + 1):
-    row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
-    start, rows = preset.transfer[2], []
+    (`preset` ending at `sample_states`), each row has a feature axis (R, 4,
+    2 n + 1): row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
+    m = len(sample_times(preset.evolution.published))
+    start, rows, tail = preset.transfer[2], [], slice(-m * (len(STATES) if states else 1), None)
     for sign, times in TERMS[expression]:
-        raw = context_weights(MeasurementContext(preset, times)) * start
+        raw = (context_weights(MeasurementContext(preset, times)) * start)[:, tail]
         rows += [sign * sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
-    m = len(rows[0]) // (len(STATES) if states else 1)
     dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
     if shifted:  # a sample at t_j + pi / (2 m) reads c_k e^(i pi k / m)
         dft = dft * np.exp(-1j * np.pi / m * (np.arange(m) - m // 2))

@@ -11,7 +11,7 @@ from ptlg import sweep, tfit
 from ptlg.closedform import unitary_l13
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import EXPRESSIONS, TERMS, expression, l13, table
-from ptlg.macrodiag import degree_report
+from ptlg.macrodiag import degree_report, violation_classifier
 from ptlg.matcore import raise_where
 from ptlg.nosignal import signaling_deviation
 from ptlg.protocol import MeasurementContext, context_weights, pt_standard, pt_variant
@@ -145,7 +145,7 @@ class TestRefine:
     def test_never_below_seed(self):
         cfg = unitary_l13_cfg(count=31)
         seed = {"t": 1.2}
-        params, value, _ = refine_max(cfg, seed)
+        params, value, _, _ = refine_max(cfg, seed)
         assert value >= l13_from_cfg(cfg, seed) - 1e-15
 
     def test_variant_optimum(self):
@@ -153,14 +153,14 @@ class TestRefine:
                           grids={"t": GridSpec(0.05, 1.5, 64),
                                  "theta": GridSpec(0.05, np.pi, 64)},
                           fixed={"phi": np.pi / 2})
-        params, value, _ = refine_max(cfg, {"t": 0.4, "theta": 2.7})
+        params, value, _, _ = refine_max(cfg, {"t": 0.4, "theta": 2.7})
         assert value == pytest.approx(1.93, abs=0.005)
         assert params["t"] == pytest.approx(0.398, abs=0.01)
 
     def test_constant_objective_returns_seed(self):
         cfg = SweepConfig(expression="L13", kind="unitary", grids={},
                           fixed={"t": 0.6})
-        params, value, converged = refine_max(cfg, {"t": 0.6})
+        params, value, converged, _ = refine_max(cfg, {"t": 0.6})
         assert params["t"] == 0.6
         assert converged
 
@@ -176,7 +176,7 @@ class TestRefine:
 
         monkeypatch.setattr(sweep, "build_preset", counting)
         cfg = unitary_l13_cfg(count=101)
-        params, value, converged = refine_max(cfg, {"t": 0.5})
+        params, value, converged, _ = refine_max(cfg, {"t": 0.5})
         assert converged
         assert value == pytest.approx(1.5, abs=1e-12)
         assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
@@ -269,7 +269,7 @@ class TestRefine:
             raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
 
         monkeypatch.setattr(tfit, "fit", refused)
-        params, value, converged = refine_max(unitary_l13_cfg(count=101), {"t": 0.5})
+        params, value, converged, _ = refine_max(unitary_l13_cfg(count=101), {"t": 0.5})
         assert value == pytest.approx(1.5, abs=1e-12)
         assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
 
@@ -306,7 +306,7 @@ class TestRefine:
         # the seed's local maximum is -0.7419; the window's is 0.2905 at t = 1.0524
         cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(0.3, 1.9, 32)},
                           fixed={"alpha": 1.45, "theta": DEFAULT_THETA, "phi": DEFAULT_PHI})
-        params, value, converged = refine_max(cfg, {"t": 0.3 + 1.6 * 2 / 31})
+        params, value, converged, _ = refine_max(cfg, {"t": 0.3 + 1.6 * 2 / 31})
         assert value >= 0.290519 and converged
         assert params["t"] == pytest.approx(1.05236, abs=1e-3)
         assert value == evaluate_expression(cfg, params)
@@ -367,7 +367,7 @@ class TestRefine:
     def test_window_end_with_outward_slope_converges(self):
         # L13 rises through the whole window [0.01, 0.3] towards its peak at pi/6
         cfg = SweepConfig(expression="L13", kind="unitary", grids={"t": GridSpec(0.01, 0.3, 8)})
-        params, value, converged = refine_max(cfg, {"t": 0.2})
+        params, value, converged, _ = refine_max(cfg, {"t": 0.2})
         assert params["t"] == 0.3 and converged
         assert value == evaluate_expression(cfg, params)
 
@@ -485,8 +485,9 @@ class TestRefine:
                                                  abs=err_bound(cfg.fixed["alpha"]))
 
     def test_state_fit_k_section_reads_no_engine_round(self, monkeypatch):
-        # three engine stacks in all: the grid, the fit's 4 x 7 samples, and one
-        # reading of the seed and the search's ends; no k-section or stencil round
+        # two engine stacks in all: the grid followed by the fit's 4 x 7 samples,
+        # and one reading of the seed and the search's ends; no k-section or
+        # stencil round
         sizes = []
         original = sweep.build_preset
 
@@ -497,8 +498,8 @@ class TestRefine:
         monkeypatch.setattr(sweep, "build_preset", counting)
         res = scan(RIDGE_SCAN)
         assert res.converged
-        assert sizes[:2] == [6 * 4 * 4, 4 * 7] and len(sizes) == 3
-        assert 2 <= sizes[2] <= sweep.READS
+        assert sizes[0] == 6 * 4 * 4 + 4 * 7 and len(sizes) == 2
+        assert 2 <= sizes[1] <= sweep.READS
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
@@ -628,7 +629,7 @@ class TestRefine:
         fixed = {} if kind == "unitary" else {"alpha": alpha}
         cfg = SweepConfig(expression=expr, kind=kind, grids=grids, fixed=fixed, refine=True)
         seed = {name: data.draw(st.floats(g.lo, g.hi)) for name, g in grids.items()}
-        _, value, _ = refine_max(cfg, seed)
+        _, value, _, _ = refine_max(cfg, seed)
         assert value >= evaluate_expression(cfg, fixed | seed)
         res = scan(cfg)
         assert res.argmax_value >= max(r.value for r in res.rows)
@@ -654,6 +655,124 @@ def _rows_alone(res):
         except (DomainError, DegenerateWeightError):
             values.append(float("nan"))
     return values
+
+
+class TestOneStackPerStage:
+    """A refined scan at fixed alpha forms the chain once before the fit (the
+    grid's stack ends with the fit's samples) and once after it (the final
+    engine stack, whose winning column is `SweepResult.preset`).  Both are bit
+    for bit what the separate stacks give."""
+
+    @staticmethod
+    def _recording_fits(mp):
+        fits, fit = [], tfit.fit
+
+        def recording(preset, expression, states=False, shifted=False):
+            fits.append((len(preset.evolution.params.t), fit(preset, expression, states, shifted)))
+            return fits[-1][1]
+
+        mp.setattr(tfit, "fit", recording)
+        return fits
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           pre_evolution=st.booleans(), angles=st.sampled_from(((), ("theta",), ("phi",),
+                                                                ("theta", "phi"))),
+           alpha=st.floats(-1.45, 1.45), lo=st.floats(0.0, 2.0), width=st.floats(0.2, 2.0),
+           theta=st.floats(0.1, 3.0), phi=st.floats(0.0, 6.0))
+    def test_grid_stack_carries_the_fit(self, expr, kind, pre_evolution, angles, alpha, lo,
+                                        width, theta, phi):
+        # the t-route (no angle gridded) or the (t, state) route: the grid's rows
+        # equal the grid alone and the fit equals the fit on the samples alone,
+        # and the refinement is that of a `refine_max` fitting on its own
+        pre_evolution = pre_evolution or kind == "pt-published"
+        fixed = ({} if kind == "unitary" else {"alpha": alpha}) | {
+            n: v for n, v in (("theta", theta), ("phi", phi)) if n not in angles}
+        grids = {"t": GridSpec(lo, lo + width, 3 if angles else 9)} | {
+            n: GridSpec(0.2, 2.9, 3) for n in angles}
+        cfg = SweepConfig(expression=expr, kind=kind, grids=grids, fixed=fixed,
+                          pre_evolution=pre_evolution, refine=True)
+        published = kind == "pt-published"
+        samples = tfit.sample_states(published) if angles else {"t": tfit.sample_times(published)}
+        with pytest.MonkeyPatch.context() as mp:
+            fits = self._recording_fits(mp)
+            res = scan(cfg)
+        alone = scan(SweepConfig(expression=expr, kind=kind, grids=grids, fixed=fixed,
+                                 pre_evolution=pre_evolution))
+        assert [r.error for r in res.rows] == [r.error for r in alone.rows]
+        assert np.array_equal([r.value for r in res.rows], [r.value for r in alone.rows],
+                              equal_nan=True)
+        assert fits[0][0] == len(res.rows) + len(samples["t"])
+        want = tfit.fit(sweep.build_preset(cfg, fixed | samples), expr, states=bool(angles))
+        assert np.array_equal(fits[0][1], want)
+        seed = max((r for r in alone.rows if r.error is None), key=lambda r: r.value).params
+        assert refine_max(cfg, seed)[:3] == (res.argmax_params, res.argmax_value, res.converged)
+
+    def test_failing_grid_point_keeps_its_reason_and_the_fit(self, monkeypatch):
+        # t = -0.2 fails a check: the stack runs again without it, the fit's
+        # samples still in it, and the fit comes from that second run
+        cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(-0.2, 1.0, 4)},
+                          fixed={"alpha": 0.8}, refine=True)
+        fits = self._recording_fits(monkeypatch)
+        res = scan(cfg)
+        assert "duration t must be >= 0" in res.rows[0].error and np.isnan(res.rows[0].value)
+        assert all(r.error is None for r in res.rows[1:])
+        assert len(fits) == 1 and fits[0][0] == 3 + 7
+        want = tfit.fit(sweep.build_preset(cfg, cfg.fixed | {"t": tfit.sample_times(False)}), "V3")
+        assert np.array_equal(fits[0][1], want)
+
+    def test_failing_sample_sends_the_fit_to_the_shifted_set(self, monkeypatch):
+        # a check that refuses the sample t = 0 wherever it is read: the grid's
+        # rows stand, and the fit is read again on the shifted set; the result
+        # recorded at the parent commit, whose samples had a stack of their own
+        original = sweep.build_preset
+
+        def checked(cfg, params):
+            t = params["t"]
+            if isinstance(t, tuple) and 0.0 in t:
+                exc = DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
+                exc.failures = {t.index(0.0): str(exc)}
+                raise exc
+            return original(cfg, params)
+
+        want = [r.value for r in scan(ONE_DIM_SCAN).rows]
+        fits = self._recording_fits(monkeypatch)
+        monkeypatch.setattr(sweep, "build_preset", checked)
+        res = scan(ONE_DIM_SCAN)
+        assert [r.value for r in res.rows] == want
+        assert [n for n, _ in fits] == [7]  # the shifted set's own stack
+        assert (res.argmax_params, res.argmax_value, res.converged) == (
+            {"alpha": 1.45, "t": 1.052358768234466}, 0.2905259026212247, True)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           pre_evolution=st.booleans(), alpha=st.floats(-1.45, 1.45),
+           points=st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi),
+                                     st.floats(0.0, 2 * np.pi)), min_size=1, max_size=6),
+           angles_stacked=st.booleans(), data=st.data())
+    def test_column_is_the_point_alone(self, expr, kind, pre_evolution, alpha, points,
+                                       angles_stacked, data):
+        # with t stacked, column i of a stack's chain is point i's own chain, so
+        # the classifier reads the same report, field for field
+        pre_evolution = pre_evolution or kind == "pt-published"
+        fixed = {} if kind == "unitary" else {"alpha": alpha}
+        cfg = SweepConfig(expression=expr, kind=kind, fixed=fixed | {"t": 0.0},
+                          pre_evolution=pre_evolution)
+        if not angles_stacked:
+            points = [(t,) + points[0][1:] for t, _, _ in points]
+        ts, thetas, phis = map(tuple, zip(*points))
+        stack = sweep.build_preset(cfg, fixed | {"t": ts} | (
+            {"theta": thetas, "phi": phis} if angles_stacked else
+            {"theta": thetas[0], "phi": phis[0]}))
+        i = data.draw(st.integers(0, len(points) - 1))
+        alone = sweep.build_preset(cfg, fixed | dict(zip(("t", "theta", "phi"), points[i])))
+        try:
+            want = violation_classifier(alone)
+        except DegenerateWeightError:
+            assume(False)  # a point where a context weighs nothing
+        column = stack.column(i)
+        assert column.initial_state == alone.initial_state and column.evolution == alone.evolution
+        assert violation_classifier(column) == want
 
 
 class TestStackedScan:
