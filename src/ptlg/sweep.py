@@ -133,7 +133,7 @@ def build_preset(cfg: SweepConfig, params: dict) -> ScenarioPreset:
 
 
 def evaluate_expression(cfg: SweepConfig, params: dict | ScenarioPreset):
-    """The expression at `params` (or of their preset); an array if a stack moves it."""
+    """The expression at `params`, or of a preset already built; an array if a stack moves it."""
     return expression(cfg.expression, params if isinstance(params, ScenarioPreset)
                       else build_preset(cfg, params))
 

@@ -235,10 +235,10 @@ class TestOptimizeCommand:
         assert report["converged"] is True
         assert report["classifier"]["lg_values"]["V3"] == report["value"]
 
-    def test_unsettled_winner_prints_the_parent_output(self, capsys):
+    def test_unsettled_winner_prints_its_recorded_output(self, capsys):
         # the published dip: the winner comes from the engine's own search about
-        # an unsettled maximum, so its preset is built afresh; the bytes are the
-        # parent commit's
+        # an unsettled maximum, so its preset is built afresh; the bytes were
+        # recorded when the classifier always built its own preset
         assert main(["optimize", "V2", "--kind", "pt-published", "--t-min", "0.05", "--t-max",
                      "1.65", "--t-steps", "20", "--alpha", "-1.506937014647157", "--theta",
                      "1.4866141201638425", "--phi", "1.3604874374011873"]) == 0

@@ -724,7 +724,7 @@ class TestOneStackPerStage:
     def test_failing_sample_sends_the_fit_to_the_shifted_set(self, monkeypatch):
         # a check that refuses the sample t = 0 wherever it is read: the grid's
         # rows stand, and the fit is read again on the shifted set; the result
-        # recorded at the parent commit, whose samples had a stack of their own
+        # was recorded when the samples always had a stack of their own
         original = sweep.build_preset
 
         def checked(cfg, params):
