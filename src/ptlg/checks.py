@@ -63,20 +63,21 @@ def _max(x) -> float:
     return float(np.max(x))
 
 
-def _biorthogonal_reconstruction_residual(p: PTParams) -> float:
-    """Max-entry distance of sum_+- exp(-+i e tau) v_+- w_+- from U over a stack,
-    with v_+- the columns of V, w_+- the rows of V^-1 and tau = t / cos(alpha)."""
+def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
+    """Max-entry distance of sum_+- exp(-+i e tau) v_+- w_+- from U = `u`, p's propagator,
+    over a stack, with v_+- the columns of V, w_+- the rows of V^-1 and tau = t / cos(alpha)."""
     e, v = eigensystem(p)
     w = np.linalg.inv(v)
     tau = np.array(p.t) / np.cos(p.alpha)
     u_spec = (per_matrix(np.exp(-1j * e * tau)) * (v[..., :, 0, None] * w[..., None, 0, :])
               + per_matrix(np.exp(-1j * -e * tau)) * (v[..., :, 1, None] * w[..., None, 1, :]))
-    return _max(np.abs(u_spec - propagator(p)))
+    return _max(np.abs(u_spec - u))
 
 
 def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
                        include_pair_forms: bool = False) -> list[CheckResult]:
-    """Every check over the same sample, each evaluated as one stack of its points."""
+    """Every check over the same sample, each as one stack of its points; U is formed once,
+    and a fault perturbs a copy of it that only `uu-dagger-closed-form` reads."""
     if sample_size < 1:
         raise UsageError(f"sample size must be >= 1, got {sample_size}")
     alphas, ts = _sample(sample_size, 2 * np.pi / 5)
@@ -85,11 +86,13 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = composition_check(PTParams(alphas, 0.1), np.abs(ts) / 2, np.abs(ts) / 3)
     results.append(CheckResult("propagator-composition", res, 1e-12))
 
-    u = propagator(PTParams(alphas, ts)) + fault * np.array([[1.0, 0.0], [0.0, 0.0]])
-    res = _max(np.abs(u @ dagger(u) - uu_dagger_reference(alphas, ts)))
+    p = PTParams(alphas, ts)
+    u, ref = propagator(p), uu_dagger_reference(alphas, ts)
+    faulty = u + fault * np.array([[1.0, 0.0], [0.0, 0.0]])
+    res = _max(np.abs(faulty @ dagger(faulty) - ref))
     results.append(CheckResult("uu-dagger-closed-form", res, 1e-10))
 
-    res = _biorthogonal_reconstruction_residual(PTParams(alphas, ts))
+    res = _biorthogonal_reconstruction_residual(p, u)
     results.append(CheckResult("eigensystem-reconstruction", res, 1e-9))
 
     # One stacked context table per preset family, shared by every check below:
@@ -99,11 +102,9 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     tables = [table(pt_standard(alphas, ts)), table(pt_variant(alphas, ts, thetas, phis)),
               table(unitary_standard(ts)), table(unitary_variant(ts, thetas, phis))]
 
-    res = max(_max(abs(l123 - (1 - 4 * beta))) for l123, beta in map(l123_and_beta, tables))
-    results.append(CheckResult("three-time-beta-identity", res, 1e-12))
-
-    res = max(_max(abs(v123 - (1 - 4 * delta))) for v123, delta in map(v123_and_delta, tables))
-    results.append(CheckResult("three-time-delta-identity", res, 1e-12))
+    for name, identity in (("beta", l123_and_beta), ("delta", v123_and_delta)):  # x = 1 - 4 y
+        res = max(_max(abs(x - (1 - 4 * y))) for x, y in (tab.cached(identity) for tab in tables))
+        results.append(CheckResult(f"three-time-{name}-identity", res, 1e-12))
 
     res = max(map(_max, map(decomposition_residual_standard, tables)))
     results.append(CheckResult("decomposition-standard", res, 1e-10))
@@ -114,13 +115,12 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = max(_max(tab.cached(degree_report).max_aot()) for tab in tables[2:])
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
-    ref = uu_dagger_reference(alphas, ts)
-    res = _max(abs(bob_reduced(PTParams(alphas, ts)).mat - ref / per_matrix(weights(ref))))
+    res = _max(abs(bob_reduced(p).mat - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
     res = _max([signaling_deviation(PTParams(0.0, np.abs(ts))),
                 signaling_deviation(PTParams(alphas, np.pi))])
-    interior = signaling_deviation(PTParams(alphas, ts))[np.abs(alphas) > 0.3].min()
+    interior = signaling_deviation(p)[np.abs(alphas) > 0.3].min()
     if interior <= 1e-6:
         res = max(res, 1.0)
     results.append(CheckResult("signaling-iff-trivial", res, 1e-12))

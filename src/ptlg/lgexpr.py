@@ -54,8 +54,8 @@ class ContextTable:
     """The seven context distributions of one preset, each computed on first use.
 
     Index with the measured times: ``tab[1, 2, 3]``, ``tab[2, 3]``, ``tab[1]``.
-    The table belongs to its caller: the preset caches its chain's weights and
-    transfer tables, never a distribution.  `cached` keeps a reduction with it.
+    The table belongs to its caller: the preset keeps its transfer tables, and its chain
+    once the oracle reads it, never a distribution; `cached` keeps a reduction with it.
     """
 
     def __init__(self, preset: ScenarioPreset):

@@ -50,11 +50,13 @@ class DegreeReport:
 
 
 def degree_report(x: ScenarioPreset | ContextTable) -> DegreeReport:
-    """Each coarse context's probabilities minus the matching marginal of the full one."""
+    """Each coarse context's probabilities minus the matching marginal of the full one:
+    its rows summed one after another from 0, as `OutcomeDistribution.marginal` sums them."""
     tab = table(x)
-    full = tab[1, 2, 3]
-    return DegreeReport(*(tab[times].probs - full.marginal(times)
-                          for times in ((2, 3), (1, 3), (1, 2), (1,))))
+    p = tab[1, 2, 3].probs
+    marginals = {(2, 3): (p[0], p[1]), (1, 3): (p[:, 0], p[:, 1]), (1, 2): (p[:, :, 0], p[:, :, 1]),
+                 (1,): (p[:, 0, 0], p[:, 0, 1], p[:, 1, 0], p[:, 1, 1])}
+    return DegreeReport(*(tab[times].probs - sum(rows) for times, rows in marginals.items()))
 
 
 def decomposition_residual_standard(x: ScenarioPreset | ContextTable) -> float:
@@ -69,7 +71,7 @@ def decomposition_residual_standard(x: ScenarioPreset | ContextTable) -> float:
     tab = table(x)
     rep = tab.cached(degree_report)
     l13_val = l13(tab)
-    l123, _ = l123_and_beta(tab)
+    l123, _ = tab.cached(l123_and_beta)
     d, r, dd = rep.d_123, rep.r_12_3, rep.d_1_2_3
     decomposition = (np.trace(d) - np.trace(d[:, ::-1]) + np.trace(r) - np.trace(r[:, ::-1])
                      + np.trace(dd[:, ::-1]) - np.trace(dd))
@@ -88,7 +90,7 @@ def decomposition_residual_variant(x: ScenarioPreset | ContextTable) -> float:
     tab = table(x)
     rep = tab.cached(degree_report)
     v1 = variant_v(1, tab)
-    v123, _ = v123_and_delta(tab)
+    v123, _ = tab.cached(v123_and_delta)
     decomposition = 2.0 * np.trace(rep.d_123) + rep.r_1_23[0] - rep.r_1_23[1]
     residual = abs((v1 - v123) - decomposition)
     return residual if residual.ndim else float(residual)

@@ -22,8 +22,10 @@ them out per context into one array (`OutcomeDistribution`).  Every chain
 start is the state's mixture of kets (`InitialState.kets`), each ket carried
 through U(t) entry by entry when the chain pre-evolves, then renormalized
 (`_start`).  `unnormalized_chain` evolves branch states along the same legs
-with `@` instead, as an independent oracle; apart from it, `@` (BLAS) forms
-only the published gap legs.  Under non-unitary evolution N differs from
+with `@` instead, as an independent oracle, from `ScenarioPreset.chain`: a
+preset forms it on the oracle's first read and keeps it for every outcome
+tuple (`transfer` forms and frees its own); apart from the oracle, `@` (BLAS)
+forms only the published gap legs.  Under non-unitary evolution N differs from
 context to context, which is exactly what lets the marginal of a finer context
 disagree with a coarser context's distribution (`macrodiag` quantifies this).
 Per-step renormalization is deliberately not used: it would force every
@@ -134,6 +136,11 @@ class ScenarioPreset:
         check_aligned(p.alpha, p.t, state.theta, state.phi)
 
     @cached_property
+    def chain(self) -> list:
+        """`_chain` of this preset, formed on first use (by the oracle) and kept."""
+        return _chain(self)
+
+    @cached_property
     def transfer(self) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables
         T[n - 1, i, j] = T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1,
@@ -142,7 +149,7 @@ class ScenarioPreset:
         start; (N,) for a stack).  Formed on first use, so that a failure
         raises at the first context read.
         """
-        vh = next((bras for obs, bras in _MODULE_BRAS if obs is self.observable), None)
+        vh = next((bras for obs, bras, _ in _MODULE if obs is self.observable), None)
         state, *legs = _chain(self)
         mats = [_bras(self.observable) if vh is None else vh, state.mat, *legs]
         n = max((x.shape[0] for x in mats if x.ndim == 3), default=None)
@@ -317,15 +324,16 @@ def _chain(preset: ScenarioPreset) -> list:
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
     """Chain value p~ for one outcome tuple, from branch states; nonnegative up to
     roundoff.  An (N,) array for a stacked preset."""
-    times = ctx.measured_times
-    if len(outcomes) != len(times):
-        raise UsageError(f"{len(times)} measured times but {len(outcomes)} outcomes")
-    start, *legs = _chain(ctx.preset)
+    times, obs = ctx.measured_times, ctx.preset.observable
+    if len(outcomes) != len(times) or not set(outcomes) <= {1, -1}:
+        raise UsageError(f"{len(times)} measured times need as many +-1 outcomes, got {outcomes}")
+    pis = next((p for o, _, p in _MODULE if o is obs), None) or [projector(obs, m) for m in (1, -1)]
+    start, *legs = ctx.preset.chain
     rho = start.mat
     legs = [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]
     for u, m in zip(legs, outcomes):
         rho = u @ rho @ dagger(u)
-        pi = projector(ctx.preset.observable, m)
+        pi = pis[(1 - m) // 2]
         rho = pi @ rho @ pi
     value = np.maximum(weights(rho), 0.0)
     return value if value.ndim else float(value)
@@ -383,5 +391,7 @@ def _bras(observable: np.ndarray) -> np.ndarray:
     return np.array(bras)
 
 
-# the module observables, validated once at import; any other is validated per preset
-_MODULE_BRAS = tuple((obs, _bras(obs)) for obs in (SIGMA_Y, SIGMA_Z))
+# the module observables with their bras and projectors (+1 first), validated once at
+# import; any other is validated per preset and per oracle call
+_MODULE = tuple((obs, _bras(obs), [projector(obs, m) for m in (+1, -1)])
+                for obs in (SIGMA_Y, SIGMA_Z))

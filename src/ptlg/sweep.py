@@ -202,7 +202,7 @@ def scan(cfg: SweepConfig) -> SweepResult:
     argmax_params, argmax_value, converged, preset = dict(best.params), best.value, None, None
     if cfg.refine:
         argmax_params, argmax_value, converged, preset = refine_max(
-            cfg, argmax_params, stack if samples and not any(errors[len(points):]) else None)
+            cfg, argmax_params, (not any(errors[len(points):]) and stack) if samples else None)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
                        argmax_value=argmax_value, converged=converged,
                        preset=preset or build_preset(cfg, argmax_params))
@@ -232,11 +232,12 @@ def _samples(cfg: SweepConfig, states: bool, shifted: bool = False) -> dict:
             else {"t": tfit.sample_times(published, shifted)})
 
 
-def _fit(cfg: SweepConfig, params: dict, states: bool, stack: ScenarioPreset | None = None):
+def _fit(cfg: SweepConfig, params: dict, states: bool, stack: ScenarioPreset | bool | None):
     """The fit at params' alpha (`tfit.fit`), along t or with `states` over
     (t, state), from the samples that end `stack` or from their own stack;
-    sampled again on the shifted set if a sample fails a check; None if both fail."""
-    for shifted in (False, True):
+    sampled again on the shifted set if a sample fails a check, at once if
+    `stack` is False (one failed there); None if both fail."""
+    for shifted in (False, True)[stack is False:]:
         try:
             return tfit.fit(stack or build_preset(cfg, params | _samples(cfg, states, shifted)),
                             cfg.expression, states=states, shifted=shifted)
@@ -299,15 +300,17 @@ def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list)
             bool(i < len(keep) and converged[keep[i]]), None if any(errors) else stack.column(i))
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float], stack: ScenarioPreset | None = None):
+def refine_max(cfg: SweepConfig, seed: dict[str, float],
+               stack: ScenarioPreset | bool | None = None):
     """Maximization from a seed point: the point, its value (never below the
     seed's), whether it converged, and its preset if a column of the final
     engine stack (`ScenarioPreset.column`).  At fixed alpha `_refine_t` or
-    `_refine_state` on the fit (`_fit`, on `stack`: `scan`'s), or, where both
-    sample sets fail a check, one pass of engine k-sections over one grid
-    spacing about the seed, unconverged.  A gridded alpha is k-sectioned over
-    one grid spacing about the seed's, each probe the fixed-alpha refinement
-    there (-inf where it fails); the seed's alpha or the best probe wins."""
+    `_refine_state` on the fit (`_fit`, on `stack`: `scan`'s, False if a sample
+    failed in it), or, where both sample sets fail a check, one pass of engine
+    k-sections over one grid spacing about the seed, unconverged.  A gridded
+    alpha is k-sectioned over one grid spacing about the seed's, each probe the
+    fixed-alpha refinement there (-inf where it fails); the seed's alpha or the
+    best probe wins."""
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     moving = [n for n, _ in sweepable]

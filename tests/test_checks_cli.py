@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptlg import checks, protocol
+import ptlg
+from ptlg import checks, nosignal, protocol, ptdyn
 from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
@@ -39,6 +40,67 @@ class TestIdentitySuite:
         results = run_identity_suite(sample_size=4)
         failed = {r.name for r in results if not r.passed}
         assert failed == {"partner-state-closed-form"}
+
+
+# the residuals' float.hex at sample sizes 1, 13 and 64, recorded when the suite formed
+# every chain and propagator afresh for each check and each outcome tuple
+RECORDED_RESIDUALS = {
+    1: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.6a09e667f3bcdp-53",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-53", "0x1.8000000000000p-52",
+        "0x1.0000000000000p-53", "0x1.0000000000000p-53", "0x1.0000000000000p-53",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-51", "0x0.0p+0", "0x1.0000000000000p-52"),
+    13: ("0x1.0000000000000p-51", "0x1.0000000000000p-49", "0x1.07e0f66afed07p-51",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-51",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-52", "0x1.8000000000000p-53",
+         "0x1.0000000000000p-52", "0x1.0000000000000p-51", "0x1.2000000000000p-51",
+         "0x1.0000000000000p-51"),
+    64: ("0x1.4000000000000p-49", "0x1.0000000000000p-49", "0x1.01fe03f61bad0p-50",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.b000000000000p-51",
+         "0x1.9c00000000000p-51", "0x1.8000000000000p-52", "0x1.0000000000000p-52",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-51",
+         "0x1.0000000000000p-51"),
+}
+# with a 1e-3 fault only the uu-dagger residual moves; the pair forms add one residual
+RECORDED_FAULT = {1: "0x1.93afa94ab4400p-9", 13: "0x1.23177911ba000p-8",
+                  64: "0x1.3912696f8d800p-8"}
+RECORDED_PAIR = {1: "0x1.60a6f865cbdf5p+6", 13: "0x1.39f8a7cc9eaecp+9",
+                 64: "0x1.17a65a13b7679p+11"}
+CHECK_NAMES = ("propagator-composition", "uu-dagger-closed-form", "eigensystem-reconstruction",
+               "three-time-beta-identity", "three-time-delta-identity", "decomposition-standard",
+               "decomposition-variant", "unitary-aot-exact", "partner-state-closed-form",
+               "signaling-iff-trivial", "unitary-standard-closed-form",
+               "unitary-variant-closed-form", "probability-sanity")
+
+
+class TestSuiteFormsEachQuantityOnce:
+    @pytest.mark.parametrize("n", sorted(RECORDED_RESIDUALS))
+    @pytest.mark.parametrize("form", ("plain", "fault", "pair"))
+    def test_residuals_are_the_recorded_bits(self, n, form):
+        want = list(zip(CHECK_NAMES, RECORDED_RESIDUALS[n]))
+        if form == "fault":
+            want[1] = (want[1][0], RECORDED_FAULT[n])
+        if form == "pair":
+            want.append(("pair-closed-forms", RECORDED_PAIR[n]))
+        results = run_identity_suite(n, fault=1e-3 if form == "fault" else 0.0,
+                                     include_pair_forms=form == "pair")
+        assert [(r.name, float(r.residual).hex()) for r in results] == want
+
+    @pytest.mark.parametrize("pair_forms,chains,propagators", [(False, 4, 16), (True, 5, 18)])
+    def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, chains, propagators):
+        # one chain per stacked table and one for the oracle's preset, whose
+        # outcome tuples all read it; U(t) of the sample is formed once
+        calls, chain, propagator = [], protocol._chain, ptdyn.propagator
+
+        def counting(p):
+            calls.append("propagator")
+            return propagator(p)
+
+        monkeypatch.setattr(protocol, "_chain", lambda preset: calls.append("chain")
+                            or chain(preset))
+        for module in (ptdyn, protocol, checks, nosignal, ptlg):
+            monkeypatch.setattr(module, "propagator", counting)
+        run_identity_suite(13, include_pair_forms=pair_forms)
+        assert (calls.count("chain"), calls.count("propagator")) == (chains, propagators)
 
 
 class TestCheckCommand:

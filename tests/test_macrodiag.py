@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptlg import lgexpr
+from ptlg import lgexpr, sweep
 from ptlg.lgexpr import (EXPRESSIONS, expression, l123_and_beta, l13, table, v123_and_delta,
                          variant_v)
 from ptlg.macrodiag import (
@@ -238,3 +240,43 @@ def test_reductions_of_one_table_share_its_degree_report(monkeypatch):
     report = violation_classifier(tab)
     assert calls == [tab]
     assert report.max_aot_degree == degree_report(tab).max_aot()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(sweep.KINDS), standard=st.booleans(), pre_evolution=st.booleans(),
+       alpha=st.floats(-1.5, 1.5), ts=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=5),
+       theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi), stacked=st.booleans())
+def test_degree_tables_subtract_the_full_context_marginal(kind, standard, pre_evolution, alpha,
+                                                          ts, theta, phi, stacked):
+    # `OutcomeDistribution.marginal` is the oracle of the in-order row sums of
+    # `degree_report`, bit for bit (numpy's pairwise reductions round differently)
+    cfg = sweep.SweepConfig(expression="L13" if standard else "V1", kind=kind,
+                            fixed={"t": 0.0} | ({} if kind == "unitary" else {"alpha": alpha}),
+                            pre_evolution=pre_evolution or kind == "pt-published")
+    params = cfg.fixed | {"t": tuple(ts) if stacked else ts[0], "theta": theta, "phi": phi}
+    tab = table(sweep.build_preset(cfg, params))
+    rep = degree_report(tab)
+    for field, times in (("d_123", (2, 3)), ("d_1_2_3", (1, 3)), ("r_12_3", (1, 2)),
+                         ("r_1_23", (1,))):
+        want = tab[times].probs - tab[1, 2, 3].marginal(times)
+        assert np.array_equal(getattr(rep, field), want)
+        assert np.array_equal(np.signbit(getattr(rep, field)), np.signbit(want))
+
+
+def test_identity_suite_reduces_each_table_once(monkeypatch):
+    # the identity checks and both decomposition residuals share each table's
+    # l123_and_beta and v123_and_delta, as they share its degree report
+    from ptlg import checks, macrodiag
+
+    calls = []
+    for name in ("l123_and_beta", "v123_and_delta"):
+        original = getattr(lgexpr, name)
+
+        def counting(x, name=name, original=original):
+            calls.append((name, id(x)))
+            return original(x)
+
+        for module in (checks, macrodiag):
+            monkeypatch.setattr(module, name, counting)
+    checks.run_identity_suite(sample_size=16)
+    assert len(calls) == len(set(calls)) == 8

@@ -723,12 +723,14 @@ class TestOneStackPerStage:
 
     def test_failing_sample_sends_the_fit_to_the_shifted_set(self, monkeypatch):
         # a check that refuses the sample t = 0 wherever it is read: the grid's
-        # rows stand, and the fit is read again on the shifted set; the result
-        # was recorded when the samples always had a stack of their own
-        original = sweep.build_preset
+        # rows stand, and the fit goes straight to the shifted set, since the
+        # unshifted samples would fail again alone; the result was recorded when
+        # the samples always had a stack of their own
+        original, sizes = sweep.build_preset, []
 
         def checked(cfg, params):
             t = params["t"]
+            sizes.append(len(t) if isinstance(t, tuple) else 1)
             if isinstance(t, tuple) and 0.0 in t:
                 exc = DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
                 exc.failures = {t.index(0.0): str(exc)}
@@ -741,6 +743,8 @@ class TestOneStackPerStage:
         res = scan(ONE_DIM_SCAN)
         assert [r.value for r in res.rows] == want
         assert [n for n, _ in fits] == [7]  # the shifted set's own stack
+        # the grid with the samples, again without t = 0, the shifted set, the reading
+        assert sizes == [39, 38, 7, 37]
         assert (res.argmax_params, res.argmax_value, res.converged) == (
             {"alpha": 1.45, "t": 1.052358768234466}, 0.2905259026212247, True)
 
