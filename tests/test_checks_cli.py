@@ -42,8 +42,9 @@ class TestIdentitySuite:
         assert failed == {"partner-state-closed-form"}
 
 
-# the residuals' float.hex at sample sizes 1, 13 and 64, recorded when the suite formed
-# every chain and propagator afresh for each check and each outcome tuple
+# the residuals' float.hex at sample sizes 1, 13 and 64, recorded from a suite that formed
+# every chain and propagator afresh for each check and each outcome tuple: sharing them
+# must not move a bit
 RECORDED_RESIDUALS = {
     1: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.6a09e667f3bcdp-53",
         "0x1.0000000000000p-52", "0x1.0000000000000p-53", "0x1.8000000000000p-52",
@@ -88,7 +89,8 @@ class TestSuiteFormsEachQuantityOnce:
     @pytest.mark.parametrize("pair_forms,chains,propagators", [(False, 4, 16), (True, 5, 18)])
     def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, chains, propagators):
         # one chain per stacked table and one for the oracle's preset, whose
-        # outcome tuples all read it; U(t) of the sample is formed once
+        # outcome tuples all read it; the U U^dagger and eigensystem checks share
+        # one U(t) of the sample (`nosignal` still forms its own, twice)
         calls, chain, propagator = [], protocol._chain, ptdyn.propagator
 
         def counting(p):
