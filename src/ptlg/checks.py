@@ -26,7 +26,7 @@ from .macrodiag import (
     degree_report,
 )
 from .matcore import dagger, per_matrix, weights
-from .nosignal import bob_reduced, signaling_deviation
+from .nosignal import bob_reduced, mixed_distance, signaling_deviation
 from .protocol import (
     MeasurementContext,
     pt_standard,
@@ -115,12 +115,13 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = max(_max(tab.cached(degree_report).max_aot()) for tab in tables[2:])
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
-    res = _max(abs(bob_reduced(p).mat - ref / per_matrix(weights(ref))))
+    partner = bob_reduced(p)
+    res = _max(abs(partner.mat - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
     res = _max([signaling_deviation(PTParams(0.0, np.abs(ts))),
                 signaling_deviation(PTParams(alphas, np.pi))])
-    interior = signaling_deviation(p)[np.abs(alphas) > 0.3].min()
+    interior = mixed_distance(partner)[np.abs(alphas) > 0.3].min()
     if interior <= 1e-6:
         res = max(res, 1.0)
     results.append(CheckResult("signaling-iff-trivial", res, 1e-12))

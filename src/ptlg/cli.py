@@ -12,6 +12,8 @@ import re
 import sys
 from functools import cache
 
+import numpy as np
+
 from .checks import run_identity_suite
 from .errors import DegenerateWeightError, DomainError, UsageError
 from .macrodiag import violation_classifier
@@ -50,37 +52,48 @@ def _json_float(s: str) -> str:
     return _JSON_NONFINITE.get(r, r)
 
 
-def _write_table(path: str, columns, rows, fmt: str, config: dict, summary: dict):
-    """Write the rows as CSV, or as the text `json.dump(..., indent=1)` gives for
-    {"config", "rows", "summary"} with every value read back as `_round12(v)`.
+def _write_table(path: str, columns, blocks, fmt: str, config: dict, summary: dict):
+    """Write the (len(columns), N) blocks' rows, one block at a time, as CSV, or as
+    the text `json.dump(..., indent=1)` gives for {"config", "rows", "summary"}
+    with every value read back as `_round12(v)`, the rows spliced in at `"rows": []`.
 
-    Each row is formatted with one `%` template and written on its own.  The
-    JSON rows are spliced in where the dumped payload holds `"rows": []`.
+    A column whose bits are constant over a block (0.0 and -0.0 print apart) is
+    formatted once, into the block's row template; the other values go through
+    one `%`.  JSON splits that text on "," and rewrites (`_json_float`) only the
+    tokens of non-finite values, |v| < 2.3e-308, |v| >= 1e11 and values within
+    1e-10 |v| of an integer: integral texts ("3", "-0"), 1e12 <= |v| < 1e16,
+    subnormals, nan and inf are the tokens not their JSON text.  12 digits name
+    one normal double, so any other token is its shortest repr, in repr's form.
     """
-    values = ",".join(["%.12g"] * len(columns))
+    text = json.dumps({"config": config, "rows": [], "summary": summary}, indent=1)
+    head, _, tail = text.partition('\n "rows": []')
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            if fmt == "csv":
-                fh.write(",".join(columns) + "\n")
-                line = values + "\n"
-                for row in rows:
-                    fh.write(line % row)
-                return
-            text = json.dumps({"config": config, "rows": [], "summary": summary}, indent=1)
-            if not rows:
+            if fmt == "json" and not blocks:
                 fh.write(text + "\n")
                 return
-            head, _, tail = text.partition('\n "rows": []')
-            obj = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %s" for c in columns) + "\n  }"
-            fh.write(head + '\n "rows": [\n')
-            sep = ""
-            for row in rows:
-                # A decimal of at most 12 significant digits in the normal range
-                # is its own shortest repr: a "." and no exponent marks one.
-                fh.write(sep + obj % tuple([s if "." in s and "e" not in s else _json_float(s)
-                                            for s in (values % row).split(",")]))
-                sep = ",\n"
-            fh.write("\n ]" + tail + "\n")
+            fh.write(",".join(columns) + "\n" if fmt == "csv" else head + '\n "rows": [\n')
+            for i, block in enumerate(blocks):
+                bits = block.view(np.uint64)
+                const = (bits == bits[:, :1]).all(axis=1)
+                values = block[~const].T.ravel()
+                cells = ["%.12g" % v if c else None for c, v in zip(const, block[:, 0].tolist())]
+                if fmt == "csv":
+                    fh.write((",".join("%.12g" if c is None else c for c in cells) + "\n")
+                             * block.shape[1] % tuple(values.tolist()))
+                    continue
+                tokens = (",".join(["%.12g"] * values.size) % tuple(values.tolist())).split(",")
+                a = np.abs(values)
+                w = np.where(a < 1e11, values, 0.5)  # rint reads no inf, and no value past 1e11
+                for j in np.flatnonzero(~np.isfinite(values) | (a < 2.3e-308) | (a >= 1e11)
+                                        | (np.abs(w - np.rint(w)) <= 1e-10 * np.abs(w))).tolist():
+                    tokens[j] = _json_float(tokens[j])
+                obj = ",\n".join(f"   {json.dumps(k)}: " + ("%s" if c is None else _json_float(c))
+                                 for k, c in zip(columns, cells))
+                fh.write(",\n" * (i > 0) + ",\n".join(["  {\n" + obj + "\n  }"] * block.shape[1])
+                         % tuple(tokens[:values.size]))
+            if fmt == "json":
+                fh.write("\n ]" + tail + "\n")
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -188,13 +201,16 @@ def _alpha_t_grid(args) -> tuple[tuple[float, ...], GridSpec, dict]:
                             "t_steps": args.t_steps}
 
 
-def _emit_table(args, default_out: str, columns, rows, config: dict, max_key: str) -> int:
-    """Write a table whose third column is summarized by its finite maximum."""
+def _emit_table(args, default_out: str, data: FigureData, config: dict, max_key: str) -> int:
+    """Write a table whose third column is summarized by its finite maximum; report its failures."""
     out = args.out or default_out
-    finite = [row[2] for row in rows if math.isfinite(row[2])]
-    summary = {"rows": len(rows), max_key: _round12(max(finite)) if finite else float("nan")}
-    _write_table(out, columns, rows, args.format, config, summary)
-    print(f"wrote {out} ({len(rows)} rows)")
+    third = np.concatenate([block[2] for block in data.blocks])
+    finite = third[np.isfinite(third)].tolist()  # max() keeps the first of 0.0 and -0.0
+    summary = {"rows": third.size, max_key: _round12(max(finite)) if finite else float("nan")}
+    _write_table(out, data.columns, data.blocks, args.format, config, summary)
+    failed = [e for e in data.errors if e is not None]
+    note = f"; {len(failed)} failed, the first: {failed[0]}" if failed else ""
+    print(f"wrote {out} ({third.size} rows{note})")
     return EXIT_OK
 
 
@@ -208,8 +224,7 @@ def cmd_figure(args) -> int:
     )
     config = {"figure": args.n} | grid | {"theta": args.theta, "phi": args.phi,
                                           "pre_evolution": args.pre_evolution}
-    return _emit_table(args, f"ptlg_figure{args.n}.{args.format}", data.columns, data.rows,
-                       config, "max_value")
+    return _emit_table(args, f"ptlg_figure{args.n}.{args.format}", data, config, "max_value")
 
 
 def cmd_optimize(args) -> int:
@@ -277,13 +292,14 @@ def cmd_check(args) -> int:
 def cmd_nosignal(args) -> int:
     alphas, window, grid = _alpha_t_grid(args)
     ts = window.values()
-    rows = []
+    blocks, errors = [], []
     for alpha in alphas:
-        (devs,), _ = grid_columns(lambda t: (signaling_deviation(PTParams(alpha, t)),),
+        devs, errs = grid_columns(lambda t: (signaling_deviation(PTParams(alpha, t)),),
                                   {"t": ts}, 1)
-        rows += [(alpha, t, dev) for t, dev in zip(ts, devs)]
-    return _emit_table(args, f"ptlg_nosignal.{args.format}", ("alpha", "t", "deviation"),
-                       rows, grid, "max_deviation")
+        blocks.append(np.vstack([np.full_like(ts, alpha), ts, devs]))
+        errors += errs
+    data = FigureData(("alpha", "t", "deviation"), blocks, errors)
+    return _emit_table(args, f"ptlg_nosignal.{args.format}", data, grid, "max_deviation")
 
 
 def main(argv=None) -> int:

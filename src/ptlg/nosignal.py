@@ -28,13 +28,14 @@ def bob_reduced(p: PTParams) -> QubitDensity:
     return _start(maximally_mixed(), propagator(p))
 
 
-def signaling_deviation(p: PTParams):
-    """Trace distance between the partner's reduced state and I/2; an (N,)
-    array for a t-grid.
-
-    The difference d is traceless and Hermitian, so its eigenvalues are
-    +-sqrt(d00^2 + |d01|^2) and the trace distance is that root.
-    """
-    d = bob_reduced(p).mat - I2 / 2.0
+def mixed_distance(rho: QubitDensity):
+    """Trace distance between the partner's state `rho` and I/2, an (N,) array for a
+    stack: sqrt(d00^2 + |d01|^2), the upper eigenvalue of the traceless rho - I/2."""
+    d = rho.mat - I2 / 2.0
     dev = np.hypot(d[..., 0, 0].real, np.abs(d[..., 0, 1]))
     return dev if isinstance(dev, np.ndarray) else float(dev)
+
+
+def signaling_deviation(p: PTParams):
+    """`mixed_distance` of `bob_reduced(p)`; an (N,) array for a t-grid."""
+    return mixed_distance(bob_reduced(p))

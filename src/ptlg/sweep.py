@@ -138,9 +138,9 @@ def evaluate_expression(cfg: SweepConfig, params: dict | ScenarioPreset):
                       else build_preset(cfg, params))
 
 
-def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list]:
-    """The `width` columns of `f` over N aligned points, evaluated as stacks,
-    and each point's failure reason (None where it succeeded).
+def grid_columns(f, axes: dict[str, list], width: int) -> tuple[np.ndarray, list]:
+    """The `width` columns of `f` over N aligned points, evaluated as stacks, as
+    one (width, N) array, and each point's failure reason (None where it succeeded).
 
     `axes` maps each varying parameter to its N values; `f(**params)` takes
     them as tuples and returns `width` arrays (or constants).  A domain or
@@ -164,7 +164,7 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[list[list], list
         for col, v in zip(cols, values):
             col[live] = v
         break
-    return cols.tolist(), errors
+    return cols, errors
 
 
 def _read(cfg: SweepConfig, params: dict, axes: dict):
@@ -178,7 +178,7 @@ def _read(cfg: SweepConfig, params: dict, axes: dict):
         return (evaluate_expression(cfg, presets[-1]),)
 
     (values,), errors = grid_columns(f, axes, 1)
-    return values, errors, presets[-1]
+    return values.tolist(), errors, presets[-1]
 
 
 def scan(cfg: SweepConfig) -> SweepResult:
@@ -352,7 +352,8 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float],
 @dataclass(frozen=True)
 class FigureData:
     columns: tuple[str, ...]
-    rows: list[tuple[float, ...]]
+    blocks: list[np.ndarray]  # a (len(columns), N) block per alpha, in order
+    errors: list[str | None]  # each row's failure reason (None where it succeeded)
 
 
 # DegreeReport field -> its columns, one per outcome row in the field's order (+1 first)
@@ -382,9 +383,9 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
     3: standard LG value plus all NSIT/AOT degree curves per alpha.
     4: variant V1 plus its NSIT and AOT degree curves per alpha.
 
-    Each alpha's t-grid is one stacked preset and one context table.  A point
-    outside the domain, or with a degenerate context, gives a row of NaNs
-    after its (alpha, t) (see `grid_columns`).
+    Each alpha's t-grid is one stacked preset, one context table and one block.
+    A point outside the domain, or with a degenerate context, gives a row of
+    NaNs after its (alpha, t), and its reason (see `grid_columns`).
     """
     if fig not in _FIGURES:
         raise UsageError(f"figure index must be 1..4, got {fig}")
@@ -392,8 +393,7 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
     expr, tables, trailing = _FIGURES[fig]
     degree_cols = tuple(c for name in tables for c in _DEGREE_COLUMNS[name])
     columns = ("alpha", "t", expr) + degree_cols + trailing
-    constants = tuple({"theta": theta, "phi": phi}[c] for c in trailing)
-    rows: list[tuple[float, ...]] = []
+    blocks, errors = [], []
     for alpha in alphas:
         def values(t):
             tab = table(_pt_preset(expr, alpha, t, theta, phi, pre_evolution))
@@ -401,6 +401,8 @@ def figure_data(fig: int, t_steps: int = 512, alphas=DEFAULT_ALPHAS,
             return [expression(expr, tab), *(row for name in tables
                                              for row in getattr(rep, name).reshape(-1, len(t)))]
 
-        cols, _ = grid_columns(values, {"t": ts}, 1 + len(degree_cols))
-        rows += [(alpha, t) + tuple(v) + constants for t, *v in zip(ts, *cols)]
-    return FigureData(columns, rows)
+        cols, errs = grid_columns(values, {"t": ts}, 1 + len(degree_cols))
+        blocks.append(np.vstack([np.full_like(ts, alpha), ts, cols, *(
+            np.full_like(ts, {"theta": theta, "phi": phi}[c]) for c in trailing)]))
+        errors += errs
+    return FigureData(columns, blocks, errors)

@@ -86,11 +86,12 @@ class TestSuiteFormsEachQuantityOnce:
                                      include_pair_forms=form == "pair")
         assert [(r.name, float(r.residual).hex()) for r in results] == want
 
-    @pytest.mark.parametrize("pair_forms,chains,propagators", [(False, 4, 16), (True, 5, 18)])
+    @pytest.mark.parametrize("pair_forms,chains,propagators", [(False, 4, 15), (True, 5, 17)])
     def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, chains, propagators):
         # one chain per stacked table and one for the oracle's preset, whose
         # outcome tuples all read it; the U U^dagger and eigensystem checks share
-        # one U(t) of the sample (`nosignal` still forms its own, twice)
+        # one U(t) of the sample, and both partner-state checks one `bob_reduced`
+        # of it (which forms its own U(t) in `nosignal`)
         calls, chain, propagator = [], protocol._chain, ptdyn.propagator
 
         def counting(p):
@@ -156,6 +157,26 @@ class TestFigureCommand:
             for key, val in cr.items():
                 assert float(val) == pytest.approx(jr[key], abs=0)
 
+    def test_wrote_line_counts_failed_rows(self, tmp_path, capsys):
+        # near the EP this state's context (3,) loses its weight at t = 200: that row
+        # fails, and the line gives the count and the first reason; the file is the
+        # value-by-value table, its failed row NaN after (alpha, t)
+        out = tmp_path / "f.csv"
+        argv = ["figure", "2", "--alpha", "1.570796", "--theta", "0.1", "--phi", "0",
+                "--t-max", "200", "--t-steps", "8", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out} (8 rows; 1 failed, the first: context (3,) carries total weight "
+            "-9.885e-05; cannot normalize)\n")
+        data = figure_data(2, t_steps=8, alphas=(1.570796,), theta=0.1, phi=0.0, t_max=200)
+        _reference_table(tmp_path / "want", data.columns, data.blocks[0].T.tolist(), "csv",
+                         {}, {})
+        assert out.read_bytes() == (tmp_path / "want").read_bytes()
+        assert out.read_text().splitlines()[-1] == "1.570796,200,nan,0.1,0"
+        for argv in (["figure", "2", "--t-steps", "8"], ["nosignal", "--t-steps", "8"]):
+            assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"wrote {out} (32 rows)\n"
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         rc = main(["figure", "1", "--t-steps", "4",
                    "--out", str(tmp_path / "missing" / "f.csv")])
@@ -180,10 +201,17 @@ def _reference_table(path, columns, rows, fmt, config, summary):
             fh.write("\n")
 
 
-def _assert_same_bytes(columns, rows, fmt, config, summary, tmp: Path):
-    _write_table(str(tmp / "got"), columns, rows, fmt, config, summary)
+def _assert_same_bytes(columns, blocks, fmt, config, summary, tmp: Path):
+    """The writer's bytes for the (len(columns), N) `blocks` against the value-by-value
+    reference over their rows, block after block."""
+    rows = [row for block in blocks for row in np.asarray(block).T.tolist()]
+    _write_table(str(tmp / "got"), columns, blocks, fmt, config, summary)
     _reference_table(tmp / "want", columns, rows, fmt, config, summary)
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+
+
+def _block(*columns) -> np.ndarray:
+    return np.array(columns, dtype=float)
 
 
 # NaN, +-inf, +-0.0 and subnormals come from st.floats(); [1e12, 1e16) is where
@@ -191,34 +219,76 @@ def _assert_same_bytes(columns, rows, fmt, config, summary, tmp: Path):
 _VALUES = st.one_of(st.floats(), st.floats(1e12, 1e16, exclude_max=True),
                     st.floats(-1e16, -1e12, exclude_min=True),
                     st.floats(-1e-300, 1e-300))
+# every kind of value whose 12-digit text is not its JSON text, and some that are
+_TOKENS = (float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -1e-310,
+           2.2250738585072014e-308, 3.0, -2.0, 1e10, 123456789012.0, 999999999999.9,
+           1e12, -3.5e15, 1e16, 1.5, 1e-5, 0.99999999999996, -2.5e-7)
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 class TestTableWriter:
     def test_figure_table_with_nan_rows(self, fmt, tmp_path):
         data = figure_data(3, alphas=(2 * np.pi / 5,), t_min=-0.005)
-        assert any(np.isnan(row[2]) for row in data.rows)
+        assert np.isnan(data.blocks[0][2]).any()
         config = {"figure": 3, "alphas": [2 * np.pi / 5], "t_min": -0.005, "t_max": np.pi,
                   "t_steps": 512, "pre_evolution": "on"}
-        summary = {"rows": len(data.rows), "max_value": 1.25}
-        _assert_same_bytes(data.columns, data.rows, fmt, config, summary, tmp_path)
+        summary = {"rows": 512, "max_value": 1.25}
+        _assert_same_bytes(data.columns, data.blocks, fmt, config, summary, tmp_path)
 
     def test_empty_rows(self, fmt, tmp_path):
         _assert_same_bytes(("alpha", "t", "L13"), [], fmt, {"figure": 1},
                            {"rows": 0, "max_value": float("nan")}, tmp_path)
 
+    def test_one_row(self, fmt, tmp_path):
+        # every column of a one-row block is constant: the row has no `%` value
+        _assert_same_bytes(("alpha", "t", "L13"), [_block([0.5], [-0.0], [float("nan")])], fmt,
+                           {"figure": 1}, {"rows": 1}, tmp_path)
+
     def test_config_with_lists_strings_and_bools(self, fmt, tmp_path):
         config = {"alphas": [0.0, 1.2, -0.5], "label": 'say "rows": [] \u00e9',
                   "flags": [True, False], "nested": {"rows": [], "x": None}, "on": True}
-        rows = [(0.5, 1.0, -2.5e-7), (np.float64(1e-5), np.float64(3.0), float("inf"))]
-        _assert_same_bytes(("a", "b", "c"), rows, fmt, config, {"rows": 2}, tmp_path)
+        block = _block([0.5, 1e-5], [1.0, 3.0], [-2.5e-7, float("inf")])
+        _assert_same_bytes(("a", "b", "c"), [block], fmt, config, {"rows": 2}, tmp_path)
+
+    def test_zero_and_negative_zero_in_one_column(self, fmt, tmp_path):
+        # 0.0 == -0.0, but they print as 0 and -0: the column is not constant
+        block = _block([0.0, -0.0, 0.0], [0.1, 0.2, 0.3], [-0.0, -0.0, 0.0])
+        _assert_same_bytes(("alpha", "t", "x"), [block], fmt, {}, {"rows": 3}, tmp_path)
+
+    def test_constant_columns_of_special_values(self, fmt, tmp_path):
+        specials = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e12)
+        block = _block([0.1, 0.2, 0.3], *([v] * 3 for v in specials))
+        columns = ("t", "nan", "inf", "minus_inf", "minus_zero", "subnormal", "big")
+        _assert_same_bytes(columns, [block], fmt, {}, {"rows": 3}, tmp_path)
+
+    def test_tokens_that_are_not_their_json_text(self, fmt, tmp_path):
+        n = len(_TOKENS)
+        block = _block(_TOKENS, [1.25] * n, _TOKENS[::-1])
+        _assert_same_bytes(("x", "c", "y"), [block], fmt, {}, {"rows": n}, tmp_path)
+
+    def test_two_blocks_whose_alpha_changes(self, fmt, tmp_path):
+        blocks = [_block([0.5] * 3, [0.0, 1.0, 2.0], [1.5, -0.25, 3.0]),
+                  _block([1.0] * 2, [0.0, 1.0], [2.0, float("nan")])]
+        _assert_same_bytes(("alpha", "t", "L13"), blocks, fmt, {"alphas": [0.5, 1.0]},
+                           {"rows": 5}, tmp_path)
 
     @settings(derandomize=True, deadline=None)
-    @given(rows=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), max_size=6))
-    def test_any_float(self, fmt, rows):
+    @given(blocks=st.lists(st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1,
+                                    max_size=6), max_size=3))
+    def test_any_float(self, fmt, blocks):
         with tempfile.TemporaryDirectory() as tmp:
-            _assert_same_bytes(("x", "y", "z"), rows, fmt, {"k": [1.5]},
-                               {"rows": len(rows)}, Path(tmp))
+            _assert_same_bytes(("x", "y", "z"), [_block(*zip(*rows)) for rows in blocks], fmt,
+                               {"k": [1.5]}, {"rows": sum(map(len, blocks))}, Path(tmp))
+
+    @settings(derandomize=True, deadline=None)
+    @given(blocks=st.lists(st.tuples(_VALUES, st.lists(st.tuples(_VALUES, _VALUES), min_size=1,
+                                                       max_size=6)), min_size=1, max_size=3))
+    def test_constant_column(self, fmt, blocks):
+        # a figure's alpha column: one value over each block, another in the next
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_same_bytes(("alpha", "t", "v"),
+                               [_block([c] * len(rows), *zip(*rows)) for c, rows in blocks], fmt,
+                               {}, {"rows": sum(len(rows) for _, rows in blocks)}, Path(tmp))
 
 
 class TestOptimizeCommand:

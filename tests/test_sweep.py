@@ -890,7 +890,7 @@ class TestStackedScan:
         assert np.isnan(cols[0][0]) and cols[0][1] == 4.0 and np.isnan(cols[0][2])
         assert np.isnan(cols[1][0]) and cols[1][1] == 7.0 and np.isnan(cols[1][2])
         cols, errors = grid_columns(f, {"t": [1.0, 2.0], "theta": [3.0, 4.0]}, 2)
-        assert cols == [[3.0, 8.0], [7.0, 7.0]] and errors == [None, None]
+        assert cols.tolist() == [[3.0, 8.0], [7.0, 7.0]] and errors == [None, None]
 
     def test_grid_columns_error_naming_no_point_fails_all(self):
         def f(t):
@@ -956,22 +956,27 @@ class TestFailingPointsDropOut:
                                     exact=False)
 
 
+def _rows(data: FigureData) -> list[tuple]:
+    """The table's rows, block after block."""
+    return [tuple(row) for block in data.blocks for row in block.T.tolist()]
+
+
 class TestFigureData:
     def test_figure1_hermitian_row_matches_closed_form(self):
         data = figure_data(1, t_steps=64, alphas=(0.0,))
         assert data.columns == ("alpha", "t", "L13")
-        for _, t, val in data.rows:
+        for _, t, val in _rows(data):
             assert val == pytest.approx(unitary_l13(t), abs=1e-10)
 
     def test_figure1_bounded_by_algebraic_maximum(self):
         data = figure_data(1, t_steps=128)
-        vals = [row[2] for row in data.rows if np.isfinite(row[2])]
+        vals = [row[2] for row in _rows(data) if np.isfinite(row[2])]
         assert max(vals) <= 3.0 + 1e-9
 
     def test_figure3_hermitian_aot_columns_vanish(self):
         data = figure_data(3, t_steps=48, alphas=(0.0,))
         r_cols = [i for i, c in enumerate(data.columns) if c.startswith("R12_3")]
-        for row in data.rows:
+        for row in _rows(data):
             for i in r_cols:
                 assert abs(row[i]) < 1e-12
 
@@ -994,7 +999,7 @@ class TestFigureData:
 
     def test_row_count(self):
         data: FigureData = figure_data(1, t_steps=16, alphas=(0.0, 0.5))
-        assert len(data.rows) == 32
+        assert len(_rows(data)) == len(data.errors) == 32
 
     def test_each_row_computes_each_context_once(self, distribution_calls):
         # figure 3 needs five contexts per row: three pairs for L13, plus {1}
@@ -1031,7 +1036,7 @@ def _assert_rows_equal_points(data, theta, phi, pre_evolution):
     Returns the number of NaN rows.
     """
     nan_rows = 0
-    for row in data.rows:
+    for row in _rows(data):
         alpha, t = row[:2]
         try:
             want = _row_alone(data.columns, alpha, t, theta, phi, pre_evolution)
@@ -1055,7 +1060,7 @@ class TestStackedGrid:
         theta, phi = 1.1, 0.4
         data = figure_data(fig, t_steps=16, alphas=DEFAULT_ALPHAS, theta=theta, phi=phi,
                            pre_evolution=pre_evolution)
-        assert len(data.rows) == 16 * len(DEFAULT_ALPHAS)
+        assert len(_rows(data)) == 16 * len(DEFAULT_ALPHAS)
         assert _assert_rows_equal_points(data, theta, phi, pre_evolution) == 0
 
     def test_nosignal_equals_points(self):
@@ -1076,9 +1081,11 @@ class TestStackedGrid:
     def test_grid_with_negative_durations(self):
         data = figure_data(3, t_steps=6, alphas=(0.5,), t_min=-0.3, t_max=1.0)
         assert _assert_rows_equal_points(data, 0.0, 0.0, True) == 2
-        assert [np.isnan(row[2]) for row in data.rows] == [True, True] + [False] * 4
+        assert [np.isnan(row[2]) for row in _rows(data)] == [True, True] + [False] * 4
+        assert [e is not None and "duration t must be >= 0" in e for e in data.errors] == (
+            [True, True] + [False] * 4)
         ts = np.linspace(-0.3, 1.0, 6)
         (devs,), _ = grid_columns(lambda t: (signaling_deviation(PTParams(0.5, t)),),
                                   {"t": ts.tolist()}, 1)
         assert np.isnan(devs[:2]).all()
-        assert devs[2:] == [signaling_deviation(PTParams(0.5, t)) for t in ts[2:]]
+        assert devs[2:].tolist() == [signaling_deviation(PTParams(0.5, t)) for t in ts[2:]]
