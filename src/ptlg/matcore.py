@@ -103,13 +103,10 @@ class QubitDensity:
     unnormalized weight (trace >= 0).
 
     Hermiticity and positive semidefiniteness are enforced at construction,
-    both to ``1e-12`` tolerances, at every point of a stack.  `weight` is the
-    trace a renormalized state had before (one value per point of a stack), and
-    1 for a state that was never renormalized.
+    both to ``1e-12`` tolerances, at every point of a stack.
     """
 
     mat: np.ndarray
-    weight: float | np.ndarray = 1.0
 
     def __post_init__(self):
         m = as_cmat(self.mat)

@@ -141,13 +141,11 @@ class ScenarioPreset:
         return _chain(self)
 
     @cached_property
-    def transfer(self) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    def transfer(self) -> tuple[np.ndarray, np.ndarray]:
         """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables
         T[n - 1, i, j] = T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1,
-        m_1 = -1), each with a trailing axis of N points for a stack, then the
-        start's weight: the trace that `_start` divided out (1 for a bare
-        start; (N,) for a stack).  Formed on first use, so that a failure
-        raises at the first context read.
+        m_1 = -1), each with a trailing axis of N points for a stack.  Formed on
+        first use, so that a failure raises at the first context read.
         """
         vh = next((bras for obs, bras, _ in _MODULE if obs is self.observable), None)
         state, *legs = _chain(self)
@@ -163,7 +161,7 @@ class ScenarioPreset:
         t = _product(vh, rho)  # the state at time k, then its diagonal in the eigenbasis:
         w = (t[:, :, 0] * v[:, 0] + t[:, :, 1] * v[:, 1]).real  # w(m) = <m|rho|m>
         a = abs(_product(_product(vh, gaps), v))  # |<m'|g|m>|, row m'
-        return w, (a * a).swapaxes(1, 2), state.weight
+        return w, (a * a).swapaxes(1, 2)
 
     def column(self, i: int) -> ScenarioPreset:
         """Point i of a stack as a one-point preset whose `transfer` is column i
@@ -173,8 +171,8 @@ class ScenarioPreset:
                                 for x in (p.alpha, p.t, s.theta, s.phi))
         point = replace(self, initial_state=replace(s, theta=theta, phi=phi),
                         evolution=replace(self.evolution, params=PTParams(alpha, t)))
-        w, tables, start = self.transfer
-        vars(point)["transfer"] = w[..., i], tables[..., i], start[i] if np.ndim(start) else start
+        w, tables = self.transfer
+        vars(point)["transfer"] = w[..., i], tables[..., i]
         return point
 
 
@@ -293,8 +291,7 @@ def initial_state_at_t1(preset: ScenarioPreset, u=None) -> QubitDensity:
 
 def _start(state: InitialState, u=None) -> QubitDensity:
     """Every chain start: the mixture of the state's kets, each carried through U(t) = `u`
-    entry by entry when given, renormalized (the bare state has unit weight), with the
-    weight it had as `QubitDensity.weight`."""
+    entry by entry when given, renormalized (the bare state has unit weight)."""
     p, psi = state.kets()
     if u is not None:  # U psi_k = u_i0 psi_0k + u_i1 psi_1k
         psi = u[..., :, :1] * psi[..., :1, :] + u[..., :, 1:] * psi[..., 1:, :]
@@ -302,7 +299,7 @@ def _start(state: InitialState, u=None) -> QubitDensity:
     w = weights(rho)
     raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
         f"pre-evolution weight {w:.3e} cannot be renormalized"))
-    return QubitDensity(rho / per_matrix(w), w)
+    return QubitDensity(rho / per_matrix(w))
 
 
 def _chain(preset: ScenarioPreset) -> list:
@@ -352,11 +349,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def context_weights(ctx: MeasurementContext) -> np.ndarray:
     """The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, as (2^k,)
     rows in `OutcomeDistribution.rows` order ((2^k, N) for a stack): the
-    values p~ of `unnormalized_chain`, from the renormalized start.  Times the
-    start's weight (`transfer`'s last entry) they are the chain's weights with
-    nothing divided out."""
-    times = ctx.measured_times
-    w, tables, _ = ctx.preset.transfer
+    values p~ of `unnormalized_chain`, from the renormalized start."""
+    return chain_products(*ctx.preset.transfer, ctx.measured_times)
+
+
+def chain_products(w: np.ndarray, tables: np.ndarray, times: tuple[int, ...]) -> np.ndarray:
+    """`context_weights` of weights and tables laid out as `ScenarioPreset.transfer`'s."""
     raw = w[times[0] - 1]
     trail = raw.shape[1:]
     for a, b in zip(times, times[1:]):  # p(..., m, m') = p(..., m) T(m'|m)

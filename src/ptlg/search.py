@@ -24,7 +24,8 @@ def starts(coef: np.ndarray, x, lo, hi) -> np.ndarray:
     """Starts of `maxima` in the box [lo, hi], rows of (t, theta, phi): x; the
     best STARTS local maxima (cells at least their neighbours) of `values` on a
     SEED_GRID over the box's first period; the states of `term_maxima` at x's t
-    and the best STARTS at the grid's t, clipped to the box.  NaN ones go."""
+    and the best STARTS at the grid's t, clipped to the box, ranked by `_tiers`
+    and within a tier by t, then term.  NaN ones go."""
     axes = [np.linspace(a, min(b, a + p), n) if b > a else np.array([a])
             for a, b, p, n in zip(lo, hi, PERIODS, SEED_GRID)]
     v = np.fmax(tfit.values(coef, *np.ix_(*axes)), -np.inf)  # NaN -> -inf
@@ -44,9 +45,20 @@ def starts(coef: np.ndarray, x, lo, hi) -> np.ndarray:
     state = np.where(out[0] <= out[1], *pairs).reshape(2, -1)
     terms = np.clip(np.column_stack([np.tile(ts, len(theta)), *state]), lo, hi)
     at = np.fmax(tfit.values(coef, *terms.T), -np.inf)
-    order = np.argsort(np.where(np.arange(len(at)) % len(ts) == 0, -np.inf, -at))
+    term, t = np.divmod(np.arange(len(at)), len(ts))
+    order = np.lexsort((term, -t, np.where(t == 0, -1, _tiers(at))))
     return np.vstack([x, np.column_stack([ax[i] for ax, i in zip(axes, np.unravel_index(
         cells, v.shape))]), terms[order[at[order] > -np.inf][:STARTS + len(theta)]]])
+
+
+def _tiers(v: np.ndarray) -> np.ndarray:
+    """Each value's tier, 0 for the best: down the sorted values, a gap above
+    tfit.TRIM starts the next tier, so values within TRIM of a neighbour tie and
+    the roundoff of the fit cannot rank them (-inf ones share the last tier)."""
+    order = np.argsort(-v)
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        tiers = np.cumsum(np.diff(v[order], prepend=v[order[0]]) < -tfit.TRIM)
+    return tiers[np.argsort(order)]
 
 
 def maxima(coef: np.ndarray, x, lo, hi, radius: float, iterations: int):

@@ -5,13 +5,13 @@ axes (t, alpha, theta, phi), each as one stacked preset (see `protocol`):
 `grid_columns` runs the stack, gives each point that a check names as failing
 its reason instead of aborting, and runs the rest again as one stack.
 
-`refine_max` refines on exact fits (`tfit`) and ends in one stacked engine
-reading, so the value it reports is the engine's: along t alone, at the
-maxima of the fit of each term in 2 t (`_refine_t`); at fixed alpha with an
-angle moving, at the ends of Newton steps on the (t, state) fit from many
-starts (`_refine_state`).  So a refined `scan` forms the chain twice: its
-grid's stack ends with the fit's samples, and the argmax's preset is the
-winning column of that reading (`SweepResult.preset`).
+`refine_max` refines on exact fits (`tfit`, from the closed form: no engine
+call) and ends in one stacked engine reading, so the value it reports is the
+engine's: along t alone, at the maxima of the fit of each term in 2 t
+(`_refine_t`); at fixed alpha with an angle moving, at the ends of Newton
+steps on the (t, state) fit from many starts (`_refine_state`).  So a refined
+`scan` forms the chain twice: for its grid, and for that reading, whose
+winning column is the argmax's preset (`SweepResult.preset`).
 """
 
 from __future__ import annotations
@@ -182,17 +182,11 @@ def _read(cfg: SweepConfig, params: dict, axes: dict):
 
 
 def scan(cfg: SweepConfig) -> SweepResult:
-    """Dense evaluation over the Cartesian grid as one stack, ending with the fit's
-    samples (`_samples`) where `refine_max` fits over them, then refinement."""
+    """Dense evaluation over the Cartesian grid as one stack, then refinement."""
     names = [n for n in PARAM_ORDER if n in cfg.grids]
     points = list(product(*(cfg.grids[n].values() for n in names)))
     axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
-    moving = [n for n in names if cfg.grids[n].count >= 2]
-    samples = _samples(cfg, moving != ["t"]) if cfg.refine and moving and "t" in names else {}
-    samples = samples if samples.keys() >= set(names) else {}  # else `refine_max` fits alone
-    base = {"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | cfg.fixed
-    axes |= {n: (axes.get(n) or [base[n]] * len(points)) + list(v) for n, v in samples.items()}
-    values, errors, stack = _read(cfg, cfg.fixed, axes)
+    values, errors, _ = _read(cfg, cfg.fixed, axes)
     rows = [SweepRow(params=dict(cfg.fixed) | dict(zip(names, p)), value=v, error=e)
             for p, v, e in zip(points, values, errors)]
     valid = [r for r in rows if r.error is None]
@@ -201,8 +195,7 @@ def scan(cfg: SweepConfig) -> SweepResult:
     best = max(valid, key=lambda r: r.value)
     argmax_params, argmax_value, converged, preset = dict(best.params), best.value, None, None
     if cfg.refine:
-        argmax_params, argmax_value, converged, preset = refine_max(
-            cfg, argmax_params, (not any(errors[len(points):]) and stack) if samples else None)
+        argmax_params, argmax_value, converged, preset = refine_max(cfg, argmax_params)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
                        argmax_value=argmax_value, converged=converged,
                        preset=preset or build_preset(cfg, argmax_params))
@@ -225,29 +218,8 @@ def _ksection_max(values, lo: float, hi: float):
             return x, fx
 
 
-def _samples(cfg: SweepConfig, states: bool, shifted: bool = False) -> dict:
-    """The stacks at which `tfit.fit` needs the chain, with `states` over (t, state)."""
-    published = cfg.kind == "pt-published"
-    return (tfit.sample_states(published, shifted) if states
-            else {"t": tfit.sample_times(published, shifted)})
-
-
-def _fit(cfg: SweepConfig, params: dict, states: bool, stack: ScenarioPreset | bool | None):
-    """The fit at params' alpha (`tfit.fit`), along t or with `states` over
-    (t, state), from the samples that end `stack` or from their own stack;
-    sampled again on the shifted set if a sample fails a check, at once if
-    `stack` is False (one failed there); None if both fail."""
-    for shifted in (False, True)[stack is False:]:
-        try:
-            return tfit.fit(stack or build_preset(cfg, params | _samples(cfg, states, shifted)),
-                            cfg.expression, states=states, shifted=shifted)
-        except (DomainError, DegenerateWeightError):
-            stack = None
-    return None
-
-
-def _refine_t(cfg: SweepConfig, params: dict, coef: np.ndarray, grid: GridSpec):
-    """`refine_max` along t alone, through the fit `coef` (`tfit`): one stacked
+def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
+    """`refine_max` along t alone, through the fit along t (`tfit.fit`): one stacked
     call reads the engine at the seed, both window ends and `tfit.candidates`.
     The best engine value wins.  A reading carries the engine's roundoff (about
     `err_bound(alpha)` near the EP); the exact V cannot tell the readings about
@@ -258,6 +230,8 @@ def _refine_t(cfg: SweepConfig, params: dict, coef: np.ndarray, grid: GridSpec):
     Converged: the winner is a reading of a settled maximum of the fit, or a
     window end where V rises outward.
     """
+    coef = tfit.fit(cfg.kind, params.get("alpha", 0.0), cfg.pre_evolution, cfg.expression, (
+        params.get("theta", DEFAULT_THETA), params.get("phi", DEFAULT_PHI)))
     ts, gaps = tfit.candidates(coef, grid.lo, grid.hi)
     ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
     values, errors, stack = _read(cfg, params, {"t": ts})
@@ -278,12 +252,13 @@ def _refine_t(cfg: SweepConfig, params: dict, coef: np.ndarray, grid: GridSpec):
     return params | {"t": t}, best, converged, None if any(errors) else stack.column(i)
 
 
-def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list):
+def _refine_state(cfg: SweepConfig, params: dict, grids: list):
     """`refine_max` at fixed alpha over `grids` among (t, theta, phi) through the
-    (t, state) fit `coef`: `search.maxima` from `search.starts` (trust radius: the
+    (t, state) fit (`tfit.fit`): `search.maxima` from `search.starts` (trust radius: the
     least grid spacing), then one engine stack at the ends that could win, best
     first (at most READS - 1), and at the seed.  The best reading wins;
     converged if it is a converged end's."""
+    coef = tfit.fit(cfg.kind, params.get("alpha", 0.0), cfg.pre_evolution, cfg.expression)
     x = np.array([({"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | params)[n] for n in FIT_AXES])
     lo, hi = (np.array([getattr(dict(grids).get(n), e, x[i]) for i, n in enumerate(FIT_AXES)])
               for e in ("lo", "hi"))
@@ -300,17 +275,14 @@ def _refine_state(cfg: SweepConfig, params: dict, coef: np.ndarray, grids: list)
             bool(i < len(keep) and converged[keep[i]]), None if any(errors) else stack.column(i))
 
 
-def refine_max(cfg: SweepConfig, seed: dict[str, float],
-               stack: ScenarioPreset | bool | None = None):
+def refine_max(cfg: SweepConfig, seed: dict[str, float]):
     """Maximization from a seed point: the point, its value (never below the
     seed's), whether it converged, and its preset if a column of the final
     engine stack (`ScenarioPreset.column`).  At fixed alpha `_refine_t` or
-    `_refine_state` on the fit (`_fit`, on `stack`: `scan`'s, False if a sample
-    failed in it), or, where both sample sets fail a check, one pass of engine
-    k-sections over one grid spacing about the seed, unconverged.  A gridded
-    alpha is k-sectioned over one grid spacing about the seed's, each probe the
-    fixed-alpha refinement there (-inf where it fails); the seed's alpha or the
-    best probe wins."""
+    `_refine_state`, or, with nothing moving, the seed's one reading, converged.
+    A gridded alpha is k-sectioned over one grid spacing about the seed's, each
+    probe the fixed-alpha refinement there (-inf where it fails); the seed's
+    alpha or the best probe wins."""
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     moving = [n for n, _ in sweepable]
@@ -334,19 +306,13 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float],
         a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
                              min(grid.hi, alpha + grid.spacing()))
         return max(results[alpha], results[a], key=lambda r: r[1])
-    if moving and (coef := _fit(cfg, params, moving != ["t"], stack)) is not None:
-        if moving == ["t"]:
-            return _refine_t(cfg, params, coef, sweepable[0][1])
-        return _refine_state(cfg, params, coef, sweepable)
+    if moving:
+        return (_refine_t(cfg, params, sweepable[0][1]) if moving == ["t"]
+                else _refine_state(cfg, params, sweepable))
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")
-    for name, grid in sweepable:
-        x, fx = _ksection_max(lambda xs: _read(cfg, params, {name: xs})[0], max(
-            grid.lo, params[name] - grid.spacing()), min(grid.hi, params[name] + grid.spacing()))
-        if fx > best:
-            params, best = params | {name: x}, fx
-    return params, best, not sweepable, None
+    return params, best, True, None
 
 
 @dataclass(frozen=True)

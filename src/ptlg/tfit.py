@@ -3,16 +3,18 @@
 Each term of an expression is a correlator in its own context (`lgexpr.TERMS`):
 a signed sum N_c of its outcome weights over their total D_c, times the term's
 sign, which `fit` folds into N_c: V is the plain sum of the rows' quotients, and
-nothing else reads TERMS.  With the weight that `protocol._start` divides out
-put back, N_c and D_c are trigonometric polynomials in theta = 2 t, of degree at
-most 3 on the sequential chain and 8 on the published one (whose legs reach
-U(4 t)), so M = 7 (17) equispaced t on a period (`sample_times`) determine them
-(`fit`; Trefethen, Approximation Theory and Approximation Practice, SIAM
-(2013)): along t, the exact derivatives (`slopes`) and where the maximum in a
+nothing else reads TERMS.  In the measured observable's eigenbasis the PT
+propagator is real, U~(t) = D R(t) D^-1, R(t) the rotation by t, D = diag(1, r),
+r = tan(pi/4 + alpha/2) (Mostafazadeh, J. Math. Phys. 43, 205 (2002)), r = 1 on
+the unitary kind.  So N_c and D_c, nothing divided out, are trigonometric
+polynomials in theta = 2 t of degree at most 3 (8 on the published chain, whose
+legs reach U(4 t)), fixed by their values at M = 7 (17) equispaced t (`fit`;
+Trefethen, Approximation Theory and Approximation Practice, SIAM (2013)).
+Along t they give the exact derivatives (`slopes`) and where the maximum in a
 window can lie (`candidates`).  Both are also affine in the pure state's Bloch
-features (`features`), so the samples at four STATES (`fit` with `states`) give
-V over all of (t, theta, phi) (`values`), its exact gradient and Hessian
-(`derivatives`), and where each term peaks (`term_maxima`); `search` climbs it.
+features (`features`), so `fit` also gives V over all of (t, theta, phi)
+(`values`), its exact gradient and Hessian (`derivatives`), and where each term
+peaks (`term_maxima`); `search` climbs it.
 
 Coefficients are laid out as c_k, k = -n .. n, of sum_k c_k e^(i k theta).
 """
@@ -22,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lgexpr import TERMS, outcome_signs
-from .protocol import MeasurementContext, ScenarioPreset, context_weights
+from .protocol import chain_products
+from .ptdyn import PTParams
 
 SCAN_DENSITY = 128  # scan steps of V' per radian of theta (`candidates`)
 NEWTON_STEPS = 8  # safeguarded Newton steps that polish each maximum
@@ -34,27 +37,12 @@ STENCIL = 1e-9 * np.arange(-8, 9)  # the engine's readings about each settled ma
 SEARCH = 1e-4  # least half-width of the engine's own search about an unsettled maximum
 DIP_RATIO = 10 ** 0.125  # ratio of successive DIP_OFFSETS, readings from 0.1 to 1e-6 each side
 DIP_OFFSETS = np.outer((-1, 1), DIP_RATIO ** -np.arange(8, 49)).ravel()
-STATES = ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 4, 0.0), (np.pi / 4, np.pi / 2))  # (theta, phi)
-# the samples at STATES -> features: the inverse of their features (1, 1, 0, 0), (1, -1, 0, 0),
-# (1, 0, 1, 0) and (1, 0, 0, 1) as rows
-UNMIX = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2]]) / 2
-
-
-def sample_times(published: bool, shifted: bool = False) -> tuple[float, ...]:
-    """The M equispaced t on [0, pi) at which `fit` needs the expression's chain.
-    `shifted` moves every t by half a sample step, pi / (2 M): any M equispaced
-    t on a period determine the fit."""
-    m = 17 if published else 7
-    ts = np.arange(m) * np.pi / m
-    return tuple(ts + np.pi / (2 * m) if shifted else ts)
-
-
-def sample_states(published: bool, shifted: bool = False) -> dict[str, tuple[float, ...]]:
-    """The (t, theta, phi) stacks at which `fit` with `states` needs the chain:
-    `sample_times` at each of STATES in turn."""
-    ts = sample_times(published, shifted)
-    return {"t": ts * len(STATES), "theta": tuple(th for th, _ in STATES for _ in ts),
-            "phi": tuple(ph for _, ph in STATES for _ in ts)}
+# per Bloch feature, the symmetric part E (rows of 2 x 2) in the measured basis B of the state
+# I/2 - sigma_z/2 cos 2 theta + sigma_x/2 sin 2 theta cos phi - sigma_y/2 sin 2 theta sin phi:
+# B = [[1, 1], [i, -i]] / sqrt(2) for sigma_y (PT kinds, row 0), diag(1, -i) for sigma_z (unitary,
+# row 1); sigma_x lands in the antisymmetric part, which a real U~ keeps off the diagonal: E = 0
+SYMMETRIC = np.reshape([[1, 0, 0, 1, 0, -1, -1, 0, 0, 0, 0, 0, -1, 0, 0, 1],
+                        [1, 0, 0, 1, -1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0]], (2, 4, 2, 2)) / 2
 
 
 def features(theta, phi) -> np.ndarray:
@@ -65,26 +53,41 @@ def features(theta, phi) -> np.ndarray:
     return np.array([np.ones(theta.shape), np.cos(2 * theta), s * np.cos(phi), s * np.sin(phi)])
 
 
-def fit(preset: ScenarioPreset, expression: str, states: bool = False,
-        shifted: bool = False) -> np.ndarray:
+def fit(kind: str, alpha: float, pre_evolution: bool, expression: str,
+        angles: tuple[float, float] | None = None) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows
-    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), from a stack `preset` ending at
-    `sample_times`, through the fixed M x M DFT matrix: the expression is the
-    sum of each pair's quotient.  The sign is an exact negation.  With `states`
-    (`preset` ending at `sample_states`), each row has a feature axis (R, 4,
-    2 n + 1): row r at PURE(theta, phi) is features(theta, phi) @ c[r]."""
-    m = len(sample_times(preset.evolution.published))
-    start, rows, tail = preset.transfer[2], [], slice(-m * (len(STATES) if states else 1), None)
+    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), of `expression` on the chain of
+    `kind` (`sweep.KINDS`) at alpha, from U~(j t), j = 0..4, at M equispaced t
+    on [0, pi) through the fixed M x M DFT matrix; the sign is an exact negation.
+    The legs are `protocol._chain`'s: into time k U~(k t) (sequential chain with
+    pre-evolution), U~((k - 1) t) (without; unitary kind) or U~((k + 1) t)
+    (published chain); across n steps U~(n t), or U~((n + 1) t) U~(t)^T on the
+    published chain.  A weight w_k(m) is (L E L^T)_mm of its leg L, a table entry
+    T_n(m'|m) G_m'm^2 of its gap G.  At `angles` (theta, phi) the rows run along
+    t (R, 2 n + 1); else each has a feature axis (R, 4, 2 n + 1), row r at
+    PURE(theta, phi) being features(theta, phi) @ c[r].  L13's state is I/2."""
+    alpha = PTParams(alpha, 0.0).alpha  # its domain check
+    published, m = kind == "pt-published", 17 if kind == "pt-published" else 7
+    r = 1.0 if kind == "unitary" else np.tan(np.pi / 4 + alpha / 2)
+    jt = np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)
+    c, s = np.cos(jt), np.sin(jt)
+    u = np.array([[c, -s / r], [r * s, c]]).transpose(2, 0, 1, 3)  # U~(j t): (5, 2, 2, M)
+    e = SYMMETRIC[int(kind == "unitary")] * np.array([1, *3 * [expression != "L13"]])[:, None, None]
+    if angles is not None:
+        e = (features(*angles) @ e.reshape(4, 4)).reshape(1, 2, 2)
+    if published:
+        legs, gaps = u[2:], np.einsum("nijz,kjz->nikz", u[2:4], u[1])
+    else:
+        legs, gaps = u[1:4] if pre_evolution and kind != "unitary" else u[:3], u[1:3]
+    w = np.einsum("kmiz,fij,kmjz->kmfz", legs, e, legs)  # (3 times, 2, F features, M)
+    tables = (gaps * gaps).swapaxes(1, 2)[:, :, :, None]
+    rows = []
     for sign, times in TERMS[expression]:
-        raw = (context_weights(MeasurementContext(preset, times)) * start)[:, tail]
-        rows += [sign * sum(outcome_signs(times, times, len(times) + 1) * raw), sum(raw)]
+        raw = chain_products(w, tables, times)
+        rows += [sign * (outcome_signs(times, times, len(times) + 2) * raw).sum(0), raw.sum(0)]
     dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
-    if shifted:  # a sample at t_j + pi / (2 m) reads c_k e^(i pi k / m)
-        dft = dft * np.exp(-1j * np.pi / m * (np.arange(m) - m // 2))
-    coef = np.array(rows).reshape(-1, m) @ dft
-    if not states:
-        return coef
-    return UNMIX @ coef.reshape(len(rows), len(STATES), -1)
+    coef = np.array(rows) @ dft
+    return coef if angles is None else coef[:, 0]
 
 
 def scales(coef: np.ndarray) -> np.ndarray:
@@ -100,7 +103,7 @@ def _resolved(coef: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def values(coef: np.ndarray, t, theta, phi) -> np.ndarray:
-    """V of the (t, state) fit `coef` (`fit` with `states`) at (t, theta, phi),
+    """V of the (t, state) fit `coef` (`fit` without angles) at (t, theta, phi),
     broadcast against each other, NaN where a total is below TRIM of its scale.
     The tensor is contracted on t, then on the features: a grid's axes
     (`np.ix_`) cost one contraction each."""

@@ -357,8 +357,8 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("kind", ("pt", "pt-published", "unitary"))
     def test_t_only_op_forms_the_chain_twice(self, capsys, monkeypatch, kind):
-        # once for the grid and the fit's samples, once for the engine's
-        # readings, whose winning column the classifier reads
+        # once for the grid, once for the engine's readings, whose winning
+        # column the classifier reads; the fit needs no chain
         chains, chain = [], protocol._chain
         monkeypatch.setattr(protocol, "_chain", lambda preset: chains.append(1) or chain(preset))
         alpha = [] if kind == "unitary" else ["--alpha", "1.45"]
@@ -372,21 +372,22 @@ class TestOptimizeCommand:
     def test_unsettled_winner_prints_its_recorded_output(self, capsys):
         # the published dip: the winner comes from the engine's own search about
         # an unsettled maximum, so its preset is built afresh; the bytes were
-        # recorded when the classifier always built its own preset
+        # recorded with the closed-form fit, whose last bits set where that
+        # search starts
         assert main(["optimize", "V2", "--kind", "pt-published", "--t-min", "0.05", "--t-max",
                      "1.65", "--t-steps", "20", "--alpha", "-1.506937014647157", "--theta",
                      "1.4866141201638425", "--phi", "1.3604874374011873"]) == 0
         assert capsys.readouterr().out == json.dumps({
             "expression": "V2", "kind": "pt-published",
-            "params": {"alpha": -1.50693701465, "phi": 1.3604874374, "t": 1.57024791651,
+            "params": {"alpha": -1.50693701465, "phi": 1.3604874374, "t": 1.57024791654,
                        "theta": 1.48661412016},
             "value": 2.99538199702, "converged": False,
             "classifier": {
                 "lg_violated": {"L13": False, "V1": False, "V2": True, "V3": False},
                 "nsit_violated": True, "aot_violated": True,
-                "lg_values": {"L13": -2.99529354751, "V1": -0.127253472599, "V2": 2.99538199702,
-                              "V3": -0.0894804271387},
-                "max_nsit_degree": 0.997944005549, "max_aot_degree": 0.997940039929}},
+                "lg_values": {"L13": -2.99529354812, "V1": -0.127253475423, "V2": 2.99538199702,
+                              "V3": -0.0894804323282},
+                "max_nsit_degree": 0.997944005588, "max_aot_degree": 0.997940039968}},
             indent=1) + "\n"
 
 class TestNosignalCommand:

@@ -87,18 +87,29 @@ def test_propagator_is_antiperiodic(alpha, t):
 
 @settings(derandomize=True, deadline=None)
 @given(alpha=st.floats(-1.5, 1.5), t=ANGLES, theta=ANGLES, phi=st.floats(0.0, 2 * np.pi),
-       published=st.booleans())
-def test_phi_reflection_leaves_every_distribution_unchanged(alpha, t, theta, phi, published):
+       chain=st.sampled_from(("sequential", "bare", "published", "unitary")))
+def test_phi_reflection_leaves_every_distribution_unchanged(alpha, t, theta, phi, chain):
     # The ket (e^{i phi} sin theta, cos theta) goes under phi -> pi - phi to
     # sigma_z K of itself (K: complex conjugation), up to a global sign.
     # H = [[i sin alpha, 1], [1, -i sin alpha]] has sigma_z H* sigma_z = -H, so
     # sigma_z U* sigma_z = U for U = exp(-i H t); sigma_z sigma_y* sigma_z =
     # sigma_y, so each projector (I + m sigma_y) / 2 maps to itself.  Every
     # chain amplitude therefore maps to its complex conjugate, and all seven
-    # distributions are equal.  Hence phi = pi / 2 is stationary in phi.
-    tabs = [table(pt_variant(alpha, t, theta, p, published=published))
-            for p in (phi, np.pi - phi)]
-    tol = err_bound(alpha)
+    # distributions are equal.  Hence phi = pi / 2 is stationary in phi.  The
+    # closed form (`tfit`) says the same on every chain, the unitary one and
+    # the sequential one without pre-evolution too: in the measured basis every
+    # leg is real, so a weight reads only the state's symmetric part, and the
+    # sin 2 theta cos phi feature, the one the reflection flips, has none.
+    def preset(p):
+        if chain == "unitary":
+            return unitary_variant(t, theta, p)
+        return pt_variant(alpha, t, theta, p, pre_evolution=chain != "bare",
+                          published=chain == "published")
+
+    tabs = [table(preset(p)) for p in (phi, np.pi - phi)]
+    tol = err_bound(0.0 if chain == "unitary" else alpha)
+    for times in CONTEXTS:
+        assert np.abs(tabs[0][times].probs - tabs[1][times].probs).max() <= tol, times
     for name in ("V1", "V2", "V3"):
         assert abs(expression(name, tabs[0]) - expression(name, tabs[1])) <= tol
     reports = [degree_report(tab) for tab in tabs]

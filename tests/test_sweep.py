@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_reference import err_bound
 
-from ptlg import sweep, tfit
+from ptlg import protocol, search, sweep, tfit
 from ptlg.closedform import unitary_l13
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import EXPRESSIONS, TERMS, expression, l13, table
 from ptlg.macrodiag import degree_report, violation_classifier
 from ptlg.matcore import raise_where
 from ptlg.nosignal import signaling_deviation
-from ptlg.protocol import MeasurementContext, context_weights, pt_standard, pt_variant
+from ptlg.protocol import pt_standard, pt_variant
 from ptlg.ptdyn import PTParams
 from ptlg.sweep import (DEFAULT_ALPHAS, DEFAULT_PHI, DEFAULT_THETA, FigureData, GridSpec,
                         SweepConfig, evaluate_expression, figure_data, grid_columns, refine_max,
@@ -139,6 +140,13 @@ TWIN_MAXIMA_SCANS = [
                         "phi": GridSpec(3.266930343832405, 7.979319324217094, 4)}),
      2.4623977745, (0.529925, 0.786767, 7.853982)),  # 1007/6
 ]
+# a near-EP V1 scan of the optimize benchmark (1007/1) at whose grid's t the terms of V1
+# peak at states where V1 reads 1 within 4e-11
+FLAT_TERM_PEAKS_SCAN = SweepConfig(
+    expression="V1", kind="pt", refine=True, fixed={"alpha": 1.4794484113552833},
+    grids={"t": GridSpec(0.4035024771534925, 1.589226422314287, 6),
+           "theta": GridSpec(0.26326159510657965, 1.9654290218191273, 4),
+           "phi": GridSpec(4.867878023406172, 9.580267003790862, 4)})
 
 
 class TestRefine:
@@ -165,8 +173,8 @@ class TestRefine:
         assert converged
 
     def test_one_dim_refinement_call_budget(self, monkeypatch):
-        # two stacked engine calls in all: the fit's samples, then the seed, both
-        # window ends and the readings of the maxima
+        # one stacked engine call in all, at the seed, both window ends and the
+        # readings of the maxima: the fit needs none
         calls = []
         original = sweep.build_preset
 
@@ -180,16 +188,8 @@ class TestRefine:
         assert converged
         assert value == pytest.approx(1.5, abs=1e-12)
         assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
-        assert len(calls) == 2 and all(isinstance(t, tuple) for t in calls)
-        samples, candidates = calls
-        assert len(samples) == 7  # the sequential chain's fit
-        assert candidates[:3] == (0.5, 0.01, np.pi)
-
-    def test_state_samples_unmix_exactly(self):
-        # UNMIX inverts the STATES' features: its product with them is the identity
-        # up to the roundoff of cos and sin at pi / 2 and pi / 4
-        product = tfit.UNMIX @ tfit.features(*zip(*tfit.STATES)).T
-        assert abs(product - np.eye(4)).max() <= 2 * np.finfo(float).eps
+        assert len(calls) == 1 and isinstance(calls[0], tuple)
+        assert calls[0][:3] == (0.5, 0.01, np.pi)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
@@ -208,11 +208,7 @@ class TestRefine:
         # Where a term's total nearly vanishes on the sphere (d0 ~ |d|) that
         # loss reaches 1e-8 (the example: d0 - |d| is 1.2e-9 of d0); elsewhere the
         # bound is a few ulps.
-        fixed = {} if kind == "unitary" else {"alpha": alpha}
-        cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
-                          fixed=fixed)
-        coef = tfit.fit(sweep.build_preset(cfg, fixed | tfit.sample_states(kind == "pt-published")),
-                        expr, states=True)
+        coef = tfit.fit(kind, 0.0 if kind == "unitary" else alpha, True, expr)
         theta, phi = (a[:, 0] for a in tfit.term_maxima(coef, [t]))
         rows = tfit.trig(coef, 2 * np.array([t]))[0][..., 0]  # (R, 4)
         b = np.random.default_rng(0).standard_normal((3, 20000))
@@ -264,41 +260,30 @@ class TestRefine:
         # 2 + cos u has no real root: its companion roots are z = -2 +- sqrt(3)
         assert tfit.real_roots(np.array([0.5, 2.0, 0.5])).size == 0
 
-    def test_one_dim_refinement_falls_back_when_a_sample_fails(self, monkeypatch):
-        def refused(preset, expression, states=False, shifted=False):
-            raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
-
-        monkeypatch.setattr(tfit, "fit", refused)
-        params, value, converged, _ = refine_max(unitary_l13_cfg(count=101), {"t": 0.5})
-        assert value == pytest.approx(1.5, abs=1e-12)
-        assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
-
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
            pre_evolution=st.booleans(), alpha=st.floats(-1.45, 1.45),
            theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi),
            ts=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=8))
     def test_fit_reproduces_engine(self, expr, kind, pre_evolution, alpha, theta, phi, ts):
-        # M = 7 samples (17 on the published chain) determine each term's
-        # numerator and total exactly, so the model is the engine at any t.
-        # The rows carry roundoff relative to their largest value, which a
+        # the closed form at M = 7 t (17 on the published chain) determines each
+        # term's numerator and total exactly, so the model is the engine at any
+        # t.  The rows carry roundoff relative to their largest value, which a
         # term's normalization divides by D_c(t): the bound scales
         # err_bound(alpha), the engine's error on a probability, by
-        # sum_c max|D_c| / D_c(t), D_c(t) read from the engine, so that a fit
-        # with too few samples cannot widen its own bound.
+        # sum_c max|D_c| / D_c(t)
         pre_evolution = pre_evolution or kind == "pt-published"
         fixed = {"theta": theta, "phi": phi} | ({} if kind == "unitary" else {"alpha": alpha})
         cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
                           fixed=fixed, pre_evolution=pre_evolution)
-        samples = tfit.sample_times(kind == "pt-published")
-        fit = tfit.fit(sweep.build_preset(cfg, fixed | {"t": samples}), expr)
+        fit = tfit.fit(kind, fixed.get("alpha", 0.0), pre_evolution, expr, (theta, phi))
         assert fit.shape == (6, 17 if kind == "pt-published" else 7)
         ts = np.array(ts)
         num, den = tfit.trig(fit, 2 * ts)[0].reshape(3, 2, ts.size).transpose(1, 0, 2)
         model = (num / den).sum(0)  # the rows carry their terms' signs
         at = sweep.build_preset(cfg, fixed | {"t": tuple(ts.tolist())})
         engine = np.asarray(expression(expr, at))
-        amplification = (abs(fit[1::2]).sum(1)[:, None] / _totals(at, expr)).sum(0)
+        amplification = (abs(fit[1::2]).sum(1)[:, None] / _totals(fit, ts)).sum(0)
         bound = err_bound(0.0 if kind == "unitary" else alpha) * amplification
         assert np.all(abs(model - engine) <= bound), (abs(model - engine) / bound).max()
 
@@ -385,71 +370,15 @@ class TestRefine:
         assert res.argmax_value == pytest.approx(evaluate_expression(RIDGE_SCAN, res.argmax_params),
                                                  abs=err_bound(RIDGE_SCAN.fixed["alpha"]))
 
-    @pytest.mark.parametrize("cfg, want", [
-        (RIDGE_SCAN, ({"alpha": 1.426860673717, "t": 1.0545304563153914,
-                       "theta": 2.6386637072318164, "phi": 7.853983718404802},
-                      0.2764313812927416, False)),
-        (WORKLOAD_SCAN, ({"alpha": 1.4753338410612633, "t": 0.37632741362364797,
-                          "theta": 0.9051027211258451, "phi": 7.853981631271451},
-                         0.4041322247278427, False)),
-    ])
-    def test_multi_dim_refinement_is_unchanged(self, cfg, want, monkeypatch):
-        # where both sample sets of the state fit fail a check, the search reads
-        # the engine alone: one cyclic pass of k-sections from the seed, never
-        # below it and never converged; recorded values
-        fit = tfit.fit
-        shifted = []
-
-        def refused(preset, expression, states=False, **kwargs):
-            if states:
-                shifted.append(kwargs.get("shifted", False))
-                raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
-            return fit(preset, expression)
-
-        monkeypatch.setattr(tfit, "fit", refused)
-        res = scan(cfg)
-        assert shifted == [False, True]
-        assert (res.argmax_params, res.argmax_value, res.converged) == want
-        assert res.argmax_value >= max(r.value for r in res.rows)
-
-    @pytest.mark.parametrize("cfg, on_states", [(RIDGE_SCAN, True), (ONE_DIM_SCAN, False)],
-                             ids=("state", "t"))
-    def test_failed_state_sample_is_read_again_shifted(self, cfg, on_states, monkeypatch):
-        # on either route, the shifted sample set t_j + pi / (2 M) determines the same fit
-        fit, calls = tfit.fit, []
-
-        def refused(preset, expression, states=False, shifted=False):
-            calls.append(shifted)
-            if states == on_states and not shifted:
-                raise DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
-            return fit(preset, expression, states, shifted)
-
-        want = scan(cfg)
-        monkeypatch.setattr(tfit, "fit", refused)
-        res = scan(cfg)
-        assert calls == [False, True]
-        assert res.converged
-        assert res.argmax_value == pytest.approx(want.argmax_value,
-                                                 abs=err_bound(cfg.fixed["alpha"]))
-
-        def samples(shifted):
-            if on_states:
-                return tfit.sample_states(False, shifted)
-            return {"t": tfit.sample_times(False, shifted)}
-
-        unshifted, again = (fit(sweep.build_preset(cfg, cfg.fixed | samples(shifted)),
-                                cfg.expression, on_states, shifted) for shifted in (False, True))
-        assert abs(again - unshifted).max() <= 1e-12 * abs(unshifted).max()
-
     @pytest.mark.parametrize("cfg, want, before", [
         (RIDGE_SCAN, ({"alpha": 1.426860673717, "t": 0.535380872854154,
-                       "theta": 0.7880697993236141, "phi": 7.853981633974481},
-                      2.4615369046951687, True),
+                       "theta": 0.788069799323615, "phi": 7.853981633974483},
+                      2.4615369046967617, True),
          ({"t": 0.535380872854154, "theta": 0.7880697978436287, "phi": 7.85398163397042},
           2.4615369046977893)),
-        (WORKLOAD_SCAN, ({"alpha": 1.4753338410612633, "t": 0.5304436014940119,
-                          "theta": 0.7864152295181129, "phi": 7.853981633974477},
-                         2.464598862494121, True),
+        (WORKLOAD_SCAN, ({"alpha": 1.4753338410612633, "t": 0.5304436014812886,
+                          "theta": 0.7864152295162897, "phi": 7.853981633974483},
+                         2.4645988624931157, True),
          ({"t": 0.5304446866220299, "theta": 0.7864153865115064, "phi": 7.853981633972052},
           2.464598862490791)),
     ])
@@ -464,9 +393,9 @@ class TestRefine:
         assert res.argmax_value >= max(r.value for r in res.rows)
         old, value = cfg.fixed | before[0], before[1]
         assert evaluate_expression(cfg, old) == value
-        at = sweep.build_preset(cfg, old)
-        coef = tfit.fit(sweep.build_preset(cfg, old | {"t": tfit.sample_times(False)}), "V3")
-        bound = err_bound(cfg.fixed["alpha"]) * (tfit.scales(coef)[:, 0] / _totals(at, "V3")).sum()
+        coef = tfit.fit("pt", cfg.fixed["alpha"], True, "V3", (old["theta"], old["phi"]))
+        amplification = (tfit.scales(coef)[:, 0] / _totals(coef, old["t"])).sum()
+        bound = err_bound(cfg.fixed["alpha"]) * amplification
         assert res.argmax_value >= value - bound
 
     @pytest.mark.parametrize("cfg, value, where", TWIN_MAXIMA_SCANS,
@@ -475,19 +404,16 @@ class TestRefine:
         # its floor: the recorded value less the engine's roundoff there,
         # err_bound(alpha) amplified by the terms' totals
         point = cfg.fixed | dict(zip(("t", "theta", "phi"), where))
-        coef = tfit.fit(sweep.build_preset(cfg, point | {"t": tfit.sample_times(False)}),
-                        cfg.expression)
-        amplification = (tfit.scales(coef)[:, 0] / _totals(sweep.build_preset(cfg, point),
-                                                           cfg.expression)).sum()
+        coef = tfit.fit("pt", cfg.fixed["alpha"], True, cfg.expression, where[1:])
+        amplification = (tfit.scales(coef)[:, 0] / _totals(coef, where[0])).sum()
         res = scan(cfg)
         assert res.argmax_value >= value - err_bound(cfg.fixed["alpha"]) * amplification
         assert res.argmax_value == pytest.approx(evaluate_expression(cfg, res.argmax_params),
                                                  abs=err_bound(cfg.fixed["alpha"]))
 
     def test_state_fit_k_section_reads_no_engine_round(self, monkeypatch):
-        # two engine stacks in all: the grid followed by the fit's 4 x 7 samples,
-        # and one reading of the seed and the search's ends; no k-section or
-        # stencil round
+        # two engine stacks in all: the grid, and one reading of the seed and the
+        # search's ends; no k-section or stencil round
         sizes = []
         original = sweep.build_preset
 
@@ -498,7 +424,7 @@ class TestRefine:
         monkeypatch.setattr(sweep, "build_preset", counting)
         res = scan(RIDGE_SCAN)
         assert res.converged
-        assert sizes[0] == 6 * 4 * 4 + 4 * 7 and len(sizes) == 2
+        assert sizes[0] == 6 * 4 * 4 and len(sizes) == 2
         assert 2 <= sizes[1] <= sweep.READS
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -506,20 +432,19 @@ class TestRefine:
            pre_evolution=st.booleans(), alpha=st.floats(-1.45, 1.45),
            t=st.floats(0.0, 2 * np.pi), theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))
     def test_state_fit_reproduces_engine(self, expr, kind, pre_evolution, alpha, t, theta, phi):
-        # M samples at each of 4 states determine each term over (t, theta, phi);
-        # each evaluator of the fit (`values` at a point and on a grid, and
-        # `derivatives`) reads the engine at the drawn point within the bound of
-        # `test_fit_reproduces_engine`, its scale a sum over the state components
+        # the fit gives each term over (t, theta, phi); each evaluator of it
+        # (`values` at a point and on a grid, and `derivatives`) reads the engine
+        # at the drawn point within the bound of `test_fit_reproduces_engine`,
+        # its scale a sum over the state components
         pre_evolution = pre_evolution or kind == "pt-published"
         fixed = {} if kind == "unitary" else {"alpha": alpha}
         cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
                           fixed=fixed, pre_evolution=pre_evolution)
-        samples = tfit.sample_states(kind == "pt-published")
-        coef = tfit.fit(sweep.build_preset(cfg, fixed | samples), expr, states=True)
+        coef = tfit.fit(kind, fixed.get("alpha", 0.0), pre_evolution, expr)
         assert coef.shape == (6, 4, 17 if kind == "pt-published" else 7)
         point = {"t": t, "theta": theta, "phi": phi}
         at = sweep.build_preset(cfg, fixed | point)
-        engine, totals = expression(expr, at), _totals(at, expr)
+        engine, totals = expression(expr, at), _totals(coef, t, theta, phi)
         scale = tfit.scales(coef)[:, 0]
         bound = err_bound(0.0 if kind == "unitary" else alpha) * (scale / totals).sum()
         x = [np.array([v]) for v in point.values()]
@@ -548,8 +473,7 @@ class TestRefine:
         fixed = {} if kind == "unitary" else {"alpha": alpha}
         cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
                           fixed=fixed, pre_evolution=pre_evolution)
-        coef = tfit.fit(sweep.build_preset(cfg, fixed | tfit.sample_states(kind == "pt-published")),
-                        expr, states=True)
+        coef = tfit.fit(kind, fixed.get("alpha", 0.0), pre_evolution, expr)
         x, h, eye = np.array([t, theta, phi]), 1e-5, np.eye(3)
         pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
         offsets = np.array([np.zeros(3)] + [s * eye[i] for i in range(3) for s in (1, -1)] + [
@@ -565,7 +489,7 @@ class TestRefine:
         points = x + h * offsets
         at = sweep.build_preset(cfg, fixed | dict(zip(("t", "theta", "phi"), map(tuple, points.T))))
         try:
-            engine, totals = np.asarray(expression(expr, at)), _totals(at, expr)
+            engine, totals = np.asarray(expression(expr, at)), _totals(coef, *points.T)
         except DegenerateWeightError:
             return  # a stencil point where a context weighs nothing
         fit = [tfit.values(coef, *(x + step * offsets).T) for step in (h, 2 * h)]
@@ -587,6 +511,58 @@ class TestRefine:
         assert res.converged is False
         assert res.argmax_value >= max(r.value for r in res.rows)
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           pre_evolution=st.booleans(), alpha=st.floats(-1.45, 1.45),
+           t=st.floats(0.0, 2 * np.pi), theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))
+    def test_each_term_is_the_engine_correlator(self, expr, kind, pre_evolution, alpha, t,
+                                                theta, phi):
+        # each row pair of the closed-form fit, sign_c N_c / D_c, is the term's
+        # sign times the engine's correlator in the term's context, within
+        # err_bound(alpha) amplified by that term's scale over its total
+        pre_evolution = pre_evolution or kind == "pt-published"
+        alpha = 0.0 if kind == "unitary" else alpha
+        cfg = SweepConfig(expression=expr, kind=kind, fixed={"t": t} | (
+            {} if kind == "unitary" else {"alpha": alpha}), pre_evolution=pre_evolution)
+        coef = tfit.fit(kind, alpha, pre_evolution, expr)
+        rows = (tfit.trig(coef, 2 * np.array(t))[0] * tfit.features(theta, phi)).sum(1)
+        try:
+            tab = table(sweep.build_preset(cfg, cfg.fixed | {"theta": theta, "phi": phi}))
+            engine = [sign * tab.correlator(*times) for sign, times in TERMS[expr]]
+        except DegenerateWeightError:
+            assume(False)  # a point where a context weighs nothing
+        bounds = err_bound(alpha) * tfit.scales(coef)[:, 0] / abs(rows[1::2])
+        assert np.all(abs(rows[::2] / rows[1::2] - engine) <= bounds)
+
+    def test_roundoff_does_not_pick_the_starts(self):
+        # the term peaks at the grid's t all read 1 within 4e-11, so which of
+        # them the cap keeps must not follow the fit's last bits: scaled by
+        # 1 +- 1e-13, the fit gives the same V up to roundoff and the same
+        # starts, at the same t and at angles within 1e-6
+        cfg = FLAT_TERM_PEAKS_SCAN
+        seed = scan(replace(cfg, refine=False)).argmax_params
+        x = np.array([seed[n] for n in sweep.FIT_AXES])
+        lo, hi = (np.array([getattr(cfg.grids[n], e) for n in sweep.FIT_AXES])
+                  for e in ("lo", "hi"))
+        coef = tfit.fit("pt", cfg.fixed["alpha"], True, "V1")
+        want = search.starts(coef, x, lo, hi)
+        for scale in (1 + 1e-13, 1 - 1e-13):
+            got = search.starts(coef * scale, x, lo, hi)
+            assert got.shape == want.shape and np.array_equal(got[:, 0], want[:, 0])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    def test_fixed_t_state_scan_forms_the_chain_twice(self, monkeypatch):
+        # a (theta, phi) scan at fixed t: once for the grid and once for the
+        # reading, whose winning column is the result's preset
+        chains, chain = [], protocol._chain
+        monkeypatch.setattr(protocol, "_chain", lambda preset: chains.append(1) or chain(preset))
+        res = scan(SweepConfig(expression="V3", kind="pt-published", refine=True,
+                               fixed={"alpha": np.pi / 3, "t": 0.785},
+                               grids={"theta": GridSpec(0.0, np.pi, 9),
+                                      "phi": GridSpec(0.0, 2 * np.pi, 9)}))
+        res.preset.transfer  # the winning column's own tables: no chain more
+        assert len(chains) == 2 and res.converged
+
     def test_criterion_04_verdict_through_the_state_fit(self):
         # the README's verdict on criterion 04: at alpha = pi/3, t = 0.785 on
         # the published chain, V3 is 2.858795 at the quoted state, at most
@@ -596,8 +572,7 @@ class TestRefine:
         cfg = SweepConfig(expression="V3", kind="pt-published", fixed=fixed, refine=True,
                           grids={"theta": GridSpec(0.0, np.pi, 33),
                                  "phi": GridSpec(0.0, 2 * np.pi, 33)})
-        coef = tfit.fit(sweep.build_preset(cfg, fixed | tfit.sample_states(True)), "V3",
-                        states=True)
+        coef = tfit.fit("pt-published", np.pi / 3, True, "V3")
         quoted = {"t": 0.785, "theta": 5 * np.pi / 6, "phi": np.pi / 2}
         value = tfit.values(coef, *([v] for v in quoted.values()))[0]
         assert value == pytest.approx(2.858795, abs=5e-7)
@@ -636,10 +611,11 @@ class TestRefine:
         assert all(g.lo <= res.argmax_params[n] <= g.hi for n, g in grids.items())
 
 
-def _totals(preset, expr):
-    """Each term's total at a point, with the start weight put back: the D_c of `tfit`."""
-    return np.array([context_weights(MeasurementContext(preset, times)).sum(0)
-                     for _, times in TERMS[expr]]) * preset.transfer[2]
+def _totals(coef, t, theta=None, phi=None):
+    """Each term's total D_c of the fit `coef` at t, or of a (t, state) fit at
+    (t, theta, phi): the scale by which the engine's roundoff is read."""
+    d = tfit.trig(coef[1::2], 2 * np.asarray(t))[0]
+    return d if coef.ndim == 2 else (d * tfit.features(theta, phi)).sum(1)
 
 
 def l13_from_cfg(cfg, params):
@@ -658,95 +634,9 @@ def _rows_alone(res):
 
 
 class TestOneStackPerStage:
-    """A refined scan at fixed alpha forms the chain once before the fit (the
-    grid's stack ends with the fit's samples) and once after it (the final
-    engine stack, whose winning column is `SweepResult.preset`).  Both are bit
-    for bit what the separate stacks give."""
-
-    @staticmethod
-    def _recording_fits(mp):
-        fits, fit = [], tfit.fit
-
-        def recording(preset, expression, states=False, shifted=False):
-            fits.append((len(preset.evolution.params.t), fit(preset, expression, states, shifted)))
-            return fits[-1][1]
-
-        mp.setattr(tfit, "fit", recording)
-        return fits
-
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
-           pre_evolution=st.booleans(), angles=st.sampled_from(((), ("theta",), ("phi",),
-                                                                ("theta", "phi"))),
-           alpha=st.floats(-1.45, 1.45), lo=st.floats(0.0, 2.0), width=st.floats(0.2, 2.0),
-           theta=st.floats(0.1, 3.0), phi=st.floats(0.0, 6.0))
-    def test_grid_stack_carries_the_fit(self, expr, kind, pre_evolution, angles, alpha, lo,
-                                        width, theta, phi):
-        # the t-route (no angle gridded) or the (t, state) route: the grid's rows
-        # equal the grid alone and the fit equals the fit on the samples alone,
-        # and the refinement is that of a `refine_max` fitting on its own
-        pre_evolution = pre_evolution or kind == "pt-published"
-        fixed = ({} if kind == "unitary" else {"alpha": alpha}) | {
-            n: v for n, v in (("theta", theta), ("phi", phi)) if n not in angles}
-        grids = {"t": GridSpec(lo, lo + width, 3 if angles else 9)} | {
-            n: GridSpec(0.2, 2.9, 3) for n in angles}
-        cfg = SweepConfig(expression=expr, kind=kind, grids=grids, fixed=fixed,
-                          pre_evolution=pre_evolution, refine=True)
-        published = kind == "pt-published"
-        samples = tfit.sample_states(published) if angles else {"t": tfit.sample_times(published)}
-        with pytest.MonkeyPatch.context() as mp:
-            fits = self._recording_fits(mp)
-            res = scan(cfg)
-        alone = scan(SweepConfig(expression=expr, kind=kind, grids=grids, fixed=fixed,
-                                 pre_evolution=pre_evolution))
-        assert [r.error for r in res.rows] == [r.error for r in alone.rows]
-        assert np.array_equal([r.value for r in res.rows], [r.value for r in alone.rows],
-                              equal_nan=True)
-        assert fits[0][0] == len(res.rows) + len(samples["t"])
-        want = tfit.fit(sweep.build_preset(cfg, fixed | samples), expr, states=bool(angles))
-        assert np.array_equal(fits[0][1], want)
-        seed = max((r for r in alone.rows if r.error is None), key=lambda r: r.value).params
-        assert refine_max(cfg, seed)[:3] == (res.argmax_params, res.argmax_value, res.converged)
-
-    def test_failing_grid_point_keeps_its_reason_and_the_fit(self, monkeypatch):
-        # t = -0.2 fails a check: the stack runs again without it, the fit's
-        # samples still in it, and the fit comes from that second run
-        cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(-0.2, 1.0, 4)},
-                          fixed={"alpha": 0.8}, refine=True)
-        fits = self._recording_fits(monkeypatch)
-        res = scan(cfg)
-        assert "duration t must be >= 0" in res.rows[0].error and np.isnan(res.rows[0].value)
-        assert all(r.error is None for r in res.rows[1:])
-        assert len(fits) == 1 and fits[0][0] == 3 + 7
-        want = tfit.fit(sweep.build_preset(cfg, cfg.fixed | {"t": tfit.sample_times(False)}), "V3")
-        assert np.array_equal(fits[0][1], want)
-
-    def test_failing_sample_sends_the_fit_to_the_shifted_set(self, monkeypatch):
-        # a check that refuses the sample t = 0 wherever it is read: the grid's
-        # rows stand, and the fit goes straight to the shifted set, since the
-        # unshifted samples would fail again alone; the result was recorded when
-        # the samples always had a stack of their own
-        original, sizes = sweep.build_preset, []
-
-        def checked(cfg, params):
-            t = params["t"]
-            sizes.append(len(t) if isinstance(t, tuple) else 1)
-            if isinstance(t, tuple) and 0.0 in t:
-                exc = DegenerateWeightError("pre-evolution weight 0 cannot be renormalized")
-                exc.failures = {t.index(0.0): str(exc)}
-                raise exc
-            return original(cfg, params)
-
-        want = [r.value for r in scan(ONE_DIM_SCAN).rows]
-        fits = self._recording_fits(monkeypatch)
-        monkeypatch.setattr(sweep, "build_preset", checked)
-        res = scan(ONE_DIM_SCAN)
-        assert [r.value for r in res.rows] == want
-        assert [n for n, _ in fits] == [7]  # the shifted set's own stack
-        # the grid with the samples, again without t = 0, the shifted set, the reading
-        assert sizes == [39, 38, 7, 37]
-        assert (res.argmax_params, res.argmax_value, res.converged) == (
-            {"alpha": 1.45, "t": 1.052358768234466}, 0.2905259026212247, True)
+    """A refined scan at fixed alpha forms the chain twice: for its grid, and for
+    the final engine stack, whose winning column is `SweepResult.preset`; the
+    fit reads the closed form.  A column is bit for bit the point alone."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
