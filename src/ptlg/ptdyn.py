@@ -74,20 +74,21 @@ def _duration_error(t) -> DomainError:
 
 
 def scaled(p: PTParams, n: int) -> PTParams:
-    """Same Hamiltonian, n times the duration, without re-running p's checks.
-
-    Every check of p holds for n t but one: a product that overflows raises
-    the DomainError an infinite t raises.
-    """
+    """Same Hamiltonian, n times the duration (`multiple`), without re-running p's checks."""
     stack = isinstance(p.t, tuple)
-    t = np.array(p.t) if stack else p.t  # n * tuple would repeat the grid
-    with np.errstate(over="ignore"):  # an overflow is reported per point below
-        t = n * t
-    raise_where(t == np.inf, t, _duration_error)
+    t = multiple(np.array(p.t) if stack else p.t, n)  # n * tuple would repeat the grid
     q = object.__new__(PTParams)
     object.__setattr__(q, "alpha", p.alpha)
     object.__setattr__(q, "t", tuple(t.tolist()) if stack else t)
     return q
+
+
+def multiple(t, n: int):
+    """n t, checked: a product that overflows raises, per point, what an infinite t raises."""
+    with np.errstate(over="ignore"):  # an overflow is reported per point below
+        t = n * t
+    raise_where(t == np.inf, t, _duration_error)
+    return t
 
 
 def hamiltonian(p: PTParams) -> np.ndarray:

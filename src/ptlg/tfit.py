@@ -4,12 +4,11 @@ Each term of an expression is a correlator in its own context (`lgexpr.TERMS`):
 a signed sum N_c of its outcome weights over their total D_c, times the term's
 sign, which `fit` folds into N_c: V is the plain sum of the rows' quotients, and
 nothing else reads TERMS.  In the measured observable's eigenbasis the PT
-propagator is real, U~(t) = D R(t) D^-1, R(t) the rotation by t, D = diag(1, r),
-r = tan(pi/4 + alpha/2) (Mostafazadeh, J. Math. Phys. 43, 205 (2002)), r = 1 on
-the unitary kind.  So N_c and D_c, nothing divided out, are trigonometric
-polynomials in theta = 2 t of degree at most 3 (8 on the published chain, whose
-legs reach U(4 t)), fixed by their values at M = 7 (17) equispaced t (`fit`;
-Trefethen, Approximation Theory and Approximation Practice, SIAM (2013)).
+propagator is real, U~(t) = D R(t) D^-1 (`protocol.chain_tables`), R(t) the rotation
+by t.  So N_c and D_c, nothing divided out, are trigonometric polynomials in
+theta = 2 t of degree at most 3 (8 on the published chain, whose legs reach
+U(4 t)), fixed by their values at M = 7 (17) equispaced t (`fit`; Trefethen,
+Approximation Theory and Approximation Practice, SIAM (2013)).
 Along t they give the exact derivatives (`slopes`) and where the maximum in a
 window can lie (`candidates`).  Both are also affine in the pure state's Bloch
 features (`features`), so `fit` also gives V over all of (t, theta, phi)
@@ -24,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lgexpr import TERMS, outcome_signs
-from .protocol import chain_products
+from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .protocol import chain_products, chain_tables, symmetric_part
 from .ptdyn import PTParams
 
 SCAN_DENSITY = 128  # scan steps of V' per radian of theta (`candidates`)
@@ -37,12 +37,8 @@ STENCIL = 1e-9 * np.arange(-8, 9)  # the engine's readings about each settled ma
 SEARCH = 1e-4  # least half-width of the engine's own search about an unsettled maximum
 DIP_RATIO = 10 ** 0.125  # ratio of successive DIP_OFFSETS, readings from 0.1 to 1e-6 each side
 DIP_OFFSETS = np.outer((-1, 1), DIP_RATIO ** -np.arange(8, 49)).ravel()
-# per Bloch feature, the symmetric part E (rows of 2 x 2) in the measured basis B of the state
-# I/2 - sigma_z/2 cos 2 theta + sigma_x/2 sin 2 theta cos phi - sigma_y/2 sin 2 theta sin phi:
-# B = [[1, 1], [i, -i]] / sqrt(2) for sigma_y (PT kinds, row 0), diag(1, -i) for sigma_z (unitary,
-# row 1); sigma_x lands in the antisymmetric part, which a real U~ keeps off the diagonal: E = 0
-SYMMETRIC = np.reshape([[1, 0, 0, 1, 0, -1, -1, 0, 0, 0, 0, 0, -1, 0, 0, 1],
-                        [1, 0, 0, 1, -1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0]], (2, 4, 2, 2)) / 2
+# PURE(theta, phi) = I/2 - sigma_z/2 cos 2 theta + (sigma_x cos phi - sigma_y sin phi)/2 sin 2 theta
+FEATURES = np.array([I2, -SIGMA_Z, SIGMA_X, -SIGMA_Y]) / 2
 
 
 def features(theta, phi) -> np.ndarray:
@@ -57,30 +53,22 @@ def fit(kind: str, alpha: float, pre_evolution: bool, expression: str,
         angles: tuple[float, float] | None = None) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows
     (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), of `expression` on the chain of
-    `kind` (`sweep.KINDS`) at alpha, from U~(j t), j = 0..4, at M equispaced t
-    on [0, pi) through the fixed M x M DFT matrix; the sign is an exact negation.
-    The legs are `protocol._chain`'s: into time k U~(k t) (sequential chain with
-    pre-evolution), U~((k - 1) t) (without; unitary kind) or U~((k + 1) t)
-    (published chain); across n steps U~(n t), or U~((n + 1) t) U~(t)^T on the
-    published chain.  A weight w_k(m) is (L E L^T)_mm of its leg L, a table entry
-    T_n(m'|m) G_m'm^2 of its gap G.  At `angles` (theta, phi) the rows run along
+    `kind` (`sweep.KINDS`) at alpha, from U~(j t), j = 0..4,
+    at M equispaced t on [0, pi) through the fixed M x M DFT matrix; the sign is
+    an exact negation.  The weights and tables are `protocol.chain_tables`' from
+    the bare state, the pre-evolution inside the legs, per Bloch feature (its
+    `symmetric_part`; sigma_x's is 0).  At `angles` (theta, phi) the rows run along
     t (R, 2 n + 1); else each has a feature axis (R, 4, 2 n + 1), row r at
     PURE(theta, phi) being features(theta, phi) @ c[r].  L13's state is I/2."""
     alpha = PTParams(alpha, 0.0).alpha  # its domain check
     published, m = kind == "pt-published", 17 if kind == "pt-published" else 7
-    r = 1.0 if kind == "unitary" else np.tan(np.pi / 4 + alpha / 2)
-    jt = np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)
-    c, s = np.cos(jt), np.sin(jt)
-    u = np.array([[c, -s / r], [r * s, c]]).transpose(2, 0, 1, 3)  # U~(j t): (5, 2, 2, M)
-    e = SYMMETRIC[int(kind == "unitary")] * np.array([1, *3 * [expression != "L13"]])[:, None, None]
+    basis = int(kind == "unitary")  # sigma_z's, at alpha = 0
+    s = symmetric_part(FEATURES, basis) * np.array([1, *3 * [expression != "L13"]])
     if angles is not None:
-        e = (features(*angles) @ e.reshape(4, 4)).reshape(1, 2, 2)
-    if published:
-        legs, gaps = u[2:], np.einsum("nijz,kjz->nikz", u[2:4], u[1])
-    else:
-        legs, gaps = u[1:4] if pre_evolution and kind != "unitary" else u[:3], u[1:3]
-    w = np.einsum("kmiz,fij,kmjz->kmfz", legs, e, legs)  # (3 times, 2, F features, M)
-    tables = (gaps * gaps).swapaxes(1, 2)[:, :, :, None]
+        s = s @ features(*angles)
+    lead = 1 if published else 0 if pre_evolution and not basis else -1
+    jt = np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)[:, None]
+    w, tables = chain_tables(jt, alpha, basis, lead, published, s.reshape(3, -1, 1))
     rows = []
     for sign, times in TERMS[expression]:
         raw = chain_products(w, tables, times)

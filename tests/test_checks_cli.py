@@ -14,6 +14,7 @@ from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
 from ptlg.matcore import QubitDensity
+from ptlg.protocol import PT_STANDARD
 from ptlg.sweep import DEFAULT_PHI, DEFAULT_THETA, GridSpec, SweepConfig, figure_data, scan
 
 
@@ -33,30 +34,36 @@ class TestIdentitySuite:
             run_identity_suite(sample_size=0)
 
     def test_untransposed_partner_state_detected(self, monkeypatch):
-        # U^dag U has the right diagonal and |off-diagonal|, but conjugated phases
-        original = checks.bob_reduced
-        monkeypatch.setattr(checks, "bob_reduced",
-                            lambda p: QubitDensity(original(p).mat.swapaxes(-1, -2)))
+        # U^dag U has the right diagonal and |off-diagonal|, but conjugated phases; the
+        # suite reads the partner state off the PT-standard table's start
+        original = protocol.initial_state_at_t1
+
+        def untransposed(preset):
+            rho = original(preset)
+            return QubitDensity(rho.mat.swapaxes(-1, -2)) if preset.label == PT_STANDARD else rho
+
+        monkeypatch.setattr(protocol, "initial_state_at_t1", untransposed)
         results = run_identity_suite(sample_size=4)
         failed = {r.name for r in results if not r.passed}
         assert failed == {"partner-state-closed-form"}
 
 
 # the residuals' float.hex at sample sizes 1, 13 and 64, recorded from a suite that formed
-# every chain and propagator afresh for each check and each outcome tuple: sharing them
-# must not move a bit
+# every chain and propagator afresh for each check and each outcome tuple (sharing them must
+# not move a bit), then re-recorded when the tables came to be built from the closed form
+# U~ = D R(t) D^-1: the table checks moved by an ulp or two, the rest kept their bits
 RECORDED_RESIDUALS = {
     1: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.6a09e667f3bcdp-53",
-        "0x1.0000000000000p-52", "0x1.0000000000000p-53", "0x1.8000000000000p-52",
-        "0x1.0000000000000p-53", "0x1.0000000000000p-53", "0x1.0000000000000p-53",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.8000000000000p-52",
+        "0x1.8000000000000p-53", "0x1.0000000000000p-53", "0x1.0000000000000p-53",
         "0x1.0000000000000p-52", "0x1.0000000000000p-51", "0x0.0p+0", "0x1.0000000000000p-52"),
     13: ("0x1.0000000000000p-51", "0x1.0000000000000p-49", "0x1.07e0f66afed07p-51",
-         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-51",
-         "0x1.0000000000000p-51", "0x1.0000000000000p-52", "0x1.8000000000000p-53",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.4000000000000p-51",
+         "0x1.4000000000000p-51", "0x1.0000000000000p-52", "0x1.8000000000000p-53",
          "0x1.0000000000000p-52", "0x1.0000000000000p-51", "0x1.2000000000000p-51",
-         "0x1.0000000000000p-51"),
+         "0x1.0000000000000p-52"),
     64: ("0x1.4000000000000p-49", "0x1.0000000000000p-49", "0x1.01fe03f61bad0p-50",
-         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.b000000000000p-51",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-50",
          "0x1.9c00000000000p-51", "0x1.8000000000000p-52", "0x1.0000000000000p-52",
          "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-51",
          "0x1.0000000000000p-51"),
@@ -86,24 +93,35 @@ class TestSuiteFormsEachQuantityOnce:
                                      include_pair_forms=form == "pair")
         assert [(r.name, float(r.residual).hex()) for r in results] == want
 
-    @pytest.mark.parametrize("pair_forms,chains,propagators", [(False, 4, 15), (True, 5, 17)])
-    def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, chains, propagators):
-        # one chain per stacked table and one for the oracle's preset, whose
-        # outcome tuples all read it; the U U^dagger and eigensystem checks share
-        # one U(t) of the sample, and both partner-state checks one `bob_reduced`
-        # of it (which forms its own U(t) in `nosignal`)
-        calls, chain, propagator = [], protocol._chain, ptdyn.propagator
+    @pytest.mark.parametrize("pair_forms,starts,chains,propagators",
+                             [(False, 6, 0, 8), (True, 6, 1, 10)])
+    def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, starts, chains,
+                                         propagators):
+        # one start per stacked table, through U(t) on the two PT tables, and the
+        # partner state is the PT-standard table's; the tables' legs come from the
+        # closed form, so a chain (and its U(t) and U(2 t)) is formed only for the
+        # oracle's preset, whose outcome tuples all read it; the U U^dagger and
+        # eigensystem checks share one U(t) of the sample; the two signaling grids
+        # form one start and one U(t) each (`bob_reduced`)
+        calls, chain, propagator, start = [], protocol._chain, ptdyn.propagator, protocol._start
 
         def counting(p):
             calls.append("propagator")
             return propagator(p)
 
+        def starting(*args):
+            calls.append("start")
+            return start(*args)
+
         monkeypatch.setattr(protocol, "_chain", lambda preset: calls.append("chain")
                             or chain(preset))
         for module in (ptdyn, protocol, checks, nosignal, ptlg):
             monkeypatch.setattr(module, "propagator", counting)
+        for module in (protocol, nosignal):
+            monkeypatch.setattr(module, "_start", starting)
         run_identity_suite(13, include_pair_forms=pair_forms)
-        assert (calls.count("chain"), calls.count("propagator")) == (chains, propagators)
+        assert tuple(map(calls.count, ("start", "chain", "propagator"))) == (
+            starts, chains, propagators)
 
 
 class TestCheckCommand:
@@ -158,21 +176,24 @@ class TestFigureCommand:
                 assert float(val) == pytest.approx(jr[key], abs=0)
 
     def test_wrote_line_counts_failed_rows(self, tmp_path, capsys):
-        # near the EP this state's context (3,) loses its weight at t = 200: that row
-        # fails, and the line gives the count and the first reason; the file is the
-        # value-by-value table, its failed row NaN after (alpha, t)
+        # 3e-8 from the EP the state (i|1> + |0>) / sqrt 2, the EP's eigenvector, keeps
+        # a weight of about 1.9e-16 (40 digits) through U(pi/2), below WEIGHT_FLOOR: that
+        # row fails by the model, and the line gives the count and the first reason; the
+        # file is the value-by-value table, its failed row NaN after (alpha, t)
         out = tmp_path / "f.csv"
-        argv = ["figure", "2", "--alpha", "1.570796", "--theta", "0.1", "--phi", "0",
-                "--t-max", "200", "--t-steps", "8", "--out", str(out)]
+        angles = {"theta": np.pi / 4, "phi": np.pi / 2}
+        argv = ["figure", "2", "--alpha", "1.5707963", "--theta", repr(angles["theta"]),
+                "--phi", repr(angles["phi"]), "--t-steps", "9", "--out", str(out)]
         assert main(argv) == 0
         assert capsys.readouterr().out == (
-            f"wrote {out} (8 rows; 1 failed, the first: context (3,) carries total weight "
-            "-9.885e-05; cannot normalize)\n")
-        data = figure_data(2, t_steps=8, alphas=(1.570796,), theta=0.1, phi=0.0, t_max=200)
+            f"wrote {out} (9 rows; 1 failed, the first: pre-evolution weight 2.828e-16 "
+            "cannot be renormalized)\n")
+        data = figure_data(2, t_steps=9, alphas=(1.5707963,), **angles)
         _reference_table(tmp_path / "want", data.columns, data.blocks[0].T.tolist(), "csv",
                          {}, {})
         assert out.read_bytes() == (tmp_path / "want").read_bytes()
-        assert out.read_text().splitlines()[-1] == "1.570796,200,nan,0.1,0"
+        assert out.read_text().splitlines()[5] == (
+            "1.5707963,1.57079632679,nan,0.785398163397,1.57079632679")
         for argv in (["figure", "2", "--t-steps", "8"], ["nosignal", "--t-steps", "8"]):
             assert main(argv + ["--format", "json", "--out", str(out)]) == 0
             assert capsys.readouterr().out == f"wrote {out} (32 rows)\n"
@@ -358,9 +379,10 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("kind", ("pt", "pt-published", "unitary"))
     def test_t_only_op_forms_the_chain_twice(self, capsys, monkeypatch, kind):
         # once for the grid, once for the engine's readings, whose winning
-        # column the classifier reads; the fit needs no chain
-        chains, chain = [], protocol._chain
-        monkeypatch.setattr(protocol, "_chain", lambda preset: chains.append(1) or chain(preset))
+        # column the classifier reads; the fit needs no chain.  Each `transfer`
+        # forms one start, and its legs in closed form, so the starts count the chains
+        chains, start = [], protocol._start
+        monkeypatch.setattr(protocol, "_start", lambda *args: chains.append(1) or start(*args))
         alpha = [] if kind == "unitary" else ["--alpha", "1.45"]
         assert main(["optimize", "V3", "--kind", kind, *alpha, "--t-min", "0.3", "--t-max", "1.9",
                      "--t-steps", "32"]) == 0

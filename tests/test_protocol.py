@@ -8,13 +8,15 @@ from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
                             degree_report)
-from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, mixture, projector, weights
+from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, mixture, projector, weights
 from ptlg.nosignal import bob_reduced
 from ptlg.protocol import (
     MeasurementContext,
+    PTEvolution,
     ScenarioPreset,
     distribution,
     initial_state_at_t1,
+    maximally_mixed,
     pt_standard,
     pt_variant,
     pure_state,
@@ -52,14 +54,14 @@ class TestInitialState:
                                   bob_reduced(PTParams(np.pi / 3, ts)).mat)
 
     def test_normalize(self):
-        rho = initial_state_at_t1(pt_standard(0.5, 0.7), np.sqrt(3.0) * I2)  # weight 3
+        rho = protocol._start(maximally_mixed(), np.sqrt(3.0) * I2)  # weight 3
         assert abs(weights(rho.mat) - 1.0) < 1e-12
 
     def test_degenerate_weight(self):
         with pytest.raises(DegenerateWeightError):
-            initial_state_at_t1(pt_standard(0.5, 0.7), np.zeros((2, 2), dtype=complex))
+            protocol._start(maximally_mixed(), np.zeros((2, 2), dtype=complex))
         with pytest.raises(DegenerateWeightError) as stacked:
-            initial_state_at_t1(pt_standard(0.5, (0.1, 0.2, 0.3)), np.array([I2, 0 * I2, I2]))
+            protocol._start(maximally_mixed(), np.array([I2, 0 * I2, I2]))
         assert stacked.value.failures == {
             1: "pre-evolution weight 0.000e+00 cannot be renormalized"}
 
@@ -185,15 +187,26 @@ class TestDistributions:
                     assert np.array_equal(preset.evolution.step(n), want), (t, n)
 
     def test_observable_needs_rank_one_projectors(self):
-        # +-I is dichotomic, but its projectors are I and 0: no transfer form
-        base = unitary_standard(0.5)
-        for obs in (I2, -I2):
+        # +-I is dichotomic, but its projectors are I and 0: no transfer form; the
+        # propagator is real only in the basis of sigma_y, or of sigma_z at alpha = 0,
+        # so sigma_x, and sigma_z at alpha != 0, are refused as well
+        unitary, pt = unitary_standard(0.5), pt_standard(0.5, 0.7)
+        refused = [(unitary, obs, "eigenvalues") for obs in (I2, -I2)] + [
+            (unitary, SIGMA_X, "sigma_y"), (pt, -SIGMA_X, "sigma_y"),
+            (pt, SIGMA_Z, "alpha = 0, got 0.5"), (pt, -SIGMA_Z, "alpha = 0, got 0.5")]
+        for base, obs, message in refused:
             preset = ScenarioPreset(label="CUSTOM", initial_state=base.initial_state,
                                     observable=obs, evolution=base.evolution,
-                                    pre_evolution=False)
+                                    pre_evolution=base.pre_evolution)
             for times in ((1, 2), (3,)):  # raised at each read, not when the preset is built
-                with pytest.raises(DomainError, match="eigenvalues"):
+                with pytest.raises(DomainError, match=message):
                     distribution(ctx(preset, *times))
+        stacked = ScenarioPreset(label="CUSTOM", initial_state=pt.initial_state,
+                                 observable=SIGMA_Z, pre_evolution=False,
+                                 evolution=PTEvolution(PTParams((0.0, 0.3, -0.0, -1.2), 0.7)))
+        with pytest.raises(DomainError) as error:
+            distribution(ctx(stacked, 1))
+        assert set(error.value.failures) == {1, 3}
 
     def test_probabilities_in_range_random(self):
         rng = np.random.default_rng(32)
@@ -336,14 +349,14 @@ class TestOneChainPerPreset:
             for times in ALL_CONTEXTS:
                 tab[times]
         assert calls.get("initial_state_at_t1") == 1
-        assert calls.get("propagator") == 2  # U(t) and U(2 t); the leg into time 1 is I
-        assert calls.get("projector") is None  # SIGMA_Y is validated once, at import
+        assert calls.get("propagator") == 1  # U(t) of the start; the legs are the closed form's
+        assert calls.get("projector") is None  # the observable is compared with BASES
 
     def test_published_chain_is_formed_once(self, calls):
         tab = ContextTable(pt_standard(np.pi / 3, 0.7, published=True))
         for times in ALL_CONTEXTS:
             tab[times]
-        assert calls.get("propagator") == 4  # U(t) .. U(4 t)
+        assert calls.get("propagator") is None  # the bare start; U~(t) .. U~(4 t) in closed form
         assert calls.get("projector") is None
         assert "initial_state_at_t1" not in calls
 
@@ -355,7 +368,7 @@ class TestOneChainPerPreset:
         tab = ContextTable(preset)
         for times in ALL_CONTEXTS:
             tab[times]
-        assert calls.get("projector") == 2
+        assert calls.get("projector") is None  # a copy of sigma_y is sigma_y by value
         for times in ALL_CONTEXTS:
             assert np.array_equal(tab[times].probs, ContextTable(base)[times].probs)
 

@@ -14,6 +14,20 @@ figure grids (512 t in [0, pi] at each reference alpha, both figure presets),
 at alpha = 2 pi/5, t = 1.6108 for the pure state.  There a context's total
 weight is ~0.03, so renormalizing amplifies roundoff beyond the sec^4 trend.
 C = 12 leaves a factor of two over that worst case.
+
+`deep_bound` is C' eps sec^2(alpha), for the sequential chain at
+pi/2 - |alpha| in [1e-6, 1e-3], where `err_bound` grows too fast to say
+anything.  There the tables come from the real closed form U~ = D R(t) D^-1,
+and what error is left is the pre-evolved start's: its symmetric part in the
+sigma_y basis is read off the computational-basis density, with an absolute
+error of about eps, which the legs amplify by up to r^2 ~ 4 sec^2(alpha).
+C' was fixed from the seeded `DEEP_EP` sample below (drawn before C' was
+chosen): its largest ratio err / (eps sec^2 alpha) was 0.89, at
+pi/2 - alpha = 6.65e-4, t = 2.052 for the pure state, and C' = 1.8 leaves a
+factor of two over it.  The model is not uniform in t: near t = pi/2 a
+context's total weight falls to about 2 / r^2 and amplifies the start's
+error once more (off the test, ratios of 23 at pi/2 - alpha = 1e-4,
+t = 1.633 and 219 at 1e-6, t = 1.623).
 """
 
 from itertools import product
@@ -30,10 +44,12 @@ from ptlg.protocol import (
     unitary_standard,
     unitary_variant,
 )
-from ptlg.sweep import DEFAULT_ALPHAS, DEFAULT_PHI, DEFAULT_THETA
+from ptlg.lgexpr import l13, table, variant_v
+from ptlg.sweep import DEFAULT_ALPHAS, DEFAULT_PHI, DEFAULT_THETA, grid_columns
 
 EPS = float(np.finfo(float).eps)
 ERR_CONSTANT = 12.0
+DEEP_CONSTANT = 1.8
 CONTEXTS = ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3))
 # kind -> (engine preset from (alpha, t, theta, phi), pure start, sigma_y probe,
 #          pre-evolution, published chain); the unitary kinds run at alpha = 0
@@ -60,6 +76,12 @@ def err_bound(alpha: float) -> float:
     return ERR_CONSTANT * EPS / np.cos(alpha) ** 4
 
 
+def deep_bound(alpha: float) -> float:
+    """Largest accepted |engine - reference| on a sequential-chain probability at
+    pi/2 - |alpha| in [1e-6, 1e-3]."""
+    return DEEP_CONSTANT * EPS / np.cos(alpha) ** 2
+
+
 def _sample(n: int, lo: float, hi: float, seed: int):
     """n seeded (alpha, t, theta, phi) with lo <= |alpha| <= hi."""
     rng = np.random.default_rng(seed)
@@ -68,8 +90,17 @@ def _sample(n: int, lo: float, hi: float, seed: int):
                     rng.uniform(0.0, 2 * np.pi, n)))
 
 
+def _deep_sample(n: int, seed: int):
+    """n seeded (alpha, t, theta, phi) with pi/2 - |alpha| log-uniform in [1e-6, 1e-3]."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.choice((-1.0, 1.0), n) * (np.pi / 2 - 10 ** rng.uniform(-6, -3, n))
+    return list(zip(alphas, rng.uniform(0.0, np.pi, n), rng.uniform(0.0, np.pi, n),
+                    rng.uniform(0.0, 2 * np.pi, n)))
+
+
 UNIFORM = _sample(12, 0.0, 1.55, seed=606)
 NEAR_EP = _sample(8, 1.45, 1.566, seed=607)
+DEEP_EP = _deep_sample(16, seed=608)
 # every other point of the 512-point figure grid where the worst ratios sit,
 # t in [1.43, 1.77], for both figure presets at the reference alphas
 FIGURE_WINDOW = [(alpha, t, DEFAULT_THETA, DEFAULT_PHI)
@@ -165,6 +196,35 @@ def test_engine_within_err_bound(kind, sample):
         alpha = 0.0 if kind in UNITARY else point[0]
         err = reference_error(kind, *point)
         assert err <= err_bound(alpha), (kind, point, err, err_bound(alpha))
+
+
+@pytest.mark.parametrize("kind", ["pt_standard", "pt_variant"])
+def test_deep_ep_within_deep_bound(kind):
+    for point in DEEP_EP:
+        err = reference_error(kind, *point)
+        assert err <= deep_bound(point[0]), (kind, point, err, deep_bound(point[0]))
+
+
+def test_deep_ep_grid_values_are_lg_values():
+    # 1,800 mixed-state L13 points and 1,000 pure-state points of V1-V3 at
+    # pi/2 - |alpha| in [1e-6, 1e-5]: a correlator lies in [-1, 1], so every value
+    # the engine returns lies in [-3, 3] up to roundoff, and no mixed-state point
+    # raises; a pure-state point may fail by its start's error (none does here)
+    d = np.logspace(-6, -5, 30)
+    alphas = np.concatenate([np.pi / 2 - d[::2], d[1::2] - np.pi / 2])
+    ts = np.linspace(0.05, np.pi - 0.05, 60)
+    grid = dict(zip(("alpha", "t"), (x.ravel() for x in np.meshgrid(alphas, ts, indexing="ij"))))
+    (values,), errors = grid_columns(lambda alpha, t: (l13(pt_standard(alpha, t)),), grid, 1)
+    assert errors == [None] * 1800
+    assert np.all(abs(values) <= 3 + 1e-12)
+    rng, n = np.random.default_rng(609), 1000
+    points = {"alpha": rng.choice((-1.0, 1.0), n) * (np.pi / 2 - 10 ** rng.uniform(-6, -5, n)),
+              "t": rng.uniform(0.05, np.pi - 0.05, n), "theta": rng.uniform(0, np.pi, n),
+              "phi": rng.uniform(0, 2 * np.pi, n)}
+    values, errors = grid_columns(lambda **p: tuple(variant_v(k, table(pt_variant(**p)))
+                                                    for k in (1, 2, 3)), points, 3)
+    ok = [e is None for e in errors]
+    assert np.all(abs(values[:, ok]) <= 3 + 1e-12)
 
 
 def test_figure_window_within_err_bound():

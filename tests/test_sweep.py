@@ -373,14 +373,14 @@ class TestRefine:
     @pytest.mark.parametrize("cfg, want, before", [
         (RIDGE_SCAN, ({"alpha": 1.426860673717, "t": 0.535380872854154,
                        "theta": 0.788069799323615, "phi": 7.853981633974483},
-                      2.4615369046967617, True),
+                      2.461536904696854, True),
          ({"t": 0.535380872854154, "theta": 0.7880697978436287, "phi": 7.85398163397042},
-          2.4615369046977893)),
+          2.461536904698611)),
         (WORKLOAD_SCAN, ({"alpha": 1.4753338410612633, "t": 0.5304436014812886,
                           "theta": 0.7864152295162897, "phi": 7.853981633974483},
-                         2.4645988624931157, True),
+                         2.46459886248941, True),
          ({"t": 0.5304446866220299, "theta": 0.7864153865115064, "phi": 7.853981633972052},
-          2.464598862490791)),
+          2.4645988624875845)),
     ])
     def test_multi_dim_refinement_on_the_state_fit(self, cfg, want, before):
         # the search runs on the (t, state) fit and the engine reads its ends;
@@ -553,9 +553,10 @@ class TestRefine:
 
     def test_fixed_t_state_scan_forms_the_chain_twice(self, monkeypatch):
         # a (theta, phi) scan at fixed t: once for the grid and once for the
-        # reading, whose winning column is the result's preset
-        chains, chain = [], protocol._chain
-        monkeypatch.setattr(protocol, "_chain", lambda preset: chains.append(1) or chain(preset))
+        # reading, whose winning column is the result's preset; each `transfer`
+        # forms one start, and its legs in closed form, so the starts count the chains
+        chains, start = [], protocol._start
+        monkeypatch.setattr(protocol, "_start", lambda *args: chains.append(1) or start(*args))
         res = scan(SweepConfig(expression="V3", kind="pt-published", refine=True,
                                fixed={"alpha": np.pi / 3, "t": 0.785},
                                grids={"theta": GridSpec(0.0, np.pi, 9),
