@@ -165,11 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_grid(p_fig)
     add_state(p_fig)
 
-    p_opt = sub.add_parser("optimize", help="grid scan, then k-section and Newton maximization")
+    p_opt = sub.add_parser("optimize", help="maximum over a t-window: the grid and the exact "
+                                            "fit's maxima read in one stack; prints JSON")
     p_opt.add_argument("expression", choices=("L13", "V1", "V2", "V3"))
     p_opt.add_argument("--kind", choices=KINDS, default="pt")
     add_grid(p_opt)
     add_state(p_opt)
+    p_opt.set_defaults(format="json")  # its one format; `cmd_optimize` refuses csv
 
     p_chk = sub.add_parser("check", help="run the identity suite")
     p_chk.add_argument("--sample-size", type=int, default=16)
@@ -228,6 +230,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.format != "json":
+        raise UsageError("optimize writes JSON only; --format csv is not accepted")
     if args.t_steps < 2:
         raise UsageError("--t-steps must be >= 2 for optimization")
     fixed: dict[str, float] = {"theta": args.theta, "phi": args.phi}

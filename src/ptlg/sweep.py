@@ -9,19 +9,22 @@ its reason instead of aborting, and runs the rest again as one stack.
 call) and ends in one stacked engine reading, so the value it reports is the
 engine's: along t alone, at the maxima of the fit of each term in 2 t
 (`_refine_t`); at fixed alpha with an angle moving, at the ends of Newton
-steps on the (t, state) fit from many starts (`_refine_state`).  So a refined
-`scan` forms the chain twice: for its grid, and for that reading, whose
-winning column is the argmax's preset (`SweepResult.preset`).
+steps on the (t, state) fit from many starts (`_refine_state`).  The winning
+column of that reading is the argmax's preset (`SweepResult.preset`).  Along
+t alone the fit's readings ride in `scan`'s grid stack, so a refined scan
+forms the chain once; with an angle moving, twice: for its grid, and for the
+reading.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateWeightError, DomainError, UsageError
+from .errors import DegenerateWeightError, DomainError, ExceptionalPointError, UsageError
 from . import search, tfit
 from .lgexpr import EXPRESSIONS, expression, table
 from .macrodiag import degree_report
@@ -182,11 +185,20 @@ def _read(cfg: SweepConfig, params: dict, axes: dict):
 
 
 def scan(cfg: SweepConfig) -> SweepResult:
-    """Dense evaluation over the Cartesian grid as one stack, then refinement."""
+    """Dense evaluation over the Cartesian grid as one stack, then refinement.
+    Along t alone the grid is `_refine_t`'s head: its readings and the fit's ride
+    in one stack, whose first maximum is the one `refine_max` reaches from the
+    grid's best point."""
     names = [n for n in PARAM_ORDER if n in cfg.grids]
     points = list(product(*(cfg.grids[n].values() for n in names)))
     axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
-    values, errors, _ = _read(cfg, cfg.fixed, axes)
+    refined = None
+    if cfg.refine and names == ["t"] and len(points) > 1:
+        with suppress(ExceptionalPointError):  # the fit's alpha check; every grid point fails too
+            refined, values, errors = _refine_t(cfg, {k: float(v) for k, v in cfg.fixed.items()},
+                                                cfg.grids["t"], axes["t"])
+    if refined is None:
+        values, errors, _ = _read(cfg, cfg.fixed, axes)
     rows = [SweepRow(params=dict(cfg.fixed) | dict(zip(names, p)), value=v, error=e)
             for p, v, e in zip(points, values, errors)]
     valid = [r for r in rows if r.error is None]
@@ -195,7 +207,7 @@ def scan(cfg: SweepConfig) -> SweepResult:
     best = max(valid, key=lambda r: r.value)
     argmax_params, argmax_value, converged, preset = dict(best.params), best.value, None, None
     if cfg.refine:
-        argmax_params, argmax_value, converged, preset = refine_max(cfg, argmax_params)
+        argmax_params, argmax_value, converged, preset = refined or refine_max(cfg, argmax_params)
     return SweepResult(config=cfg, rows=rows, argmax_params=argmax_params,
                        argmax_value=argmax_value, converged=converged,
                        preset=preset or build_preset(cfg, argmax_params))
@@ -218,26 +230,28 @@ def _ksection_max(values, lo: float, hi: float):
             return x, fx
 
 
-def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
+def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, head):
     """`refine_max` along t alone, through the fit along t (`tfit.fit`): one stacked
-    call reads the engine at the seed, both window ends and `tfit.candidates`.
-    The best engine value wins.  A reading carries the engine's roundoff (about
-    `err_bound(alpha)` near the EP); the exact V cannot tell the readings about
-    a maximum apart, so their best stands for it, as the best probe of a
-    k-section did.  An unsettled winner is finished by k-sections about every
-    unsettled reading at least its unsettled neighbours.
+    call reads the engine at the t of `head`, then at `tfit.candidates`.  `head`
+    is the scan's grid, whose first best reading is the seed, or the seed and
+    both window ends.  The first best engine value wins, so the seed wins a tie.
+    A reading carries the engine's roundoff (about `err_bound(alpha)` near the
+    EP); the exact V cannot tell the readings about a maximum apart, so their
+    best stands for it, as the best probe of a k-section did.  An unsettled
+    winner is finished by k-sections about every unsettled reading at least its
+    unsettled neighbours.
 
     Converged: the winner is a reading of a settled maximum of the fit, or a
-    window end where V rises outward.
+    window end where V rises outward.  Returns `refine_max`'s four values, then
+    the head's values and failure reasons (see `_read`).
     """
     coef = tfit.fit(cfg.kind, params.get("alpha", 0.0), cfg.pre_evolution, cfg.expression, (
         params.get("theta", DEFAULT_THETA), params.get("phi", DEFAULT_PHI)))
     ts, gaps = tfit.candidates(coef, grid.lo, grid.hi)
-    ts, gaps = np.append([params["t"], grid.lo, grid.hi], ts), np.append(np.zeros(3), gaps)
+    n = len(head)
+    ts, gaps = np.append(head, ts), np.append(np.zeros(n), gaps)
     values, errors, stack = _read(cfg, params, {"t": ts})
-    if not np.isfinite(values[0]):
-        raise UsageError(f"objective not finite at seed {params}")
-    i = int(np.nanargmax(values))  # the seed wins a tie; a failing reading (NaN) cannot
+    i = int(np.argmax(np.fmax(values, -np.inf)))  # a failing reading (NaN) cannot win
     t, best = float(ts[i]), float(values[i])
     if gaps[i]:  # the unsettled readings in t order, and those at least their neighbours
         order = np.flatnonzero(gaps)[np.argsort(ts[gaps > 0])]
@@ -246,10 +260,11 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec):
         reads = [_ksection_max(lambda xs: _read(cfg, params, {"t": xs})[0], *np.clip(
             ts[j] + (-gaps[j], gaps[j]), grid.lo, grid.hi)) for j in peaks]
         t, best = max([(t, best)] + reads, key=lambda p: p[1])
-        return params | {"t": t}, best, False, None
-    slope = tfit.slopes(coef, [2 * t], second=False)[0][0] if i < 3 else 0.0
-    converged = i >= 3 or bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
-    return params | {"t": t}, best, converged, None if any(errors) else stack.column(i)
+        return (params | {"t": t}, best, False, None), values[:n], errors[:n]
+    slope = tfit.slopes(coef, [2 * t], second=False)[0][0] if i < n else 0.0
+    converged = i >= n or bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
+    return ((params | {"t": t}, best, converged, None if any(errors) else stack.column(i)),
+            values[:n], errors[:n])
 
 
 def _refine_state(cfg: SweepConfig, params: dict, grids: list):
@@ -306,9 +321,14 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]):
         a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
                              min(grid.hi, alpha + grid.spacing()))
         return max(results[alpha], results[a], key=lambda r: r[1])
+    if moving == ["t"]:
+        grid = sweepable[0][1]
+        refined, head, _ = _refine_t(cfg, params, grid, [params["t"], grid.lo, grid.hi])
+        if not np.isfinite(head[0]):
+            raise UsageError(f"objective not finite at seed {params}")
+        return refined
     if moving:
-        return (_refine_t(cfg, params, sweepable[0][1]) if moving == ["t"]
-                else _refine_state(cfg, params, sweepable))
+        return _refine_state(cfg, params, sweepable)
     best = evaluate_expression(cfg, params)
     if not np.isfinite(best):
         raise UsageError(f"objective not finite at seed {seed}")

@@ -40,6 +40,12 @@ DIP_OFFSETS = np.outer((-1, 1), DIP_RATIO ** -np.arange(8, 49)).ravel()
 # PURE(theta, phi) = I/2 - sigma_z/2 cos 2 theta + (sigma_x cos phi - sigma_y sin phi)/2 sin 2 theta
 FEATURES = np.array([I2, -SIGMA_Z, SIGMA_X, -SIGMA_Y]) / 2
 
+# by M (7, or 17 on the published chain): `fit`'s multiples j t, j = 0..4, at M
+# equispaced t on [0, pi) (5, 1, M), and its M x M DFT matrix, formed once
+_SAMPLING = {m: (np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)[:, None],
+                 np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m)
+             for m in (7, 17)}
+
 
 def features(theta, phi) -> np.ndarray:
     """The Bloch features (1, cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi)
@@ -61,19 +67,18 @@ def fit(kind: str, alpha: float, pre_evolution: bool, expression: str,
     t (R, 2 n + 1); else each has a feature axis (R, 4, 2 n + 1), row r at
     PURE(theta, phi) being features(theta, phi) @ c[r].  L13's state is I/2."""
     alpha = PTParams(alpha, 0.0).alpha  # its domain check
-    published, m = kind == "pt-published", 17 if kind == "pt-published" else 7
+    published = kind == "pt-published"
     basis = int(kind == "unitary")  # sigma_z's, at alpha = 0
     s = symmetric_part(FEATURES, basis) * np.array([1, *3 * [expression != "L13"]])
     if angles is not None:
         s = s @ features(*angles)
     lead = 1 if published else 0 if pre_evolution and not basis else -1
-    jt = np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)[:, None]
+    jt, dft = _SAMPLING[17 if published else 7]
     w, tables = chain_tables(jt, alpha, basis, lead, published, s.reshape(3, -1, 1))
     rows = []
     for sign, times in TERMS[expression]:
         raw = chain_products(w, tables, times)
         rows += [sign * (outcome_signs(times, times, len(times) + 2) * raw).sum(0), raw.sum(0)]
-    dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
     coef = np.array(rows) @ dft
     return coef if angles is None else coef[:, 0]
 

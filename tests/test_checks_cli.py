@@ -339,6 +339,18 @@ class TestOptimizeCommand:
     def test_published_requires_alpha(self):
         assert main(["optimize", "V3", "--kind", "pt-published"]) == 2
 
+    def test_csv_format_refused(self, tmp_path, capsys):
+        # optimize prints one JSON report: --format csv is a usage error that
+        # writes nothing, and --format json stays accepted
+        out = tmp_path / "o.csv"
+        argv = ["optimize", "L13", "--alpha", "0.5", "--t-steps", "8", "--out", str(out)]
+        assert main(argv + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
     @pytest.mark.parametrize("alpha", ("1.2", "2.0"))
     def test_unitary_refuses_alpha(self, capsys, alpha):
         # the unitary kind evolves at alpha = 0, so an --alpha would be dropped
@@ -377,17 +389,18 @@ class TestOptimizeCommand:
 
 
     @pytest.mark.parametrize("kind", ("pt", "pt-published", "unitary"))
-    def test_t_only_op_forms_the_chain_twice(self, capsys, monkeypatch, kind):
-        # once for the grid, once for the engine's readings, whose winning
-        # column the classifier reads; the fit needs no chain.  Each `transfer`
-        # forms one start, and its legs in closed form, so the starts count the chains
+    def test_t_only_op_forms_the_chain_once(self, capsys, monkeypatch, kind):
+        # the grid and the engine's readings of the fit's maxima ride in one
+        # stack, whose winning column the classifier reads; the fit needs no
+        # chain.  Each `transfer` forms one start, and its legs in closed form,
+        # so the starts count the chains
         chains, start = [], protocol._start
         monkeypatch.setattr(protocol, "_start", lambda *args: chains.append(1) or start(*args))
         alpha = [] if kind == "unitary" else ["--alpha", "1.45"]
         assert main(["optimize", "V3", "--kind", kind, *alpha, "--t-min", "0.3", "--t-max", "1.9",
                      "--t-steps", "32"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert len(chains) == 2
+        assert len(chains) == 1
         assert report["converged"] is True
         assert report["classifier"]["lg_values"]["V3"] == report["value"]
 

@@ -287,6 +287,26 @@ class TestRefine:
         bound = err_bound(0.0 if kind == "unitary" else alpha) * amplification
         assert np.all(abs(model - engine) <= bound), (abs(model - engine) / bound).max()
 
+    @pytest.mark.parametrize("angles", (None, (0.4, 1.3)))
+    def test_fit_sampling_formed_once_keeps_the_bits(self, monkeypatch, angles):
+        # `fit` reads its sample multiples j t and its DFT matrix from a table formed
+        # once per M; the same arrays formed afresh, as every call once did, give
+        # the same coefficients bit for bit, and no call changes the table
+        want = {}
+        for m in (7, 17):
+            jt = np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)[:, None]
+            want[m] = jt, np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
+        cases = [(kind, expr, pre) for kind in sweep.KINDS for expr in EXPRESSIONS
+                 for pre in (True, False)]
+        got = [tfit.fit(kind, 0.0 if kind == "unitary" else 1.3, pre, expr, angles)
+               for kind, expr, pre in cases]
+        for m, (jt, dft) in want.items():
+            assert all(map(np.array_equal, tfit._SAMPLING[m], (jt, dft)))
+        monkeypatch.setattr(tfit, "_SAMPLING", want)
+        for (kind, expr, pre), coef in zip(cases, got):
+            assert np.array_equal(tfit.fit(kind, 0.0 if kind == "unitary" else 1.3, pre, expr,
+                                           angles), coef), (kind, expr, pre)
+
     def test_one_dim_refinement_escapes_the_seed_basin(self):
         # the seed's local maximum is -0.7419; the window's is 0.2905 at t = 1.0524
         cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(0.3, 1.9, 32)},
@@ -634,10 +654,58 @@ def _rows_alone(res):
     return values
 
 
+def _assert_t_route_is_refine_max(cfg):
+    """A refined scan along t alone, whose grid and fit readings share one stack,
+    gives the unrefined scan's rows bit for bit (NaN where a row fails, with the
+    same reason), and the point, value and flag that `refine_max` reaches from
+    the grid's best row; returns the unrefined scan."""
+    plain, res = scan(replace(cfg, refine=False)), scan(cfg)
+    assert [r.params for r in res.rows] == [r.params for r in plain.rows]
+    assert [r.error for r in res.rows] == [r.error for r in plain.rows]
+    bits = [np.array([r.value for r in x.rows]).view(np.uint64) for x in (res, plain)]
+    assert np.array_equal(*bits)
+    params, value, converged, _ = refine_max(cfg, plain.argmax_params)
+    assert (res.argmax_params, res.argmax_value, res.converged) == (params, value, converged)
+    return plain
+
+
 class TestOneStackPerStage:
-    """A refined scan at fixed alpha forms the chain twice: for its grid, and for
-    the final engine stack, whose winning column is `SweepResult.preset`; the
-    fit reads the closed form.  A column is bit for bit the point alone."""
+    """A refined scan at fixed alpha forms the chain once along t alone: its
+    grid and the fit's readings ride in one stack; with an angle moving, twice:
+    for its grid, and for the final engine stack.  The winning column of the
+    last stack is `SweepResult.preset`; the fit reads the closed form.  A
+    column is bit for bit the point alone."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
+           pre_evolution=st.booleans(), alpha=st.floats(-1.5, 1.5), lo=st.floats(0.0, 2.0),
+           width=st.floats(0.05, 4.0), count=st.integers(2, 48),
+           theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))
+    def test_t_route_reads_the_grid_and_the_fit_in_one_stack(self, expr, kind, pre_evolution,
+                                                              alpha, lo, width, count, theta, phi):
+        pre_evolution = pre_evolution or kind == "pt-published"
+        fixed = {"theta": theta, "phi": phi} | ({} if kind == "unitary" else {"alpha": alpha})
+        _assert_t_route_is_refine_max(SweepConfig(
+            expression=expr, kind=kind, grids={"t": GridSpec(lo, lo + width, count)},
+            fixed=fixed, pre_evolution=pre_evolution, refine=True))
+
+    def test_t_route_with_a_failing_row(self):
+        # 1e-6 from the EP one row fails at context (3,) (the error of the pure
+        # start, ROADMAP item 1): the stack is read again without it, and the
+        # winner's preset is built afresh
+        cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(0.0, np.pi, 512)},
+                          fixed={"alpha": np.pi / 2 - 1e-6, "theta": DEFAULT_THETA,
+                                 "phi": DEFAULT_PHI}, refine=True)
+        errors = [r.error for r in _assert_t_route_is_refine_max(cfg).rows if r.error]
+        assert len(errors) == 1 and errors[0].startswith("context (3,) carries total weight")
+
+    def test_every_grid_point_failing_raises_the_scan_error(self):
+        # past the EP the fit refuses alpha too, but the scan's own error stands
+        cfg = SweepConfig(expression="V1", kind="pt", grids={"t": GridSpec(0.1, 1.0, 8)},
+                          fixed={"alpha": 1.6}, refine=True)
+        with pytest.raises(DomainError) as info:
+            scan(cfg)
+        assert str(info.value) == "every grid point failed; nothing to maximize"
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
