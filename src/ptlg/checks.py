@@ -2,7 +2,8 @@
 
 Every check compares two independent routes to the same quantity (engine vs
 closed form, fine vs coarse context, grouped vs composed propagator) over a
-fixed parameter sample, so the suite is reproducible run to run.
+fixed parameter sample, so the suite is reproducible run to run.  The table checks
+share one context table, over the four preset families stacked as one preset.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .matcore import dagger, per_matrix, weights
 from .nosignal import mixed_distance, signaling_deviation
 from .protocol import (
     MeasurementContext,
+    StackedPreset,
     pt_standard,
     pt_variant,
     unitary_standard,
@@ -77,7 +79,8 @@ def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
 def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
                        include_pair_forms: bool = False) -> list[CheckResult]:
     """Every check over the same sample, each as one stack of its points; U is formed once,
-    and a fault perturbs a copy of it that only `uu-dagger-closed-form` reads."""
+    and a fault perturbs a copy of it that only `uu-dagger-closed-form` reads.  The four
+    preset families run as one stack (`StackedPreset`); a check of one family reads its slice."""
     if sample_size < 1:
         raise UsageError(f"sample size must be >= 1, got {sample_size}")
     alphas, ts = _sample(sample_size, 2 * np.pi / 5)
@@ -95,27 +98,28 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = _biorthogonal_reconstruction_residual(p, u)
     results.append(CheckResult("eigensystem-reconstruction", res, 1e-9))
 
-    # One stacked context table per preset family, shared by every check below:
-    # pt standard, pt variant, unitary standard, unitary variant.
-    thetas = 0.3 + 0.1 * np.arange(sample_size)
-    phis = 0.2 + 0.35 * np.arange(sample_size)
-    tables = [table(pt_standard(alphas, ts)), table(pt_variant(alphas, ts, thetas, phis)),
-              table(unitary_standard(ts)), table(unitary_variant(ts, thetas, phis))]
+    # One context table over the four families stacked, shared by every check below: points
+    # [:n] pt standard, [n:2n] pt variant, [2n:3n] unitary standard, [3n:] unitary variant.
+    n = sample_size
+    thetas = 0.3 + 0.1 * np.arange(n)
+    phis = 0.2 + 0.35 * np.arange(n)
+    pt = pt_standard(alphas, ts)
+    tab = table(StackedPreset(pt, pt_variant(alphas, ts, thetas, phis), unitary_standard(ts),
+                              unitary_variant(ts, thetas, phis)))
 
     for name, identity in (("beta", l123_and_beta), ("delta", v123_and_delta)):  # x = 1 - 4 y
-        res = max(_max(abs(x - (1 - 4 * y))) for x, y in (tab.cached(identity) for tab in tables))
-        results.append(CheckResult(f"three-time-{name}-identity", res, 1e-12))
+        x, y = tab.cached(identity)
+        results.append(CheckResult(f"three-time-{name}-identity", _max(abs(x - (1 - 4 * y))),
+                                   1e-12))
 
-    res = max(map(_max, map(decomposition_residual_standard, tables)))
-    results.append(CheckResult("decomposition-standard", res, 1e-10))
+    for name, residual in (("standard", decomposition_residual_standard),
+                           ("variant", decomposition_residual_variant)):
+        results.append(CheckResult(f"decomposition-{name}", _max(residual(tab)), 1e-10))
 
-    res = max(map(_max, map(decomposition_residual_variant, tables)))
-    results.append(CheckResult("decomposition-variant", res, 1e-10))
-
-    res = max(_max(tab.cached(degree_report).max_aot()) for tab in tables[2:])
+    res = _max(tab.cached(degree_report).max_aot()[2 * n:])
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
-    partner = tables[0].preset.start  # bob_reduced(p), bit for bit
+    partner = pt.start  # bob_reduced(p), bit for bit
     res = _max(abs(partner.mat - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
@@ -126,24 +130,23 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
         res = max(res, 1.0)
     results.append(CheckResult("signaling-iff-trivial", res, 1e-12))
 
-    res = _max(abs(l13(tables[2]) - unitary_l13(ts)))
+    res = _max(abs(l13(tab)[2 * n:3 * n] - unitary_l13(ts)))
     results.append(CheckResult("unitary-standard-closed-form", res, 1e-10))
 
-    res = _max(abs(variant_v(3, tables[3]) - unitary_v3(ts, thetas, phis)))
+    res = _max(abs(variant_v(3, tab)[3 * n:] - unitary_v3(ts, thetas, phis)))
     results.append(CheckResult("unitary-variant-closed-form", res, 1e-10))
 
     res = 0.0
-    for tab in tables:
-        for times in CONTEXTS:
-            rows = tab[times].rows  # summed one outcome row after another, as normalized
-            res = max(res, _max(abs(sum(rows) - 1.0)), _max(np.maximum(-rows, rows - 1.0)))
+    for times in CONTEXTS:
+        rows = tab[times].rows  # summed one outcome row after another, as normalized
+        res = max(res, _max(abs(sum(rows) - 1.0)), _max(np.maximum(-rows, rows - 1.0)))
     results.append(CheckResult("probability-sanity", res, 1e-12))
 
     if include_pair_forms:
         res = 0.0
         for pair in ((1, 2), (2, 3), (1, 3)):
-            c = correlator(tables[0][pair], pair)
-            ctx = MeasurementContext(preset=tables[0].preset, measured_times=pair)
+            c = correlator(tab[pair], pair)[:n]
+            ctx = MeasurementContext(preset=pt, measured_times=pair)
             raw = sum(unnormalized_chain(ctx, (a, b)) for a in (+1, -1) for b in (+1, -1))
             res = max(res, _max(abs(c - pair_correlator_reference(alphas, ts, pair))),
                       _max(abs(raw - pair_normalization_reference(alphas, ts, pair))))

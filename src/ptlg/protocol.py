@@ -174,6 +174,17 @@ class ScenarioPreset:
         return point
 
 
+class StackedPreset:
+    """Stacked presets of any kinds as one stack of their points, in order: `transfer` joins
+    the members' along the point axis, so a member's slice of each distribution is its own.
+    label, initial_state, evolution and pre_evolution are tuples of the members' values."""
+    def __init__(self, *members: ScenarioPreset):
+        self.label, self.initial_state, self.evolution, self.pre_evolution = zip(*(
+            (m.label, m.initial_state, m.evolution, m.pre_evolution) for m in members))
+        w, tables = zip(*(m.transfer for m in members))
+        self.transfer = np.concatenate(w, axis=-1), np.concatenate(tables, axis=-1)
+
+
 def unitary_standard(t: float) -> ScenarioPreset:
     """sigma_z measurements on the maximally mixed state, alpha = 0 steps."""
     return ScenarioPreset(

@@ -172,8 +172,8 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[np.ndarray, list
 
 def _read(cfg: SweepConfig, params: dict, axes: dict):
     """`grid_columns` of `evaluate_expression` over the aligned stacks `axes` on
-    `params`: the values, each point's failure reason, and the stacked preset
-    of the last call, which gave the values of every point that did not fail."""
+    `params`: the values, each point's failure reason, and `column(i)`, the preset of a
+    point i that did not fail: a column of the last call's stack, which holds those points."""
     presets = [None]
 
     def f(**point):
@@ -181,7 +181,8 @@ def _read(cfg: SweepConfig, params: dict, axes: dict):
         return (evaluate_expression(cfg, presets[-1]),)
 
     (values,), errors = grid_columns(f, axes, 1)
-    return values.tolist(), errors, presets[-1]
+    return values.tolist(), errors, lambda i: presets[-1].column(
+        i - sum(e is not None for e in errors[:i]))
 
 
 def scan(cfg: SweepConfig) -> SweepResult:
@@ -250,7 +251,7 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, head):
     ts, gaps = tfit.candidates(coef, grid.lo, grid.hi)
     n = len(head)
     ts, gaps = np.append(head, ts), np.append(np.zeros(n), gaps)
-    values, errors, stack = _read(cfg, params, {"t": ts})
+    values, errors, column = _read(cfg, params, {"t": ts})
     i = int(np.argmax(np.fmax(values, -np.inf)))  # a failing reading (NaN) cannot win
     t, best = float(ts[i]), float(values[i])
     if gaps[i]:  # the unsettled readings in t order, and those at least their neighbours
@@ -263,7 +264,7 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, head):
         return (params | {"t": t}, best, False, None), values[:n], errors[:n]
     slope = tfit.slopes(coef, [2 * t], second=False)[0][0] if i < n else 0.0
     converged = i >= n or bool(t == grid.lo and slope < 0 or t == grid.hi and slope > 0)
-    return ((params | {"t": t}, best, converged, None if any(errors) else stack.column(i)),
+    return ((params | {"t": t}, best, converged, None if np.isnan(best) else column(i)),
             values[:n], errors[:n])
 
 
@@ -282,12 +283,12 @@ def _refine_state(cfg: SweepConfig, params: dict, grids: list):
     keep = np.argsort(np.where(wins, -fit, np.inf))[:min(wins.sum(), READS - 1)]
     points = np.vstack([ends[keep], x])
     names = [n for n, _ in grids]
-    values, errors, stack = _read(cfg, params, {n: points[:, FIT_AXES.index(n)] for n in names})
+    values, errors, column = _read(cfg, params, {n: points[:, FIT_AXES.index(n)] for n in names})
     if not np.isfinite(values[-1]):
         raise UsageError(f"objective not finite at seed {params}")
     i = int(np.nanargmax(values))  # an end wins a tie with the seed; a failing reading cannot
     return (params | {n: float(points[i, FIT_AXES.index(n)]) for n in names}, float(values[i]),
-            bool(i < len(keep) and converged[keep[i]]), None if any(errors) else stack.column(i))
+            bool(i < len(keep) and converged[keep[i]]), column(i))
 
 
 def refine_max(cfg: SweepConfig, seed: dict[str, float]):

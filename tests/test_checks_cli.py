@@ -404,6 +404,19 @@ class TestOptimizeCommand:
         assert report["converged"] is True
         assert report["classifier"]["lg_values"]["V3"] == report["value"]
 
+    def test_failed_reading_keeps_the_winner_column(self, capsys, monkeypatch):
+        # 1e-6 from the EP one grid row fails (context (3,)): the stack is read again
+        # without it, 3 starts in all, and the winner's preset is its column of that
+        # last stack (its index less the failures before it), not a fourth start
+        starts, start = [], protocol._start
+        monkeypatch.setattr(protocol, "_start", lambda *args: starts.append(1) or start(*args))
+        assert main(["optimize", "V3", "--kind", "pt", "--alpha", "1.5707953267948966",
+                     "--t-min", "0", "--t-max", "3.141592653589793", "--t-steps", "512"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(starts) == 3
+        assert report["value"] == 1.0
+        assert report["classifier"]["lg_values"]["V3"] == report["value"]
+
     def test_unsettled_winner_prints_its_recorded_output(self, capsys):
         # the published dip: the winner comes from the engine's own search about
         # an unsettled maximum, so its preset is built afresh; the bytes were

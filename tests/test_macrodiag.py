@@ -210,8 +210,9 @@ def test_diagnostics_computes_each_context_once(distribution_calls):
     assert sorted(distribution_calls) == sorted(lgexpr.CONTEXTS)
 
 
-def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
-    # the suite shares 4 stacked tables among both residuals and the AOT check
+def test_identity_suite_builds_one_degree_report_per_table(monkeypatch, distribution_calls):
+    # the suite's one table, over the four preset families stacked, serves both
+    # residuals and the AOT check, and makes each of its seven contexts once
     from ptlg import checks, macrodiag
 
     tables = []
@@ -224,8 +225,9 @@ def test_identity_suite_builds_one_degree_report_per_table(monkeypatch):
     monkeypatch.setattr(macrodiag, "degree_report", counting)
     monkeypatch.setattr(checks, "degree_report", counting)
     checks.run_identity_suite(sample_size=16)
-    assert len(tables) == 4
-    assert len({id(x) for x in tables}) == len(tables)
+    assert len(tables) == 1
+    assert len(distribution_calls) == 7
+    assert sorted(distribution_calls) == sorted(lgexpr.CONTEXTS)
 
 
 def test_reductions_of_one_table_share_its_degree_report(monkeypatch):
@@ -264,7 +266,7 @@ def test_degree_tables_subtract_the_full_context_marginal(kind, standard, pre_ev
 
 
 def test_identity_suite_reduces_each_table_once(monkeypatch):
-    # the identity checks and both decomposition residuals share each table's
+    # the identity checks and both decomposition residuals share the one table's
     # l123_and_beta and v123_and_delta, as they share its degree report
     from ptlg import checks, macrodiag
 
@@ -279,4 +281,4 @@ def test_identity_suite_reduces_each_table_once(monkeypatch):
         for module in (checks, macrodiag):
             monkeypatch.setattr(module, name, counting)
     checks.run_identity_suite(sample_size=16)
-    assert len(calls) == len(set(calls)) == 8
+    assert len(calls) == len(set(calls)) == 2

@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlg import protocol
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
@@ -14,6 +16,7 @@ from ptlg.protocol import (
     MeasurementContext,
     PTEvolution,
     ScenarioPreset,
+    StackedPreset,
     distribution,
     initial_state_at_t1,
     maximally_mixed,
@@ -262,6 +265,29 @@ class TestStackedTransfer:
         same(lambda tab: degree_report(tab).max_aot(), "max_aot")
         same(decomposition_residual_standard, "decomposition_residual_standard")
         same(decomposition_residual_variant, "decomposition_residual_variant")
+
+
+class TestStackedPreset:
+    """A stack of preset families is each family's own stack, slice by slice."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_family_slices_are_their_own_tables(self, n, seed):
+        rng = np.random.default_rng(seed)
+        alphas, ts = rng.uniform(-1.4, 1.4, n), rng.uniform(0.0, np.pi, n)
+        thetas, phis = rng.uniform(0.0, np.pi, n), rng.uniform(0.0, 2 * np.pi, n)
+        families = (pt_standard(alphas, ts), pt_variant(alphas, ts, thetas, phis),
+                    unitary_standard(ts), unitary_variant(ts, thetas, phis))
+        stack = StackedPreset(*families)
+        # the attributes a tracer keys each distribution call by
+        hash((stack.label, stack.initial_state, stack.evolution, stack.pre_evolution))
+        stacked = ContextTable(stack)
+        for i, family in enumerate(families):
+            alone = ContextTable(family)
+            for times in ALL_CONTEXTS:
+                got, want = stacked[times].probs[..., i * n:(i + 1) * n], alone[times].probs
+                assert np.array_equal(got, want), (i, times)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (i, times)
 
 
 class TestOneTimeProbability:

@@ -692,12 +692,26 @@ class TestOneStackPerStage:
     def test_t_route_with_a_failing_row(self):
         # 1e-6 from the EP one row fails at context (3,) (the error of the pure
         # start, ROADMAP item 1): the stack is read again without it, and the
-        # winner's preset is built afresh
+        # winner's preset is its column of that stack
         cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(0.0, np.pi, 512)},
                           fixed={"alpha": np.pi / 2 - 1e-6, "theta": DEFAULT_THETA,
                                  "phi": DEFAULT_PHI}, refine=True)
         errors = [r.error for r in _assert_t_route_is_refine_max(cfg).rows if r.error]
         assert len(errors) == 1 and errors[0].startswith("context (3,) carries total weight")
+
+    def test_t_route_with_a_failing_row_before_the_winner(self):
+        # the first row fails and the last one wins: its preset is column 510 of
+        # the stack read again without row 0, bit for bit the point alone
+        t0 = GridSpec(0.0, np.pi, 512).values()[341]  # the failing row above
+        cfg = SweepConfig(expression="V3", kind="pt", grids={"t": GridSpec(t0, 2 * np.pi, 512)},
+                          fixed={"alpha": np.pi / 2 - 1e-6, "theta": DEFAULT_THETA,
+                                 "phi": DEFAULT_PHI}, refine=True)
+        res = scan(cfg)
+        assert [i for i, r in enumerate(res.rows) if r.error] == [0]
+        assert res.argmax_params["t"] == 2 * np.pi and res.converged is True
+        alone = sweep.build_preset(cfg, res.argmax_params)
+        for got, want in zip(res.preset.transfer, alone.transfer):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_every_grid_point_failing_raises_the_scan_error(self):
         # past the EP the fit refuses alpha too, but the scan's own error stands
