@@ -2,13 +2,14 @@
 
 Every check compares two independent routes to the same quantity (engine vs
 closed form, fine vs coarse context, grouped vs composed propagator) over a
-fixed parameter sample, so the suite is reproducible run to run.  The table checks
-share one context table, over the four preset families stacked as one preset.
+fixed parameter sample, so the suite is reproducible run to run.  The table checks share one
+context table, over the four preset families stacked as one preset; each propagator stack
+(the composition check's, U(t) of the sample, the signaling grids') is formed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .protocol import (
     unitary_variant,
     unnormalized_chain,
 )
-from .ptdyn import PTParams, composition_check, eigensystem, propagator
+from .ptdyn import PTParams, composition_check, eigensystem
 
 
 @dataclass(frozen=True)
@@ -78,21 +79,23 @@ def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
 
 def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
                        include_pair_forms: bool = False) -> list[CheckResult]:
-    """Every check over the same sample, each as one stack of its points; U is formed once,
-    and a fault perturbs a copy of it that only `uu-dagger-closed-form` reads.  The four
-    preset families run as one stack (`StackedPreset`); a check of one family reads its slice."""
+    """Every check over the same sample, each as one stack of its points.  The PT families'
+    shared evolution forms U(t) once for every reader; a fault perturbs the (0, 0) entries of a
+    copy that only `uu-dagger-closed-form` reads (an infinite or NaN product fails it).  The
+    four families run as one stack (`StackedPreset`); a check of one family reads its slice."""
     if sample_size < 1:
         raise UsageError(f"sample size must be >= 1, got {sample_size}")
     alphas, ts = _sample(sample_size, 2 * np.pi / 5)
     results: list[CheckResult] = []
 
-    res = composition_check(PTParams(alphas, 0.1), np.abs(ts) / 2, np.abs(ts) / 3)
+    res = composition_check(alphas, np.abs(ts) / 2, np.abs(ts) / 3)
     results.append(CheckResult("propagator-composition", res, 1e-12))
 
-    p = PTParams(alphas, ts)
-    u, ref = propagator(p), uu_dagger_reference(alphas, ts)
-    faulty = u + fault * np.array([[1.0, 0.0], [0.0, 0.0]])
-    res = _max(np.abs(faulty @ dagger(faulty) - ref))
+    pt, n = pt_standard(alphas, ts), sample_size
+    p, u, ref = pt.evolution.params, pt.evolution.step(1), uu_dagger_reference(alphas, ts)
+    faulty = np.where([[True, False], [False, False]], u + fault, u)  # the (0, 0) entries
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN product fails
+        res = _max(np.abs(faulty @ dagger(faulty) - ref))
     results.append(CheckResult("uu-dagger-closed-form", res, 1e-10))
 
     res = _biorthogonal_reconstruction_residual(p, u)
@@ -100,12 +103,10 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
 
     # One context table over the four families stacked, shared by every check below: points
     # [:n] pt standard, [n:2n] pt variant, [2n:3n] unitary standard, [3n:] unitary variant.
-    n = sample_size
     thetas = 0.3 + 0.1 * np.arange(n)
     phis = 0.2 + 0.35 * np.arange(n)
-    pt = pt_standard(alphas, ts)
-    tab = table(StackedPreset(pt, pt_variant(alphas, ts, thetas, phis), unitary_standard(ts),
-                              unitary_variant(ts, thetas, phis)))
+    variant = replace(pt_variant(alphas, ts, thetas, phis), evolution=pt.evolution)
+    tab = table(StackedPreset(pt, variant, unitary_standard(ts), unitary_variant(ts, thetas, phis)))
 
     for name, identity in (("beta", l123_and_beta), ("delta", v123_and_delta)):  # x = 1 - 4 y
         x, y = tab.cached(identity)
@@ -123,8 +124,8 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = _max(abs(partner.mat - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
-    res = _max([signaling_deviation(PTParams(0.0, np.abs(ts))),
-                signaling_deviation(PTParams(alphas, np.pi))])
+    res = _max(signaling_deviation(PTParams(np.concatenate([np.zeros(n), alphas]),
+                                            np.concatenate([np.abs(ts), np.full(n, np.pi)]))))
     interior = mixed_distance(partner)[np.abs(alphas) > 0.3].min()
     if interior <= 1e-6:
         res = max(res, 1.0)

@@ -110,8 +110,12 @@ class PTEvolution:
     params: PTParams
     published: bool = False
 
+    @cached_property
+    def _u(self) -> np.ndarray:  # U(t), formed once per evolution for every reader of it
+        return propagator(self.params)
+
     def step(self, n_segments: int) -> np.ndarray:
-        return propagator(scaled(self.params, n_segments))
+        return self._u if n_segments == 1 else propagator(scaled(self.params, n_segments))
 
 
 UNITARY_STANDARD = "UNITARY_STANDARD"
@@ -128,9 +132,9 @@ class ScenarioPreset:
     evolution: PTEvolution
     pre_evolution: bool
 
-    def __post_init__(self):
+    def __post_init__(self):  # points: N for a stack of N points, None for a point
         p, state = self.evolution.params, self.initial_state
-        check_aligned(p.alpha, p.t, state.theta, state.phi)
+        object.__setattr__(self, "points", check_aligned(p.alpha, p.t, state.theta, state.phi))
 
     @cached_property
     def start(self) -> QubitDensity:
@@ -146,20 +150,10 @@ class ScenarioPreset:
     def transfer(self) -> tuple[np.ndarray, np.ndarray]:
         """The weights w[k - 1, i] = w_k(m_i) at times k = 1..3 and the tables T[n - 1, i, j] =
         T_n(m_j|m_i) across gaps of n = 1, 2 steps (m_0 = +1, m_1 = -1), each with a trailing
-        axis of N points for a stack (a point runs as a stack of one), from `start` and the
-        closed form (`chain_tables`); formed on first use, so a failure raises at the first read.
+        axis of N points for a stack (a point runs as a stack of one): the `StackedPreset` of this
+        preset alone (`chain_tables`); formed on first use, so a failure raises at the first read.
         """
-        p, s, published = self.evolution.params, self.initial_state, self.evolution.published
-        basis, flip = _measured_basis(self.observable, p.alpha)
-        start = symmetric_part(self.start.mat.reshape(-1, 2, 2), basis)
-        t, lead = np.array(p.t) if isinstance(p.t, tuple) else p.t, 1 if published else -1
-        jt = np.array([multiple(t, j) for j in range(lead + 4)])  # checked in the engine's order
-        n = next((len(x) for x in (p.alpha, p.t, s.theta, s.phi) if isinstance(x, tuple)), None)
-        jt = np.broadcast_to(jt.reshape(len(jt), -1), (len(jt), n or 1))
-        w, tables = chain_tables(jt, np.asarray(p.alpha), basis, lead, published, start)
-        if flip:  # the negated observable swaps its outcomes
-            w, tables = w[:, ::-1], tables[:, ::-1, ::-1]
-        return (w, tables) if n else (w[..., 0], tables[..., 0])
+        return tuple(x if self.points else x[..., 0] for x in StackedPreset(self).transfer)
 
     def column(self, i: int) -> ScenarioPreset:
         """Point i of a stack as a one-point preset whose `transfer` is column i
@@ -175,14 +169,30 @@ class ScenarioPreset:
 
 
 class StackedPreset:
-    """Stacked presets of any kinds as one stack of their points, in order: `transfer` joins
-    the members' along the point axis, so a member's slice of each distribution is its own.
-    label, initial_state, evolution and pre_evolution are tuples of the members' values."""
+    """Presets of any kinds on one chain as one stack of their points, in order: `transfer` is
+    one `chain_tables` call with each point's r and start, so a member's slice of each
+    distribution is its own.  label, initial_state, evolution and pre_evolution are tuples."""
     def __init__(self, *members: ScenarioPreset):
         self.label, self.initial_state, self.evolution, self.pre_evolution = zip(*(
             (m.label, m.initial_state, m.evolution, m.pre_evolution) for m in members))
-        w, tables = zip(*(m.transfer for m in members))
-        self.transfer = np.concatenate(w, axis=-1), np.concatenate(tables, axis=-1)
+        published = members[0].evolution.published
+        if any(m.evolution.published != published for m in members):
+            raise UsageError("stacked presets must share one chain, got published " + ", ".join(
+                f"{m.label}={m.evolution.published}" for m in members))
+        cols = []
+        for m in members:
+            p, n = m.evolution.params, m.points or 1
+            basis, flip = _measured_basis(m.observable, p.alpha)
+            cols.append((np.full(n, p.t), np.full(n, ratio(p.alpha, basis)),
+                         np.full((3, n), symmetric_part(m.start.mat.reshape(-1, 2, 2), basis)),
+                         np.full(n, flip)))
+        t, r, s, flip = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*cols))
+        lead = 1 if published else -1
+        jt = np.array([multiple(t, j) for j in range(lead + 4)])  # checked in the engine's order
+        w, tables = chain_tables(jt, r, lead, published, s)
+        if flip.any():  # a negated observable swaps its outcomes
+            w, tables = np.where(flip, w[:, ::-1], w), np.where(flip, tables[:, ::-1, ::-1], tables)
+        self.transfer = w, tables
 
 
 def unitary_standard(t: float) -> ScenarioPreset:
@@ -364,15 +374,14 @@ def distribution(ctx: MeasurementContext) -> OutcomeDistribution:
     return OutcomeDistribution(context=ctx, probs=(raw / total).reshape((2,) * len(times) + trail))
 
 
-def chain_tables(jt, alpha, basis: int, lead: int, published: bool, s) -> tuple:
+def chain_tables(jt, r, lead: int, published: bool, s) -> tuple:
     """`ScenarioPreset.transfer`'s weights and tables, from the start's symmetric part s and the
-    propagator in the basis of BASES[basis], real: U~(j t) = D R(j t) D^-1, D = diag(1, r),
-    r = tan(pi/4 + alpha/2) for sigma_y and 1 for sigma_z (Mostafazadeh, J. Math. Phys. 43,
-    205 (2002)), at the multiples jt (J, ...).  Into time k the leg is L = U~((k + lead) t):
-    lead = -1 from the state at time 1, 0 from the bare state, 1 on the published chain; across
-    n steps G = U~(n t), or U~((n + 1) t) U~(t)^T on the published chain.  Entry by entry,
-    w_k(m) = (L S L^T)_mm and T_n(m'|m) = G_m'm^2."""
-    r = 1.0 if basis else np.tan(np.pi / 4 + alpha / 2)
+    propagator in the basis of a measured observable (`BASES`), real: U~(j t) = D R(j t) D^-1,
+    D = diag(1, r), r = tan(pi/4 + alpha/2) for sigma_y and 1 for sigma_z (Mostafazadeh,
+    J. Math. Phys. 43, 205 (2002)), r and s per point, at the multiples jt (J, ...).  Into time
+    k the leg is L = U~((k + lead) t): lead = -1 from the state at time 1, 0 from the bare
+    state, 1 on the published chain; across n steps G = U~(n t), or U~((n + 1) t) U~(t)^T on
+    the published chain.  Entry by entry, w_k(m) = (L S L^T)_mm and T_n(m'|m) = G_m'm^2."""
     c, sn = np.cos(jt), np.sin(jt)
     u = np.moveaxis(np.array([[c, -sn / r], [r * sn, c]]), (0, 1), (1, 2))  # U~(j t) = u[j]
     a, b = u[2:4], u[1]  # (A B^T)_ik = A_i0 B_k0 + A_i1 B_k1
@@ -380,6 +389,11 @@ def chain_tables(jt, alpha, basis: int, lead: int, published: bool, s) -> tuple:
     l0, l1 = u[lead + 1:lead + 4, :, 0], u[lead + 1:lead + 4, :, 1]
     w = l0 * s[0] * l0 + l0 * s[1] * l1 + l1 * s[1] * l0 + l1 * s[2] * l1
     return w, (gaps * gaps).swapaxes(1, 2)
+
+
+def ratio(alpha, basis: int):
+    """`chain_tables`' r at the angles alpha in the basis of BASES[basis]."""
+    return 1.0 if basis else np.tan(np.pi / 4 + np.asarray(alpha) / 2)
 
 
 def symmetric_part(rho: np.ndarray, basis: int) -> np.ndarray:

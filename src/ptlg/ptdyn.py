@@ -40,10 +40,11 @@ def point_or_stack(x, ok=None, error=None):
 
 
 def check_aligned(*xs):
-    """Raise UsageError unless the stacks among `xs` all have the same length."""
+    """The length of the stacks among `xs` (None if none is); UsageError unless they agree."""
     lengths = {len(x) for x in xs if isinstance(x, tuple)}
     if len(lengths) > 1:
         raise UsageError(f"stacks must be aligned point by point, got lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else None
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,9 @@ def propagator(p: PTParams) -> np.ndarray:
     return np.cos(t) * I2 - 1j * np.sin(t) * h_unit
 
 
-def composition_check(p: PTParams, t1, t2) -> float:
-    """Max-entry norm of U(t1) U(t2) - U(t1 + t2), over a whole stack; roundoff-small
-    by the group law."""
-    u1 = propagator(PTParams(p.alpha, t1))
-    u2 = propagator(PTParams(p.alpha, t2))
-    u12 = propagator(PTParams(p.alpha, t1 + t2))
+def composition_check(alpha, t1, t2) -> float:
+    """Max-entry norm of U(t1) U(t2) - U(t1 + t2) at the angles alpha, over a whole stack,
+    from one propagator stack of the three durations; roundoff-small by the group law."""
+    a, x, y = np.broadcast_arrays(alpha, t1, t2)
+    u1, u2, u12 = np.split(propagator(PTParams(np.tile(a.ravel(), 3), np.ravel([x, y, x + y]))), 3)
     return float(np.max(np.abs(u1 @ u2 - u12)))

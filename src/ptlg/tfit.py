@@ -24,7 +24,7 @@ import numpy as np
 
 from .lgexpr import TERMS, outcome_signs
 from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .protocol import chain_products, chain_tables, symmetric_part
+from .protocol import chain_products, chain_tables, ratio, symmetric_part
 from .ptdyn import PTParams
 
 SCAN_DENSITY = 128  # scan steps of V' per radian of theta (`candidates`)
@@ -74,7 +74,7 @@ def fit(kind: str, alpha: float, pre_evolution: bool, expression: str,
         s = s @ features(*angles)
     lead = 1 if published else 0 if pre_evolution and not basis else -1
     jt, dft = _SAMPLING[17 if published else 7]
-    w, tables = chain_tables(jt, alpha, basis, lead, published, s.reshape(3, -1, 1))
+    w, tables = chain_tables(jt, ratio(alpha, basis), lead, published, s.reshape(3, -1, 1))
     rows = []
     for sign, times in TERMS[expression]:
         raw = chain_products(w, tables, times)

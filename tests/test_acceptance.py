@@ -144,7 +144,7 @@ def test_criterion_06_identity_suite():
         worst["uu"] = max(worst["uu"], float(np.max(np.abs(
             u @ u.conj().T - uu_dagger_reference(alpha, t)))))
         worst["comp"] = max(worst["comp"],
-                            composition_check(p, rng.uniform(0, 2), rng.uniform(0, 2)))
+                            composition_check(alpha, rng.uniform(0, 2), rng.uniform(0, 2)))
     ok = (worst["beta"] <= 1e-10 and worst["delta"] <= 1e-10
           and worst["standard"] <= 1e-10 and worst["variant"] <= 1e-10
           and worst["uu"] <= 1e-10 and worst["comp"] <= 1e-12)

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptlg
-from ptlg import checks, nosignal, protocol, ptdyn
+from ptlg import nosignal, protocol, ptdyn
 from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
@@ -94,16 +95,19 @@ class TestSuiteFormsEachQuantityOnce:
         assert [(r.name, float(r.residual).hex()) for r in results] == want
 
     @pytest.mark.parametrize("pair_forms,starts,chains,propagators",
-                             [(False, 6, 0, 8), (True, 6, 1, 10)])
+                             [(False, 5, 0, 3), (True, 5, 1, 4)])
     def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, starts, chains,
                                          propagators):
-        # one start per stacked table, through U(t) on the two PT tables, and the
-        # partner state is the PT-standard table's; the tables' legs come from the
-        # closed form, so a chain (and its U(t) and U(2 t)) is formed only for the
-        # oracle's preset, whose outcome tuples all read it; the U U^dagger and
-        # eigensystem checks share one U(t) of the sample; the two signaling grids
-        # form one start and one U(t) each (`bob_reduced`)
+        # stack by stack: the composition check's U(t/2), U(t/3) and U(t/2 + t/3) are one
+        # propagator stack of 3 n points; the two PT families share one evolution, whose U(t)
+        # serves the U U^dagger and eigensystem checks and both PT starts (through it, one
+        # start each), and the unitary families' starts are their bare states (4 starts);
+        # the four families' transfer tables are one `chain_tables` call, so no chain of
+        # complex legs is formed but the oracle's, whose outcome tuples all read it and which
+        # adds U(2 t) alone; the two signaling grids are one `bob_reduced` stack of 2 n
+        # points: one start and one propagator
         calls, chain, propagator, start = [], protocol._chain, ptdyn.propagator, protocol._start
+        tables = protocol.chain_tables
 
         def counting(p):
             calls.append("propagator")
@@ -115,13 +119,15 @@ class TestSuiteFormsEachQuantityOnce:
 
         monkeypatch.setattr(protocol, "_chain", lambda preset: calls.append("chain")
                             or chain(preset))
-        for module in (ptdyn, protocol, checks, nosignal, ptlg):
+        monkeypatch.setattr(protocol, "chain_tables", lambda *args: calls.append("tables")
+                            or tables(*args))
+        for module in (ptdyn, protocol, nosignal, ptlg):
             monkeypatch.setattr(module, "propagator", counting)
         for module in (protocol, nosignal):
             monkeypatch.setattr(module, "_start", starting)
         run_identity_suite(13, include_pair_forms=pair_forms)
-        assert tuple(map(calls.count, ("start", "chain", "propagator"))) == (
-            starts, chains, propagators)
+        assert tuple(map(calls.count, ("start", "chain", "propagator", "tables"))) == (
+            starts, chains, propagators, 1)
 
 
 class TestCheckCommand:
@@ -134,6 +140,17 @@ class TestCheckCommand:
         assert main(["check", "--sample-size", "4", "--inject-fault", "1e-3"]) == 1
         out = capsys.readouterr().out
         assert "uu-dagger-closed-form" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("fault", ("inf", "-inf", "1e200", "nan"))
+    def test_non_finite_product_fails_the_one_check(self, capsys, fault):
+        # an infinite fault, or one whose square overflows, reads as a failing residual
+        # of the U U^dagger check alone, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--sample-size", "4", "--inject-fault", fault]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAILED")] == [
+            "FAILED: uu-dagger-closed-form"]
 
     def test_bad_sample_size_is_usage_error(self):
         assert main(["check", "--sample-size", "0"]) == 2

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -288,6 +289,43 @@ class TestStackedPreset:
                 got, want = stacked[times].probs[..., i * n:(i + 1) * n], alone[times].probs
                 assert np.array_equal(got, want), (i, times)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (i, times)
+
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(alphas=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1.5, 1.5), min_size=1,
+                           max_size=64),
+           seed=st.integers(0, 2**32 - 1), pre=st.tuples(st.booleans(), st.booleans()),
+           published=st.booleans())
+    def test_one_chain_tables_call_is_each_members_transfer(self, alphas, seed, pre, published):
+        # PT members with pre-evolution on or off, mixed and pure, one with the negated
+        # observable, beside the unitary families on the sequential chain, or the published
+        # PT members alone; every slice of the one call is that member's own `transfer`
+        alphas, rng = np.array(alphas), np.random.default_rng(seed)
+        n = len(alphas)
+        ts, thetas, phis = (rng.uniform(0.0, hi, n) for hi in (np.pi, np.pi, 2 * np.pi))
+        chain = {"published": True} if published else {}
+        on = (True, True) if published else pre
+        pts = (pt_standard(alphas, ts, on[0], **chain),  # each member with its own r
+               pt_variant(alphas[::-1], ts, thetas, phis, on[1], **chain),
+               replace(pt_variant(-alphas, ts, thetas, phis, on[0], **chain), observable=-SIGMA_Y))
+        families = pts if published else pts + (unitary_standard(ts),
+                                                unitary_variant(ts, thetas, phis))
+        calls = []
+        original = protocol.chain_tables
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "chain_tables", lambda *a: calls.append(a) or original(*a))
+            stack = StackedPreset(*families)
+        assert len(calls) == 1
+        for i, family in enumerate(families):
+            for got, want in zip(stack.transfer, replace(family).transfer):
+                got = got[..., i * n:(i + 1) * n]
+                assert np.array_equal(got, want), i
+                assert np.array_equal(np.signbit(got), np.signbit(want)), i
+
+    def test_members_on_different_chains_are_refused(self):
+        ts = (0.3, 1.2)
+        with pytest.raises(UsageError, match="published PT_STANDARD=False, PT_VARIANT=True"):
+            StackedPreset(pt_standard(0.4, ts), pt_variant(0.4, ts, 0.2, 0.3, published=True))
 
 
 class TestOneTimeProbability:

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from ptlg.closedform import uu_dagger_reference
 from ptlg.errors import DomainError, ExceptionalPointError, UsageError
+from ptlg import ptdyn
 from ptlg.matcore import I2, SIGMA_X, dagger
 from ptlg.ptdyn import (
     PTParams,
@@ -157,13 +158,32 @@ class TestPropagator:
 
 class TestComposition:
     def test_unitary_group(self):
-        assert composition_check(PTParams(0.0, 1.0), 0.4, 1.1) < 1e-12
+        assert composition_check(0.0, 0.4, 1.1) < 1e-12
 
     def test_nonunitary_semigroup(self):
-        assert composition_check(PTParams(np.pi / 3, 1.0), 0.3, 0.5) < 1e-12
+        assert composition_check(np.pi / 3, 0.3, 0.5) < 1e-12
 
     def test_zero_second_duration(self):
-        assert composition_check(PTParams(1.1, 1.0), 0.8, 0.0) < 1e-15
+        assert composition_check(1.1, 0.8, 0.0) < 1e-15
+
+    def test_stack_is_the_max_over_its_points(self, monkeypatch):
+        # the angles and both durations broadcast against each other, point by point, and
+        # U(t1), U(t2) and U(t1 + t2) come from one propagator stack
+        rng = np.random.default_rng(7)
+        alphas, t1, t2 = rng.uniform(-1.5, 1.5, 9), rng.uniform(0, 3, 9), rng.uniform(0, 3, 9)
+        alone = [composition_check(a, x, y) for a, x, y in zip(alphas, t1, t2)]
+        calls = []
+        monkeypatch.setattr(ptdyn, "propagator", lambda p: calls.append(p) or propagator(p))
+        assert composition_check(alphas, t1, t2) == max(alone)
+        assert len(calls) == 1 and len(calls[0].t) == 27
+        assert composition_check(0.7, t1, t2) == composition_check(np.full(9, 0.7), t1, t2)
+        assert composition_check(alphas, 0.4, t2) == composition_check(alphas, np.full(9, 0.4), t2)
+
+    def test_checks_each_point(self):
+        with pytest.raises(ExceptionalPointError):
+            composition_check([0.3, np.pi / 2], 0.4, 0.5)
+        with pytest.raises(DomainError):
+            composition_check(0.3, [0.4, -0.1], 0.5)
 
 
 class TestUUDagger:
