@@ -71,7 +71,7 @@ def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
     over a stack, with v_+- the columns of V, w_+- the rows of V^-1 and tau = t / cos(alpha)."""
     e, v = eigensystem(p)
     w = np.linalg.inv(v)
-    tau = np.array(p.t) / np.cos(p.alpha)
+    tau = p.t / np.cos(p.alpha)
     u_spec = (per_matrix(np.exp(-1j * e * tau)) * (v[..., :, 0, None] * w[..., None, 0, :])
               + per_matrix(np.exp(-1j * -e * tau)) * (v[..., :, 1, None] * w[..., None, 1, :]))
     return _max(np.abs(u_spec - u))

@@ -102,7 +102,7 @@ def pair_correlator_reference(alpha: float, t: float, pair: tuple[int, int]) -> 
             + 4 * sec**2 * s**2 * (cos(2 * t) + cos(4 * t) - cos(6 * t)
                                    + cos(8 * t) + cos(10 * t) + 1)
         )
-    elif pair == (1, 3):
+    else:  # (1, 3): n raised on any other pair
         num = (
             128 * sec**6 * s**6 * (2 * c + cos(3 * t)) ** 2
             + 8 * sec**4 * s**4 * (4 * cos(2 * t) + 12 * cos(4 * t)
@@ -111,6 +111,4 @@ def pair_correlator_reference(alpha: float, t: float, pair: tuple[int, int]) -> 
             - 8 * sec**2 * s**4 * (8 * cos(2 * t) + 10 * cos(4 * t)
                                    + 6 * cos(6 * t) + 2 * cos(8 * t) + 3)
         )
-    else:
-        raise UsageError(f"unknown pair {pair}")
     return num / n

@@ -73,9 +73,8 @@ def raise_where(bad, values, error):
 
 
 def per_matrix(w):
-    """Values of a stack (an array or a tuple) shaped (..., 1, 1) to scale its
-    matrices; a single value as is."""
-    return np.asarray(w)[..., None, None] if isinstance(w, (tuple, np.ndarray)) else w
+    """Values of a stack shaped (..., 1, 1) to scale its matrices; a single value as is."""
+    return w[..., None, None] if isinstance(w, np.ndarray) else w
 
 
 def hermitian_defect(a: np.ndarray):

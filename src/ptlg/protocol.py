@@ -40,12 +40,12 @@ forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
 the mixed state; for alpha != 0 the published gap is not U(n t).
 
 Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values in
-place of one, aligned point by point with the other stacks (see `PTParams` and
-`InitialState`).  Its states, weights, tables and probabilities then carry an
-axis of N points, computed by the same code and order of operations as one
-point: an entry of a t-stack equals that point alone, bit for bit.  Every
-check applies per point, and on a stack the error names every failing point
-(see `matcore.raise_where`).
+place of one, aligned point by point with the other stacks and held as a
+read-only array that the engine reads as it is (`ptdyn.hold`).  Its states,
+weights, tables and probabilities then carry an axis of N points, computed by
+the same code and order of operations as one point: an entry of a t-stack
+equals that point alone, bit for bit.  Every check applies per point, and on a
+stack the error names every failing point (see `matcore.raise_where`).
 
 Unitary = alpha = 0 PT step: the unitary presets evolve states with
 exp(-i t sigma_x), probe sigma_z and skip pre-evolution.  With the kets of
@@ -63,17 +63,22 @@ import numpy as np
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
 from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, as_cmat,
                       dagger, mixture, per_matrix, projector, raise_where, weights)
-from .ptdyn import PTParams, check_aligned, multiple, point_or_stack, propagator, scaled
+from .ptdyn import ByValue, PTParams, hold, multiple, propagator
 
 MAXIMALLY_MIXED = "maximally_mixed"
 PURE = "pure"
 
 
-@dataclass(frozen=True)
-class InitialState:
+@dataclass(frozen=True, eq=False)
+class InitialState(ByValue):
+    """`kind`, and a pure state's finite angles, each a float or a stack (`ptdyn.hold`)."""
+
     kind: str
-    theta: float | tuple[float, ...] = 0.0  # a stack of N angles is held as a tuple
-    phi: float | tuple[float, ...] = 0.0
+    theta: float | np.ndarray = 0.0
+    phi: float | np.ndarray = 0.0
+
+    def __post_init__(self):  # points: N for a stack of N points, None for a point
+        hold(self, theta=_finite("theta"), phi=_finite("phi"))
 
     def kets(self) -> tuple[tuple[float, ...], np.ndarray]:
         """Weights p and kets psi_k of rho = sum_k p_k psi_k psi_k^dagger (`matcore.mixture`),
@@ -92,12 +97,11 @@ def maximally_mixed() -> InitialState:
 
 def pure_state(theta, phi) -> InitialState:
     """PURE(theta, phi); each angle must be finite at every point."""
-    return InitialState(kind=PURE, theta=point_or_stack(theta, np.isfinite, _angle_error("theta")),
-                        phi=point_or_stack(phi, np.isfinite, _angle_error("phi")))
+    return InitialState(kind=PURE, theta=theta, phi=phi)
 
 
-def _angle_error(name: str):
-    return lambda x: DomainError(f"{name} must be finite, got {x!r}")
+def _finite(name: str) -> tuple:  # `hold`'s check of an angle
+    return np.isfinite, lambda x: DomainError(f"{name} must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,9 @@ class PTEvolution:
     def _u(self) -> np.ndarray:  # U(t), formed once per evolution for every reader of it
         return propagator(self.params)
 
-    def step(self, n_segments: int) -> np.ndarray:
-        return self._u if n_segments == 1 else propagator(scaled(self.params, n_segments))
+    def step(self, n: int) -> np.ndarray:  # U(n t), the propagator of the checked n t
+        p = self.params
+        return self._u if n == 1 else propagator(PTParams(p.alpha, multiple(p.t, n)))
 
 
 UNITARY_STANDARD = "UNITARY_STANDARD"
@@ -133,8 +138,7 @@ class ScenarioPreset:
     pre_evolution: bool
 
     def __post_init__(self):  # points: N for a stack of N points, None for a point
-        p, state = self.evolution.params, self.initial_state
-        object.__setattr__(self, "points", check_aligned(p.alpha, p.t, state.theta, state.phi))
+        hold(self, self.evolution.params.points, self.initial_state.points)
 
     @cached_property
     def start(self) -> QubitDensity:
@@ -159,8 +163,7 @@ class ScenarioPreset:
         """Point i of a stack as a one-point preset whose `transfer` is column i
         of the stack's, already formed: where t is stacked, the point alone."""
         p, s = self.evolution.params, self.initial_state
-        alpha, t, theta, phi = (x[i] if isinstance(x, tuple) else x
-                                for x in (p.alpha, p.t, s.theta, s.phi))
+        alpha, t, theta, phi = (x[i] if np.ndim(x) else x for x in (p.alpha, p.t, s.theta, s.phi))
         point = replace(self, initial_state=replace(s, theta=theta, phi=phi),
                         evolution=replace(self.evolution, params=PTParams(alpha, t)))
         w, tables = self.transfer
@@ -393,7 +396,7 @@ def chain_tables(jt, r, lead: int, published: bool, s) -> tuple:
 
 def ratio(alpha, basis: int):
     """`chain_tables`' r at the angles alpha in the basis of BASES[basis]."""
-    return 1.0 if basis else np.tan(np.pi / 4 + np.asarray(alpha) / 2)
+    return 1.0 if basis else np.tan(np.pi / 4 + alpha / 2)
 
 
 def symmetric_part(rho: np.ndarray, basis: int) -> np.ndarray:
@@ -412,7 +415,7 @@ def _measured_basis(observable: np.ndarray, alpha) -> tuple[int, bool]:
         raise DomainError("observable needs the eigenvalues +1 and -1")
     for i, flip in ((0, False), (0, True), (1, False), (1, True)):
         if np.max(abs(m - (-1) ** flip * BASES[i][0])) <= DICHOTOMY_TOL:
-            raise_where(i and np.asarray(alpha) != 0, alpha, lambda a: DomainError(
+            raise_where(i and alpha != 0, alpha, lambda a: DomainError(
                 f"sigma_z is measured on the unitary step only, at alpha = 0, got {a!r}"))
             return i, flip
     raise DomainError("observable must be +-sigma_y, or +-sigma_z at alpha = 0")

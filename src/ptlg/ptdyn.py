@@ -28,60 +28,58 @@ from .matcore import I2, per_matrix, raise_where
 ALPHA_LIMIT = np.pi / 2
 
 
-def point_or_stack(x, ok=None, error=None):
-    """A parameter as a float, or as a tuple of floats for a stack (given as a
-    tuple or an array), so that it stays hashable.  `ok` is checked per point,
-    and the points where it fails raise `error(value)` (see `raise_where`)."""
-    stack = isinstance(x, (tuple, np.ndarray))
-    xs = np.asarray(x, dtype=float) if stack else x
-    if ok is not None:
-        raise_where(~ok(xs) if stack else not ok(x), xs, error)
-    return tuple(xs.tolist()) if stack else float(x)
-
-
-def check_aligned(*xs):
-    """The length of the stacks among `xs` (None if none is); UsageError unless they agree."""
-    lengths = {len(x) for x in xs if isinstance(x, tuple)}
+def hold(obj, *points, **checks) -> None:
+    """Hold each field of `obj` named in `checks` as a float, or a stack (a tuple, a list or an
+    array) as a read-only 1-d float array copied from it; `checks[name]` is (ok, error), and the
+    points where `ok` fails raise `error(value)` (`raise_where`).  Sets `obj.points` to the
+    stacks' length, which each N of `points` not None must share too, or None if none is one."""
+    lengths = set(points) - {None}
+    for name, (ok, error) in checks.items():
+        x = np.array(getattr(obj, name), dtype=float)  # a copy: the caller's cannot change it
+        if x.ndim > 1:
+            raise UsageError(f"{name}: a stack is 1-d, got shape {x.shape}")
+        if x.ndim:
+            x.setflags(write=False)
+            lengths.add(len(x))
+            raise_where(~ok(x), x, error)
+        else:
+            x = float(x)
+            raise_where(not ok(x), x, error)
+        object.__setattr__(obj, name, x)
     if len(lengths) > 1:
         raise UsageError(f"stacks must be aligned point by point, got lengths {sorted(lengths)}")
-    return lengths.pop() if lengths else None
+    object.__setattr__(obj, "points", lengths.pop() if lengths else None)
 
 
-@dataclass(frozen=True)
-class PTParams:
-    """Non-Hermiticity angle alpha and dimensionless duration t.
+class ByValue:
+    """Equality and hash by value, a stack's by its bytes, for a frozen dataclass with eq=False."""
 
-    alpha and t may each be a stack of N values, given as a tuple or an array
-    and held as a tuple of floats so that the value stays hashable; its
-    propagator is then an (N, 2, 2) stack.  Two stacks are aligned point by
-    point, so they must have the same length, and every check applies per point.
-    """
+    def _key(self) -> tuple:
+        return tuple(x.tobytes() if isinstance(x, np.ndarray) else x for x in vars(self).values())
 
-    alpha: float | tuple[float, ...]
-    t: float | tuple[float, ...]
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class PTParams(ByValue):
+    """Non-Hermiticity angle alpha and dimensionless duration t, each a float or a stack of N
+    values (`hold`, `points`); the propagator is then an (N, 2, 2) stack, every check per point."""
+
+    alpha: float | np.ndarray
+    t: float | np.ndarray
 
     def __post_init__(self):
-        alpha = point_or_stack(self.alpha, lambda a: abs(a) < ALPHA_LIMIT, lambda a:
-                               ExceptionalPointError(f"alpha={a!r} outside the real-spectrum "
-                                                     "regime |alpha| < pi/2"))
-        t = point_or_stack(self.t, lambda t: (t >= 0) & (t < np.inf), _duration_error)
-        check_aligned(alpha, t)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "t", t)
+        hold(self, alpha=(lambda a: abs(a) < ALPHA_LIMIT, lambda a: ExceptionalPointError(
+            f"alpha={a!r} outside the real-spectrum regime |alpha| < pi/2")),
+             t=(lambda t: (t >= 0) & (t < np.inf), _duration_error))
 
 
 def _duration_error(t) -> DomainError:
     return DomainError(f"duration t must be >= 0, got {t!r}")
-
-
-def scaled(p: PTParams, n: int) -> PTParams:
-    """Same Hamiltonian, n times the duration (`multiple`), without re-running p's checks."""
-    stack = isinstance(p.t, tuple)
-    t = multiple(np.array(p.t) if stack else p.t, n)  # n * tuple would repeat the grid
-    q = object.__new__(PTParams)
-    object.__setattr__(q, "alpha", p.alpha)
-    object.__setattr__(q, "t", tuple(t.tolist()) if stack else t)
-    return q
 
 
 def multiple(t, n: int):
@@ -96,10 +94,8 @@ def hamiltonian(p: PTParams) -> np.ndarray:
     """[[i sin alpha, 1], [1, -i sin alpha]]; traceless and complex symmetric;
     (N, 2, 2) for an alpha stack."""
     sa = np.sin(p.alpha)
-    if isinstance(p.alpha, tuple):
-        one = np.ones_like(sa)
-        return np.array([[1j * sa, one], [one, -1j * sa]]).transpose(2, 0, 1)
-    return np.array([[1j * sa, 1.0], [1.0, -1j * sa]], dtype=complex)
+    one = np.ones_like(sa)
+    return np.array([[1j * sa, one], [one, -1j * sa]]).T  # H^T = H: the stack axis first
 
 
 def eigensystem(p: PTParams) -> tuple:

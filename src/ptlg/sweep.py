@@ -146,7 +146,7 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[np.ndarray, list
     one (width, N) array, and each point's failure reason (None where it succeeded).
 
     `axes` maps each varying parameter to its N values; `f(**params)` takes
-    them as tuples and returns `width` arrays (or constants).  A domain or
+    them as arrays and returns `width` arrays (or constants).  A domain or
     degenerate-weight error names its failing points (`matcore.raise_where`):
     they give NaN and their reason, and the rest run again as one stack.  An
     error that names no points fails every point still running.
@@ -157,7 +157,7 @@ def grid_columns(f, axes: dict[str, list], width: int) -> tuple[np.ndarray, list
     cols = np.full((width, n), np.nan)
     while live.size:
         try:
-            values = f(**{name: tuple(v[live].tolist()) for name, v in axes.items()})
+            values = f(**{name: v[live] for name, v in axes.items()})
         except (DomainError, DegenerateWeightError) as exc:
             failures = getattr(exc, "failures", dict.fromkeys(range(live.size), str(exc)))
             for j, reason in failures.items():
@@ -298,7 +298,8 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]):
     `_refine_state`, or, with nothing moving, the seed's one reading, converged.
     A gridded alpha is k-sectioned over one grid spacing about the seed's, each
     probe the fixed-alpha refinement there (-inf where it fails); the seed's
-    alpha or the best probe wins."""
+    alpha or the best probe wins, converged as its refinement is unless no alpha was
+    probed past it toward a bracket end inside the grid, where V may rise on."""
     params = dict(cfg.fixed) | {k: float(v) for k, v in seed.items()}
     sweepable = [(n, g) for n, g in cfg.grids.items() if g.count >= 2]
     moving = [n for n, _ in sweepable]
@@ -319,9 +320,11 @@ def refine_max(cfg: SweepConfig, seed: dict[str, float]):
             return [results[a][1] for a in alphas.tolist()]
 
         results = {alpha: at(alpha)}
-        a, _ = _ksection_max(probes, max(grid.lo, alpha - grid.spacing()),
-                             min(grid.hi, alpha + grid.spacing()))
-        return max(results[alpha], results[a], key=lambda r: r[1])
+        lo, hi = max(grid.lo, alpha - grid.spacing()), min(grid.hi, alpha + grid.spacing())
+        a = max((alpha, _ksection_max(probes, lo, hi)[0]), key=lambda a: results[a][1])
+        edge = a == min(results) and lo > grid.lo or a == max(results) and hi < grid.hi
+        point, value, converged, preset = results[a]
+        return point, value, converged and not edge, preset
     if moving == ["t"]:
         grid = sweepable[0][1]
         refined, head, _ = _refine_t(cfg, params, grid, [params["t"], grid.lo, grid.hi])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,28 @@ class TestNSITDegrees:
             rep = degree_report(preset)
             for table in (rep.d_123, rep.d_1_2_3, rep.r_12_3, rep.r_1_23):
                 assert abs(sum(table.ravel())) < 1e-12
+
+
+    def test_sequential_two_step_table_is_never_the_one_step_square(self):
+        # criterion 08's sequential half (README): entry by entry and at any alpha,
+        # T_2 / (T_1 T_1) = [[d, 2], [2, d]], d = (1 - 4x) / (1 - 2x), x = sin^2 t cos^2 t
+        for alpha, t in product((0.0, 0.7, -0.7, 1.4, -1.4, 1.5325), (0.3, 1.1, 2.0)):
+            _, tables = pt_standard(alpha, t).transfer
+            x = np.sin(t) ** 2 * np.cos(t) ** 2
+            d = (1 - 4 * x) / (1 - 2 * x)
+            np.testing.assert_allclose(tables[1] / (tables[0] @ tables[0]), [[d, 2], [2, d]],
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("pre_evolution", (True, False))
+    def test_sequential_quarter_period_silences_nsit_below_the_bound(self, pre_evolution):
+        # at t = pi/2 the first leg flips each outcome and the second keeps it:
+        # every NSIT degree vanishes, and V1 = 2 <M1> - 1 <= 1
+        rng = np.random.default_rng(8)
+        alpha, theta, phi = (rng.uniform(lo, hi, 200)
+                             for lo, hi in ((-1.5, 1.5), (0.0, np.pi), (0.0, 2 * np.pi)))
+        tab = table(pt_variant(alpha, np.pi / 2, theta, phi, pre_evolution=pre_evolution))
+        assert np.abs(variant_v(1, tab) - (2 * tab.correlator(1) - 1)).max() <= 1e-14
+        assert degree_report(tab).max_nsit().max() <= 1e-14
 
 
 class TestAOTDegrees:

@@ -110,17 +110,20 @@ class TestChains:
                                             for t in ts]
 
     def test_steps_scale_the_checked_duration(self, monkeypatch):
-        # U(n t) is the propagator of n t, bit for bit, and no step builds PTParams
+        # U(n t) is the propagator of n t, bit for bit: each step but U(t), which the
+        # evolution keeps, builds the checked PTParams of n t at the same angles
         alphas, ts = (0.2, 0.9, 1.4), (0.3, 1.1, 2.5)
         preset = pt_variant(alphas, ts, 1.1, 0.4)
-        want = [propagator(PTParams(alphas, n * np.array(ts))) for n in range(5)]
+        params = [PTParams(alphas, n * np.array(ts)) for n in range(5)]
+        want = [propagator(p) for p in params]
+        preset.evolution.step(1)
         built = []
         original = PTParams.__post_init__
         monkeypatch.setattr(PTParams, "__post_init__",
                             lambda self: built.append(self) or original(self))
         for n in range(5):
             assert np.array_equal(preset.evolution.step(n), want[n])
-        assert built == []
+        assert built == [params[n] for n in (0, 2, 3, 4)]
 
     def test_step_multiple_that_overflows_is_a_domain_error(self):
         # each t is finite, but the legs take 2 t (sequential) and up to 4 t (published)
@@ -442,6 +445,58 @@ class TestOneChainPerPreset:
         for _ in range(2):  # a failed chain is not cached
             with pytest.raises(DegenerateWeightError, match="pre-evolution"):
                 distribution(ctx(preset, 2))
+
+
+class TestStackFormat:
+    """A stacked parameter is held as a read-only array copied from the caller's
+    tuple, list or array; presets compare and hash by value."""
+
+    @pytest.mark.parametrize("published", (False, True))
+    def test_tuple_list_and_array_give_the_same_bits(self, published):
+        rng = np.random.default_rng(31)
+        params = (rng.uniform(-1.5, 1.5, 9), rng.uniform(0.0, np.pi, 9),
+                  rng.uniform(0.0, np.pi, 9), rng.uniform(0.0, 2 * np.pi, 9))
+        for build in (lambda a, t, th, ph: pt_variant(a, t, th, ph, published=published),
+                      lambda a, t, th, ph: pt_standard(0.7, t, published=published),
+                      lambda a, t, th, ph: unitary_variant(t, th, ph)):
+            first, *others = [build(*(form(x.tolist()) for x in params))
+                              for form in (tuple, list, np.array)]
+            for other in others:
+                for got, want in zip(other.transfer, first.transfer):
+                    assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                        np.signbit(want))
+                for times in ALL_CONTEXTS:
+                    got, want = distribution(ctx(other, *times)), distribution(ctx(first, *times))
+                    assert np.array_equal(got.probs, want.probs)
+
+    def test_mutating_the_callers_array_changes_nothing(self):
+        given = [np.array([0.2, -0.9, 1.4]), np.array([0.3, 1.1, 2.5]),
+                 np.array([0.4, 1.0, 2.0]), np.array([0.1, 3.0, 5.0])]
+        want = [x.copy() for x in given]
+        preset = pt_variant(*given)
+        for x in given:
+            x += 0.125
+        p, s = preset.evolution.params, preset.initial_state
+        for held, w in zip((p.alpha, p.t, s.theta, s.phi), want):
+            assert np.array_equal(held, w) and not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[1] = 0.0
+        for got, w in zip(preset.transfer, pt_variant(*want).transfer):
+            assert np.array_equal(got, w)
+
+    def test_equal_states_compare_and_hash_equal(self):
+        a, b = pure_state((0.4, 1.0, 2.0), 0.5), pure_state(np.array([0.4, 1.0, 2.0]), 0.5)
+        assert a == b and hash(a) == hash(b)
+        for c in (pure_state((0.4, np.nextafter(1.0, 2.0), 2.0), 0.5),
+                  pure_state((0.4, 1.0, 2.0), 0.25)):
+            assert a != c and hash(a) != hash(c)
+        assert maximally_mixed() == maximally_mixed() != pure_state(0.0, 0.0)
+        # the key a tracer counts distinct contexts by
+        keys = {(q.label, q.initial_state, q.evolution, q.pre_evolution)
+                for q in (pt_variant(0.3, (0.5, 0.6), (0.4, 1.0), 0.5),
+                          pt_variant(0.3, [0.5, 0.6], np.array([0.4, 1.0]), 0.5),
+                          pt_variant(0.3, (0.5, 0.6), (0.4, 1.5), 0.5))}
+        assert len(keys) == 2
 
 
 class TestContextValidation:

@@ -51,6 +51,31 @@ class TestParams:
         assert stacked.value.failures == {1: str(alone.value)}
 
 
+    def test_stack_is_a_read_only_copy(self):
+        alphas = np.array([0.1, -0.4, 1.2])
+        p = PTParams(alphas, [0.5, 0.6, 0.7])
+        alphas[0] = 1.0
+        for held, want in ((p.alpha, [0.1, -0.4, 1.2]), (p.t, [0.5, 0.6, 0.7])):
+            assert type(held) is np.ndarray and held.dtype == float and held.tolist() == want
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+        assert type(PTParams(np.float64(0.1), np.array(0.5)).t) is float  # a point stays a float
+        with pytest.raises(UsageError, match="1-d"):
+            PTParams(0.1, [[0.5, 0.6]])
+
+    def test_equal_stacks_compare_and_hash_equal(self):
+        a = PTParams((0.1, 0.2, 0.3), [0.5, 0.6, 0.7])
+        b = PTParams(np.array([0.1, 0.2, 0.3]), (0.5, 0.6, 0.7))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for c in (PTParams((0.1, 0.2, 0.3), (0.5, np.nextafter(0.6, 1.0), 0.7)),
+                  PTParams((0.1, -0.2, 0.3), (0.5, 0.6, 0.7))):
+            assert a != c and hash(a) != hash(c)
+        assert PTParams(0.1, 0.5) == PTParams(np.float64(0.1), 0.5)
+        assert hash(PTParams(0.1, 0.5)) == hash(PTParams(np.float64(0.1), 0.5))
+        assert PTParams(0.1, 0.5) != PTParams((0.1,), (0.5,))  # a point is not a stack of one
+
+
 class TestHamiltonian:
     def test_hermitian_limit_is_sigma_x(self):
         np.testing.assert_allclose(hamiltonian(PTParams(0.0, 1.0)), SIGMA_X, atol=0)

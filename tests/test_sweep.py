@@ -188,8 +188,8 @@ class TestRefine:
         assert converged
         assert value == pytest.approx(1.5, abs=1e-12)
         assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
-        assert len(calls) == 1 and isinstance(calls[0], tuple)
-        assert calls[0][:3] == (0.5, 0.01, np.pi)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+        assert calls[0][:3].tolist() == [0.5, 0.01, np.pi]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
@@ -438,7 +438,7 @@ class TestRefine:
         original = sweep.build_preset
 
         def counting(cfg, params):
-            sizes.append(len(params["t"]) if isinstance(params["t"], tuple) else 1)
+            sizes.append(len(params["t"]) if np.ndim(params["t"]) else 1)
             return original(cfg, params)
 
         monkeypatch.setattr(sweep, "build_preset", counting)
@@ -823,6 +823,23 @@ class TestStackedScan:
         assert res.argmax_params["alpha"] < np.pi / 2
         assert res.argmax_value == evaluate_expression(cfg, res.argmax_params)
 
+    def test_winner_by_a_bracket_end_inside_the_alpha_grid_is_not_converged(self):
+        # the grid's best is at alpha = 0.5, a grid end, so the alpha probes span
+        # [0.5, 0.7333], and V3 rises past the upper end, inside the grid: the
+        # winner is the probe next to that end, with no probe past it, so the scan
+        # reports no convergence; its point and value are unchanged
+        cfg = SweepConfig(expression="V3", kind="pt", refine=True, fixed={"theta": 5 * np.pi / 6},
+                          grids={"t": GridSpec(0.3, 1.9, 6), "alpha": GridSpec(0.5, 1.2, 4),
+                                 "phi": GridSpec(0.0, 2 * np.pi, 4)})
+        res = scan(cfg)
+        assert max(res.rows, key=lambda r: r.value).params["alpha"] == 0.5
+        end = cfg.grids["alpha"].values()[1]
+        assert end - sweep.REFINE_TOLERANCE < res.argmax_params["alpha"] < end
+        assert (res.argmax_value, res.converged) == (2.1592625004158306, False)
+        further = scan(replace(cfg, grids={n: g for n, g in cfg.grids.items() if n != "alpha"},
+                               fixed=cfg.fixed | {"alpha": 0.85}))
+        assert further.converged and further.argmax_value > res.argmax_value + 0.01
+
     def test_failing_points_keep_their_reason(self):
         # alpha = 1.6 lies past the exceptional point; every other row keeps
         # the value of its point alone
@@ -859,7 +876,8 @@ class TestStackedScan:
 
         cols, errors = grid_columns(f, {"t": [-1.0, 2.0, -3.0], "theta": [1.0, 2.0, 0.5]}, 2)
         assert errors == ["negative duration -1.0", None, "negative duration -3.0"]
-        assert calls == [(-1.0, 2.0, -3.0), (2.0,)]
+        assert all(isinstance(c, np.ndarray) for c in calls)
+        assert [c.tolist() for c in calls] == [[-1.0, 2.0, -3.0], [2.0]]
         assert np.isnan(cols[0][0]) and cols[0][1] == 4.0 and np.isnan(cols[0][2])
         assert np.isnan(cols[1][0]) and cols[1][1] == 7.0 and np.isnan(cols[1][2])
         cols, errors = grid_columns(f, {"t": [1.0, 2.0], "theta": [3.0, 4.0]}, 2)
