@@ -3,8 +3,8 @@
 Every check compares two independent routes to the same quantity (engine vs
 closed form, fine vs coarse context, grouped vs composed propagator) over a
 fixed parameter sample, so the suite is reproducible run to run.  The table checks share one
-context table, over the four preset families stacked as one preset; each propagator stack
-(the composition check's, U(t) of the sample, the signaling grids') is formed once.
+context table, over the four preset families stacked as one preset, and every propagator of
+the sample (the composition check's, U(t), the signaling grids') comes from one stack.
 """
 
 from __future__ import annotations
@@ -28,17 +28,19 @@ from .macrodiag import (
     degree_report,
 )
 from .matcore import dagger, per_matrix, weights
-from .nosignal import mixed_distance, signaling_deviation
+from .nosignal import mixed_distance
 from .protocol import (
     MeasurementContext,
     StackedPreset,
+    _start,
+    maximally_mixed,
     pt_standard,
     pt_variant,
     unitary_standard,
     unitary_variant,
     unnormalized_chain,
 )
-from .ptdyn import PTParams, composition_check, eigensystem
+from .ptdyn import PTParams, composition_residual, eigensystem, propagator
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ def _sample(n: int, alpha_max: float):
     return alphas, ts
 
 
-def _max(x) -> float:
-    return float(np.max(x))
+def _max(x: np.ndarray) -> float:
+    return float(x.max())
 
 
 def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
@@ -79,20 +81,23 @@ def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
 
 def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
                        include_pair_forms: bool = False) -> list[CheckResult]:
-    """Every check over the same sample, each as one stack of its points.  The PT families'
-    shared evolution forms U(t) once for every reader; a fault perturbs the (0, 0) entries of a
-    copy that only `uu-dagger-closed-form` reads (an infinite or NaN product fails it).  The
-    four families run as one stack (`StackedPreset`); a check of one family reads its slice."""
+    """Every check over the same sample, each as one stack of its points.  Every propagator is a
+    slice of one stack: U(t/2), U(t/3), U(t/2 + t/3), U(t) (the PT families' shared evolution's)
+    and the signaling grids (0, t) and (alpha, pi); a fault perturbs the (0, 0) entries of a copy
+    of U(t) that only `uu-dagger-closed-form` reads.  The four families run as one stack."""
     if sample_size < 1:
         raise UsageError(f"sample size must be >= 1, got {sample_size}")
     alphas, ts = _sample(sample_size, 2 * np.pi / 5)
     results: list[CheckResult] = []
+    pt, n = pt_standard(alphas, ts), sample_size
+    t = np.concatenate([ts / 2, ts / 3, ts / 2 + ts / 3, ts, ts, np.full(n, np.pi)])
+    stack = propagator(PTParams(np.concatenate([np.tile(alphas, 4), np.zeros(n), alphas]), t))
 
-    res = composition_check(alphas, np.abs(ts) / 2, np.abs(ts) / 3)
+    res = composition_residual(stack, n)
     results.append(CheckResult("propagator-composition", res, 1e-12))
 
-    pt, n = pt_standard(alphas, ts), sample_size
-    p, u, ref = pt.evolution.params, pt.evolution.step(1), uu_dagger_reference(alphas, ts)
+    u = vars(pt.evolution)["_u"] = stack[3 * n:4 * n]  # its cached U(t), already formed
+    p, ref = pt.evolution.params, uu_dagger_reference(alphas, ts)
     faulty = np.where([[True, False], [False, False]], u + fault, u)  # the (0, 0) entries
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN product fails
         res = _max(np.abs(faulty @ dagger(faulty) - ref))
@@ -124,8 +129,7 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = _max(abs(partner.mat - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
-    res = _max(signaling_deviation(PTParams(np.concatenate([np.zeros(n), alphas]),
-                                            np.concatenate([np.abs(ts), np.full(n, np.pi)]))))
+    res = _max(mixed_distance(_start(maximally_mixed(), stack[4 * n:])))  # `signaling_deviation`
     interior = mixed_distance(partner)[np.abs(alphas) > 0.3].min()
     if interior <= 1e-6:
         res = max(res, 1.0)

@@ -62,7 +62,7 @@ def raise_where(bad, values, error):
     point of a stack.  On a stack the error also carries `failures`: each
     failing index mapped to the message that point raises alone.
     """
-    if not np.count_nonzero(bad):
+    if not (np.count_nonzero(bad) if isinstance(bad, np.ndarray) else bad):
         return
     if not isinstance(bad, np.ndarray):
         raise error(values)

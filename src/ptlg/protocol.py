@@ -408,15 +408,21 @@ def symmetric_part(rho: np.ndarray, basis: int) -> np.ndarray:
 
 
 def _measured_basis(observable: np.ndarray, alpha) -> tuple[int, bool]:
-    """(i, flip) where the observable is BASES[i]'s, negated if flip, within DICHOTOMY_TOL:
-    +-sigma_y, or +-sigma_z where alpha = 0 at every point; any other raises DomainError."""
+    """(i, flip) where the observable is BASES[i]'s (by identity), negated if flip, within
+    DICHOTOMY_TOL: +-sigma_y, or +-sigma_z where alpha = 0 at every point; any other raises."""
+    i = next((i for i, (obs, _) in enumerate(BASES) if obs is observable), None)
+    i, flip = _compared_basis(observable) if i is None else (i, False)
+    raise_where(i and alpha != 0, alpha, lambda a: DomainError(
+        f"sigma_z is measured on the unitary step only, at alpha = 0, got {a!r}"))
+    return i, flip
+
+
+def _compared_basis(observable) -> tuple[int, bool]:
     m = as_cmat(observable)
     if abs(weights(m)) > DICHOTOMY_TOL:
         raise DomainError("observable needs the eigenvalues +1 and -1")
     for i, flip in ((0, False), (0, True), (1, False), (1, True)):
         if np.max(abs(m - (-1) ** flip * BASES[i][0])) <= DICHOTOMY_TOL:
-            raise_where(i and alpha != 0, alpha, lambda a: DomainError(
-                f"sigma_z is measured on the unitary step only, at alpha = 0, got {a!r}"))
             return i, flip
     raise DomainError("observable must be +-sigma_y, or +-sigma_z at alpha = 0")
 

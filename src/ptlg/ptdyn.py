@@ -126,8 +126,13 @@ def propagator(p: PTParams) -> np.ndarray:
 
 
 def composition_check(alpha, t1, t2) -> float:
-    """Max-entry norm of U(t1) U(t2) - U(t1 + t2) at the angles alpha, over a whole stack,
-    from one propagator stack of the three durations; roundoff-small by the group law."""
+    """`composition_residual` at the angles alpha, over a whole stack, from one propagator
+    stack of the three durations; roundoff-small by the group law."""
     a, x, y = np.broadcast_arrays(alpha, t1, t2)
-    u1, u2, u12 = np.split(propagator(PTParams(np.tile(a.ravel(), 3), np.ravel([x, y, x + y]))), 3)
-    return float(np.max(np.abs(u1 @ u2 - u12)))
+    u = propagator(PTParams(np.tile(a.ravel(), 3), np.ravel([x, y, x + y])))
+    return composition_residual(u, a.size)
+
+
+def composition_residual(u: np.ndarray, n: int) -> float:
+    """Max-entry norm of U(t1) U(t2) - U(t1 + t2), the points [:n], [n:2n] and [2n:3n] of u."""
+    return float(np.abs(u[:n] @ u[n:2 * n] - u[2 * n:3 * n]).max())

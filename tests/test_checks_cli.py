@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptlg
-from ptlg import nosignal, protocol, ptdyn
+from ptlg import checks, nosignal, protocol, ptdyn
 from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
 from ptlg.matcore import QubitDensity
+from ptlg.nosignal import bob_reduced
 from ptlg.protocol import PT_STANDARD
+from ptlg.ptdyn import PTParams, propagator
 from ptlg.sweep import DEFAULT_PHI, DEFAULT_THETA, GridSpec, SweepConfig, figure_data, scan
 
 
@@ -95,17 +97,17 @@ class TestSuiteFormsEachQuantityOnce:
         assert [(r.name, float(r.residual).hex()) for r in results] == want
 
     @pytest.mark.parametrize("pair_forms,starts,chains,propagators",
-                             [(False, 5, 0, 3), (True, 5, 1, 4)])
+                             [(False, 5, 0, 1), (True, 5, 1, 2)])
     def test_chain_and_propagator_budget(self, monkeypatch, pair_forms, starts, chains,
                                          propagators):
-        # stack by stack: the composition check's U(t/2), U(t/3) and U(t/2 + t/3) are one
-        # propagator stack of 3 n points; the two PT families share one evolution, whose U(t)
-        # serves the U U^dagger and eigensystem checks and both PT starts (through it, one
-        # start each), and the unitary families' starts are their bare states (4 starts);
-        # the four families' transfer tables are one `chain_tables` call, so no chain of
-        # complex legs is formed but the oracle's, whose outcome tuples all read it and which
-        # adds U(2 t) alone; the two signaling grids are one `bob_reduced` stack of 2 n
-        # points: one start and one propagator
+        # stack by stack: one propagator stack of 6 n points holds the composition check's
+        # U(t/2), U(t/3) and U(t/2 + t/3), U(t) of the sample and the two signaling grids;
+        # the two PT families share one evolution, whose cached U(t) is that stack's slice and
+        # serves the U U^dagger and eigensystem checks and both PT starts (one start each),
+        # and the unitary families' starts are their bare states (4 starts); the four
+        # families' transfer tables are one `chain_tables` call, so no chain of complex legs
+        # is formed but the oracle's, whose outcome tuples all read it and which adds U(2 t)
+        # alone (a second propagator); the signaling grids' slice is one start (the 5th)
         calls, chain, propagator, start = [], protocol._chain, ptdyn.propagator, protocol._start
         tables = protocol.chain_tables
 
@@ -121,13 +123,33 @@ class TestSuiteFormsEachQuantityOnce:
                             or chain(preset))
         monkeypatch.setattr(protocol, "chain_tables", lambda *args: calls.append("tables")
                             or tables(*args))
-        for module in (ptdyn, protocol, nosignal, ptlg):
+        for module in (ptdyn, protocol, nosignal, checks, ptlg):
             monkeypatch.setattr(module, "propagator", counting)
-        for module in (protocol, nosignal):
+        for module in (protocol, nosignal, checks):
             monkeypatch.setattr(module, "_start", starting)
         run_identity_suite(13, include_pair_forms=pair_forms)
         assert tuple(map(calls.count, ("start", "chain", "propagator", "tables"))) == (
             starts, chains, propagators, 1)
+
+    @pytest.mark.parametrize("n", (1, 13, 64))
+    def test_stack_slices_are_each_propagator_alone(self, monkeypatch, n):
+        # both PT starts read the suite's U(t) slice, and the signaling start is that of the
+        # grids' slice: each the propagator or `bob_reduced` of its parameters alone, bit for bit
+        seen, start = [], protocol._start
+
+        def recording(state, u=None):
+            seen.append((u, start(state, u)))
+            return seen[-1][1]
+
+        for module in (protocol, checks):
+            monkeypatch.setattr(module, "_start", recording)
+        run_identity_suite(n)
+        alphas, ts = checks._sample(n, 2 * np.pi / 5)
+        (pt, _), (variant, _), (_, signaling) = [(u, rho) for u, rho in seen if u is not None]
+        assert pt.tobytes() == variant.tobytes() == propagator(PTParams(alphas, ts)).tobytes()
+        grids = [bob_reduced(PTParams(np.zeros(n), np.abs(ts))),
+                 bob_reduced(PTParams(alphas, np.full(n, np.pi)))]
+        assert signaling.mat.tobytes() == np.concatenate([g.mat for g in grids]).tobytes()
 
 
 class TestCheckCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlg.errors import DomainError, UsageError
 from ptlg.matcore import (
@@ -12,6 +14,7 @@ from ptlg.matcore import (
     hermitian_eigvals_2x2,
     mixture,
     projector,
+    raise_where,
     weights,
 )
 
@@ -128,3 +131,51 @@ class TestNonContiguousInput:
             QubitDensity(m.T)
         with pytest.raises(UsageError):
             projector(m.T, +1)
+
+
+def count_nonzero_raise_where(bad, values, error):
+    """`raise_where` as it read before a point's flag was read by truthiness: the reference."""
+    if not np.count_nonzero(bad):
+        return
+    if not isinstance(bad, np.ndarray):
+        raise error(values)
+    errors = {int(i): error(float(values[i])) for i in np.flatnonzero(bad)}
+    first = next(iter(errors.values()))
+    first.failures = {i: str(e) for i, e in errors.items()}
+    raise first
+
+
+def raised(guard, bad, values):
+    """(class, message, failures) of what `guard` raises, or None where it returns."""
+    try:
+        guard(bad, values, lambda v: DomainError(f"bad value {v!r}"))
+    except Exception as e:  # any raise, compared with the reference's
+        return type(e), str(e), getattr(e, "failures", None)
+    return None
+
+
+class TestRaiseWhere:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_matches_the_count_nonzero_reference(self, data):
+        form = data.draw(st.sampled_from(("stack", "0-d", "numpy bool", "bool", "int", "gated")))
+        value = st.floats(-1e3, 1e3)
+        if form == "stack":  # (0,) or (k,), with random failing points
+            flags = data.draw(st.lists(st.booleans(), max_size=12))
+            bad = np.array(flags, dtype=bool)
+            values = np.array(data.draw(st.lists(value, min_size=len(flags),
+                                                 max_size=len(flags))), dtype=float)
+        elif form == "0-d":
+            bad, values = np.array(data.draw(st.booleans())), np.array(data.draw(value))
+        elif form == "gated":  # `i and alpha != 0`, at one angle or a stack holding zeros
+            i = data.draw(st.sampled_from((0, 1)))
+            alpha = data.draw(st.sampled_from([0.0, -0.0]) | value | st.lists(
+                st.sampled_from([0.0, -0.0]) | value, min_size=1, max_size=8).map(np.array))
+            bad, values = i and alpha != 0, alpha
+        else:
+            flag = data.draw(st.integers(-2, 2) if form == "int" else st.booleans())
+            bad, values = np.bool_(flag) if form == "numpy bool" else flag, data.draw(value)
+        want = raised(count_nonzero_raise_where, bad, values)
+        assert raised(raise_where, bad, values) == want
+        if not np.count_nonzero(bad):
+            assert want is None

@@ -11,7 +11,8 @@ from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
                             degree_report)
-from ptlg.matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, mixture, projector, weights
+from ptlg.matcore import (DICHOTOMY_TOL, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_cmat, mixture, projector,
+                          raise_where, weights)
 from ptlg.nosignal import bob_reduced
 from ptlg.protocol import (
     MeasurementContext,
@@ -329,6 +330,51 @@ class TestStackedPreset:
         ts = (0.3, 1.2)
         with pytest.raises(UsageError, match="published PT_STANDARD=False, PT_VARIANT=True"):
             StackedPreset(pt_standard(0.4, ts), pt_variant(0.4, ts, 0.2, 0.3, published=True))
+
+
+def compared_basis(observable, alpha):
+    """`protocol._measured_basis` as it read before the module observables were recognized by
+    identity: every observable by comparison, the reference."""
+    m = as_cmat(observable)
+    if abs(weights(m)) > DICHOTOMY_TOL:
+        raise DomainError("observable needs the eigenvalues +1 and -1")
+    for i, flip in ((0, False), (0, True), (1, False), (1, True)):
+        if np.max(abs(m - (-1) ** flip * protocol.BASES[i][0])) <= DICHOTOMY_TOL:
+            raise_where(i and alpha != 0, alpha, lambda a: DomainError(
+                f"sigma_z is measured on the unitary step only, at alpha = 0, got {a!r}"))
+            return i, flip
+    raise DomainError("observable must be +-sigma_y, or +-sigma_z at alpha = 0")
+
+
+def basis_or_error(route, observable, alpha):
+    try:
+        return route(observable, alpha)
+    except DomainError as e:
+        return type(e), str(e), getattr(e, "failures", None)
+
+
+class TestMeasuredBasis:
+    @pytest.mark.parametrize("observable", (SIGMA_Y, SIGMA_Z, SIGMA_Y.copy(), -SIGMA_Y,
+                                            SIGMA_Z.copy(), -SIGMA_Z, SIGMA_X))
+    @pytest.mark.parametrize("alpha", (0.0, -0.0, 0.7, np.zeros(3),
+                                       np.array([0.0, 0.4, -0.0, -1.2, 0.0])))
+    def test_by_identity_as_by_comparison(self, observable, alpha):
+        got = basis_or_error(protocol._measured_basis, observable, alpha)
+        assert got == basis_or_error(compared_basis, observable, alpha)
+
+    def test_sigma_z_names_each_nonzero_angle_of_a_stack(self):
+        got = basis_or_error(protocol._measured_basis, SIGMA_Z, np.array([0.0, 0.4, -0.0, -1.2]))
+        message = "sigma_z is measured on the unitary step only, at alpha = 0, got {}"
+        assert got == (DomainError, message.format(0.4),
+                       {1: message.format(0.4), 3: message.format(-1.2)})
+
+    def test_preset_on_a_copy_of_sigma_y_reads_the_module_objects_transfer(self):
+        alphas, ts = np.linspace(-1.4, 1.4, 9), np.linspace(0.0, np.pi, 9)
+        module = pt_variant(alphas, ts, 0.4, 1.3)
+        copied = replace(module, observable=SIGMA_Y.copy())
+        for got, want in zip(copied.transfer, module.transfer):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestOneTimeProbability:
