@@ -15,9 +15,7 @@ from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
 from ptlg.matcore import QubitDensity
-from ptlg.nosignal import bob_reduced
 from ptlg.protocol import PT_STANDARD
-from ptlg.ptdyn import PTParams, propagator
 from ptlg.sweep import DEFAULT_PHI, DEFAULT_THETA, GridSpec, SweepConfig, figure_data, scan
 
 
@@ -146,9 +144,10 @@ class TestSuiteFormsEachQuantityOnce:
         run_identity_suite(n)
         alphas, ts = checks._sample(n, 2 * np.pi / 5)
         (pt, _), (variant, _), (_, signaling) = [(u, rho) for u, rho in seen if u is not None]
-        assert pt.tobytes() == variant.tobytes() == propagator(PTParams(alphas, ts)).tobytes()
-        grids = [bob_reduced(PTParams(np.zeros(n), np.abs(ts))),
-                 bob_reduced(PTParams(alphas, np.full(n, np.pi)))]
+        alone = ptdyn.propagator(ptdyn.PTParams(alphas, ts))
+        assert pt.tobytes() == variant.tobytes() == alone.tobytes()
+        grids = [nosignal.bob_reduced(ptdyn.PTParams(np.zeros(n), np.abs(ts))),
+                 nosignal.bob_reduced(ptdyn.PTParams(alphas, np.full(n, np.pi)))]
         assert signaling.mat.tobytes() == np.concatenate([g.mat for g in grids]).tobytes()
 
 
