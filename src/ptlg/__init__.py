@@ -34,7 +34,6 @@ from .nosignal import bob_reduced, signaling_deviation
 from .protocol import (
     MeasurementContext,
     OutcomeDistribution,
-    PTEvolution,
     ScenarioPreset,
     distribution,
     initial_state_at_t1,

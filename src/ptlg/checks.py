@@ -30,12 +30,13 @@ from .macrodiag import (
 from .matcore import dagger, per_matrix, weights
 from .nosignal import mixed_distance
 from .protocol import (
+    PT_VARIANT,
     MeasurementContext,
     StackedPreset,
     _start,
     maximally_mixed,
     pt_standard,
-    pt_variant,
+    pure_state,
     unitary_standard,
     unitary_variant,
     unnormalized_chain,
@@ -82,7 +83,7 @@ def _biorthogonal_reconstruction_residual(p: PTParams, u: np.ndarray) -> float:
 def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
                        include_pair_forms: bool = False) -> list[CheckResult]:
     """Every check over the same sample, each as one stack of its points.  Every propagator is a
-    slice of one stack: U(t/2), U(t/3), U(t/2 + t/3), U(t) (the PT families' shared evolution's)
+    slice of one stack: U(t/2), U(t/3), U(t/2 + t/3), U(t) (both PT families' cached `u`)
     and the signaling grids (0, t) and (alpha, pi); a fault perturbs the (0, 0) entries of a copy
     of U(t) that only `uu-dagger-closed-form` reads.  The four families run as one stack."""
     if sample_size < 1:
@@ -96,8 +97,11 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     res = composition_residual(stack, n)
     results.append(CheckResult("propagator-composition", res, 1e-12))
 
-    u = vars(pt.evolution)["_u"] = stack[3 * n:4 * n]  # its cached U(t), already formed
-    p, ref = pt.evolution.params, uu_dagger_reference(alphas, ts)
+    # the PT variant is the PT standard with a pure state; both keep U(t), the stack's slice
+    thetas, phis = 0.3 + 0.1 * np.arange(n), 0.2 + 0.35 * np.arange(n)
+    variant = replace(pt, label=PT_VARIANT, initial_state=pure_state(thetas, phis))
+    u = vars(pt)["u"] = vars(variant)["u"] = stack[3 * n:4 * n]
+    p, ref = pt.evolution, uu_dagger_reference(alphas, ts)
     faulty = np.where([[True, False], [False, False]], u + fault, u)  # the (0, 0) entries
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN product fails
         res = _max(np.abs(faulty @ dagger(faulty) - ref))
@@ -108,9 +112,6 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
 
     # One context table over the four families stacked, shared by every check below: points
     # [:n] pt standard, [n:2n] pt variant, [2n:3n] unitary standard, [3n:] unitary variant.
-    thetas = 0.3 + 0.1 * np.arange(n)
-    phis = 0.2 + 0.35 * np.arange(n)
-    variant = replace(pt_variant(alphas, ts, thetas, phis), evolution=pt.evolution)
     tab = table(StackedPreset(pt, variant, unitary_standard(ts), unitary_variant(ts, thetas, phis)))
 
     for name, identity in (("beta", l123_and_beta), ("delta", v123_and_delta)):  # x = 1 - 4 y

@@ -1,10 +1,10 @@
 """Measurement contexts and outcome distributions for the three-time protocol.
 
-A scenario fixes an initial state, a dichotomic observable, an evolution rule,
-and whether the state is evolved for one step duration before the first
-measurement time.  Measurements may happen at any non-empty subset of the
-three equally spaced times; an unmeasured intermediate time contributes a
-single composed propagator over the doubled duration.
+A scenario fixes an initial state, a dichotomic observable, the `PTParams` of
+its step, whether the state is evolved for one step duration before the first
+measurement time, and its chain.  Measurements may happen at any non-empty
+subset of the three equally spaced times; an unmeasured intermediate time
+contributes a single composed propagator over the doubled duration.
 
 Joint probabilities follow the projective (Lueders) chain, normalized once per
 context by N = sum of p~ over all outcome tuples.  Each projector |m><m| is rank
@@ -21,7 +21,7 @@ U~(t) = D R(t) D^-1 (`chain_tables`): a preset forms its tables once, on first u
 from real legs and the symmetric part of its start (`ScenarioPreset.transfer`),
 and `distribution` multiplies them out per context (`OutcomeDistribution`).
 The start is the state's mixture of kets (`InitialState.kets`), each carried
-through U(t) = `propagator` when the chain pre-evolves, renormalized (`_start`).
+through U(t) = `u` when the chain pre-evolves, renormalized (`_start`).
 `unnormalized_chain` evolves branch states with `@` along the complex legs of
 `_chain`, as an independent oracle.  Under non-unitary evolution N differs
 from context to context, which is exactly what lets the marginal of a finer
@@ -29,15 +29,16 @@ context disagree with a coarser context's distribution (`macrodiag`).
 Per-step renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
-Two chains reach the measured times (`_chain`, `chain_tables`).  The
-sequential chain (the default) starts from `initial_state_at_t1` and crosses
-a gap of n steps with U(n t).  The published chain, opted into with
-`published=True` on the PT presets, is the one that the pair forms in
-`closedform` encode: it starts from the bare state, reaches the first
+Two chains reach the measured times (`_chain`, `chain_tables`); a preset's
+`published` field picks one.  The sequential chain (the default) starts from
+`initial_state_at_t1` and crosses a gap of n steps with U(n t).  The published
+chain is the one that the pair forms in `closedform` encode: it starts from the
+bare state (so every preset on it needs pre_evolution=True), reaches the first
 measured time k through U((k+1) t) without renormalizing, and crosses a gap
 of n steps with U((n+1) t) U(t)^dagger.  The rule is inferred from those
 forms, which it reproduces as an identity.  At alpha = 0 both chains agree for
-the mixed state; for alpha != 0 the published gap is not U(n t).
+the mixed state; for alpha != 0 the published gap is not U(n t).  A preset
+keeps U(t) (`ScenarioPreset.u`); the oracle forms each U(n t), n >= 2, itself.
 
 Any parameter of a preset (alpha, t, theta, phi) may be a stack of N values in
 place of one, aligned point by point with the other stacks and held as a
@@ -104,25 +105,6 @@ def _finite(name: str) -> tuple:  # `hold`'s check of an angle
     return np.isfinite, lambda x: DomainError(f"{name} must be finite, got {x!r}")
 
 
-@dataclass(frozen=True)
-class PTEvolution:
-    """Stepping exp(-i H tau) with the closed-form propagator; unitary at alpha = 0.
-
-    `published` selects the published chain (see the module docstring).
-    """
-
-    params: PTParams
-    published: bool = False
-
-    @cached_property
-    def _u(self) -> np.ndarray:  # U(t), formed once per evolution for every reader of it
-        return propagator(self.params)
-
-    def step(self, n: int) -> np.ndarray:  # U(n t), the propagator of the checked n t
-        p = self.params
-        return self._u if n == 1 else propagator(PTParams(p.alpha, multiple(p.t, n)))
-
-
 UNITARY_STANDARD = "UNITARY_STANDARD"
 UNITARY_VARIANT = "UNITARY_VARIANT"
 PT_STANDARD = "PT_STANDARD"
@@ -134,16 +116,24 @@ class ScenarioPreset:
     label: str
     initial_state: InitialState
     observable: np.ndarray
-    evolution: PTEvolution
+    evolution: PTParams
     pre_evolution: bool
+    published: bool = False  # the published chain (see the module docstring)
 
     def __post_init__(self):  # points: N for a stack of N points, None for a point
-        hold(self, self.evolution.params.points, self.initial_state.points)
+        if self.published and not self.pre_evolution:
+            raise UsageError("the published chain fixes its own start; it needs pre_evolution=True")
+        hold(self, self.evolution.points, self.initial_state.points)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """U(t), formed once per preset for every reader of it."""
+        return propagator(self.evolution)
 
     @cached_property
     def start(self) -> QubitDensity:
         """The chain's start, kept: `initial_state_at_t1`, or the published chain's bare state."""
-        return _start(self.initial_state) if self.evolution.published else initial_state_at_t1(self)
+        return _start(self.initial_state) if self.published else initial_state_at_t1(self)
 
     @cached_property
     def chain(self) -> list:
@@ -162,10 +152,10 @@ class ScenarioPreset:
     def column(self, i: int) -> ScenarioPreset:
         """Point i of a stack as a one-point preset whose `transfer` is column i
         of the stack's, already formed: where t is stacked, the point alone."""
-        p, s = self.evolution.params, self.initial_state
+        p, s = self.evolution, self.initial_state
         alpha, t, theta, phi = (x[i] if np.ndim(x) else x for x in (p.alpha, p.t, s.theta, s.phi))
         point = replace(self, initial_state=replace(s, theta=theta, phi=phi),
-                        evolution=replace(self.evolution, params=PTParams(alpha, t)))
+                        evolution=PTParams(alpha, t))
         w, tables = self.transfer
         vars(point)["transfer"] = w[..., i], tables[..., i]
         return point
@@ -178,13 +168,13 @@ class StackedPreset:
     def __init__(self, *members: ScenarioPreset):
         self.label, self.initial_state, self.evolution, self.pre_evolution = zip(*(
             (m.label, m.initial_state, m.evolution, m.pre_evolution) for m in members))
-        published = members[0].evolution.published
-        if any(m.evolution.published != published for m in members):
+        published = members[0].published
+        if any(m.published != published for m in members):
             raise UsageError("stacked presets must share one chain, got published " + ", ".join(
-                f"{m.label}={m.evolution.published}" for m in members))
+                f"{m.label}={m.published}" for m in members))
         cols = []
         for m in members:
-            p, n = m.evolution.params, m.points or 1
+            p, n = m.evolution, m.points or 1
             basis, flip = _measured_basis(m.observable, p.alpha)
             cols.append((np.full(n, p.t), np.full(n, ratio(p.alpha, basis)),
                          np.full((3, n), symmetric_part(m.start.mat.reshape(-1, 2, 2), basis)),
@@ -204,7 +194,7 @@ def unitary_standard(t: float) -> ScenarioPreset:
         label=UNITARY_STANDARD,
         initial_state=maximally_mixed(),
         observable=SIGMA_Z,
-        evolution=PTEvolution(PTParams(0.0, t)),
+        evolution=PTParams(0.0, t),
         pre_evolution=False,
     )
 
@@ -215,15 +205,9 @@ def unitary_variant(t: float, theta: float, phi: float) -> ScenarioPreset:
         label=UNITARY_VARIANT,
         initial_state=pure_state(theta, phi),
         observable=SIGMA_Z,
-        evolution=PTEvolution(PTParams(0.0, t)),
+        evolution=PTParams(0.0, t),
         pre_evolution=False,
     )
-
-
-def _pt_evolution(alpha: float, t, pre_evolution: bool, published: bool) -> PTEvolution:
-    if published and not pre_evolution:
-        raise UsageError("the published chain fixes its own start; it needs pre_evolution=True")
-    return PTEvolution(PTParams(alpha=alpha, t=t), published=published)
 
 
 def pt_standard(alpha: float, t, pre_evolution: bool = True,
@@ -233,8 +217,9 @@ def pt_standard(alpha: float, t, pre_evolution: bool = True,
         label=PT_STANDARD,
         initial_state=maximally_mixed(),
         observable=SIGMA_Y,
-        evolution=_pt_evolution(alpha, t, pre_evolution, published),
+        evolution=PTParams(alpha, t),
         pre_evolution=pre_evolution,
+        published=published,
     )
 
 
@@ -245,8 +230,9 @@ def pt_variant(alpha: float, t, theta: float, phi: float,
         label=PT_VARIANT,
         initial_state=pure_state(theta, phi),
         observable=SIGMA_Y,
-        evolution=_pt_evolution(alpha, t, pre_evolution, published),
+        evolution=PTParams(alpha, t),
         pre_evolution=pre_evolution,
+        published=published,
     )
 
 
@@ -306,7 +292,7 @@ class OutcomeDistribution:
 def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
     """Normalized state at the first time of the sequential chain: the bare state, or
     with pre-evolution the state through U(t)."""
-    return _start(preset.initial_state, preset.evolution.step(1) if preset.pre_evolution else None)
+    return _start(preset.initial_state, preset.u if preset.pre_evolution else None)
 
 
 def _start(state: InitialState, u=None) -> QubitDensity:
@@ -325,13 +311,14 @@ def _start(state: InitialState, u=None) -> QubitDensity:
 def _chain(preset: ScenarioPreset) -> list:
     """The oracle's chain: the preset's `start`, then its distinct legs from `propagator` by
     `chain_tables`' rule, the first three into times k = 1..3 (I into time 1 of the sequential
-    chain), the last two across gaps of n = 1, 2 steps."""
-    evo = preset.evolution
-    u = evo.step(1)
-    if evo.published:
-        into = [evo.step(k + 1) for k in (1, 2, 3)]
-        return [preset.start, *into, *(into[n - 1] @ dagger(u) for n in (1, 2))]
-    return [preset.start, np.broadcast_to(I2, u.shape), u, evo.step(2)]
+    chain), the last two across gaps of n = 1, 2 steps: U(n t), n >= 2, is the propagator of the
+    checked n t at the same angles, and U(t) the preset's `u`."""
+    p, u = preset.evolution, preset.u
+    steps = [propagator(PTParams(p.alpha, multiple(p.t, n))) for n in (
+        (2, 3, 4) if preset.published else (2,))]
+    if preset.published:
+        return [preset.start, *steps, *(steps[n - 1] @ dagger(u) for n in (1, 2))]
+    return [preset.start, np.broadcast_to(I2, u.shape), u, *steps]
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):

@@ -18,6 +18,7 @@ PERIODS = (np.pi, np.pi, 2 * np.pi)  # V's period in t, theta and phi
 SEED_GRID = (12, 6, 12)  # points per axis, in (t, theta, phi), of the grid of `starts`
 STARTS = 8  # cap on each kind of start, best first (`starts`)
 RADII = (8.0, 2.0, 1.0, 0.5, 0.125, 0.03125)  # trust radius multiples tried at once (`maxima`)
+ITERATIONS = 150  # cap on the trust-region iterations of `maxima`
 
 
 def starts(coef: np.ndarray, x, lo, hi) -> np.ndarray:
@@ -61,7 +62,7 @@ def _tiers(v: np.ndarray) -> np.ndarray:
     return tiers[np.argsort(order)]
 
 
-def maxima(coef: np.ndarray, x, lo, hi, radius: float, iterations: int):
+def maxima(coef: np.ndarray, x, lo, hi, radius: float):
     """Trust-region Newton steps on `values` in the box [lo, hi] from each start
     x (S, 3) at once (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
     (1983)): the ends, their values, and whether each converged and could win.
@@ -72,7 +73,7 @@ def maxima(coef: np.ndarray, x, lo, hi, radius: float, iterations: int):
     best trial that gains (a NaN one does not), with its radius doubled; else
     the radius is a quarter of the least step.  Converged: an unshifted step
     below SETTLED on a negative-definite Hessian, or no coordinate free.  A
-    start stops at a radius below SETTLED, a zero gradient or `iterations`
+    start stops at a radius below SETTLED, a zero gradient or ITERATIONS
     spent, and cannot win once its concave model peaks below the best value so
     far."""
     at = tfit.derivatives(coef)
@@ -80,7 +81,7 @@ def maxima(coef: np.ndarray, x, lo, hi, radius: float, iterations: int):
     g, h, f = g.T, h.transpose(2, 0, 1), np.fmax(f, -np.inf)  # NaN -> -inf
     radius, converged, wins = np.full(len(x), radius), np.zeros(len(x), dtype=bool), f > -np.inf
     live, radii, eye, held = np.flatnonzero(wins), np.array(RADII), np.eye(3), lo >= hi
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         xl, fl, gl, hl = x[live], f[live], g[live], h[live]
         free = ~(held | (xl <= lo) & (gl < 0) | (xl >= hi) & (gl > 0))
         w, v = np.linalg.eigh(np.where(free[:, :, None] & free[:, None, :], hl, -eye))

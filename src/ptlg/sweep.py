@@ -35,7 +35,6 @@ DEFAULT_ALPHAS = (0.0, np.pi / 3, 2 * np.pi / 5, np.pi / 2.05)
 DEFAULT_THETA = 5 * np.pi / 6
 DEFAULT_PHI = np.pi / 2
 REFINE_TOLERANCE = 1e-7
-NEWTON_ITERATIONS = 150  # cap on the trust-region iterations on the (t, state) fit
 K = 16  # interior probes per k-section round, evaluated as one stack
 READS = 64  # cap on the engine's readings that end a search on the (t, state) fit
 FIT_AXES = ("t", "theta", "phi")  # the coordinates of the (t, state) fit
@@ -279,7 +278,7 @@ def _refine_state(cfg: SweepConfig, params: dict, grids: list):
     lo, hi = (np.array([getattr(dict(grids).get(n), e, x[i]) for i, n in enumerate(FIT_AXES)])
               for e in ("lo", "hi"))
     ends, fit, converged, wins = search.maxima(coef, search.starts(coef, x, lo, hi), lo, hi, min(
-        g.spacing() for _, g in grids), NEWTON_ITERATIONS)
+        g.spacing() for _, g in grids))
     keep = np.argsort(np.where(wins, -fit, np.inf))[:min(wins.sum(), READS - 1)]
     points = np.vstack([ends[keep], x])
     names = [n for n, _ in grids]

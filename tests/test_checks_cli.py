@@ -100,8 +100,8 @@ class TestSuiteFormsEachQuantityOnce:
                                          propagators):
         # stack by stack: one propagator stack of 6 n points holds the composition check's
         # U(t/2), U(t/3) and U(t/2 + t/3), U(t) of the sample and the two signaling grids;
-        # the two PT families share one evolution, whose cached U(t) is that stack's slice and
-        # serves the U U^dagger and eigensystem checks and both PT starts (one start each),
+        # both PT families keep that stack's U(t) slice as their `u`, which serves the
+        # U U^dagger and eigensystem checks and both PT starts (one start each),
         # and the unitary families' starts are their bare states (4 starts); the four
         # families' transfer tables are one `chain_tables` call, so no chain of complex legs
         # is formed but the oracle's, whose outcome tuples all read it and which adds U(2 t)
@@ -389,6 +389,21 @@ class TestOptimizeCommand:
         assert main(argv + ["--format", "json"]) == 0
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
+    def test_one_t_step_is_a_usage_error(self, capsys):
+        assert main(["optimize", "V1", "--alpha", "0.5", "--t-steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --t-steps must be >= 2 for optimization\n"
+        assert captured.out == ""
+
+    def test_out_in_a_missing_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["optimize", "L13", "--alpha", "0.5", "--t-steps", "8",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"io error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("alpha", ("1.2", "2.0"))
     def test_unitary_refuses_alpha(self, capsys, alpha):
         # the unitary kind evolves at alpha = 0, so an --alpha would be dropped
@@ -556,6 +571,32 @@ class TestConfigFile:
         cfg = tmp_path / "cmd.json"
         cfg.write_text(json.dumps({"command": "check"}))
         assert main(["figure", "1", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("{bad", "is not valid JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)"),
+        ("[4]", "config file must hold a JSON object"),
+        ('{"pair_closed_forms": "yes"}', "config key 'pair_closed_forms' takes true or false, "
+                                         "got 'yes'"),
+        ('{"sample_size": [4]}', "config key 'sample_size' takes a string or a number, got [4]"),
+    ])
+    def test_malformed_config_is_one_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        want = f"config {cfg} {message}" if message.startswith("is not") else message
+        assert captured.err == f"usage error: {want}\n" and captured.out == ""
+
+    def test_config_flag_turns_the_pair_forms_on(self, tmp_path, capsys):
+        # the published pair forms do not match the sequential chain's table (a known defect)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pair_closed_forms": True}))
+        assert main(["check", "--sample-size", "4", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if line.startswith("FAILED")] == [
+            "FAILED: pair-closed-forms"]
+        assert captured.err == ""
 
     def test_bad_choice_rejected(self, tmp_path):
         cfg = tmp_path / "fmt.json"

@@ -16,7 +16,6 @@ from ptlg.matcore import (DICHOTOMY_TOL, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_cmat,
 from ptlg.nosignal import bob_reduced
 from ptlg.protocol import (
     MeasurementContext,
-    PTEvolution,
     ScenarioPreset,
     StackedPreset,
     distribution,
@@ -111,20 +110,25 @@ class TestChains:
                                             for t in ts]
 
     def test_steps_scale_the_checked_duration(self, monkeypatch):
-        # U(n t) is the propagator of n t, bit for bit: each step but U(t), which the
-        # evolution keeps, builds the checked PTParams of n t at the same angles
+        # each leg U(n t) of the oracle's chain is the propagator of n t, bit for bit: U(t) is
+        # the preset's `u`, and only the checked PTParams of n t >= 2 t are built, at the same
+        # angles; the published gaps are U((n + 1) t) U(t)^dagger
         alphas, ts = (0.2, 0.9, 1.4), (0.3, 1.1, 2.5)
-        preset = pt_variant(alphas, ts, 1.1, 0.4)
+        sequential, published = (pt_variant(alphas, ts, 1.1, 0.4, published=chain)
+                                 for chain in (False, True))
         params = [PTParams(alphas, n * np.array(ts)) for n in range(5)]
         want = [propagator(p) for p in params]
-        preset.evolution.step(1)
         built = []
         original = PTParams.__post_init__
         monkeypatch.setattr(PTParams, "__post_init__",
                             lambda self: built.append(self) or original(self))
-        for n in range(5):
-            assert np.array_equal(preset.evolution.step(n), want[n])
-        assert built == [params[n] for n in (0, 2, 3, 4)]
+        _, _, u, u2 = sequential.chain
+        assert u is sequential.u and np.array_equal(u, want[1]) and np.array_equal(u2, want[2])
+        _, *legs = published.chain
+        assert [leg.tobytes() for leg in legs] == [want[n].tobytes() for n in (2, 3, 4)] + [
+            (want[n + 1] @ want[1].conj().swapaxes(-1, -2)).tobytes() for n in (1, 2)]
+        assert np.array_equal(published.u, want[1])
+        assert built == [params[n] for n in (2, 2, 3, 4)]
 
     def test_step_multiple_that_overflows_is_a_domain_error(self):
         # each t is finite, but the legs take 2 t (sequential) and up to 4 t (published)
@@ -135,6 +139,24 @@ class TestChains:
                 distribution(ctx(pt_standard(0.5, (0.3, 1e308, 7e307), published=published),
                                  1, 2, 3))
             assert stacked.value.failures == {1: "duration t must be >= 0, got inf"}
+
+    def test_published_chain_needs_pre_evolution(self):
+        # the preset holds the rule, so a hand-built or replaced preset keeps it too
+        message = "^the published chain fixes its own start; it needs pre_evolution=True$"
+        base = pt_standard(0.5, 0.7)
+        for build in (lambda: pt_standard(0.5, 0.7, pre_evolution=False, published=True),
+                      lambda: pt_variant(0.5, 0.7, 1.1, 0.4, pre_evolution=False, published=True),
+                      lambda: ScenarioPreset(label="CUSTOM", initial_state=base.initial_state,
+                                             observable=SIGMA_Y, evolution=base.evolution,
+                                             pre_evolution=False, published=True),
+                      lambda: replace(pt_standard(0.5, 0.7, published=True), pre_evolution=False)):
+            with pytest.raises(UsageError, match=message):
+                build()
+        custom = ScenarioPreset(label="CUSTOM", initial_state=base.initial_state,
+                                observable=SIGMA_Y, evolution=base.evolution,
+                                pre_evolution=True, published=True)
+        for got, want in zip(custom.transfer, pt_standard(0.5, 0.7, published=True).transfer):
+            assert np.array_equal(got, want)
 
     def test_chain_outcome_length_checked(self):
         preset = unitary_standard(0.5)
@@ -187,12 +209,15 @@ class TestDistributions:
 
     def test_unitary_presets_step_is_the_sigma_x_rotation(self):
         # the unitary presets take the alpha = 0 PT step, which is the Schroedinger
-        # step exp(-i n t sigma_x) bit for bit
+        # step exp(-i n t sigma_x) bit for bit: U(t) and U(2 t) as the preset and its
+        # chain hold them, U(3 t) as the propagator of 3 t
         for t in np.linspace(0.0, 7.0, 2001):
             for preset in (unitary_standard(t), unitary_variant(t, 1.1, 0.4)):
-                for n in (1, 2, 3):
+                _, _, u, u2 = preset.chain
+                assert u is preset.u
+                for n, got in ((1, u), (2, u2), (3, propagator(PTParams(0.0, 3 * t)))):
                     want = np.cos(n * t) * I2 - 1j * np.sin(n * t) * SIGMA_X
-                    assert np.array_equal(preset.evolution.step(n), want), (t, n)
+                    assert np.array_equal(got, want), (t, n)
 
     def test_observable_needs_rank_one_projectors(self):
         # +-I is dichotomic, but its projectors are I and 0: no transfer form; the
@@ -211,7 +236,7 @@ class TestDistributions:
                     distribution(ctx(preset, *times))
         stacked = ScenarioPreset(label="CUSTOM", initial_state=pt.initial_state,
                                  observable=SIGMA_Z, pre_evolution=False,
-                                 evolution=PTEvolution(PTParams((0.0, 0.3, -0.0, -1.2), 0.7)))
+                                 evolution=PTParams((0.0, 0.3, -0.0, -1.2), 0.7))
         with pytest.raises(DomainError) as error:
             distribution(ctx(stacked, 1))
         assert set(error.value.failures) == {1, 3}
@@ -522,7 +547,7 @@ class TestStackFormat:
         preset = pt_variant(*given)
         for x in given:
             x += 0.125
-        p, s = preset.evolution.params, preset.initial_state
+        p, s = preset.evolution, preset.initial_state
         for held, w in zip((p.alpha, p.t, s.theta, s.phi), want):
             assert np.array_equal(held, w) and not held.flags.writeable
             with pytest.raises(ValueError):

@@ -526,7 +526,7 @@ class TestRefine:
         assert np.all(abs(eh - hess) <= hess_bound), abs(eh - hess) / hess_bound
 
     def test_spent_iteration_cap_is_not_convergence(self, monkeypatch):
-        monkeypatch.setattr(sweep, "NEWTON_ITERATIONS", 1)
+        monkeypatch.setattr(search, "ITERATIONS", 1)
         res = scan(RIDGE_SCAN)
         assert res.converged is False
         assert res.argmax_value >= max(r.value for r in res.rows)
