@@ -6,14 +6,14 @@ axes (t, alpha, theta, phi), each as one stacked preset (see `protocol`):
 its reason instead of aborting, and runs the rest again as one stack.
 
 `refine_max` refines on exact fits (`tfit`, from the closed form: no engine
-call) and ends in one stacked engine reading, so the value it reports is the
-engine's: along t alone, at the maxima of the fit of each term in 2 t
-(`_refine_t`); at fixed alpha with an angle moving, at the ends of Newton
-steps on the (t, state) fit from many starts (`_refine_state`).  The winning
-column of that reading is the argmax's preset (`SweepResult.preset`).  Along
-t alone the fit's readings ride in `scan`'s grid stack, so a refined scan
-forms the chain once; with an angle moving, twice: for its grid, and for the
-reading.
+call) of the chain that `build_preset` gives at t = 0, and ends in one stacked
+engine reading, so the value it reports is the engine's: along t alone, at the
+maxima of the fit of each term in 2 t (`_refine_t`); at fixed alpha with an
+angle moving, at the ends of Newton steps on the (t, state) fit from many
+starts (`_refine_state`).  The winning column of that reading is the argmax's
+preset (`SweepResult.preset`).  Along t alone the fit's readings ride in
+`scan`'s grid stack, so a refined scan forms the chain once; with an angle
+moving, twice: for its grid, and for the reading.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def scan(cfg: SweepConfig) -> SweepResult:
     axes = {n: [p[i] for p in points] for i, n in enumerate(names)}
     refined = None
     if cfg.refine and names == ["t"] and len(points) > 1:
-        with suppress(ExceptionalPointError):  # the fit's alpha check; every grid point fails too
+        with suppress(ExceptionalPointError):  # the fit preset's alpha check; every row fails too
             refined, values, errors = _refine_t(cfg, {k: float(v) for k, v in cfg.fixed.items()},
                                                 cfg.grids["t"], axes["t"])
     if refined is None:
@@ -245,8 +245,7 @@ def _refine_t(cfg: SweepConfig, params: dict, grid: GridSpec, head):
     window end where V rises outward.  Returns `refine_max`'s four values, then
     the head's values and failure reasons (see `_read`).
     """
-    coef = tfit.fit(cfg.kind, params.get("alpha", 0.0), cfg.pre_evolution, cfg.expression, (
-        params.get("theta", DEFAULT_THETA), params.get("phi", DEFAULT_PHI)))
+    coef = tfit.fit(cfg.expression, build_preset(cfg, params | {"t": 0.0}))
     ts, gaps = tfit.candidates(coef, grid.lo, grid.hi)
     n = len(head)
     ts, gaps = np.append(head, ts), np.append(np.zeros(n), gaps)
@@ -273,7 +272,7 @@ def _refine_state(cfg: SweepConfig, params: dict, grids: list):
     least grid spacing), then one engine stack at the ends that could win, best
     first (at most READS - 1), and at the seed.  The best reading wins;
     converged if it is a converged end's."""
-    coef = tfit.fit(cfg.kind, params.get("alpha", 0.0), cfg.pre_evolution, cfg.expression)
+    coef = tfit.fit(cfg.expression, build_preset(cfg, params | {"t": 0.0}), states=True)
     x = np.array([({"theta": DEFAULT_THETA, "phi": DEFAULT_PHI} | params)[n] for n in FIT_AXES])
     lo, hi = (np.array([getattr(dict(grids).get(n), e, x[i]) for i, n in enumerate(FIT_AXES)])
               for e in ("lo", "hi"))

@@ -5,10 +5,10 @@ a signed sum N_c of its outcome weights over their total D_c, times the term's
 sign, which `fit` folds into N_c: V is the plain sum of the rows' quotients, and
 nothing else reads TERMS.  In the measured observable's eigenbasis the PT
 propagator is real, U~(t) = D R(t) D^-1 (`protocol.chain_tables`), R(t) the rotation
-by t.  So N_c and D_c, nothing divided out, are trigonometric polynomials in
-theta = 2 t of degree at most 3 (8 on the published chain, whose legs reach
-U(4 t)), fixed by their values at M = 7 (17) equispaced t (`fit`; Trefethen,
-Approximation Theory and Approximation Practice, SIAM (2013)).
+by t.  So on a preset's chain N_c and D_c, nothing divided out, are trigonometric
+polynomials in theta = 2 t of degree at most 3 (8 on the published chain, whose
+legs reach U(4 t)), fixed by their values at M = 7 (17) equispaced t (`fit`;
+Trefethen, Approximation Theory and Approximation Practice, SIAM (2013)).
 Along t they give the exact derivatives (`slopes`) and where the maximum in a
 window can lie (`candidates`).  Both are also affine in the pure state's Bloch
 features (`features`), so `fit` also gives V over all of (t, theta, phi)
@@ -24,8 +24,8 @@ import numpy as np
 
 from .lgexpr import TERMS, outcome_signs
 from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .protocol import chain_products, chain_tables, ratio, symmetric_part
-from .ptdyn import PTParams
+from .protocol import (PURE, ScenarioPreset, _measured_basis, chain_products, chain_tables, ratio,
+                       symmetric_part)
 
 SCAN_DENSITY = 128  # scan steps of V' per radian of theta (`candidates`)
 NEWTON_STEPS = 8  # safeguarded Newton steps that polish each maximum
@@ -55,32 +55,32 @@ def features(theta, phi) -> np.ndarray:
     return np.array([np.ones(theta.shape), np.cos(2 * theta), s * np.cos(phi), s * np.sin(phi)])
 
 
-def fit(kind: str, alpha: float, pre_evolution: bool, expression: str,
-        angles: tuple[float, float] | None = None) -> np.ndarray:
+def fit(expression: str, preset: ScenarioPreset, states: bool = False) -> np.ndarray:
     """The coefficients of each term's signed numerator and total, rows
-    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), of `expression` on the chain of
-    `kind` (`sweep.KINDS`) at alpha, from U~(j t), j = 0..4,
-    at M equispaced t on [0, pi) through the fixed M x M DFT matrix; the sign is
-    an exact negation.  The weights and tables are `protocol.chain_tables`' from
-    the bare state, the pre-evolution inside the legs, per Bloch feature (its
-    `symmetric_part`; sigma_x's is 0).  At `angles` (theta, phi) the rows run along
-    t (R, 2 n + 1); else each has a feature axis (R, 4, 2 n + 1), row r at
-    PURE(theta, phi) being features(theta, phi) @ c[r].  L13's state is I/2."""
-    alpha = PTParams(alpha, 0.0).alpha  # its domain check
-    published = kind == "pt-published"
-    basis = int(kind == "unitary")  # sigma_z's, at alpha = 0
-    s = symmetric_part(FEATURES, basis) * np.array([1, *3 * [expression != "L13"]])
-    if angles is not None:
-        s = s @ features(*angles)
-    lead = 1 if published else 0 if pre_evolution and not basis else -1
-    jt, dft = _SAMPLING[17 if published else 7]
-    w, tables = chain_tables(jt, ratio(alpha, basis), lead, published, s.reshape(3, -1, 1))
+    (sign_1 N_1, D_1, sign_2 N_2, D_2, ...), of `expression` on the chain of the
+    one-point `preset` (its observable, alpha, chain, pre-evolution and state;
+    never its t), from U~(j t), j = 0..4, at M equispaced t on [0, pi) through
+    the fixed M x M DFT matrix; the sign is an exact negation.  The weights and
+    tables are `protocol.chain_tables`' from the bare state, the pre-evolution
+    inside the legs, per Bloch feature (its `symmetric_part`; sigma_x's is 0; a
+    mixed state has the first alone).  The rows run along t (R, 2 n + 1) at the
+    preset's state; with `states` each has a feature axis (R, 4, 2 n + 1), row r
+    at PURE(theta, phi) being features(theta, phi) @ c[r]."""
+    state, alpha = preset.initial_state, preset.evolution.alpha
+    basis, flip = _measured_basis(preset.observable, alpha)
+    s = symmetric_part(FEATURES, basis) * np.array([1, *3 * [state.kind == PURE]])
+    s = s if states else s @ features(state.theta, state.phi)
+    lead = 1 if preset.published else 0 if preset.pre_evolution else -1
+    jt, dft = _SAMPLING[17 if preset.published else 7]
+    w, tables = chain_tables(jt, ratio(alpha, basis), lead, preset.published, s.reshape(3, -1, 1))
+    if flip:  # a negated observable swaps its outcomes
+        w, tables = w[:, ::-1], tables[:, ::-1, ::-1]
     rows = []
     for sign, times in TERMS[expression]:
         raw = chain_products(w, tables, times)
         rows += [sign * (outcome_signs(times, times, len(times) + 2) * raw).sum(0), raw.sum(0)]
     coef = np.array(rows) @ dft
-    return coef if angles is None else coef[:, 0]
+    return coef if states else coef[:, 0]
 
 
 def scales(coef: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ def _resolved(coef: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def values(coef: np.ndarray, t, theta, phi) -> np.ndarray:
-    """V of the (t, state) fit `coef` (`fit` without angles) at (t, theta, phi),
+    """V of the (t, state) fit `coef` (`fit` with `states`) at (t, theta, phi),
     broadcast against each other, NaN where a total is below TRIM of its scale.
     The tensor is contracted on t, then on the features: a grid's axes
     (`np.ix_`) cost one contraction each."""

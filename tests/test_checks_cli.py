@@ -34,6 +34,15 @@ class TestIdentitySuite:
         with pytest.raises(UsageError):
             run_identity_suite(sample_size=0)
 
+    def test_vanishing_signaling_fails_its_one_check(self, monkeypatch):
+        # a partner state at I/2 for every alpha reads as no signaling where there
+        # must be some: the check reads 1.0, and no other check moves
+        original = checks.mixed_distance
+        monkeypatch.setattr(checks, "mixed_distance", lambda rho: np.zeros_like(original(rho)))
+        results = {r.name: r for r in run_identity_suite(sample_size=8)}
+        assert {n for n, r in results.items() if not r.passed} == {"signaling-iff-trivial"}
+        assert results["signaling-iff-trivial"].residual == 1.0
+
     def test_untransposed_partner_state_detected(self, monkeypatch):
         # U^dag U has the right diagonal and |off-diagonal|, but conjugated phases; the
         # suite reads the partner state off the PT-standard table's start

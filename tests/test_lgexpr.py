@@ -112,6 +112,10 @@ class TestVariantV:
         with pytest.raises(UsageError):
             variant_v(4, unitary_standard(0.5))
 
+    def test_unknown_expression_name(self):
+        with pytest.raises(UsageError, match="got 'V4'"):
+            expression("V4", unitary_standard(0.5))
+
     def test_pairings(self):
         # V1 pairs <M2 M3>, V2 pairs <M1 M3>, V3 pairs <M1 M2>
         preset = pt_variant(0.9, 0.6, 1.0, 0.5)

@@ -62,6 +62,15 @@ class TestProjector:
         with pytest.raises(UsageError):
             projector(SIGMA_Z, 0)
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(UsageError, match="2x2 observable"):
+            projector(np.array([SIGMA_Z, SIGMA_Y]), +1)
+
+
+def test_as_cmat_rejects_a_3x3_matrix():
+    with pytest.raises(UsageError, match=r"shape \(3, 3\)"):
+        as_cmat(np.eye(3))
+
 
 class TestQubitDensity:
     def test_rejects_non_hermitian(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptlg import protocol
+from ptlg.closedform import pair_normalization_reference
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
@@ -465,6 +466,10 @@ class TestPublishedChain:
             pt_standard(0.5, 0.7, pre_evolution=False, published=True)
         with pytest.raises(UsageError):
             pt_variant(0.5, 0.7, 1.0, 0.2, pre_evolution=False, published=True)
+
+    def test_pair_forms_know_only_the_three_pairs(self):
+        with pytest.raises(UsageError, match=r"unknown pair \(1, 1\)"):
+            pair_normalization_reference(0.5, 0.7, (1, 1))
 
 
 class TestOneChainPerPreset:

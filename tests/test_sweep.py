@@ -27,6 +27,27 @@ def unitary_l13_cfg(count=201, refine=False):
                        grids={"t": GridSpec(0.01, np.pi, count)}, refine=refine)
 
 
+def fit_preset(expr, kind, alpha, pre_evolution=True, theta=DEFAULT_THETA, phi=DEFAULT_PHI):
+    """The one-point preset of a sweep of `kind` whose chain `tfit.fit` fits; the
+    unitary kind drops alpha, and the fit does not read t."""
+    fixed = {"t": 0.0} | ({} if kind == "unitary" else {"alpha": alpha})
+    cfg = SweepConfig(expression=expr, kind=kind, fixed=fixed, pre_evolution=pre_evolution)
+    return sweep.build_preset(cfg, fixed | {"theta": theta, "phi": phi})
+
+
+def engine_stacks(monkeypatch) -> list:
+    """The members of each engine stack (`protocol.StackedPreset`) formed from here on."""
+    stacks = []
+
+    class Counting(protocol.StackedPreset):
+        def __init__(self, *members):
+            stacks.append(members)
+            super().__init__(*members)
+
+    monkeypatch.setattr(protocol, "StackedPreset", Counting)
+    return stacks
+
+
 class TestScan:
     def test_unitary_luders_maximum(self):
         res = scan(unitary_l13_cfg(refine=True))
@@ -81,6 +102,8 @@ class TestScan:
         with pytest.raises(UsageError, match="both gridded and fixed"):  # no silent winner
             SweepConfig(expression="L13", kind="pt", grids={"t": GridSpec(0, 1, 5)},
                         fixed={"t": 0.5, "alpha": 0.3})
+        with pytest.raises(UsageError, match=re.escape("unknown parameters ['beta']")):
+            SweepConfig(expression="L13", kind="pt", fixed={"t": 0.5, "alpha": 0.3, "beta": 1.0})
 
     @pytest.mark.parametrize("grids,fixed", [
         ({"t": GridSpec(0, 1, 5)}, {"alpha": 1.2}),
@@ -90,6 +113,25 @@ class TestScan:
         # the unitary presets take no alpha: a (t, alpha) grid would repeat each t's value
         with pytest.raises(UsageError, match="unitary"):
             SweepConfig(expression="V3", kind="unitary", grids=grids, fixed=fixed)
+
+    def test_published_sweep_without_pre_evolution_fails_before_the_fit(self, monkeypatch):
+        # the fit's preset is built by the chain's own rule, so its usage error comes
+        # before any fit work
+        calls, original = [], tfit.candidates
+        monkeypatch.setattr(tfit, "candidates", lambda *args: calls.append(1) or original(*args))
+        cfg = SweepConfig(expression="V3", kind="pt-published", pre_evolution=False, refine=True,
+                          grids={"t": GridSpec(0.3, 1.9, 8)}, fixed={"alpha": 1.0})
+        with pytest.raises(UsageError, match="needs pre_evolution=True"):
+            scan(cfg)
+        assert calls == []
+
+    def test_non_finite_fixed_angle_fails_at_the_fit_preset(self):
+        # the fit's preset checks the state as every preset does, so the error names
+        # the angle before any fit runs on it
+        cfg = SweepConfig(expression="V3", kind="pt", refine=True,
+                          grids={"t": GridSpec(0.3, 1.9, 8)}, fixed={"alpha": 1.0, "phi": np.inf})
+        with pytest.raises(DomainError, match="phi must be finite"):
+            scan(cfg)
 
     def test_published_kind_scans_the_published_chain(self):
         cfg = SweepConfig(expression="L13", kind="pt-published",
@@ -165,6 +207,18 @@ class TestRefine:
         assert value == pytest.approx(1.93, abs=0.005)
         assert params["t"] == pytest.approx(0.398, abs=0.01)
 
+    @pytest.mark.parametrize("angle", (False, True), ids=("t-route", "state-route"))
+    def test_failing_seed_reading_is_a_usage_error(self, angle):
+        # 1e-6 from the EP this row of figure 2's grid fails a context's weight check;
+        # refinement from it has no finite value to stand on, along t or with an angle
+        ts = GridSpec(0, np.pi, 512)
+        grids = {"t": ts} | ({"theta": GridSpec(0.0, np.pi, 8)} if angle else {})
+        cfg = SweepConfig(expression="V3", kind="pt", grids=grids,
+                          fixed={"alpha": np.pi / 2 - 1e-6}, refine=True)
+        seed = {"t": float(ts.values()[341])} | ({"theta": DEFAULT_THETA} if angle else {})
+        with pytest.raises(UsageError, match="objective not finite at seed"):
+            refine_max(cfg, seed)
+
     def test_constant_objective_returns_seed(self):
         cfg = SweepConfig(expression="L13", kind="unitary", grids={},
                           fixed={"t": 0.6})
@@ -173,23 +227,16 @@ class TestRefine:
         assert converged
 
     def test_one_dim_refinement_call_budget(self, monkeypatch):
-        # one stacked engine call in all, at the seed, both window ends and the
-        # readings of the maxima: the fit needs none
-        calls = []
-        original = sweep.build_preset
-
-        def counting(cfg, params):
-            calls.append(params["t"])
-            return original(cfg, params)
-
-        monkeypatch.setattr(sweep, "build_preset", counting)
+        # one engine stack in all, at the seed, both window ends and the
+        # readings of the maxima: the fit and its preset form none
+        stacks = engine_stacks(monkeypatch)
         cfg = unitary_l13_cfg(count=101)
         params, value, converged, _ = refine_max(cfg, {"t": 0.5})
         assert converged
         assert value == pytest.approx(1.5, abs=1e-12)
         assert params["t"] == pytest.approx(np.pi / 6, abs=1e-6)
-        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
-        assert calls[0][:3].tolist() == [0.5, 0.01, np.pi]
+        assert len(stacks) == 1 and len(stacks[0]) == 1
+        assert stacks[0][0].evolution.t[:3].tolist() == [0.5, 0.01, np.pi]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
@@ -208,7 +255,7 @@ class TestRefine:
         # Where a term's total nearly vanishes on the sphere (d0 ~ |d|) that
         # loss reaches 1e-8 (the example: d0 - |d| is 1.2e-9 of d0); elsewhere the
         # bound is a few ulps.
-        coef = tfit.fit(kind, 0.0 if kind == "unitary" else alpha, True, expr)
+        coef = tfit.fit(expr, fit_preset(expr, kind, alpha), states=True)
         theta, phi = (a[:, 0] for a in tfit.term_maxima(coef, [t]))
         rows = tfit.trig(coef, 2 * np.array([t]))[0][..., 0]  # (R, 4)
         b = np.random.default_rng(0).standard_normal((3, 20000))
@@ -257,8 +304,10 @@ class TestRefine:
         assert np.all(abs(np.sort(found) - want[np.argsort(want)]) <= bound[np.argsort(want)])
 
     def test_real_roots_skip_roots_off_the_unit_circle(self):
-        # 2 + cos u has no real root: its companion roots are z = -2 +- sqrt(3)
+        # 2 + cos u has no real root: its companion roots are z = -2 +- sqrt(3); nor
+        # has the constant 2, which has no companion matrix
         assert tfit.real_roots(np.array([0.5, 2.0, 0.5])).size == 0
+        assert tfit.real_roots(np.array([0.0, 2.0, 0.0])).size == 0
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(expr=st.sampled_from(EXPRESSIONS), kind=st.sampled_from(sweep.KINDS),
@@ -271,41 +320,44 @@ class TestRefine:
         # t.  The rows carry roundoff relative to their largest value, which a
         # term's normalization divides by D_c(t): the bound scales
         # err_bound(alpha), the engine's error on a probability, by
-        # sum_c max|D_c| / D_c(t)
+        # sum_c max|D_c| / D_c(t).  So too with the observable negated (-sigma_y, or
+        # -sigma_z on the unitary step), whose outcomes the fit and the engine both swap
         pre_evolution = pre_evolution or kind == "pt-published"
         fixed = {"theta": theta, "phi": phi} | ({} if kind == "unitary" else {"alpha": alpha})
         cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
                           fixed=fixed, pre_evolution=pre_evolution)
-        fit = tfit.fit(kind, fixed.get("alpha", 0.0), pre_evolution, expr, (theta, phi))
-        assert fit.shape == (6, 17 if kind == "pt-published" else 7)
         ts = np.array(ts)
-        num, den = tfit.trig(fit, 2 * ts)[0].reshape(3, 2, ts.size).transpose(1, 0, 2)
-        model = (num / den).sum(0)  # the rows carry their terms' signs
-        at = sweep.build_preset(cfg, fixed | {"t": tuple(ts.tolist())})
-        engine = np.asarray(expression(expr, at))
-        amplification = (abs(fit[1::2]).sum(1)[:, None] / _totals(fit, ts)).sum(0)
-        bound = err_bound(0.0 if kind == "unitary" else alpha) * amplification
-        assert np.all(abs(model - engine) <= bound), (abs(model - engine) / bound).max()
+        presets = [sweep.build_preset(cfg, fixed | {"t": t}) for t in (0.0, tuple(ts.tolist()))]
+        for fit_at, at in (presets, [replace(p, observable=-p.observable) for p in presets]):
+            fit = tfit.fit(expr, fit_at)
+            assert fit.shape == (6, 17 if kind == "pt-published" else 7)
+            num, den = tfit.trig(fit, 2 * ts)[0].reshape(3, 2, ts.size).transpose(1, 0, 2)
+            model = (num / den).sum(0)  # the rows carry their terms' signs
+            engine = np.asarray(expression(expr, at))
+            amplification = (abs(fit[1::2]).sum(1)[:, None] / _totals(fit, ts)).sum(0)
+            bound = err_bound(0.0 if kind == "unitary" else alpha) * amplification
+            assert np.all(abs(model - engine) <= bound), (abs(model - engine) / bound).max()
 
     @pytest.mark.parametrize("angles", (None, (0.4, 1.3)))
     def test_fit_sampling_formed_once_keeps_the_bits(self, monkeypatch, angles):
         # `fit` reads its sample multiples j t and its DFT matrix from a table formed
         # once per M; the same arrays formed afresh, as every call once did, give
-        # the same coefficients bit for bit, and no call changes the table
+        # the same coefficients bit for bit, and no call changes the table.  Without
+        # angles the fit is over (t, state); a published chain always pre-evolves
         want = {}
         for m in (7, 17):
             jt = np.multiply.outer(np.arange(5), np.arange(m) * np.pi / m)[:, None]
             want[m] = jt, np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m) - m // 2)) / m
-        cases = [(kind, expr, pre) for kind in sweep.KINDS for expr in EXPRESSIONS
-                 for pre in (True, False)]
-        got = [tfit.fit(kind, 0.0 if kind == "unitary" else 1.3, pre, expr, angles)
-               for kind, expr, pre in cases]
+        cases = [(expr, fit_preset(expr, kind, 1.3, pre, *(angles or (0.0, 0.0))))
+                 for kind in sweep.KINDS for expr in EXPRESSIONS for pre in (True, False)
+                 if pre or kind != "pt-published"]
+        got = [tfit.fit(expr, preset, states=angles is None) for expr, preset in cases]
         for m, (jt, dft) in want.items():
             assert all(map(np.array_equal, tfit._SAMPLING[m], (jt, dft)))
         monkeypatch.setattr(tfit, "_SAMPLING", want)
-        for (kind, expr, pre), coef in zip(cases, got):
-            assert np.array_equal(tfit.fit(kind, 0.0 if kind == "unitary" else 1.3, pre, expr,
-                                           angles), coef), (kind, expr, pre)
+        for (expr, preset), coef in zip(cases, got):
+            assert np.array_equal(tfit.fit(expr, preset, states=angles is None), coef), (
+                expr, preset)
 
     def test_one_dim_refinement_escapes_the_seed_basin(self):
         # the seed's local maximum is -0.7419; the window's is 0.2905 at t = 1.0524
@@ -413,7 +465,7 @@ class TestRefine:
         assert res.argmax_value >= max(r.value for r in res.rows)
         old, value = cfg.fixed | before[0], before[1]
         assert evaluate_expression(cfg, old) == value
-        coef = tfit.fit("pt", cfg.fixed["alpha"], True, "V3", (old["theta"], old["phi"]))
+        coef = tfit.fit(cfg.expression, sweep.build_preset(cfg, old))
         amplification = (tfit.scales(coef)[:, 0] / _totals(coef, old["t"])).sum()
         bound = err_bound(cfg.fixed["alpha"]) * amplification
         assert res.argmax_value >= value - bound
@@ -424,7 +476,7 @@ class TestRefine:
         # its floor: the recorded value less the engine's roundoff there,
         # err_bound(alpha) amplified by the terms' totals
         point = cfg.fixed | dict(zip(("t", "theta", "phi"), where))
-        coef = tfit.fit("pt", cfg.fixed["alpha"], True, cfg.expression, where[1:])
+        coef = tfit.fit(cfg.expression, sweep.build_preset(cfg, point))
         amplification = (tfit.scales(coef)[:, 0] / _totals(coef, where[0])).sum()
         res = scan(cfg)
         assert res.argmax_value >= value - err_bound(cfg.fixed["alpha"]) * amplification
@@ -433,17 +485,11 @@ class TestRefine:
 
     def test_state_fit_k_section_reads_no_engine_round(self, monkeypatch):
         # two engine stacks in all: the grid, and one reading of the seed and the
-        # search's ends; no k-section or stencil round
-        sizes = []
-        original = sweep.build_preset
-
-        def counting(cfg, params):
-            sizes.append(len(params["t"]) if np.ndim(params["t"]) else 1)
-            return original(cfg, params)
-
-        monkeypatch.setattr(sweep, "build_preset", counting)
+        # search's ends; no k-section or stencil round, and none for the fit
+        stacks = engine_stacks(monkeypatch)
         res = scan(RIDGE_SCAN)
         assert res.converged
+        sizes = [sum(m.points or 1 for m in members) for members in stacks]
         assert sizes[0] == 6 * 4 * 4 and len(sizes) == 2
         assert 2 <= sizes[1] <= sweep.READS
 
@@ -460,10 +506,10 @@ class TestRefine:
         fixed = {} if kind == "unitary" else {"alpha": alpha}
         cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
                           fixed=fixed, pre_evolution=pre_evolution)
-        coef = tfit.fit(kind, fixed.get("alpha", 0.0), pre_evolution, expr)
-        assert coef.shape == (6, 4, 17 if kind == "pt-published" else 7)
         point = {"t": t, "theta": theta, "phi": phi}
         at = sweep.build_preset(cfg, fixed | point)
+        coef = tfit.fit(expr, at, states=True)
+        assert coef.shape == (6, 4, 17 if kind == "pt-published" else 7)
         engine, totals = expression(expr, at), _totals(coef, t, theta, phi)
         scale = tfit.scales(coef)[:, 0]
         bound = err_bound(0.0 if kind == "unitary" else alpha) * (scale / totals).sum()
@@ -493,7 +539,7 @@ class TestRefine:
         fixed = {} if kind == "unitary" else {"alpha": alpha}
         cfg = SweepConfig(expression=expr, kind=kind, grids={"t": GridSpec(0.0, np.pi, 2)},
                           fixed=fixed, pre_evolution=pre_evolution)
-        coef = tfit.fit(kind, fixed.get("alpha", 0.0), pre_evolution, expr)
+        coef = tfit.fit(expr, sweep.build_preset(cfg, fixed | {"t": t}), states=True)
         x, h, eye = np.array([t, theta, phi]), 1e-5, np.eye(3)
         pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
         offsets = np.array([np.zeros(3)] + [s * eye[i] for i in range(3) for s in (1, -1)] + [
@@ -544,10 +590,11 @@ class TestRefine:
         alpha = 0.0 if kind == "unitary" else alpha
         cfg = SweepConfig(expression=expr, kind=kind, fixed={"t": t} | (
             {} if kind == "unitary" else {"alpha": alpha}), pre_evolution=pre_evolution)
-        coef = tfit.fit(kind, alpha, pre_evolution, expr)
+        at = sweep.build_preset(cfg, cfg.fixed | {"theta": theta, "phi": phi})
+        coef = tfit.fit(expr, at, states=True)
         rows = (tfit.trig(coef, 2 * np.array(t))[0] * tfit.features(theta, phi)).sum(1)
         try:
-            tab = table(sweep.build_preset(cfg, cfg.fixed | {"theta": theta, "phi": phi}))
+            tab = table(at)
             engine = [sign * tab.correlator(*times) for sign, times in TERMS[expr]]
         except DegenerateWeightError:
             assume(False)  # a point where a context weighs nothing
@@ -564,7 +611,7 @@ class TestRefine:
         x = np.array([seed[n] for n in sweep.FIT_AXES])
         lo, hi = (np.array([getattr(cfg.grids[n], e) for n in sweep.FIT_AXES])
                   for e in ("lo", "hi"))
-        coef = tfit.fit("pt", cfg.fixed["alpha"], True, "V1")
+        coef = tfit.fit("V1", sweep.build_preset(cfg, seed), states=True)
         want = search.starts(coef, x, lo, hi)
         for scale in (1 + 1e-13, 1 - 1e-13):
             got = search.starts(coef * scale, x, lo, hi)
@@ -593,7 +640,7 @@ class TestRefine:
         cfg = SweepConfig(expression="V3", kind="pt-published", fixed=fixed, refine=True,
                           grids={"theta": GridSpec(0.0, np.pi, 33),
                                  "phi": GridSpec(0.0, 2 * np.pi, 33)})
-        coef = tfit.fit("pt-published", np.pi / 3, True, "V3")
+        coef = tfit.fit("V3", sweep.build_preset(cfg, fixed), states=True)
         quoted = {"t": 0.785, "theta": 5 * np.pi / 6, "phi": np.pi / 2}
         value = tfit.values(coef, *([v] for v in quoted.values()))[0]
         assert value == pytest.approx(2.858795, abs=5e-7)
