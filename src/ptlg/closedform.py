@@ -4,6 +4,8 @@ These are evaluated directly from trigonometric formulas, never through the
 matrix engine, so tests and the `check` command can compare the two routes.
 Since U^T = U (see `ptdyn`), the entangled-pair partner state (U^dag U)^T / tr
 equals U U^dagger / tr, so `uu_dagger_reference` is the closed form of both.
+A published pair correlator is its numerator over its normalization, each a function of
+its own, so a reader of both (`check --pair-closed-forms`) evaluates each form once.
 """
 
 from __future__ import annotations
@@ -75,26 +77,22 @@ def pair_normalization_reference(alpha: float, t: float, pair: tuple[int, int]) 
     raise UsageError(f"unknown pair {pair}")
 
 
-def pair_correlator_reference(alpha: float, t: float, pair: tuple[int, int]) -> float:
-    """Published pairwise sigma_y correlators paired with the constants above.
-
-    Retained verbatim; the published chain reproduces them, as it does the
-    constants.
-    """
+def pair_numerator_reference(alpha: float, t: float, pair: tuple[int, int]) -> float:
+    """Numerators of the published pairwise sigma_y correlators, each over its
+    `pair_normalization_reference` constant.  Retained verbatim."""
     sec = 1.0 / np.cos(alpha)
     s, c = np.sin(t), np.cos(t)
     cos = np.cos
-    n = pair_normalization_reference(alpha, t, pair)
     if pair == (1, 2):
-        num = (
+        return (
             cos(4 * t)
             + 2**9 * sec**6 * s**6 * c**4
             + 2**7 * sec**4 * s**4 * c**4 * (4 * cos(2 * t) - 3)
             + 2 * sec**2 * s**2 * (2 * cos(4 * t) - 1)
             * (2 * cos(2 * t) + 2 * cos(4 * t) - 1)
         )
-    elif pair == (2, 3):
-        num = (
+    if pair == (2, 3):
+        return (
             2**7 * sec**6 * s**6 * (2 * c + cos(3 * t)) ** 2
             + 8 * sec**4 * s**4 * (6 * cos(2 * t) + 10 * cos(4 * t)
                                    + 10 * cos(6 * t) + 4 * cos(8 * t) + 1)
@@ -102,8 +100,8 @@ def pair_correlator_reference(alpha: float, t: float, pair: tuple[int, int]) -> 
             + 4 * sec**2 * s**2 * (cos(2 * t) + cos(4 * t) - cos(6 * t)
                                    + cos(8 * t) + cos(10 * t) + 1)
         )
-    else:  # (1, 3): n raised on any other pair
-        num = (
+    if pair == (1, 3):
+        return (
             128 * sec**6 * s**6 * (2 * c + cos(3 * t)) ** 2
             + 8 * sec**4 * s**4 * (4 * cos(2 * t) + 12 * cos(4 * t)
                                    + 10 * cos(6 * t) + 4 * cos(8 * t) - 1)
@@ -111,4 +109,10 @@ def pair_correlator_reference(alpha: float, t: float, pair: tuple[int, int]) -> 
             - 8 * sec**2 * s**4 * (8 * cos(2 * t) + 10 * cos(4 * t)
                                    + 6 * cos(6 * t) + 2 * cos(8 * t) + 3)
         )
-    return num / n
+    raise UsageError(f"unknown pair {pair}")
+
+
+def pair_correlator_reference(alpha: float, t: float, pair: tuple[int, int]) -> float:
+    """Published pairwise sigma_y correlators: `pair_numerator_reference` over the constants
+    above.  The published chain reproduces them, as it does the constants."""
+    return pair_numerator_reference(alpha, t, pair) / pair_normalization_reference(alpha, t, pair)

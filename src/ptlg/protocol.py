@@ -22,10 +22,11 @@ from real legs and the symmetric part of its start (`ScenarioPreset.transfer`),
 and `distribution` multiplies them out per context (`OutcomeDistribution`).
 The start is the state's mixture of kets (`InitialState.kets`), each carried
 through U(t) = `u` when the chain pre-evolves, renormalized (`_start`).
-`unnormalized_chain` evolves branch states with `@` along the complex legs of
-`_chain`, as an independent oracle.  Under non-unitary evolution N differs
-from context to context, which is exactly what lets the marginal of a finer
-context disagree with a coarser context's distribution (`macrodiag`).
+`unnormalized_rows` walks a context's branch states with `@` along the complex
+legs of `_chain`, each branch evolved once per leg, as an independent oracle.
+Under non-unitary evolution N differs from context to context, which is exactly
+what lets the marginal of a finer context disagree with a coarser context's
+distribution (`macrodiag`).
 Per-step renormalization is deliberately not used: it would force every
 future-marginalization identity to hold and erase the effect under study.
 
@@ -322,21 +323,28 @@ def _chain(preset: ScenarioPreset) -> list:
 
 
 def unnormalized_chain(ctx: MeasurementContext, outcomes: tuple[int, ...]):
-    """Chain value p~ for one outcome tuple, from branch states; nonnegative up to
+    """Chain value p~ for one outcome tuple, its row of `unnormalized_rows`; nonnegative up to
     roundoff.  An (N,) array for a stacked preset."""
-    times, obs = ctx.measured_times, ctx.preset.observable
+    times = ctx.measured_times
     if len(outcomes) != len(times) or not set(outcomes) <= {1, -1}:
         raise UsageError(f"{len(times)} measured times need as many +-1 outcomes, got {outcomes}")
+    value = unnormalized_rows(ctx)[np.ravel_multi_index([(1 - m) // 2 for m in outcomes],
+                                                         (2,) * len(times))]
+    return value if value.ndim else float(value)
+
+
+def unnormalized_rows(ctx: MeasurementContext) -> np.ndarray:
+    """`unnormalized_chain` of every outcome tuple, as (2^k,) rows in `OutcomeDistribution.rows`
+    order ((2^k, N) for a stack), from one walk of the branch tree: each leg evolves each live
+    branch state once, rho -> U rho U^dagger, then projects it onto both outcomes."""
+    times, obs = ctx.measured_times, ctx.preset.observable
     pis = next((p for o, p in _MODULE if o is obs), None) or [projector(obs, m) for m in (1, -1)]
     start, *legs = ctx.preset.chain
-    rho = start.mat
-    legs = [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]
-    for u, m in zip(legs, outcomes):
-        rho = u @ rho @ dagger(u)
-        pi = pis[(1 - m) // 2]
-        rho = pi @ rho @ pi
-    value = np.maximum(weights(rho), 0.0)
-    return value if value.ndim else float(value)
+    branches = [start.mat]
+    for u in [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]:
+        branches = [pi @ rho @ pi for rho in (u @ rho @ dagger(u) for rho in branches)
+                    for pi in pis]
+    return np.maximum([weights(rho) for rho in branches], 0.0)
 
 
 def chain_products(w: np.ndarray, tables: np.ndarray, times: tuple[int, ...]) -> np.ndarray:

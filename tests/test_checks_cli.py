@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptlg
-from ptlg import checks, nosignal, protocol, ptdyn
+from ptlg import checks, closedform, nosignal, protocol, ptdyn
 from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
@@ -158,6 +158,54 @@ class TestSuiteFormsEachQuantityOnce:
         grids = [nosignal.bob_reduced(ptdyn.PTParams(np.zeros(n), np.abs(ts))),
                  nosignal.bob_reduced(ptdyn.PTParams(alphas, np.full(n, np.pi)))]
         assert signaling.mat.tobytes() == np.concatenate([g.mat for g in grids]).tobytes()
+
+    def test_pair_op_walks_each_context_once(self, monkeypatch):
+        # one pair op: the oracle walks each of the 3 pair contexts' branch trees once, with no
+        # walk per outcome tuple (once 12), and each published numerator and normalization is
+        # evaluated once per pair (once each normalization twice)
+        calls = []
+
+        def counting(name, f):
+            return lambda *args: calls.append(name) or f(*args)
+
+        names = {"unnormalized_rows": (protocol, checks, ptlg),
+                 "unnormalized_chain": (protocol, checks, ptlg),
+                 "pair_normalization_reference": (closedform, checks),
+                 "pair_numerator_reference": (closedform, checks)}
+        for name, modules in names.items():
+            f = counting(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, f, raising=False)
+        run_identity_suite(13, include_pair_forms=True)
+        assert tuple(map(calls.count, names)) == (3, 0, 3, 3)
+
+
+class TestNaNResidualsFail:
+    """A NaN anywhere in a check's inputs reads as a NaN residual, which fails the check."""
+
+    def test_nan_weights_fail_probability_sanity(self, monkeypatch):
+        # NaN weights at the stack's first point reach every table check; probability-sanity's
+        # running maximum once dropped the NaN and passed at 0.0
+        tables = protocol.chain_tables
+
+        def nan_first_point(*args):
+            w, t = tables(*args)
+            return np.where(np.arange(w.shape[-1]) == 0, np.nan, w), t
+
+        monkeypatch.setattr(protocol, "chain_tables", nan_first_point)
+        results = run_identity_suite(4)
+        nan = {r.name for r in results if np.isnan(r.residual)}
+        assert {r.name for r in results if not r.passed} == nan == {
+            "three-time-beta-identity", "three-time-delta-identity", "decomposition-standard",
+            "decomposition-variant", "probability-sanity"}
+
+    def test_nan_normalization_fails_pair_forms(self, monkeypatch):
+        norm = checks.pair_normalization_reference
+        monkeypatch.setattr(checks, "pair_normalization_reference", lambda alpha, t, pair: np.where(
+            np.arange(len(t)) == 1, np.nan, norm(alpha, t, pair)))
+        result = run_identity_suite(4, include_pair_forms=True)[-1]
+        assert result.name == "pair-closed-forms" and np.isnan(result.residual)
+        assert not result.passed
 
 
 class TestCheckCommand:

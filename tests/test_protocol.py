@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptlg import protocol
-from ptlg.closedform import pair_normalization_reference
+from ptlg.closedform import (pair_correlator_reference, pair_normalization_reference,
+                             pair_numerator_reference)
 from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
@@ -36,6 +37,19 @@ ALL_CONTEXTS = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]
 
 def ctx(preset, *times):
     return MeasurementContext(preset=preset, measured_times=times)
+
+
+def walk(context, outcomes):
+    """p~ of one outcome tuple by a branch walk of its own along the oracle's legs."""
+    times, obs = context.measured_times, context.preset.observable
+    start, *legs = context.preset.chain
+    rho = start.mat
+    for u, m in zip([legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])],
+                    outcomes):
+        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+        pi = projector(obs, m)
+        rho = pi @ rho @ pi
+    return np.maximum(weights(rho), 0.0)
 
 
 def one_time_probability(preset, j):
@@ -109,6 +123,29 @@ class TestChains:
                 stacked = unnormalized_chain(ctx(preset(ts), *times), oc)
                 assert stacked.tolist() == [unnormalized_chain(ctx(preset(t), *times), oc)
                                             for t in ts]
+
+    @pytest.mark.parametrize("points", (None, 13))
+    def test_rows_are_the_per_tuple_walks(self, points):
+        # one walk of a context's branch tree keeps the bits of one walk per outcome tuple, on
+        # either chain, sigma_y and sigma_z, mixed and pure, in `OutcomeDistribution.rows` order
+        rng = np.random.default_rng(35)
+        alpha, t, theta, phi = (rng.uniform(lo, hi, points) for lo, hi in
+                                ((-1.2, 1.2), (0.05, 3.0), (0.0, np.pi), (0.0, 2 * np.pi)))
+        for preset in (pt_standard(alpha, t), pt_variant(alpha, t, theta, phi),
+                       pt_variant(alpha, t, theta, phi, pre_evolution=False),
+                       pt_standard(alpha, t, published=True),
+                       pt_variant(alpha, t, theta, phi, published=True),
+                       unitary_standard(t), unitary_variant(t, theta, phi)):
+            for times in ALL_CONTEXTS:
+                c, tuples = ctx(preset, *times), list(product((+1, -1), repeat=len(times)))
+                rows = protocol.unnormalized_rows(c)
+                assert rows.shape == (2 ** len(times),) + np.shape(t)
+                assert rows.tobytes() == np.array([walk(c, oc) for oc in tuples]).tobytes()
+                assert [np.asarray(unnormalized_chain(c, oc)).tobytes() for oc in tuples] == [
+                    row.tobytes() for row in rows]
+                d = distribution(c)
+                assert np.array_equal([d[oc] for oc in tuples], d.rows)
+                np.testing.assert_allclose(rows / sum(rows), d.rows, rtol=1e-9, atol=1e-12)
 
     def test_steps_scale_the_checked_duration(self, monkeypatch):
         # each leg U(n t) of the oracle's chain is the propagator of n t, bit for bit: U(t) is
@@ -431,6 +468,31 @@ class TestOneTimeProbability:
             ctx(unitary_standard(0.5), 4)
 
 
+RECORDED_PAIR_CORRELATORS = {
+    (1, 2): ["0x1.e31ada0edb4a5p-1", "0x1.7a32677e38ee9p-1", "-0x1.f2648922aeb73p-1",
+             "0x1.e45bf0d235402p-1", "0x1.a8492afe7ac8fp-1", "0x1.91b85b63327c0p-1",
+             "0x1.376f2621602f3p-2", "0x1.a8fe6226116abp-1", "-0x1.2c3e2e4b5a6c3p-1",
+             "0x1.5fdac6a858a94p-1", "-0x1.b089ed883c9eap-1", "-0x1.9dac81a4a2d3fp-1",
+             "0x1.20e5804419045p-1", "0x1.d647ec3a85e5ep-1", "0x1.a9a962adc40d8p-1",
+             "0x1.7a804d7581f67p-1", "0x1.5e584d5b81ffap-3", "0x1.70f01dece122dp-1",
+             "-0x1.b811ba1c830ecp-1", "-0x1.54da25da14e78p-2"],
+    (2, 3): ["0x1.b9046699bc66ep-1", "0x1.8732c02b3f815p-1", "-0x1.f1dd21c6b319ap-1",
+             "0x1.cb53ddfd0654cp-1", "0x1.625c29d6486d8p-1", "0x1.a04b6afb73f54p-1",
+             "0x1.ec1c5210fdc2dp-3", "0x1.cdddac12c5042p-1", "-0x1.2d287695f4f27p-1",
+             "0x1.6551ad14ace19p-1", "-0x1.ae619c1759a49p-1", "-0x1.9d94b2c8d14c8p-1",
+             "0x1.281189e3cbb6ap-1", "0x1.d6769b09db535p-1", "0x1.bfff412673066p-1",
+             "0x1.b3612c5f10e1cp-1", "0x1.6d2a6b854cde8p-4", "0x1.0c33a3d5026f9p-1",
+             "-0x1.af0b9af782eadp-1", "-0x1.3e9f04578ecd9p-2"],
+    (1, 3): ["-0x1.15f996ad78b0cp-1", "0x1.2587bdb2332cbp-1", "0x1.fe5af2598fe8ap-1",
+             "-0x1.eabf1cb1df27ap-1", "-0x1.e12b2bdc379f6p-1", "0x1.35e9e7fbad8a0p-1",
+             "-0x1.c3e39e640a9ebp-1", "0x1.03e60812e71e7p-1", "-0x1.334a24e557132p-2",
+             "-0x1.59e7c0bcea12bp-3", "0x1.12014eec143e1p-1", "0x1.ffa602248fbe2p-1",
+             "-0x1.a9e3b8cd6f97dp-2", "0x1.616a46c219d60p-1", "0x1.c48f8b151cc57p-1",
+             "0x1.4122a83a59e14p-1", "-0x1.e9270021428d9p-1", "-0x1.79c0dae026cf1p-1",
+             "0x1.ce0ea046aad06p-1", "0x1.984e5d49b2624p-1"],
+}
+
+
 class TestPublishedChain:
     def test_alpha_zero_equals_sequential_for_mixed_state(self):
         for t in (0.3, 0.9, 2.2):
@@ -468,8 +530,18 @@ class TestPublishedChain:
             pt_variant(0.5, 0.7, 1.0, 0.2, pre_evolution=False, published=True)
 
     def test_pair_forms_know_only_the_three_pairs(self):
-        with pytest.raises(UsageError, match=r"unknown pair \(1, 1\)"):
-            pair_normalization_reference(0.5, 0.7, (1, 1))
+        for form in (pair_normalization_reference, pair_numerator_reference):
+            with pytest.raises(UsageError, match=r"unknown pair \(1, 1\)"):
+                form(0.5, 0.7, (1, 1))
+
+    def test_pair_correlators_keep_their_bits(self):
+        # criterion 05's 20 points, recorded when each correlator formed its numerator and its
+        # normalization in one function: the numerator over the normalization keeps every bit
+        rng = np.random.default_rng(505)
+        points = [(rng.uniform(-2 * np.pi / 5, 2 * np.pi / 5), rng.uniform(0.05, np.pi - 0.05))
+                  for _ in range(20)]
+        for pair, want in RECORDED_PAIR_CORRELATORS.items():
+            assert [float(pair_correlator_reference(a, t, pair)).hex() for a, t in points] == want
 
 
 class TestOneChainPerPreset:
