@@ -161,8 +161,8 @@ class TestSuiteFormsEachQuantityOnce:
 
     def test_pair_op_walks_each_context_once(self, monkeypatch):
         # one pair op: the oracle walks each of the 3 pair contexts' branch trees once, with no
-        # walk per outcome tuple (once 12), and each published numerator and normalization is
-        # evaluated once per pair (once each normalization twice)
+        # walk per outcome tuple, and each published numerator and normalization is evaluated
+        # once per pair
         calls = []
 
         def counting(name, f):
@@ -184,8 +184,8 @@ class TestNaNResidualsFail:
     """A NaN anywhere in a check's inputs reads as a NaN residual, which fails the check."""
 
     def test_nan_weights_fail_probability_sanity(self, monkeypatch):
-        # NaN weights at the stack's first point reach every table check; probability-sanity's
-        # running maximum once dropped the NaN and passed at 0.0
+        # NaN weights at the stack's first point reach every table check, probability-sanity's
+        # included: Python's max would keep its first argument and drop the NaN
         tables = protocol.chain_tables
 
         def nan_first_point(*args):
