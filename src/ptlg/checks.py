@@ -1,10 +1,11 @@
 """Deterministic identity suite backing the `check` CLI command.
 
-Every check compares two independent routes to the same quantity (engine vs
-closed form, fine vs coarse context, grouped vs composed propagator) over a
-fixed parameter sample, so the suite is reproducible run to run.  The table checks share one
-context table, over the four preset families stacked as one preset, and every propagator of
-the sample (the composition check's, U(t), the signaling grids') comes from one stack.
+Every check compares two independent routes to the same quantity (engine vs closed form, fine
+vs coarse context, grouped vs composed propagator) over a fixed parameter sample, so the suite
+is reproducible run to run.  The table checks share one context table, over the four preset
+families stacked as one preset, and every propagator of the sample (the composition check's,
+U(t), the signaling grids') comes from one stack.  The partner-state checks read plain arrays:
+the PT-standard start, which is `nosignal.bob_reduced` bit for bit, and the signaling start.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def run_identity_suite(sample_size: int = 16, fault: float = 0.0,
     results.append(CheckResult("unitary-aot-exact", res, 1e-12))
 
     partner = pt.start  # bob_reduced(p), bit for bit
-    res = _max(abs(partner.mat - ref / per_matrix(weights(ref))))
+    res = _max(abs(partner - ref / per_matrix(weights(ref))))
     results.append(CheckResult("partner-state-closed-form", res, 1e-9))
 
     res = _max(mixed_distance(_start(maximally_mixed(), stack[4 * n:])))  # `signaling_deviation`

@@ -50,13 +50,10 @@ class DegreeReport:
 
 
 def degree_report(x: ScenarioPreset | ContextTable) -> DegreeReport:
-    """Each coarse context's probabilities minus the matching marginal of the full one:
-    its rows summed one after another from 0, as `OutcomeDistribution.marginal` sums them."""
+    """Each coarse context's probabilities minus the matching `marginal` of the full one."""
     tab = table(x)
-    p = tab[1, 2, 3].probs
-    marginals = {(2, 3): (p[0], p[1]), (1, 3): (p[:, 0], p[:, 1]), (1, 2): (p[:, :, 0], p[:, :, 1]),
-                 (1,): (p[:, 0, 0], p[:, 0, 1], p[:, 1, 0], p[:, 1, 1])}
-    return DegreeReport(*(tab[times].probs - sum(rows) for times, rows in marginals.items()))
+    return DegreeReport(*(tab[times].probs - tab[1, 2, 3].marginal(times)
+                          for times in ((2, 3), (1, 3), (1, 2), (1,))))
 
 
 def decomposition_residual_standard(x: ScenarioPreset | ContextTable) -> float:

@@ -17,21 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import I2, QubitDensity
+from .matcore import I2
 from .protocol import _start, maximally_mixed
 from .ptdyn import PTParams, propagator
 
 
-def bob_reduced(p: PTParams) -> QubitDensity:
-    """Partner's reduced state after the local non-unitary step, renormalized: the
-    pre-evolved maximally mixed start of `protocol`."""
+def bob_reduced(p: PTParams) -> np.ndarray:
+    """Partner's reduced state after the local non-unitary step, renormalized, as a (2, 2)
+    complex array ((N, 2, 2) for a t-grid): the pre-evolved maximally mixed start of `protocol`."""
     return _start(maximally_mixed(), propagator(p))
 
 
-def mixed_distance(rho: QubitDensity):
-    """Trace distance between the partner's state `rho` and I/2, an (N,) array for a
-    stack: sqrt(d00^2 + |d01|^2), the upper eigenvalue of the traceless rho - I/2."""
-    d = rho.mat - I2 / 2.0
+def mixed_distance(rho: np.ndarray):
+    """Trace distance between the partner's state `rho` (..., 2, 2) and I/2, an (N,) array for
+    a stack: sqrt(d00^2 + |d01|^2), the upper eigenvalue of the traceless rho - I/2."""
+    d = rho - I2 / 2.0
     dev = np.hypot(d[..., 0, 0].real, np.abs(d[..., 0, 1]))
     return dev if isinstance(dev, np.ndarray) else float(dev)
 

@@ -20,8 +20,9 @@ eigenbasis of +-sigma_y, or of +-sigma_z at alpha = 0, the propagator is real,
 U~(t) = D R(t) D^-1 (`chain_tables`): a preset forms its tables once, on first use,
 from real legs and the symmetric part of its start (`ScenarioPreset.transfer`),
 and `distribution` multiplies them out per context (`OutcomeDistribution`).
-The start is the state's mixture of kets (`InitialState.kets`), each carried
-through U(t) = `u` when the chain pre-evolves, renormalized (`_start`).
+The start is the state's mixture of kets (`InitialState.kets`), each carried through
+U(t) = `u` when the chain pre-evolves, renormalized (`_start`), a plain (..., 2, 2) array:
+values are checked where they enter (the factories, `MeasurementContext`), not where derived.
 `unnormalized_rows` walks a context's branch states with `@` along the complex
 legs of `_chain`, each branch evolved once per leg, as an independent oracle.
 Under non-unitary evolution N differs from context to context, which is exactly
@@ -63,8 +64,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateContextError, DegenerateWeightError, DomainError, UsageError
-from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, QubitDensity, as_cmat,
-                      dagger, mixture, per_matrix, projector, raise_where, weights)
+from .matcore import (DICHOTOMY_TOL, I2, SIGMA_Y, SIGMA_Z, WEIGHT_FLOOR, as_cmat, dagger, mixture,
+                      per_matrix, projector, raise_where, weights)
 from .ptdyn import ByValue, PTParams, hold, multiple, propagator
 
 MAXIMALLY_MIXED = "maximally_mixed"
@@ -132,7 +133,7 @@ class ScenarioPreset:
         return propagator(self.evolution)
 
     @cached_property
-    def start(self) -> QubitDensity:
+    def start(self) -> np.ndarray:
         """The chain's start, kept: `initial_state_at_t1`, or the published chain's bare state."""
         return _start(self.initial_state) if self.published else initial_state_at_t1(self)
 
@@ -178,7 +179,7 @@ class StackedPreset:
             p, n = m.evolution, m.points or 1
             basis, flip = _measured_basis(m.observable, p.alpha)
             cols.append((np.full(n, p.t), np.full(n, ratio(p.alpha, basis)),
-                         np.full((3, n), symmetric_part(m.start.mat.reshape(-1, 2, 2), basis)),
+                         np.full((3, n), symmetric_part(m.start.reshape(-1, 2, 2), basis)),
                          np.full(n, flip)))
         t, r, s, flip = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*cols))
         lead = 1 if published else -1
@@ -290,15 +291,15 @@ class OutcomeDistribution:
         return sum(p.reshape((-1,) + p.shape[len(summed):]))
 
 
-def initial_state_at_t1(preset: ScenarioPreset) -> QubitDensity:
-    """Normalized state at the first time of the sequential chain: the bare state, or
-    with pre-evolution the state through U(t)."""
+def initial_state_at_t1(preset: ScenarioPreset) -> np.ndarray:
+    """Normalized state at the first time of the sequential chain, a (2, 2) complex array
+    ((N, 2, 2) for a stack): the bare state, or with pre-evolution the state through U(t)."""
     return _start(preset.initial_state, preset.u if preset.pre_evolution else None)
 
 
-def _start(state: InitialState, u=None) -> QubitDensity:
-    """Every chain start: the mixture of the state's kets, each carried through U(t) = `u`
-    entry by entry when given, renormalized (the bare state has unit weight)."""
+def _start(state: InitialState, u=None) -> np.ndarray:
+    """Every chain start, a mixture of the state's kets (each through U(t) = `u` entry by entry
+    when given) renormalized: Hermitian and PSD as formed, only its weight is checked."""
     p, psi = state.kets()
     if u is not None:  # U psi_k = u_i0 psi_0k + u_i1 psi_1k
         psi = u[..., :, :1] * psi[..., :1, :] + u[..., :, 1:] * psi[..., 1:, :]
@@ -306,7 +307,7 @@ def _start(state: InitialState, u=None) -> QubitDensity:
     w = weights(rho)
     raise_where(w < WEIGHT_FLOOR, w, lambda w: DegenerateWeightError(
         f"pre-evolution weight {w:.3e} cannot be renormalized"))
-    return QubitDensity(rho / per_matrix(w))
+    return rho / per_matrix(w)
 
 
 def _chain(preset: ScenarioPreset) -> list:
@@ -340,7 +341,7 @@ def unnormalized_rows(ctx: MeasurementContext) -> np.ndarray:
     times, obs = ctx.measured_times, ctx.preset.observable
     pis = next((p for o, p in _MODULE if o is obs), None) or [projector(obs, m) for m in (1, -1)]
     start, *legs = ctx.preset.chain
-    branches = [start.mat]
+    branches = [start]
     for u in [legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])]:
         branches = [pi @ rho @ pi for rho in (u @ rho @ dagger(u) for rho in branches)
                     for pi in pis]

@@ -220,7 +220,7 @@ def test_criterion_09_no_signaling_demo():
     for _ in range(20):
         alpha, t = rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)
         ref = uu_dagger_reference(alpha, t)
-        rho = bob_reduced(PTParams(alpha, t)).mat
+        rho = bob_reduced(PTParams(alpha, t))
         worst_entry = max(worst_entry, np.abs(rho - ref / np.trace(ref).real).max())
     ok = iff_ok and worst_entry <= 1e-9
     line = report(9, "no-signaling-demo", ok,

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptlg
-from ptlg import checks, closedform, nosignal, protocol, ptdyn
+from ptlg import checks, closedform, matcore, nosignal, protocol, ptdyn
 from ptlg.checks import run_identity_suite
 from ptlg.cli import _write_table, main
 from ptlg.errors import UsageError
-from ptlg.matcore import QubitDensity
 from ptlg.protocol import PT_STANDARD
-from ptlg.sweep import DEFAULT_PHI, DEFAULT_THETA, GridSpec, SweepConfig, figure_data, scan
+from ptlg.sweep import DEFAULT_PHI, DEFAULT_THETA, KINDS, GridSpec, SweepConfig, figure_data, scan
 
 
 class TestIdentitySuite:
@@ -50,7 +49,7 @@ class TestIdentitySuite:
 
         def untransposed(preset):
             rho = original(preset)
-            return QubitDensity(rho.mat.swapaxes(-1, -2)) if preset.label == PT_STANDARD else rho
+            return rho.swapaxes(-1, -2) if preset.label == PT_STANDARD else rho
 
         monkeypatch.setattr(protocol, "initial_state_at_t1", untransposed)
         results = run_identity_suite(sample_size=4)
@@ -157,7 +156,7 @@ class TestSuiteFormsEachQuantityOnce:
         assert pt.tobytes() == variant.tobytes() == alone.tobytes()
         grids = [nosignal.bob_reduced(ptdyn.PTParams(np.zeros(n), np.abs(ts))),
                  nosignal.bob_reduced(ptdyn.PTParams(alphas, np.full(n, np.pi)))]
-        assert signaling.mat.tobytes() == np.concatenate([g.mat for g in grids]).tobytes()
+        assert signaling.tobytes() == np.concatenate(grids).tobytes()
 
     def test_pair_op_walks_each_context_once(self, monkeypatch):
         # one pair op: the oracle walks each of the 3 pair contexts' branch trees once, with no
@@ -591,6 +590,27 @@ class TestNosignalCommand:
         capsys.readouterr()
         assert main(["optimize", "V3", "--alpha", "1.2", "--t-steps", "8", "--phi", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["params"]["phi"] == 1.0
+
+
+class TestEngineValidatesNoDerivedState:
+    def test_no_command_builds_a_qubit_density(self, tmp_path, capsys, monkeypatch):
+        # starts, partner states and branch states are plain arrays: the density checks run on
+        # no value that the engine derives, in any command
+        calls, original = [], matcore.QubitDensity.__post_init__
+        monkeypatch.setattr(matcore.QubitDensity, "__post_init__",
+                            lambda rho: calls.append(rho) or original(rho))
+        out = ["--out", str(tmp_path / "out")]
+        runs = [(["check", "--sample-size", "4"], 0),
+                (["check", "--sample-size", "4", "--pair-closed-forms"], 1),
+                (["check", "--sample-size", "4", "--inject-fault", "1e-3"], 1),
+                *((["optimize", "V3", "--kind", kind, "--t-steps", "8", *out]
+                   + ([] if kind == "unitary" else ["--alpha", "1.45"]), 0) for kind in KINDS),
+                *((["figure", n, "--t-steps", "16", *out], 0) for n in "1234"),
+                (["nosignal", "--t-steps", "16", *out], 0)]
+        assert [main(args) for args, _ in runs] == [code for _, code in runs]
+        assert calls == []
+        matcore.QubitDensity(matcore.I2 / 2)  # the counter sees a construction
+        assert len(calls) == 1
 
 
 class TestConfigFile:

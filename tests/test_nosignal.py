@@ -43,17 +43,17 @@ class TestBellState:
 
 class TestBobReduced:
     def test_hermitian_limit(self):
-        np.testing.assert_allclose(bob_reduced(PTParams(0.0, 0.9)).mat, I2 / 2,
+        np.testing.assert_allclose(bob_reduced(PTParams(0.0, 0.9)), I2 / 2,
                                    atol=1e-14)
 
     def test_no_evolution(self):
-        np.testing.assert_allclose(bob_reduced(PTParams(1.1, 0.0)).mat, I2 / 2,
+        np.testing.assert_allclose(bob_reduced(PTParams(1.1, 0.0)), I2 / 2,
                                    atol=1e-14)
 
     def test_deformed_state(self):
         rho = bob_reduced(PTParams(np.pi / 3, 0.7))
-        assert weights(rho.mat) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
+        assert weights(rho) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert signaling_deviation(PTParams(np.pi / 3, 0.7)) > 1e-3
 
     def test_closed_form_entries(self):
@@ -63,7 +63,7 @@ class TestBobReduced:
         for _ in range(25):
             alpha, t = rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)
             ref = uu_dagger_reference(alpha, t)
-            rho = bob_reduced(PTParams(alpha, t)).mat
+            rho = bob_reduced(PTParams(alpha, t))
             assert np.abs(rho - ref / np.trace(ref).real).max() <= 1e-9
 
 
@@ -71,7 +71,7 @@ class TestBellPairProperties:
     @settings(derandomize=True, deadline=None)
     @given(alpha=ALPHAS, t=TIMES)
     def test_matches_bell_pair_reference(self, alpha, t):
-        rho = bob_reduced(PTParams(alpha, t)).mat
+        rho = bob_reduced(PTParams(alpha, t))
         assert np.abs(rho - bell_pair_reference(alpha, t)).max() <= 4 * EPS
         assert abs(weights(rho) - 1.0) <= 2 * EPS
         assert hermitian_defect(rho) <= 2 * EPS

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptlg import protocol
@@ -13,8 +13,8 @@ from ptlg.errors import DegenerateWeightError, DomainError, UsageError
 from ptlg.lgexpr import ContextTable, l123_and_beta, v123_and_delta
 from ptlg.macrodiag import (decomposition_residual_standard, decomposition_residual_variant,
                             degree_report)
-from ptlg.matcore import (DICHOTOMY_TOL, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_cmat, mixture, projector,
-                          raise_where, weights)
+from ptlg.matcore import (DICHOTOMY_TOL, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QubitDensity, as_cmat,
+                          mixture, projector, raise_where, weights)
 from ptlg.nosignal import bob_reduced
 from ptlg.protocol import (
     MeasurementContext,
@@ -43,13 +43,26 @@ def walk(context, outcomes):
     """p~ of one outcome tuple by a branch walk of its own along the oracle's legs."""
     times, obs = context.measured_times, context.preset.observable
     start, *legs = context.preset.chain
-    rho = start.mat
+    rho = start
     for u, m in zip([legs[times[0] - 1]] + [legs[b - a - 3] for a, b in zip(times, times[1:])],
                     outcomes):
         rho = u @ rho @ u.conj().swapaxes(-1, -2)
         pi = projector(obs, m)
         rho = pi @ rho @ pi
     return np.maximum(weights(rho), 0.0)
+
+
+@st.composite
+def chain_starts(draw):
+    """A PT preset with |alpha| <= pi/2 - 1e-8, mixed or pure, on the sequential chain with
+    pre-evolution on or off or on the published chain."""
+    alpha = draw(st.floats(0.0, np.pi / 2 - 1e-8)) * draw(st.sampled_from((1, -1)))
+    t = draw(st.floats(0.0, np.pi))
+    pre_evolution, published = draw(st.sampled_from(((True, False), (False, False), (True, True))))
+    if draw(st.booleans()):
+        return pt_standard(alpha, t, pre_evolution, published)
+    return pt_variant(alpha, t, draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi)),
+                      pre_evolution, published)
 
 
 def one_time_probability(preset, j):
@@ -61,20 +74,20 @@ def one_time_probability(preset, j):
 class TestInitialState:
     def test_mixed_is_invariant_under_unitary_pre_evolution(self):
         preset = pt_standard(0.0, 0.9)
-        np.testing.assert_allclose(initial_state_at_t1(preset).mat, I2 / 2, atol=1e-14)
+        np.testing.assert_allclose(initial_state_at_t1(preset), I2 / 2, atol=1e-14)
 
     def test_nonunitary_pre_evolution_deforms_mixed_state(self):
         rho = initial_state_at_t1(pt_standard(np.pi / 3, 0.7))
-        assert abs(weights(rho.mat) - 1.0) < 1e-12
-        assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
-        assert np.max(np.abs(rho.mat - I2 / 2)) > 1e-3
+        assert abs(weights(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.max(np.abs(rho - I2 / 2)) > 1e-3
         for ts in (0.7, (0.0, 0.7, 1.6, 2.9)):  # U (I/2) U^dag is the partner state, U U^dag / tr
-            assert np.array_equal(initial_state_at_t1(pt_standard(np.pi / 3, ts)).mat,
-                                  bob_reduced(PTParams(np.pi / 3, ts)).mat)
+            assert np.array_equal(initial_state_at_t1(pt_standard(np.pi / 3, ts)),
+                                  bob_reduced(PTParams(np.pi / 3, ts)))
 
     def test_normalize(self):
         rho = protocol._start(maximally_mixed(), np.sqrt(3.0) * I2)  # weight 3
-        assert abs(weights(rho.mat) - 1.0) < 1e-12
+        assert abs(weights(rho) - 1.0) < 1e-12
 
     def test_degenerate_weight(self):
         with pytest.raises(DegenerateWeightError):
@@ -84,18 +97,34 @@ class TestInitialState:
         assert stacked.value.failures == {
             1: "pre-evolution weight 0.000e+00 cannot be renormalized"}
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(preset=chain_starts())
+    @example(preset=pt_variant(1.488, 1.2912, 2.3701, 3 * np.pi / 2))
+    @example(preset=pt_variant(1.488, 1.2912, 2.3701, 3 * np.pi / 2, published=True))
+    @example(preset=pt_variant(np.pi / 2 - 1e-7, 1.2912, 2.3701, 3 * np.pi / 2))
+    @example(preset=pt_standard(np.pi / 2 - 1e-7, 1.2912))
+    def test_every_start_passes_the_density_checks(self, preset):
+        # a start is a plain array, unchecked but for its weight; wrapped, it is Hermitian and
+        # PSD within the density tolerances wherever its weight can be renormalized
+        try:
+            start = preset.start
+        except DegenerateWeightError:
+            return
+        assert type(start) is np.ndarray and start.shape == (2, 2)
+        QubitDensity(start)
+
     def test_pure_state_is_rank_one(self):
         theta, phi = 5 * np.pi / 6, np.pi / 2
         rho = initial_state_at_t1(unitary_variant(0.3, theta, phi))
-        np.testing.assert_allclose(rho.mat @ rho.mat, rho.mat, atol=1e-12)
-        assert abs(weights(rho.mat) - 1.0) < 1e-12
+        np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
+        assert abs(weights(rho) - 1.0) < 1e-12
         # basis labeling: <sigma_z> = -cos(2 theta), <sigma_y> = -sin(2 theta) sin(phi)
-        assert rho.mat[0, 0].real - rho.mat[1, 1].real == pytest.approx(-np.cos(2 * theta))
+        assert rho[0, 0].real - rho[1, 1].real == pytest.approx(-np.cos(2 * theta))
 
     def test_pure_state_sigma_y_expectation(self):
         theta, phi = 0.8, 0.6
         rho = initial_state_at_t1(unitary_variant(0.3, theta, phi))
-        assert weights(rho.mat @ SIGMA_Y) == pytest.approx(-np.sin(2 * theta) * np.sin(phi))
+        assert weights(rho @ SIGMA_Y) == pytest.approx(-np.sin(2 * theta) * np.sin(phi))
 
 
 class TestChains:
@@ -109,7 +138,7 @@ class TestChains:
         preset = pt_standard(np.pi / 3, 0.7)
         rho = initial_state_at_t1(preset)
         for m in (+1, -1):
-            want = weights(rho.mat @ (I2 + m * SIGMA_Y) / 2)
+            want = weights(rho @ (I2 + m * SIGMA_Y) / 2)
             assert unnormalized_chain(ctx(preset, 1), (m,)) == pytest.approx(want, abs=1e-12)
             assert unnormalized_chain(ctx(preset, 1), (m,)) >= 0
 
